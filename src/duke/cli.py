@@ -36,14 +36,17 @@ from .wkcenter import (
     default_lambda,
     evaluate_solution,
     gamma_bounds,
+    gamma_search,
     greedy_kcenter,
-    make_gamma_grid,
     weighted_kcenter,
     weighted_kcenter_pq,
 )
 
 METHODS = ("duke", "duke-pq", "parallel", "greedy-kcenter", "random",
            "margin", "submodular")
+# selectors that score their own result with the run's lambda; their radius
+# and weight sum equal evaluate_solution's bit for bit
+SELF_EVALUATING = ("duke", "duke-pq", "parallel")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,18 +164,14 @@ def cmd_select(args) -> tuple[Report, int]:
                               strategy=args.partition)
         return parallel_weighted_kcenter(emb, metric, weights, cfg, plan)
 
-    if method in ("duke", "duke-pq", "parallel"):
+    if method in SELF_EVALUATING:
         if args.gamma is not None:
             sol = run_fixed(args.gamma)
         else:
-            lo, hi = gamma_bounds(emb, metric, weights, k)
-            grid = make_gamma_grid(lo, hi, args.gamma_grid)
-            sol = None
-            for g in grid:
-                cand = run_fixed(float(g))
-                rep.add("trace", f"gamma_{fmt_float(g)}", cand.objective)
-                if sol is None or cand.objective < sol.objective:
-                    sol = cand
+            sol, trace = gamma_search(emb, metric, weights, k, lam,
+                                      args.gamma_grid, runner=run_fixed)
+            for g, objective in trace:
+                rep.add("trace", f"gamma_{fmt_float(g)}", objective)
     elif method == "greedy-kcenter":
         sol = greedy_kcenter(emb, metric, k, start=args.start)
     elif method == "random":
@@ -189,7 +188,8 @@ def cmd_select(args) -> tuple[Report, int]:
     else:
         raise UsageError(method=method)
 
-    sol = evaluate_solution(emb, metric, weights, lam, sol)
+    if method not in SELF_EVALUATING:
+        sol = evaluate_solution(emb, metric, weights, lam, sol)
     select_ms = _now_ms() - t1
     _solution_block(rep, sol)
     rep.add("timing", "load_ms", t_load)

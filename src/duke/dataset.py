@@ -33,11 +33,24 @@ from .errors import (
 METRICS = ("cosine-distance", "euclidean", "manhattan")
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """Contiguous read-only array of ``values``.
+
+    An array the caller can still write is copied rather than frozen in
+    place; a read-only one (the loaders hand over theirs that way) is kept.
+    """
+    arr = np.ascontiguousarray(values, dtype=dtype)
+    # a fresh conversion owns its data; anything else is the caller's memory
+    if arr.flags.writeable and (arr is values or arr.base is not None):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_readonly_f64(values, ndim: int) -> np.ndarray:
-    arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+    arr = _frozen(values, np.float64)
     if arr.ndim != ndim:
         raise MalformedValue(expected_ndim=ndim, got=arr.ndim)
-    arr.setflags(write=False)
     return arr
 
 
@@ -61,10 +74,9 @@ class EmbeddingSet:
             raise NonFiniteValue(row=bad)
         self.features = feats
         if self.labels is not None:
-            lab = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
+            lab = _frozen(self.labels, np.int64)
             if lab.shape != (feats.shape[0],):
                 raise SizeMismatch(expected=feats.shape[0], got=lab.shape)
-            lab.setflags(write=False)
             self.labels = lab
         self._norms = None
 
@@ -349,13 +361,19 @@ def _parse_raw_float32(path: Path, dim: int) -> np.ndarray:
 
 def load_matrix(path, fmt: str = "csv", dim: int | None = None,
                 header: bool = False) -> np.ndarray:
-    """Shared loader for embeddings, probabilities and weight columns."""
+    """Shared loader for embeddings, probabilities and weight columns.
+
+    The parsed array is returned read-only, so the containers take it without
+    a copy."""
     p = Path(path)
     if fmt == "csv":
-        return _parse_csv(p, header)
-    if fmt == "raw-float32":
-        return _parse_raw_float32(p, dim)
-    raise MalformedValue(format=fmt)
+        arr = _parse_csv(p, header)
+    elif fmt == "raw-float32":
+        arr = _parse_raw_float32(p, dim)
+    else:
+        raise MalformedValue(format=fmt)
+    arr.setflags(write=False)
+    return arr
 
 
 def load_embeddings(path, fmt: str = "csv", dim: int | None = None,

@@ -100,7 +100,8 @@ class TooManyWorkers(DukeError):
 
 
 class InstanceTooLarge(DukeError):
-    """C(n, k) exceeds the enumeration cap."""
+    """C(n, k) exceeds the enumeration cap, or the oracle's distance matrix
+    exceeds its memory budget."""
 
 
 class InvalidArgument(DukeError):

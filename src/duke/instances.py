@@ -114,4 +114,7 @@ def gen_clusters(spec: SyntheticSpec) -> tuple[EmbeddingSet, WeightVector]:
     else:
         raise InvalidArgument(weight_scheme=spec.weight_scheme)
 
+    # handed over read-only, so the containers take them without a copy
+    points.setflags(write=False)
+    assign.setflags(write=False)
     return EmbeddingSet(points, assign), WeightVector(w)

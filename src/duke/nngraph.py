@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import EmbeddingSet, metric_row, _check_rows
-from .errors import GraphMismatch, InvalidArgument
+from .errors import InvalidArgument
 
 __all__ = ["NeighborGraph", "build_knn_graph", "radius_query", "export_graph"]
 
@@ -67,11 +67,6 @@ def radius_query(emb: EmbeddingSet, metric: str, center: int, radius: float,
     for e in exclude:
         hit[e] = False
     return np.nonzero(hit)[0]
-
-
-def check_graph(graph: NeighborGraph, n: int) -> None:
-    if graph.n != n:
-        raise GraphMismatch(graph_n=graph.n, set_n=n)
 
 
 def export_graph(graph: NeighborGraph, stream) -> None:

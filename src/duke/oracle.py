@@ -3,7 +3,8 @@
 Subsets are enumerated in lexicographic order and evaluated in vectorized
 chunks against the full distance matrix. Ties keep the lexicographically
 smallest subset, so results are deterministic. A hard cap on C(n, k) refuses
-instances that cannot finish.
+instances that cannot finish, and a byte budget refuses, before anything is
+allocated, instances whose distance matrix would not fit in it.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from .errors import BudgetExceedsGroundSet, InstanceTooLarge, SizeMismatch
 __all__ = [
     "OracleResult",
     "ENUMERATION_CAP",
+    "MEMORY_BUDGET",
     "brute_force_weighted",
     "brute_force_kcenter",
     "optimal_gamma",
 ]
 
 ENUMERATION_CAP = 2_000_000
-_CHUNK = 16384
+# The most bytes one oracle array may take: the n x n distance matrix, and
+# the (n, chunk, k) gather that scores one chunk of subsets.
+MEMORY_BUDGET = 1 << 24
 
 
 @dataclass
@@ -47,6 +51,17 @@ def _check_budget(n: int, k: int, cap: int) -> int:
     return total
 
 
+def _chunk_size(n: int, k: int) -> int:
+    """Subsets scored per chunk, within the memory budget.
+
+    Raises InstanceTooLarge if the distance matrix alone exceeds the budget;
+    otherwise, since k <= n, at least one subset fits."""
+    matrix = 8 * n * n
+    if matrix > MEMORY_BUDGET:
+        raise InstanceTooLarge(matrix_bytes=matrix, budget=MEMORY_BUDGET)
+    return MEMORY_BUDGET // (8 * n * k)
+
+
 def brute_force_weighted(emb: EmbeddingSet, metric: str, weights: WeightVector,
                          k: int, lambda_: float,
                          cap: int = ENUMERATION_CAP) -> OracleResult:
@@ -54,6 +69,7 @@ def brute_force_weighted(emb: EmbeddingSet, metric: str, weights: WeightVector,
     if weights.n != n:
         raise SizeMismatch(expected=n, got=weights.n)
     total = _check_budget(n, k, cap)
+    chunk = _chunk_size(n, k)
     dist = distance_matrix(emb, metric)
     w = weights.values
 
@@ -64,7 +80,7 @@ def brute_force_weighted(emb: EmbeddingSet, metric: str, weights: WeightVector,
 
     combos = itertools.combinations(range(n), k)
     while True:
-        block = list(itertools.islice(combos, _CHUNK))
+        block = list(itertools.islice(combos, chunk))
         if not block:
             break
         subs = np.array(block, dtype=np.int64)

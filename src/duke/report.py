@@ -57,13 +57,6 @@ class Report:
                 return pairs
         raise KeyError(section)
 
-    def has(self, section: str, key: str | None = None) -> bool:
-        try:
-            self.section(section) if key is None else self.get(section, key)
-            return True
-        except KeyError:
-            return False
-
     def to_text(self) -> str:
         out: list[str] = []
         for name, pairs in self.sections:

@@ -20,16 +20,19 @@ from .parallel import make_partition, parallel_weighted_kcenter
 from .wkcenter import (
     SelectionConfig,
     gamma_bounds,
+    gamma_search,
     greedy_kcenter,
+    make_gamma_grid,
     weighted_kcenter,
     weighted_kcenter_pq,
 )
 
 __all__ = ["PropertyStat", "VerifySummary", "bounds_suite", "pq_suite",
-           "parallel_suite", "run_full"]
+           "parallel_suite", "early_stop_suite", "run_full"]
 
 _LAMBDAS = (0.0, 0.1, 1.0)
 _METRICS = ("euclidean", "cosine-distance")
+_GRID_SIZE = 8
 
 
 @dataclass
@@ -207,10 +210,12 @@ def pq_suite(instances: int = 500, seed: int = 1) -> VerifySummary:
         cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma, metric=metric)
         ref = weighted_kcenter(emb, metric, weights, cfg)
         fast = weighted_kcenter_pq(emb, metric, weights, cfg)
-        same = ref.indices == fast.indices and ref.objective == fast.objective
+        same = (ref.indices == fast.indices and ref.objective == fast.objective
+                and ref.far_rounds == fast.far_rounds)
         s_eq.record(same, None,
                     _serialize(emb, weights, k, lam, metric,
-                               f"gamma={gamma!r} ref={ref.indices} pq={fast.indices}"))
+                               f"gamma={gamma!r} ref={ref.indices} pq={fast.indices} "
+                               f"far_rounds {ref.far_rounds} vs {fast.far_rounds}"))
     return summary
 
 
@@ -249,11 +254,59 @@ def parallel_suite(trials: int = 60, seed: int = 2,
     return summary
 
 
+def early_stop_suite(instances: int = 200, seed: int = 3) -> VerifySummary:
+    """The gamma search, which stops at the first run with no far round,
+    must equal the best over a run of the selector at every grid gamma:
+    the same trace, and the same winner with the same gamma.
+
+    Instances mix sizes, metrics, duplicated points and tied weights; the
+    search stops before the top of the grid on about half of them. The worst
+    ratio is search objective over full-grid objective."""
+    rng = np.random.default_rng(seed)
+    summary = VerifySummary()
+    s_eq = summary.stat("early_stop_matches_full_grid")
+
+    for t in range(instances):
+        n = int(rng.integers(2, 61))
+        dim = int(rng.integers(2, 5))
+        pts = rng.normal(0.0, 1.0, size=(n, dim))
+        metric = _METRICS[t % 2]
+        if t % 3 == 1 and n >= 4:
+            dup = rng.integers(0, n, size=n // 4)
+            pts[dup] = pts[(dup + 1) % n]
+        w = rng.uniform(0.0, 1.0, size=n)
+        if t % 5 == 2:
+            w = np.round(w, 1)
+        lam = _LAMBDAS[t % len(_LAMBDAS)]
+        k = int(rng.integers(1, min(n, 20) + 1))
+        emb, weights = EmbeddingSet(pts), WeightVector(w)
+
+        sol, trace = gamma_search(emb, metric, weights, k, lam, _GRID_SIZE)
+        grid = make_gamma_grid(*gamma_bounds(emb, metric, weights, k), _GRID_SIZE)
+        runs = [weighted_kcenter(emb, metric, weights,
+                                 SelectionConfig(k=k, lambda_=lam, gamma=float(g),
+                                                 metric=metric))
+                for g in grid]
+        best = min(runs, key=lambda r: r.objective)   # first of equals
+        same = (trace == [(float(g), r.objective) for g, r in zip(grid, runs)]
+                and sol.indices == best.indices
+                and sol.objective == best.objective
+                and sol.gamma_used == best.gamma_used)
+        s_eq.record(same,
+                    sol.objective / best.objective if best.objective > 0 else None,
+                    _serialize(emb, weights, k, lam, metric,
+                               f"search {sol.indices} at gamma={sol.gamma_used!r} "
+                               f"!= full grid {best.indices} at gamma={best.gamma_used!r}"))
+    return summary
+
+
 def run_full(trials: int = 200, pq_instances: int = 500,
              parallel_trials: int = 60, seed: int = 0, n_max: int = 14,
              k_max: int = 6) -> VerifySummary:
+    """Every suite; the early-stop suite runs ``trials`` instances."""
     summary = bounds_suite(trials=trials, seed=seed, n_max=n_max,
                              k_max=k_max)
     summary.merge(pq_suite(instances=pq_instances, seed=seed + 1))
     summary.merge(parallel_suite(trials=parallel_trials, seed=seed + 2))
+    summary.merge(early_stop_suite(instances=trials, seed=seed + 3))
     return summary

@@ -18,6 +18,13 @@ solution, the result is within 3x of the optimal objective and never carries
 more weight than the optimum. A fixed-order queue formulation of the same rule
 and a gamma grid search are provided alongside.
 
+Only rows the answer depends on are computed. Distances to the centers never
+grow, so once no point is farther than 3*gamma the run is in its fill regime
+for good: the rest of the budget is the lightest unselected points, taken in
+one slice and folded into the distances by one blocked pass over the matrix.
+A run that never took the far branch picks the same indices at every larger
+gamma, so the grid search stops there and copies its objective up the grid.
+
 Weights and distances are consumed on their native scales; lambda alone
 balances the two terms.
 """
@@ -25,6 +32,7 @@ balances the two terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -86,6 +94,11 @@ class SubsetSolution:
     :func:`weighted_objective`; selectors that cannot evaluate themselves
     (the simple baselines) leave the three terms NaN until
     :func:`evaluate_solution` fills them.
+
+    ``far_rounds`` counts the rounds of a fixed-gamma run that took the far
+    branch. Selectors that cannot vouch for it leave it None, and
+    :func:`gamma_search` then runs every grid gamma. It is not part of the
+    report.
     """
 
     indices: list[int]
@@ -95,6 +108,7 @@ class SubsetSolution:
     algorithm: str
     gamma_used: float
     extra: dict = field(default_factory=dict)
+    far_rounds: int | None = None
 
 
 def _weight_sum(weights: WeightVector, centers) -> float:
@@ -161,6 +175,13 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     farther than 3*gamma from the centers, take the lightest such point c and
     add the lightest point within gamma of c; otherwise add the lightest
     unselected point. Ties always break to the lowest index.
+
+    Distances to the centers never grow, so after the first round with no
+    point farther than 3*gamma every later round is a fill round too. The run
+    takes all of them at once: the next unselected entries of the (weight,
+    index) order, folded into the distances by one :func:`min_dists` call that
+    streams the matrix once instead of once per pick. ``np.minimum`` is exact,
+    so the radius is the same float as a pick-by-pick fold.
     """
     n = emb.n
     config.validate(n)
@@ -178,23 +199,30 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
 
     while len(selected) < config.k:
         far = dmin > three_gamma
-        if far.any():
-            c_hat = int(np.argmin(np.where(far, w, np.inf)))
-            ball = metric_row(emb, metric, c_hat) <= gamma
-            ball &= ~in_s
-            pick = int(np.argmin(np.where(ball, w, np.inf)))
-        else:
-            pick = int(np.argmin(np.where(in_s, np.inf, w)))
+        if not far.any():
+            break
+        c_hat = int(np.argmin(np.where(far, w, np.inf)))
+        ball = metric_row(emb, metric, c_hat) <= gamma
+        ball &= ~in_s
+        pick = int(np.argmin(np.where(ball, w, np.inf)))
         selected.append(pick)
         in_s[pick] = True
         np.minimum(dmin, metric_row(emb, metric, pick), out=dmin)
+    far_rounds = len(selected) - 1
+
+    if len(selected) < config.k:
+        order = np.lexsort((np.arange(n), w))
+        rest = order[~in_s[order]][:config.k - len(selected)]
+        selected.extend(int(i) for i in rest)
+        np.minimum(dmin, min_dists(emb, metric, rest), out=dmin)
 
     radius = float(dmin.max())
     wsum = _weight_sum(weights, selected)
     return SubsetSolution(indices=selected, radius_term=radius,
                           weight_term=wsum,
                           objective=radius + config.lambda_ * wsum,
-                          algorithm="duke", gamma_used=gamma)
+                          algorithm="duke", gamma_used=gamma,
+                          far_rounds=far_rounds)
 
 
 def weighted_kcenter_pq(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -222,7 +250,9 @@ def weighted_kcenter_pq(emb: EmbeddingSet, metric: str, weights: WeightVector,
     If the queue runs dry before k picks, the remaining budget is the next
     unselected entries of the same order, taken in one slice: the lightest
     unselected points, which is exactly what the reference does once
-    everything is covered.
+    everything is covered. In exact-ball mode every pick after the first
+    answers a far round of the reference, which ``far_rounds`` counts; in
+    knn-graph mode it is left None.
     """
     n = emb.n
     config.validate(n)
@@ -270,6 +300,7 @@ def weighted_kcenter_pq(emb: EmbeddingSet, metric: str, weights: WeightVector,
             alive[(row <= three_gamma)[order]] = False
         else:
             alive[rank[graph.neighbor_indices[pick]]] = False
+    far_rounds = len(selected) - 1 if neighborhood_mode == "exact-ball" else None
 
     if len(selected) < config.k:
         rest = order[~in_s[order]]
@@ -280,7 +311,8 @@ def weighted_kcenter_pq(emb: EmbeddingSet, metric: str, weights: WeightVector,
     return SubsetSolution(indices=selected, radius_term=radius,
                           weight_term=wsum, objective=obj,
                           algorithm="duke-pq", gamma_used=gamma,
-                          extra={"neighborhood_mode": neighborhood_mode})
+                          extra={"neighborhood_mode": neighborhood_mode},
+                          far_rounds=far_rounds)
 
 
 def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -323,23 +355,42 @@ def make_gamma_grid(gamma_lo: float, gamma_hi: float,
 
 def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
                  lambda_: float, grid_size: int = 8,
+                 runner: Callable[[float], SubsetSolution] | None = None,
                  ) -> tuple[SubsetSolution, list[tuple[float, float]]]:
-    """Run the selector across a geometric gamma grid, keep the best.
+    """Run a fixed-gamma selector across a geometric gamma grid, keep the best.
 
-    Returns the winning solution and the full (gamma, objective) trace. Ties
-    keep the smallest gamma."""
+    ``runner(gamma)`` returns the selection at one gamma; the default is
+    :func:`weighted_kcenter` with ``k`` and ``lambda_``. The grid is walked
+    upward and stops at the first run whose ``far_rounds`` is 0. That run
+    took the k lightest points with every point within 3*gamma at every
+    round; with the same prefix the far set at a larger gamma is a subset of
+    that empty set, so every larger gamma picks the same indices and scores
+    the same objective. Its objective is copied into the trace for the rest of
+    the grid, and since ties keep the smallest gamma, no copy could have won.
+    A runner that leaves ``far_rounds`` None runs the whole grid.
+
+    Returns the winning solution and the (gamma, objective) trace, one entry
+    per grid gamma."""
+    if runner is None:
+        def runner(gamma: float) -> SubsetSolution:
+            cfg = SelectionConfig(k=k, lambda_=lambda_, gamma=gamma,
+                                  metric=metric)
+            return weighted_kcenter(emb, metric, weights, cfg)
     lo, hi = gamma_bounds(emb, metric, weights, k)
     grid = make_gamma_grid(lo, hi, grid_size)
     best: SubsetSolution | None = None
     trace: list[tuple[float, float]] = []
-    for g in grid:
-        cfg = SelectionConfig(k=k, lambda_=lambda_, gamma=float(g),
-                              metric=metric)
-        sol = weighted_kcenter(emb, metric, weights, cfg)
+    for i, g in enumerate(grid):
+        sol = runner(float(g))
         trace.append((float(g), sol.objective))
         if best is None or sol.objective < best.objective:
             best = sol
-    best.extra["gamma_grid"] = [g for g, _ in trace]
+        rest = grid[i + 1:]
+        # a copy stands only for a gamma no smaller than this one; geomspace
+        # can step down by an ulp when lo and hi (nearly) coincide
+        if sol.far_rounds == 0 and (rest >= g).all():
+            trace.extend((float(h), sol.objective) for h in rest)
+            break
     return best, trace
 
 

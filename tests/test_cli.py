@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from duke.cli import main
-from duke.report import Report
+from duke.report import Report, fmt_float
 
 
 @pytest.fixture()
@@ -62,6 +62,59 @@ def test_select_gamma_grid_trace(capsys, example_files):
     assert len(trace) == 8
     best = float(rep.get("solution", "objective"))
     assert best == min(float(v) for _, v in trace)
+
+
+def _without_timing(text):
+    rep = Report.from_text(text)
+    rep.sections = [sec for sec in rep.sections if sec[0] != "timing"]
+    return rep.to_text()
+
+
+@pytest.mark.parametrize("method", ["duke", "duke-pq"])
+def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files,
+                                             method):
+    from dataclasses import replace
+
+    from duke import cli
+    from duke.dataset import load_embeddings, load_weights
+    from duke.wkcenter import weighted_objective
+
+    pts, w = example_files
+    args = ("select", "--embeddings", pts, "--weights", w, "--metric",
+            "euclidean", "--k", "4", "--lambda", "1", "--method", method)
+    runs, report_far_rounds = [], [True]
+
+    def counted(selector):
+        def run(*a, **kw):
+            runs.append(1)
+            sol = selector(*a, **kw)
+            return sol if report_far_rounds[0] else replace(sol, far_rounds=None)
+        return run
+
+    for name in ("weighted_kcenter", "weighted_kcenter_pq"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    code, early, _ = run_cli(capsys, *args)
+    assert code == 0
+    # on this instance the sixth grid run takes no far round
+    assert len(runs) == 6
+
+    # a selector that does not report far rounds runs the whole grid
+    runs.clear()
+    report_far_rounds[0] = False
+    _, full, _ = run_cli(capsys, *args)
+    assert len(runs) == 8
+
+    assert _without_timing(early) == _without_timing(full)
+    rep = Report.from_text(early)
+    assert len(rep.section("trace")) == 8
+    assert "far_rounds" not in early
+    # the selector's own scoring stands in for the final evaluation
+    inds = [int(t) for t in rep.get("solution", "indices").split(",")]
+    radius, wsum, obj = weighted_objective(
+        load_embeddings(pts), "euclidean", load_weights(w), 1.0, inds)
+    assert rep.get("solution", "radius_term") == fmt_float(radius)
+    assert rep.get("solution", "weight_term") == fmt_float(wsum)
+    assert rep.get("solution", "objective") == fmt_float(obj)
 
 
 def test_select_pq_and_parallel_methods(capsys, example_files):

@@ -169,6 +169,39 @@ def test_embedding_validation():
         EmbeddingSet(np.zeros((0, 2)))
 
 
+def test_containers_leave_the_callers_array_writable():
+    pts = np.arange(12.0).reshape(6, 2)
+    labels = np.arange(6)
+    w = np.full(6, 0.5)
+    emb = EmbeddingSet(pts, labels)
+    wv = WeightVector(w)
+    pts[0, 0] = 1.0
+    labels[0] = 7
+    w[0] = 0.25
+    # the containers hold their own read-only copies
+    assert emb.features[0, 0] == 0.0
+    assert emb.labels[0] == 0
+    assert wv.values[0] == 0.5
+    with pytest.raises(ValueError):
+        emb.features[0, 0] = 1.0
+
+
+def test_loaders_hand_over_without_a_copy(tmp_path, monkeypatch):
+    p = tmp_path / "e.bin"
+    np.arange(8, dtype="<f4").tofile(p)
+    parsed = []
+    load = dataset.load_matrix
+
+    def spy(*args, **kwargs):
+        parsed.append(load(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(dataset, "load_matrix", spy)
+    emb = load_embeddings(str(p), fmt="raw-float32", dim=2)
+    assert not parsed[0].flags.writeable
+    assert emb.features is parsed[0]
+
+
 def test_load_csv(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from duke.dataset import EmbeddingSet, pairwise_distance
-from duke.errors import GraphMismatch, InvalidArgument, ZeroVectorCosine
-from duke.nngraph import NeighborGraph, build_knn_graph, check_graph, export_graph, radius_query
+from duke.errors import InvalidArgument, ZeroVectorCosine
+from duke.nngraph import NeighborGraph, build_knn_graph, export_graph, radius_query
 
 
 def test_three_collinear_points():
@@ -69,14 +69,6 @@ def test_build_rejects_bad_args():
         build_knn_graph(emb, 0, "euclidean")
     with pytest.raises(ZeroVectorCosine):
         build_knn_graph(EmbeddingSet(np.array([[0.0, 0.0], [1.0, 0.0]])), 1, "cosine-distance")
-
-
-def test_check_graph_mismatch():
-    emb = EmbeddingSet(np.array([[0.0], [1.0], [2.0]]))
-    g = build_knn_graph(emb, 1, "euclidean")
-    check_graph(g, 3)
-    with pytest.raises(GraphMismatch):
-        check_graph(g, 4)
 
 
 def test_export_format():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from duke.dataset import EmbeddingSet, WeightVector
+from duke import oracle
 from duke.errors import InstanceTooLarge
 from duke.oracle import brute_force_kcenter, brute_force_weighted, optimal_gamma
 
@@ -93,6 +94,29 @@ def test_instance_too_large():
     # the cap is a parameter, so tiny budgets trip it too
     with pytest.raises(InstanceTooLarge):
         brute_force_kcenter(emb, "euclidean", 2, cap=10)
+
+
+@pytest.mark.parametrize("n, k", [(20000, 1), (2000, 2)])
+def test_oracle_memory_budget_raises_before_allocating(monkeypatch, n, k):
+    # both pass the C(n, k) cap; their distance matrices (3.2 GB, 32 MB)
+    # exceed the byte budget
+    assert math.comb(n, k) <= oracle.ENUMERATION_CAP
+    assert 8 * n * n > oracle.MEMORY_BUDGET
+
+    def no_matrix(*args):
+        raise AssertionError("distance matrix allocated")
+
+    monkeypatch.setattr(oracle, "distance_matrix", no_matrix)
+    emb = EmbeddingSet(np.arange(float(n))[:, None])
+    with pytest.raises(InstanceTooLarge):
+        brute_force_weighted(emb, "euclidean", WeightVector(np.zeros(n)), k, 1.0)
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (14, 6), (200, 3), (1448, 2), (1448, 1448)])
+def test_oracle_chunk_gather_within_budget(n, k):
+    chunk = oracle._chunk_size(n, k)
+    assert chunk >= 1
+    assert 8 * n * chunk * k <= oracle.MEMORY_BUDGET
 
 
 def test_kcenter_reports_weights(line_points):

@@ -1,4 +1,5 @@
-from duke.verify import PropertyStat, VerifySummary, parallel_suite, pq_suite, run_full, bounds_suite
+from duke.verify import (PropertyStat, VerifySummary, bounds_suite,
+                         early_stop_suite, parallel_suite, pq_suite, run_full)
 
 
 def test_theorem_suite_small():
@@ -19,6 +20,15 @@ def test_pq_suite_small():
 def test_parallel_suite_small():
     summary = parallel_suite(trials=6, seed=2)
     assert summary.passed
+
+
+def test_early_stop_suite_small():
+    summary = early_stop_suite(instances=30, seed=3)
+    assert summary.passed
+    stat = summary.stats[0]
+    assert stat.name == "early_stop_matches_full_grid"
+    assert stat.checks == 30
+    assert stat.worst == 1.0
 
 
 def test_zero_trials_is_vacuous_pass():

@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from duke.dataset import EmbeddingSet, WeightVector
-from duke import dataset
+from duke.dataset import EmbeddingSet, WeightVector, pairwise_distance
+from duke import dataset, wkcenter
 from duke.errors import (
     BudgetExceedsGroundSet,
     EmptyCenters,
@@ -247,6 +251,82 @@ def test_gamma_search_trace_and_best(rng):
     assert sol.gamma_used in [g for g, _ in trace]
     gammas = [g for g, _ in trace]
     assert gammas == sorted(gammas)
+
+
+def _per_round_selection(emb, metric, w, k, gamma):
+    """The selector by its definition: one full pass per round, no shortcut."""
+    n = emb.n
+    d = [[pairwise_distance(c, i, emb, metric) for i in range(n)] for c in range(n)]
+
+    def key(i):
+        return w[i], i
+
+    selected = [min(range(n), key=key)]
+    while len(selected) < k:
+        far = [i for i in range(n) if min(d[c][i] for c in selected) > 3.0 * gamma]
+        if far:
+            c_hat = min(far, key=key)
+            pool = [j for j in range(n) if d[c_hat][j] <= gamma]
+        else:
+            pool = range(n)
+        selected.append(min((j for j in pool if j not in selected), key=key))
+    radius = max(min(d[c][i] for c in selected) for i in range(n))
+    return selected, radius
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_selector_matches_per_round_definition(data):
+    n = data.draw(st.integers(1, 12))
+    dim = data.draw(st.integers(1, 3))
+    # few distinct coordinates and weights: duplicate rows and weight ties
+    pts = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 1.5, 3.0]),
+                 min_size=dim, max_size=dim), min_size=n, max_size=n)))
+    w = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                           min_size=n, max_size=n))
+    metric = data.draw(st.sampled_from(["euclidean", "manhattan", "cosine-distance"]))
+    assume(metric != "cosine-distance" or np.all(np.abs(pts).sum(axis=1) > 0))
+    gamma = data.draw(st.one_of(st.just(0.0), st.just(1e9), st.floats(0.0, 4.0)))
+    k = data.draw(st.integers(1, n))
+    emb = EmbeddingSet(pts)
+    cfg = SelectionConfig(k=k, lambda_=0.5, gamma=gamma, metric=metric)
+    sol = weighted_kcenter(emb, metric, WeightVector(np.array(w)), cfg)
+    want, radius = _per_round_selection(emb, metric, w, k, gamma)
+    assert sol.indices == want
+    assert struct.pack("<d", sol.radius_term) == struct.pack("<d", radius)
+
+
+def test_gamma_search_equals_selector_at_every_grid_gamma(rng, monkeypatch):
+    runs = []
+    selector = wkcenter.weighted_kcenter
+
+    def counted(*args):
+        runs.append(1)
+        return selector(*args)
+
+    monkeypatch.setattr(wkcenter, "weighted_kcenter", counted)
+    stopped = 0
+    for trial in range(40):
+        n = int(rng.integers(3, 30))
+        k = int(rng.integers(1, n))
+        metric = ("euclidean", "cosine-distance")[trial % 2]
+        emb = EmbeddingSet(rng.normal(size=(n, 2)))
+        w = WeightVector(np.round(rng.random(n), 1))
+        runs.clear()
+        sol, trace = gamma_search(emb, metric, w, k, 0.5, grid_size=8)
+        stopped += len(runs) < 8
+        grid = make_gamma_grid(*gamma_bounds(emb, metric, w, k), 8)
+        full = [selector(emb, metric, w, SelectionConfig(
+            k=k, lambda_=0.5, gamma=float(g), metric=metric)) for g in grid]
+        assert trace == [(float(g), r.objective) for g, r in zip(grid, full)]
+        best = min(full, key=lambda r: r.objective)    # first of equals
+        assert sol.indices == best.indices
+        assert sol.gamma_used == best.gamma_used
+        assert (sol.radius_term, sol.weight_term, sol.objective) == \
+            (best.radius_term, best.weight_term, best.objective)
+    # the early stop fired on part of the instances, not on all
+    assert 0 < stopped < 40
 
 
 def test_gamma_search_beats_three_x_on_euclidean(rng):
