@@ -12,7 +12,7 @@ from .dataset import (
     margin_weights,
     pairwise_distance,
 )
-from .nngraph import NeighborGraph, build_knn_graph, radius_query
+from .nngraph import NeighborGraph, build_knn_graph
 from .wkcenter import (
     SelectionConfig,
     SubsetSolution,

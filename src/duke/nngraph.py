@@ -1,4 +1,4 @@
-"""Exact k-nearest-neighbor graph and radius queries.
+"""Exact k-nearest-neighbor graph.
 
 Construction is a straight all-pairs scan per node. Neighbor lists are sorted
 by (distance, index), self excluded, and clamped to n-1 entries. Stored
@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import EmbeddingSet, metric_row, _check_rows
 from .errors import InvalidArgument
 
-__all__ = ["NeighborGraph", "build_knn_graph", "radius_query", "export_graph"]
+__all__ = ["NeighborGraph", "build_knn_graph", "export_graph"]
 
 
 @dataclass
@@ -53,20 +53,6 @@ def build_knn_graph(emb: EmbeddingSet, k_nn: int, metric: str) -> NeighborGraph:
         idx_out[i] = order
         dist_out[i] = d[order]
     return NeighborGraph(idx_out, dist_out, k_nn, metric)
-
-
-def radius_query(emb: EmbeddingSet, metric: str, center: int, radius: float,
-                 exclude=()) -> np.ndarray:
-    """Indices within the closed ball of ``radius`` around ``center``,
-    ascending, with ``exclude`` removed. The center itself is included unless
-    excluded."""
-    if radius < 0.0:
-        raise InvalidArgument(radius=radius)
-    d = metric_row(emb, metric, center)
-    hit = d <= radius
-    for e in exclude:
-        hit[e] = False
-    return np.nonzero(hit)[0]
 
 
 def export_graph(graph: NeighborGraph, stream) -> None:

@@ -22,8 +22,15 @@ Only rows the answer depends on are computed. Distances to the centers never
 grow, so once no point is farther than 3*gamma the run is in its fill regime
 for good: the rest of the budget is the lightest unselected points, taken in
 one slice and folded into the distances by one blocked pass over the matrix.
-A run that never took the far branch picks the same indices at every larger
-gamma, so the grid search stops there and copies its objective up the grid.
+A far round whose ball pick is its own anchor reuses the anchor's row.
+
+The selection at a guess changes only when the guess crosses one of the
+thresholds the run compared it with (the guess-the-radius structure of
+Hochbaum & Shmoys 1985). A fixed-gamma run therefore records the span of
+guesses at which every one of its comparisons comes out the same; a run at
+any guess in that span repeats it pick for pick. The grid search runs the
+selector only at grid gammas outside the span of its last run and copies
+the objective into the trace for the rest.
 
 Weights and distances are consumed on their native scales; lambda alone
 balances the two terms.
@@ -47,6 +54,7 @@ from .nngraph import NeighborGraph
 
 __all__ = [
     "SelectionConfig",
+    "GammaSpan",
     "SubsetSolution",
     "kcenter_cost",
     "weighted_objective",
@@ -85,6 +93,30 @@ class SelectionConfig:
             raise InvalidArgument(gamma=self.gamma)
 
 
+@dataclass(frozen=True)
+class GammaSpan:
+    """The guesses at which a fixed-gamma run repeats itself.
+
+    A run at ``gamma`` records a bound for each comparison it makes, on the
+    same float it compared: ``t = 3.0 * gamma`` against a distance to the
+    centers (far anchors, entry into the fill regime) or ``gamma`` itself
+    against a distance to the anchor (ball picks). A guess ``gamma'`` lies in
+    the span when ``t_lo <= 3.0 * gamma' < t_hi`` and
+    ``g_lo <= gamma' < g_hi``; a run at ``gamma'`` then makes every
+    comparison the same way, so it returns the same indices and the same
+    objective bit for bit. The run's own gamma always lies in its span.
+    """
+
+    t_lo: float = -np.inf
+    t_hi: float = np.inf
+    g_lo: float = -np.inf
+    g_hi: float = np.inf
+
+    def __contains__(self, gamma: float) -> bool:
+        return (self.t_lo <= 3.0 * gamma < self.t_hi
+                and self.g_lo <= gamma < self.g_hi)
+
+
 @dataclass
 class SubsetSolution:
     """A selected subset plus its evaluation.
@@ -96,9 +128,10 @@ class SubsetSolution:
     :func:`evaluate_solution` fills them.
 
     ``far_rounds`` counts the rounds of a fixed-gamma run that took the far
-    branch. Selectors that cannot vouch for it leave it None, and
-    :func:`gamma_search` then runs every grid gamma. It is not part of the
-    report.
+    branch, and ``span`` holds the guesses at which the run repeats itself
+    (:class:`GammaSpan`). Selectors that cannot vouch for them leave them
+    None; :func:`gamma_search` then runs the next grid gamma. Neither is part
+    of the report.
     """
 
     indices: list[int]
@@ -109,6 +142,7 @@ class SubsetSolution:
     gamma_used: float
     extra: dict = field(default_factory=dict)
     far_rounds: int | None = None
+    span: GammaSpan | None = None
 
 
 def _weight_sum(weights: WeightVector, centers) -> float:
@@ -174,7 +208,8 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     Seeds with the globally lightest point. Per round: if some point is still
     farther than 3*gamma from the centers, take the lightest such point c and
     add the lightest point within gamma of c; otherwise add the lightest
-    unselected point. Ties always break to the lowest index.
+    unselected point. Ties always break to the lowest index. When the pick is
+    c itself, c's row is reused for the distances.
 
     Distances to the centers never grow, so after the first round with no
     point farther than 3*gamma every later round is a fill round too. The run
@@ -182,37 +217,57 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     index) order, folded into the distances by one :func:`min_dists` call that
     streams the matrix once instead of once per pick. ``np.minimum`` is exact,
     so the radius is the same float as a pick-by-pick fold.
+
+    The run records its :class:`GammaSpan`. A far round needs
+    ``dmin[c] > 3*gamma'`` and ``dmin <= 3*gamma'`` for every point ahead of c
+    in the (weight, index) order; its pick needs ``row[pick] <= gamma'`` and
+    ``row > gamma'`` for every unselected point ahead of the pick; entering
+    the fill regime needs ``max(dmin) <= 3*gamma'``. The fill picks do not
+    depend on gamma.
     """
     n = emb.n
     config.validate(n)
     if weights.n != n:
         raise SizeMismatch(expected=n, got=weights.n)
-    w = weights.values
     gamma = config.gamma
     three_gamma = 3.0 * gamma
 
-    seed = int(np.argmin(w))
-    selected = [seed]
-    in_s = np.zeros(n, dtype=bool)
-    in_s[seed] = True
-    dmin = metric_row(emb, metric, seed).copy()
+    order = np.lexsort((np.arange(n), weights.values))
+    taken = np.zeros(n, dtype=bool)     # indexed by position in ``order``
+    taken[0] = True
+    selected = [int(order[0])]
+    dmin = metric_row(emb, metric, selected[0]).copy()
+    t_lo = g_lo = -np.inf
+    t_hi = g_hi = np.inf
 
     while len(selected) < config.k:
-        far = dmin > three_gamma
-        if not far.any():
+        d = dmin[order]
+        a = int(np.argmax(d > three_gamma))
+        if not d[a] > three_gamma:
+            t_lo = max(t_lo, float(d.max()))
             break
-        c_hat = int(np.argmin(np.where(far, w, np.inf)))
-        ball = metric_row(emb, metric, c_hat) <= gamma
-        ball &= ~in_s
-        pick = int(np.argmin(np.where(ball, w, np.inf)))
+        c_hat = int(order[a])
+        t_lo = max(t_lo, float(d[:a].max(initial=-np.inf)))
+        t_hi = min(t_hi, float(d[a]))
+        # c_hat is unselected and at distance 0 from itself, so the ball
+        # holds an unselected point no later than c_hat in the order
+        row = metric_row(emb, metric, c_hat)
+        r = row[order]
+        ball = r <= gamma
+        ball &= ~taken
+        p = int(np.argmax(ball))
+        g_lo = max(g_lo, float(r[p]))
+        g_hi = min(g_hi, float(r[:p].min(where=~taken[:p], initial=np.inf)))
+        pick = int(order[p])
         selected.append(pick)
-        in_s[pick] = True
-        np.minimum(dmin, metric_row(emb, metric, pick), out=dmin)
+        taken[p] = True
+        if pick != c_hat:
+            row = metric_row(emb, metric, pick)
+        np.minimum(dmin, row, out=dmin)
     far_rounds = len(selected) - 1
 
     if len(selected) < config.k:
-        order = np.lexsort((np.arange(n), w))
-        rest = order[~in_s[order]][:config.k - len(selected)]
+        rest = order[~taken][:config.k - len(selected)]
         selected.extend(int(i) for i in rest)
         np.minimum(dmin, min_dists(emb, metric, rest), out=dmin)
 
@@ -222,7 +277,8 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
                           weight_term=wsum,
                           objective=radius + config.lambda_ * wsum,
                           algorithm="duke", gamma_used=gamma,
-                          far_rounds=far_rounds)
+                          far_rounds=far_rounds,
+                          span=GammaSpan(t_lo, t_hi, g_lo, g_hi))
 
 
 def weighted_kcenter_pq(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -253,6 +309,11 @@ def weighted_kcenter_pq(emb: EmbeddingSet, metric: str, weights: WeightVector,
     everything is covered. In exact-ball mode every pick after the first
     answers a far round of the reference, which ``far_rounds`` counts; in
     knn-graph mode it is left None.
+
+    The queue keeps no distances to the centers, so the only span it can
+    vouch for is that of a run with no far round: k is 1, or every point lay
+    within 3*gamma of the seed and so does at every larger gamma, which
+    makes the span ``3*gamma' >= 3*gamma``. Any other run reports no span.
     """
     n = emb.n
     config.validate(n)
@@ -301,6 +362,7 @@ def weighted_kcenter_pq(emb: EmbeddingSet, metric: str, weights: WeightVector,
         else:
             alive[rank[graph.neighbor_indices[pick]]] = False
     far_rounds = len(selected) - 1 if neighborhood_mode == "exact-ball" else None
+    span = GammaSpan(t_lo=three_gamma) if far_rounds == 0 else None
 
     if len(selected) < config.k:
         rest = order[~in_s[order]]
@@ -312,7 +374,7 @@ def weighted_kcenter_pq(emb: EmbeddingSet, metric: str, weights: WeightVector,
                           weight_term=wsum, objective=obj,
                           algorithm="duke-pq", gamma_used=gamma,
                           extra={"neighborhood_mode": neighborhood_mode},
-                          far_rounds=far_rounds)
+                          far_rounds=far_rounds, span=span)
 
 
 def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -361,13 +423,12 @@ def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
 
     ``runner(gamma)`` returns the selection at one gamma; the default is
     :func:`weighted_kcenter` with ``k`` and ``lambda_``. The grid is walked
-    upward and stops at the first run whose ``far_rounds`` is 0. That run
-    took the k lightest points with every point within 3*gamma at every
-    round; with the same prefix the far set at a larger gamma is a subset of
-    that empty set, so every larger gamma picks the same indices and scores
-    the same objective. Its objective is copied into the trace for the rest of
-    the grid, and since ties keep the smallest gamma, no copy could have won.
-    A runner that leaves ``far_rounds`` None runs the whole grid.
+    upward. A grid gamma that lies in the :class:`GammaSpan` of the last run
+    is not run: the selector would repeat that run pick for pick, so its
+    objective is copied into the trace. Since ties keep the smallest gamma, a
+    copy never wins. A run with no far round has a span with no upper end,
+    so it stands for every larger grid gamma. A runner that leaves ``span``
+    None runs the next grid gamma.
 
     Returns the winning solution and the (gamma, objective) trace, one entry
     per grid gamma."""
@@ -377,20 +438,15 @@ def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
                                   metric=metric)
             return weighted_kcenter(emb, metric, weights, cfg)
     lo, hi = gamma_bounds(emb, metric, weights, k)
-    grid = make_gamma_grid(lo, hi, grid_size)
     best: SubsetSolution | None = None
+    last: SubsetSolution | None = None
     trace: list[tuple[float, float]] = []
-    for i, g in enumerate(grid):
-        sol = runner(float(g))
-        trace.append((float(g), sol.objective))
-        if best is None or sol.objective < best.objective:
-            best = sol
-        rest = grid[i + 1:]
-        # a copy stands only for a gamma no smaller than this one; geomspace
-        # can step down by an ulp when lo and hi (nearly) coincide
-        if sol.far_rounds == 0 and (rest >= g).all():
-            trace.extend((float(h), sol.objective) for h in rest)
-            break
+    for g in map(float, make_gamma_grid(lo, hi, grid_size)):
+        if last is None or last.span is None or g not in last.span:
+            last = runner(g)
+            if best is None or last.objective < best.objective:
+                best = last
+        trace.append((g, last.objective))
     return best, trace
 
 

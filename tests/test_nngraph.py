@@ -5,7 +5,7 @@ import pytest
 
 from duke.dataset import EmbeddingSet, pairwise_distance
 from duke.errors import InvalidArgument, ZeroVectorCosine
-from duke.nngraph import NeighborGraph, build_knn_graph, export_graph, radius_query
+from duke.nngraph import NeighborGraph, build_knn_graph, export_graph
 
 
 def test_three_collinear_points():
@@ -45,22 +45,6 @@ def test_matches_naive_scan(rng):
             # stored distances are the exact floats the kernel produces
             for slot, j in enumerate(order):
                 assert g.neighbor_dists[i, slot] == dists[j]
-
-
-def test_radius_query_closed_ball():
-    emb = EmbeddingSet(np.array([[0.0], [1.0], [2.0], [3.0], [10.0]]))
-    # ball is closed and includes the center itself
-    hits = radius_query(emb, "euclidean", 1, 2.0)
-    assert list(hits) == [0, 1, 2, 3]
-    hits = radius_query(emb, "euclidean", 1, 2.0, exclude=[0, 1, 3])
-    assert list(hits) == [2]
-    assert list(radius_query(emb, "euclidean", 4, 0.5)) == [4]
-
-
-def test_radius_query_rejects_negative():
-    emb = EmbeddingSet(np.array([[0.0], [1.0]]))
-    with pytest.raises(InvalidArgument):
-        radius_query(emb, "euclidean", 0, -1.0)
 
 
 def test_build_rejects_bad_args():

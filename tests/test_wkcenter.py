@@ -2,10 +2,15 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from duke.dataset import EmbeddingSet, WeightVector, pairwise_distance
+from duke.dataset import (
+    EmbeddingSet,
+    WeightVector,
+    distance_matrix,
+    pairwise_distance,
+)
 from duke import dataset, wkcenter
 from duke.errors import (
     BudgetExceedsGroundSet,
@@ -158,6 +163,27 @@ def test_selector_ball_pick_is_lightest_within_gamma():
     assert sol.indices == [0, 1]
 
 
+def test_far_round_reuses_the_anchor_row_when_it_is_the_pick(monkeypatch):
+    rows = []
+
+    def counted(emb, metric, i):
+        rows.append(i)
+        return dataset.metric_row(emb, metric, i)
+
+    monkeypatch.setattr(wkcenter, "metric_row", counted)
+    pts = EmbeddingSet(np.array([[0.0], [10.0], [20.0]]))
+    cfg = SelectionConfig(k=3, lambda_=1.0, gamma=1.0, metric="euclidean")
+    # both far anchors (10, then 20) are their own ball picks: one row each
+    assert weighted_kcenter(pts, "euclidean", wv(0.0, 0.1, 0.2), cfg).indices == [0, 1, 2]
+    assert rows == [0, 1, 2]
+    rows.clear()
+    pts = EmbeddingSet(np.array([[-2.0], [1.5], [3.0]]))
+    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=1.5, metric="euclidean")
+    # anchor 3 picks the lighter 1.5 within gamma, whose row is computed
+    assert weighted_kcenter(pts, "euclidean", wv(0.0, 0.25, 0.5), cfg).indices == [0, 1]
+    assert rows == [0, 2, 1]
+
+
 def test_selector_deterministic(rng):
     emb = EmbeddingSet(rng.normal(size=(40, 3)))
     w = WeightVector(rng.random(40))
@@ -274,27 +300,99 @@ def _per_round_selection(emb, metric, w, k, gamma):
     return selected, radius
 
 
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_selector_matches_per_round_definition(data):
-    n = data.draw(st.integers(1, 12))
-    dim = data.draw(st.integers(1, 3))
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@st.composite
+def _small_instances(draw):
+    """Small selections with duplicate rows, weight ties, gamma 0 and 1e9."""
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 3))
     # few distinct coordinates and weights: duplicate rows and weight ties
-    pts = np.array(data.draw(st.lists(
+    pts = np.array(draw(st.lists(
         st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 1.5, 3.0]),
                  min_size=dim, max_size=dim), min_size=n, max_size=n)))
-    w = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
-                           min_size=n, max_size=n))
-    metric = data.draw(st.sampled_from(["euclidean", "manhattan", "cosine-distance"]))
+    w = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                      min_size=n, max_size=n))
+    metric = draw(st.sampled_from(["euclidean", "manhattan", "cosine-distance"]))
     assume(metric != "cosine-distance" or np.all(np.abs(pts).sum(axis=1) > 0))
-    gamma = data.draw(st.one_of(st.just(0.0), st.just(1e9), st.floats(0.0, 4.0)))
-    k = data.draw(st.integers(1, n))
+    gamma = draw(st.one_of(st.just(0.0), st.just(1e9), st.floats(0.0, 4.0)))
+    k = draw(st.integers(1, n))
+    return pts, w, metric, gamma, k
+
+
+@given(_small_instances())
+@settings(max_examples=300, deadline=None)
+def test_selector_matches_per_round_definition(inst):
+    pts, w, metric, gamma, k = inst
     emb = EmbeddingSet(pts)
     cfg = SelectionConfig(k=k, lambda_=0.5, gamma=gamma, metric=metric)
     sol = weighted_kcenter(emb, metric, WeightVector(np.array(w)), cfg)
     want, radius = _per_round_selection(emb, metric, w, k, gamma)
     assert sol.indices == want
-    assert struct.pack("<d", sol.radius_term) == struct.pack("<d", radius)
+    assert _bits(sol.radius_term) == _bits(radius)
+
+
+# On the line -2, 1.5, 3 (lightest first) point 3 is the far anchor for
+# 3*gamma in [3.5, 5). At gamma 1.2 it is its own ball pick, and point 1.5
+# ahead of it bounds the span at gamma < 1.5; at gamma 1.5 point 1.5 is the
+# pick, which bounds the span at gamma >= 1.5.
+_LINE = ([[-2.0], [1.5], [3.0]], [0.0, 0.25, 0.5], "euclidean")
+
+
+@given(_small_instances())
+@example((*_LINE, 1.2, 2))
+@example((*_LINE, 1.5, 2))
+@settings(max_examples=200, deadline=None)
+def test_selection_repeats_at_every_gamma_in_its_span(inst):
+    pts, w, metric, gamma, k = inst
+    emb, w = EmbeddingSet(np.array(pts)), WeightVector(np.array(w))
+
+    def run(g):
+        cfg = SelectionConfig(k=k, lambda_=0.5, gamma=g, metric=metric)
+        return weighted_kcenter(emb, metric, w, cfg)
+
+    sol = run(gamma)
+    assert gamma in sol.span
+    # the selector compares gamma and 3.0*gamma with distances, so the
+    # selection can only change at a distance d or near d/3: probe both,
+    # one ulp to either side, and the ends of the range
+    d = np.unique(distance_matrix(emb, metric))
+    probes = np.concatenate([d, d / 3.0, [0.0, gamma, 1e9]])
+    probes = np.concatenate([probes, np.nextafter(probes, -np.inf),
+                             np.nextafter(probes, np.inf)])
+    for g in np.unique(probes[probes >= 0.0]):
+        if float(g) not in sol.span:
+            continue
+        other = run(float(g))
+        assert other.indices == sol.indices
+        assert _bits(other.radius_term) == _bits(sol.radius_term)
+        assert _bits(other.objective) == _bits(sol.objective)
+
+
+def test_clustered_search_runs_the_selector_once(monkeypatch):
+    # clusters-csv-search in small: 20 gaussian clusters, k = 100
+    rng = np.random.default_rng([1, 0])
+    centers = rng.normal(0.0, 10.0, size=(20, 32))
+    pts = centers[np.arange(2000) % 20] + rng.normal(0.0, 1.0, size=(2000, 32))
+    emb, w = EmbeddingSet(pts), WeightVector(rng.uniform(0.0, 1.0, size=2000))
+    runs = []
+    selector = wkcenter.weighted_kcenter
+
+    def counted(*args):
+        runs.append(selector(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(wkcenter, "weighted_kcenter", counted)
+    sol, trace = gamma_search(emb, "euclidean", w, 100, 0.001, grid_size=8)
+    assert len(runs) == 1 and runs[0].far_rounds > 0
+    grid = make_gamma_grid(*gamma_bounds(emb, "euclidean", w, 100), 8)
+    for g, (traced_g, objective) in zip(grid, trace):
+        full = selector(emb, "euclidean", w, SelectionConfig(
+            k=100, lambda_=0.001, gamma=float(g), metric="euclidean"))
+        assert full.indices == sol.indices
+        assert (traced_g, objective) == (float(g), full.objective)
 
 
 def test_gamma_search_equals_selector_at_every_grid_gamma(rng, monkeypatch):
