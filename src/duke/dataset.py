@@ -5,6 +5,13 @@ distances from one point to a contiguous block of points. :func:`metric_row`
 is its full-range call and :func:`min_dists` its blocked form, so every part
 of the package (graph construction, selection, oracle, cost evaluation) sees
 bitwise-identical values for the same point pair.
+
+Cosine and euclidean distances both rest on one matrix-vector product per
+block. Euclidean takes ``d^2 = (|y|^2 + |x|^2) - 2 y.x`` from the cached
+squared row norms; an entry where that form cancels (``d^2`` at most
+:data:`NEAR` times ``|y|^2 + |x|^2``) is recomputed exactly from the
+difference ``y - x``, so identical rows are at distance exactly 0 and every
+other distance is within a relative ``(dim + 2) * eps / NEAR`` of the true one.
 """
 
 from __future__ import annotations
@@ -78,6 +85,7 @@ class EmbeddingSet:
             if lab.shape != (feats.shape[0],):
                 raise SizeMismatch(expected=feats.shape[0], got=lab.shape)
             self.labels = lab
+        self._sq_norms = None
         self._norms = None
 
     @property
@@ -88,11 +96,19 @@ class EmbeddingSet:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    def sq_norms(self) -> np.ndarray:
+        """Squared row L2 norms, computed once and cached."""
+        if self._sq_norms is None:
+            f = self.features
+            sq = np.einsum("ij,ij->i", f, f)
+            sq.setflags(write=False)
+            self._sq_norms = sq
+        return self._sq_norms
+
     def norms(self) -> np.ndarray:
         """Row L2 norms, computed once and cached."""
         if self._norms is None:
-            f = self.features
-            nrm = np.sqrt(np.einsum("ij,ij->i", f, f))
+            nrm = np.sqrt(self.sq_norms())
             nrm.setflags(write=False)
             self._norms = nrm
         return self._norms
@@ -204,29 +220,50 @@ def block_rows(emb: EmbeddingSet) -> int:
     return max(1, BLOCK_BYTES // (8 * emb.dim))
 
 
+# A euclidean entry whose squared distance comes out at most NEAR times
+# |y|^2 + |x|^2 is recomputed from the difference y - x. The norm form's
+# rounding error is at most about (2 * dim + 2) * eps * (|y|^2 + |x|^2), so
+# outside that band it is at most (2 * dim + 2) * eps / NEAR of d^2, and the
+# square root halves it: each distance is within a relative
+# (dim + 2) * eps / NEAR of the true one (about 1.5e-11 at dim 64). Inputs
+# whose spread is tiny next to their offset from the origin put most entries
+# in the band; they stay exact but gain no speed.
+NEAR = 2.0 ** -10
+
+
 def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
                hi: int) -> np.ndarray:
     """Distances from point i to points lo..hi-1, d(i, i) forced to exactly 0.
 
-    The shared row kernel. The products (cosine matvec, euclidean squared
-    sums, manhattan abs-sums) are taken block by block from ``lo``; the rest
-    is elementwise. It does not validate the metric or the cosine norms; its
+    The shared row kernel. The products (cosine and euclidean matvec,
+    manhattan abs-sums) are taken block by block from ``lo``; the rest is
+    elementwise. Euclidean forms ``(|y|^2 + |x|^2) - 2 y.x`` per block and
+    recomputes every entry in the :data:`NEAR` band (and any that overflowed)
+    as the exact sum of squared differences, so identical rows come out at
+    exactly 0. It does not validate the metric or the cosine norms; its
     callers do that once per call of their own.
     """
     f = emb.features
     x = f[i]
     d = np.empty(hi - lo, dtype=np.float64)
     step = block_rows(emb)
+    sq = emb.sq_norms() if metric == "euclidean" else None
     for a in range(lo, hi, step):
         b = min(a + step, hi)
         part, block = d[a - lo:b - lo], f[a:b]
-        if metric == "cosine-distance":
-            np.matmul(block, x, out=part)
-        elif metric == "euclidean":
-            diff = block - x
-            np.einsum("ij,ij->i", diff, diff, out=part)
-        else:
+        if metric == "manhattan":
             np.abs(block - x).sum(axis=1, out=part)
+            continue
+        np.matmul(block, x, out=part)
+        if metric == "euclidean":
+            s = sq[a:b] + sq[i]
+            part *= -2.0
+            part += s
+            # "not above" also routes an overflowed (inf or nan) entry here
+            near = np.flatnonzero(~(part > NEAR * s))
+            if near.size:
+                diff = block[near] - x
+                part[near] = np.einsum("ij,ij->i", diff, diff)
     if metric == "cosine-distance":
         norms = emb.norms()
         d /= norms[lo:hi] * norms[i]

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import duke
 from duke import dataset
 from duke.dataset import (
     EmbeddingSet,
@@ -29,6 +34,7 @@ from duke.errors import (
     UnknownMetric,
     ZeroVectorCosine,
 )
+from duke.wkcenter import SelectionConfig, weighted_kcenter
 
 
 def test_margin_exact_rows():
@@ -160,6 +166,121 @@ def test_distance_matrix_symmetric(rng):
         assert dist.shape == (15, 15)
         assert np.all(np.diag(dist) == 0.0)
         np.testing.assert_allclose(dist, dist.T, atol=1e-12)
+
+
+def _euclid_reference(f: np.ndarray, i: int) -> np.ndarray:
+    return np.sqrt(((f - f[i]) ** 2).sum(1))
+
+
+def _assert_euclid_close(got: np.ndarray, ref: np.ndarray, dim: int) -> None:
+    # the kernel's documented bound, plus the reference's own rounding
+    eps = np.finfo(np.float64).eps
+    rtol = (dim + 2) * eps / dataset.NEAR + 2 * (dim + 2) * eps
+    assert np.all(np.abs(got - ref) <= rtol * ref)
+
+
+@given(dim=st.integers(1, 64), n=st.integers(2, 60),
+       offset=st.sampled_from([0.0, 1e-3, 1.0, 1e2, 1e4, 1e6]),
+       scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]),
+       rows_per_block=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_euclidean_kernel_exact_on_duplicates_and_within_bound(
+        dim, n, offset, scale, rows_per_block, seed):
+    rng = np.random.default_rng(seed)
+    pts = offset + scale * rng.normal(size=(n, dim))
+    dup = rng.integers(0, n, size=n // 3 + 1)
+    pts[dup] = pts[(dup + 1) % n]
+    emb = EmbeddingSet(pts)
+    f = emb.features
+    centers = sorted({0, n - 1, int(dup[0]), int(dup[0] + 1) % n})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "BLOCK_BYTES", 8 * dim * rows_per_block)
+        rows = {c: metric_row(emb, "euclidean", c) for c in centers}
+        dmin = min_dists(emb, "euclidean", centers)
+    for c, row in rows.items():
+        ref = _euclid_reference(f, c)
+        same = (f == f[c]).all(axis=1)
+        assert np.all(row[same] == 0.0)
+        _assert_euclid_close(row, ref, dim)
+    assert np.all(dmin[(f[:, None] == f[centers]).all(axis=2).any(axis=1)] == 0.0)
+    _assert_euclid_close(dmin, np.min([_euclid_reference(f, c) for c in centers],
+                                      axis=0), dim)
+
+
+def test_euclidean_block_mixes_near_and_far_entries():
+    # one block around x: copies of x, points a hair away (the norm form
+    # cancels) and points far away (it does not)
+    rng = np.random.default_rng(5)
+    dim = 8
+    x = 1e3 + rng.normal(size=dim)
+    pts = np.vstack([x, x, x + 1e-6 * rng.normal(size=(3, dim)),
+                     x + 1e3 * rng.normal(size=(3, dim)), x])
+    emb = EmbeddingSet(pts)
+    f = emb.features
+    s = emb.sq_norms() + emb.sq_norms()[0]
+    near = s - 2.0 * (f @ f[0]) <= dataset.NEAR * s
+    assert dataset.block_rows(emb) > len(pts)
+    assert near[:5].all() and not near[5:8].any()
+    row = metric_row(emb, "euclidean", 0)
+    assert row[[0, 1, 8]].tolist() == [0.0, 0.0, 0.0]
+    diff = f[2:5] - f[0]
+    assert np.array_equal(row[2:5], np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+    _assert_euclid_close(row, _euclid_reference(f, 0), dim)
+
+    # squared norms that overflow take the exact path as well
+    big = np.array([[1e160, 1e160], [1e160, 1e160 * (1 + 2.0 ** -40)],
+                    [1e160, 1e160]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = metric_row(EmbeddingSet(big), "euclidean", 0)
+    assert row[2] == 0.0
+    assert row[1] == big[1, 1] - big[0, 1]
+
+
+def test_far_offset_duplicates_reach_radius_zero_at_gamma_zero():
+    rng = np.random.default_rng(11)
+    distinct = 1e6 + rng.normal(size=(12, 16))
+    pts = distinct[rng.integers(0, 12, size=90)]
+    pts[:12] = distinct
+    emb = EmbeddingSet(pts)
+    weights = WeightVector(rng.uniform(size=90))
+    cfg = SelectionConfig(k=12, lambda_=0.5, gamma=0.0, metric="euclidean")
+    sol = weighted_kcenter(emb, "euclidean", weights, cfg)
+    assert sol.radius_term == 0.0
+    assert sorted(map(tuple, pts[sol.indices])) == sorted(map(tuple, distinct))
+
+
+_KERNEL_HASH = """
+import hashlib
+import numpy as np
+from duke.dataset import EmbeddingSet, metric_row, min_dists
+h = hashlib.sha256()
+rng = np.random.default_rng(3)
+# 10 and 2 blocks with a short last one; a single matrix-vector product over
+# all 20001 rows gives different bits under 1 and 2 threads
+for n, dim in ((20001, 64), (9001, 16)):
+    pts = 5.0 + rng.normal(size=(n, dim))
+    pts[n - 9:] = pts[:9]
+    emb = EmbeddingSet(pts)
+    for metric in ("euclidean", "cosine-distance", "manhattan"):
+        for i in (0, 1, n - 1):
+            h.update(metric_row(emb, metric, i).tobytes())
+        h.update(min_dists(emb, metric, list(range(0, n, n // 12))).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_kernel_bits_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(duke.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_HASH], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_embedding_validation():
