@@ -24,7 +24,6 @@ from .wkcenter import (
     kcenter_cost,
     make_gamma_grid,
     weighted_kcenter,
-    weighted_kcenter_pq,
     weighted_objective,
 )
 from .parallel import PartitionPlan, make_partition, parallel_weighted_kcenter

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: select, oracle, verify, bench, gen, graph. Reports go to the
+Subcommands: select, oracle, verify, gen, graph. Reports go to the
 --out file or stdout; diagnostics go to stderr as a single machine-parsable
 line. Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
 failure.
@@ -35,18 +35,16 @@ from .wkcenter import (
     SubsetSolution,
     default_lambda,
     evaluate_solution,
-    gamma_bounds,
     gamma_search,
     greedy_kcenter,
     weighted_kcenter,
-    weighted_kcenter_pq,
 )
 
-METHODS = ("duke", "duke-pq", "parallel", "greedy-kcenter", "random",
-           "margin", "submodular")
+METHODS = ("duke", "parallel", "greedy-kcenter", "random", "margin",
+           "submodular")
 # selectors that score their own result with the run's lambda; their radius
 # and weight sum equal evaluate_solution's bit for bit
-SELF_EVALUATING = ("duke", "duke-pq", "parallel")
+SELF_EVALUATING = ("duke", "parallel")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +103,7 @@ def _emit(report: Report, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _config_echo(rep: Report, args, pairs) -> None:
+def _config_echo(rep: Report, pairs) -> None:
     for key, value in pairs:
         rep.add("config", key, value)
 
@@ -133,33 +131,24 @@ def cmd_select(args) -> tuple[Report, int]:
     lam = args.lambda_ if args.lambda_ is not None else default_lambda(k)
     metric = args.metric
     rep = Report()
-    _config_echo(rep, args, [
+    _config_echo(rep, [
         ("command", "select"), ("method", args.method), ("k", k),
         ("lambda", lam), ("metric", metric), ("seed", args.seed),
         ("n", emb.n), ("dim", emb.dim),
         ("gamma", "search" if args.gamma is None else fmt_float(args.gamma)),
         ("gamma_grid", args.gamma_grid), ("machines", args.machines),
         ("partition", args.partition), ("knn", args.knn),
-        ("neighborhood", args.neighborhood), ("lambda_s", args.lambda_s),
+        ("lambda_s", args.lambda_s),
     ])
 
     t1 = _now_ms()
     graph_ms = 0.0
     method = args.method
-    graph = None
-    if method == "duke-pq" and args.neighborhood == "knn-graph":
-        g0 = _now_ms()
-        graph = build_knn_graph(emb, args.knn, metric)
-        graph_ms = _now_ms() - g0
 
     def run_fixed(gamma: float) -> SubsetSolution:
-        cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma, metric=metric,
-                              seed=args.seed)
+        cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma)
         if method == "duke":
             return weighted_kcenter(emb, metric, weights, cfg)
-        if method == "duke-pq":
-            return weighted_kcenter_pq(emb, metric, weights, cfg, graph=graph,
-                                       neighborhood_mode=args.neighborhood)
         plan = make_partition(emb.n, args.machines, seed=args.seed,
                               strategy=args.partition)
         return parallel_weighted_kcenter(emb, metric, weights, cfg, plan)
@@ -205,7 +194,7 @@ def cmd_oracle(args) -> tuple[Report, int]:
     k = args.k
     lam = args.lambda_ if args.lambda_ is not None else default_lambda(k)
     rep = Report()
-    _config_echo(rep, args, [
+    _config_echo(rep, [
         ("command", "oracle"), ("k", k), ("lambda", lam),
         ("metric", args.metric), ("kcenter", args.kcenter),
         ("n", emb.n), ("dim", emb.dim),
@@ -226,14 +215,12 @@ def cmd_oracle(args) -> tuple[Report, int]:
 def cmd_verify(args) -> tuple[Report, int]:
     t0 = _now_ms()
     summary = verify.run_full(trials=args.trials,
-                              pq_instances=args.pq_instances,
                               parallel_trials=args.parallel_trials,
                               seed=args.seed, n_max=args.n_max,
                               k_max=args.k_max)
     rep = Report()
-    _config_echo(rep, args, [
+    _config_echo(rep, [
         ("command", "verify"), ("trials", args.trials),
-        ("pq_instances", args.pq_instances),
         ("parallel_trials", args.parallel_trials),
         ("n_max", args.n_max), ("k_max", args.k_max), ("seed", args.seed),
     ])
@@ -253,63 +240,6 @@ def cmd_verify(args) -> tuple[Report, int]:
     return rep, 0
 
 
-def cmd_bench(args) -> tuple[Report, int]:
-    t0 = _now_ms()
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    ks = [int(s) for s in args.ks.split(",")] if args.ks else [args.k]
-    rep = Report()
-    _config_echo(rep, args, [
-        ("command", "bench"), ("sizes", sizes), ("ks", ks),
-        ("dim", args.dim), ("metric", args.metric), ("seed", args.seed),
-        ("repeats", args.repeats),
-    ])
-
-    def time_once(fn) -> float:
-        best = float("inf")
-        for _ in range(args.repeats):
-            s = _now_ms()
-            fn()
-            best = min(best, _now_ms() - s)
-        return best
-
-    # warm the numeric kernels so the first measured size is not charged
-    # for lazy initialization
-    warm, warm_w = gen_clusters(SyntheticSpec(kind="uniform-cube", n=2048,
-                                              dim=args.dim, seed=args.seed))
-    weighted_kcenter_pq(warm, args.metric, warm_w,
-                        SelectionConfig(k=min(8, warm.n), lambda_=0.1,
-                                        gamma=1.0, metric=args.metric))
-
-    pq_times: dict[tuple[int, int], float] = {}
-    for n in sizes:
-        emb, weights = gen_clusters(SyntheticSpec(
-            kind="uniform-cube", n=n, dim=args.dim, seed=args.seed))
-        for k in ks:
-            lo, hi = gamma_bounds(emb, args.metric, weights, k)
-            gamma = float(np.sqrt(max(lo, 1e-12) * max(hi, lo, 1e-12)))
-            cfg = SelectionConfig(k=k, lambda_=default_lambda(k), gamma=gamma,
-                                  metric=args.metric)
-            pq_ms = time_once(lambda: weighted_kcenter_pq(
-                emb, args.metric, weights, cfg))
-            greedy_ms = time_once(lambda: greedy_kcenter(
-                emb, args.metric, k, start=0))
-            pq_times[(n, k)] = pq_ms
-            tag = f"n{n}_k{k}"
-            rep.add("bench", f"{tag}_gamma", gamma)
-            rep.add("bench", f"{tag}_pq_ms", pq_ms)
-            rep.add("bench", f"{tag}_greedy_ms", greedy_ms)
-    for k in ks:
-        for prev, cur in zip(sizes, sizes[1:]):
-            ratio = pq_times[(cur, k)] / pq_times[(prev, k)]
-            rep.add("bench", f"ratio_k{k}_n{cur}_over_n{prev}", ratio)
-    for n in sizes:
-        for prev, cur in zip(ks, ks[1:]):
-            ratio = pq_times[(n, cur)] / pq_times[(n, prev)]
-            rep.add("bench", f"ratio_n{n}_k{cur}_over_k{prev}", ratio)
-    rep.add("timing", "total_ms", _now_ms() - t0)
-    return rep, 0
-
-
 def cmd_gen(args) -> tuple[Report, int]:
     spec = SyntheticSpec(kind=args.kind, n=args.n, dim=args.gen_dim,
                          clusters=args.clusters, spread=args.spread,
@@ -319,7 +249,7 @@ def cmd_gen(args) -> tuple[Report, int]:
     if args.weights_out:
         np.savetxt(args.weights_out, weights.values, fmt="%.17g")
     rep = Report()
-    _config_echo(rep, args, [
+    _config_echo(rep, [
         ("command", "gen"), ("kind", args.kind), ("n", emb.n),
         ("dim", emb.dim), ("clusters", args.clusters),
         ("spread", args.spread), ("seed", args.seed),
@@ -337,7 +267,7 @@ def cmd_graph(args) -> tuple[Report, int]:
     with open(args.graph_out, "w", encoding="utf-8") as fh:
         export_graph(graph, fh)
     rep = Report()
-    _config_echo(rep, args, [
+    _config_echo(rep, [
         ("command", "graph"), ("knn", args.knn), ("metric", args.metric),
         ("n", emb.n), ("k_effective", graph.k_effective),
         ("graph_out", args.graph_out),
@@ -363,8 +293,6 @@ def build_parser() -> _Parser:
                        choices=STRATEGIES)
     p_sel.add_argument("--seed", type=int, default=0)
     p_sel.add_argument("--knn", type=int, default=10)
-    p_sel.add_argument("--neighborhood", default="exact-ball",
-                       choices=("exact-ball", "knn-graph"))
     p_sel.add_argument("--lambda-s", dest="lambda_s", type=float, default=0.9)
     p_sel.add_argument("--start", type=int, default=0)
     p_sel.add_argument("--out", default=None)
@@ -381,7 +309,6 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="randomized property suites")
     p_ver.add_argument("--trials", type=int, default=200)
-    p_ver.add_argument("--pq-instances", type=int, default=500)
     p_ver.add_argument("--parallel-trials", type=int, default=60)
     p_ver.add_argument("--n-max", type=int, default=14)
     p_ver.add_argument("--k-max", type=int, default=6)
@@ -389,18 +316,6 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--out", default=None)
     p_ver.add_argument("--replay-out", default="duke-replay.txt")
     p_ver.set_defaults(fn=cmd_verify)
-
-    p_ben = sub.add_parser("bench", help="time the selector across sizes")
-    p_ben.add_argument("--sizes", default="25000,50000,100000,200000")
-    p_ben.add_argument("--k", type=int, default=100)
-    p_ben.add_argument("--ks", default=None,
-                       help="comma list; overrides --k for a k ladder")
-    p_ben.add_argument("--dim", type=int, default=64)
-    p_ben.add_argument("--metric", default="cosine-distance", choices=METRICS)
-    p_ben.add_argument("--seed", type=int, default=0)
-    p_ben.add_argument("--repeats", type=int, default=3)
-    p_ben.add_argument("--out", default=None)
-    p_ben.set_defaults(fn=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="write a synthetic instance")
     p_gen.add_argument("--kind", default="clusters", choices=KINDS)

@@ -91,10 +91,6 @@ class BudgetExceedsGroundSet(DukeError):
     """k outside [1, n]."""
 
 
-class GraphMismatch(DukeError):
-    """Neighbor graph built over a different ground set."""
-
-
 class TooManyWorkers(DukeError):
     """Partition count outside [1, n]."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import EmbeddingSet, WeightVector, pairwise_distance
+from .dataset import EmbeddingSet, WeightVector
 from .oracle import brute_force_kcenter, brute_force_weighted
 from .parallel import make_partition, parallel_weighted_kcenter
 from .wkcenter import (
@@ -24,11 +24,10 @@ from .wkcenter import (
     greedy_kcenter,
     make_gamma_grid,
     weighted_kcenter,
-    weighted_kcenter_pq,
 )
 
-__all__ = ["PropertyStat", "VerifySummary", "bounds_suite", "pq_suite",
-           "parallel_suite", "early_stop_suite", "run_full"]
+__all__ = ["PropertyStat", "VerifySummary", "bounds_suite", "parallel_suite",
+           "early_stop_suite", "run_full"]
 
 _LAMBDAS = (0.0, 0.1, 1.0)
 _METRICS = ("euclidean", "cosine-distance")
@@ -127,7 +126,7 @@ def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
 
         opt = brute_force_weighted(emb, metric, weights, k, lam)
         gamma_star = opt.radius_term
-        cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma_star, metric=metric)
+        cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma_star)
         sol = weighted_kcenter(emb, metric, weights, cfg)
 
         ratio = sol.objective / opt.objective
@@ -143,8 +142,7 @@ def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
                                    f"radius {sol.radius_term!r} > 3x gamma* {gamma_star!r}"))
 
         for alpha in alphas:
-            cfg_a = SelectionConfig(k=k, lambda_=lam, gamma=alpha * gamma_star,
-                                    metric=metric)
+            cfg_a = SelectionConfig(k=k, lambda_=lam, gamma=alpha * gamma_star)
             sol_a = weighted_kcenter(emb, metric, weights, cfg_a)
             bound = 3.0 * alpha * opt.objective
             s_alpha.record(sol_a.objective <= bound,
@@ -169,56 +167,6 @@ def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
     return summary
 
 
-def pq_suite(instances: int = 500, seed: int = 1) -> VerifySummary:
-    """Exact-ball queue selector must reproduce the reference pick-for-pick.
-
-    Instances mix sizes, metrics, duplicated points, tied weights, and gamma
-    values from zero to past the diameter."""
-    rng = np.random.default_rng(seed)
-    summary = VerifySummary()
-    s_eq = summary.stat("pq_exact_ball_identical")
-
-    for t in range(instances):
-        if t % 100 == 99:
-            # last large draw is pinned so the top of the advertised
-            # size range is actually exercised
-            n = 2000 if t + 1 == instances else int(rng.integers(500, 2001))
-        else:
-            n = int(rng.integers(2, 201))
-        dim = int(rng.integers(2, 4))
-        pts = rng.normal(0.0, 1.0, size=(n, dim))
-        if t % 11 == 5 and n >= 4:
-            dup = rng.integers(0, n, size=n // 4)
-            pts[dup] = pts[(dup + 1) % n]
-        w = rng.uniform(0.0, 1.0, size=n)
-        if t % 7 == 3:
-            w = np.round(w, 1)
-        metric = _METRICS[t % 2]
-        lam = float(rng.uniform(0.0, 1.0))
-        k = int(rng.integers(1, min(n, 50) + 1))
-
-        a, b = rng.integers(0, n, size=2)
-        emb, weights = EmbeddingSet(pts), WeightVector(w)
-        if t % 50 == 10:
-            gamma = 0.0
-        elif t % 50 == 20:
-            gamma = 1e9
-        else:
-            gamma = pairwise_distance(int(a), int(b), emb, metric) * \
-                float(rng.uniform(0.2, 1.5))
-
-        cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma, metric=metric)
-        ref = weighted_kcenter(emb, metric, weights, cfg)
-        fast = weighted_kcenter_pq(emb, metric, weights, cfg)
-        same = (ref.indices == fast.indices and ref.objective == fast.objective
-                and ref.far_rounds == fast.far_rounds)
-        s_eq.record(same, None,
-                    _serialize(emb, weights, k, lam, metric,
-                               f"gamma={gamma!r} ref={ref.indices} pq={fast.indices} "
-                               f"far_rounds {ref.far_rounds} vs {fast.far_rounds}"))
-    return summary
-
-
 def parallel_suite(trials: int = 60, seed: int = 2,
                    machines: tuple[int, ...] = (1, 2, 3)) -> VerifySummary:
     """Partition-parallel runs stay within 14x of the optimum at the optimal
@@ -234,8 +182,7 @@ def parallel_suite(trials: int = 60, seed: int = 2,
         emb, weights, k = _rand_instance(rng, 6, 12, 4)
 
         opt = brute_force_weighted(emb, metric, weights, k, lam)
-        cfg = SelectionConfig(k=k, lambda_=lam, gamma=opt.radius_term,
-                              metric=metric)
+        cfg = SelectionConfig(k=k, lambda_=lam, gamma=opt.radius_term)
         seq = weighted_kcenter(emb, metric, weights, cfg)
         strategy = "round-robin" if t % 2 == 0 else "random"
         for m in machines:
@@ -290,8 +237,7 @@ def early_stop_suite(instances: int = 200, seed: int = 3) -> VerifySummary:
         sol, trace = gamma_search(emb, metric, weights, k, lam, _GRID_SIZE)
         grid = make_gamma_grid(*gamma_bounds(emb, metric, weights, k), _GRID_SIZE)
         runs = [weighted_kcenter(emb, metric, weights,
-                                 SelectionConfig(k=k, lambda_=lam, gamma=float(g),
-                                                 metric=metric))
+                                 SelectionConfig(k=k, lambda_=lam, gamma=float(g)))
                 for g in grid]
         best = min(runs, key=lambda r: r.objective)   # first of equals
         same = (trace == [(float(g), r.objective) for g, r in zip(grid, runs)]
@@ -306,13 +252,12 @@ def early_stop_suite(instances: int = 200, seed: int = 3) -> VerifySummary:
     return summary
 
 
-def run_full(trials: int = 200, pq_instances: int = 500,
-             parallel_trials: int = 60, seed: int = 0, n_max: int = 14,
-             k_max: int = 6) -> VerifySummary:
-    """Every suite; the early-stop suite runs ``trials`` instances."""
+def run_full(trials: int = 200, parallel_trials: int = 60, seed: int = 0,
+             n_max: int = 14, k_max: int = 6) -> VerifySummary:
+    """Every suite: the bounds and early-stop suites run ``trials`` instances
+    each, the parallel suite ``parallel_trials``."""
     summary = bounds_suite(trials=trials, seed=seed, n_max=n_max,
                              k_max=k_max)
-    summary.merge(pq_suite(instances=pq_instances, seed=seed + 1))
     summary.merge(parallel_suite(trials=parallel_trials, seed=seed + 2))
     summary.merge(early_stop_suite(instances=trials, seed=seed + 3))
     return summary

@@ -15,8 +15,8 @@ point is already within 3*gamma of the current centers) or finds the lightest
 point c that is still farther than 3*gamma and admits the lightest point
 within gamma of c. Run at a gamma no smaller than the radius of the optimal
 solution, the result is within 3x of the optimal objective and never carries
-more weight than the optimum. A fixed-order queue formulation of the same rule
-and a gamma grid search are provided alongside.
+more weight than the optimum. A gamma grid search runs it over a bracket of
+guesses.
 
 Only rows the answer depends on are computed. Distances to the centers never
 grow, so once no point is farther than 3*gamma the run is in its fill regime
@@ -44,13 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import EmbeddingSet, WeightVector, metric_row, min_dists
-from .errors import (
-    BudgetExceedsGroundSet,
-    GraphMismatch,
-    InvalidArgument,
-    SizeMismatch,
-)
-from .nngraph import NeighborGraph
+from .errors import BudgetExceedsGroundSet, InvalidArgument, SizeMismatch
 
 __all__ = [
     "SelectionConfig",
@@ -61,7 +55,6 @@ __all__ = [
     "evaluate_solution",
     "greedy_kcenter",
     "weighted_kcenter",
-    "weighted_kcenter_pq",
     "gamma_bounds",
     "make_gamma_grid",
     "gamma_search",
@@ -71,18 +64,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Run parameters for one selection.
-
-    ``metric`` records the metric the run is meant for; selection functions
-    take the metric as an explicit argument and the CLI always passes the
-    same value in both places.
-    """
+    """Run parameters for one selection."""
 
     k: int
     lambda_: float
     gamma: float
-    metric: str = "cosine-distance"
-    seed: int = 0
 
     def validate(self, n: int) -> None:
         if self.k < 1 or self.k > n:
@@ -127,9 +113,9 @@ class SubsetSolution:
     (the simple baselines) leave the three terms NaN until
     :func:`evaluate_solution` fills them.
 
-    ``far_rounds`` counts the rounds of a fixed-gamma run that took the far
-    branch, and ``span`` holds the guesses at which the run repeats itself
-    (:class:`GammaSpan`). Selectors that cannot vouch for them leave them
+    ``far_rounds`` counts the rounds of a :func:`weighted_kcenter` run that
+    took the far branch, and ``span`` holds the guesses at which the run
+    repeats itself (:class:`GammaSpan`). Every other selector leaves them
     None; :func:`gamma_search` then runs the next grid gamma. Neither is part
     of the report.
     """
@@ -281,102 +267,6 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
                           span=GammaSpan(t_lo, t_hi, g_lo, g_hi))
 
 
-def weighted_kcenter_pq(emb: EmbeddingSet, metric: str, weights: WeightVector,
-                        config: SelectionConfig,
-                        graph: NeighborGraph | None = None,
-                        neighborhood_mode: str = "exact-ball") -> SubsetSolution:
-    """Queue form of :func:`weighted_kcenter`.
-
-    Weights never change during a run, so the queue is a fixed order: all
-    points sorted by (weight, index), with a cursor. A boolean mask over that
-    order marks dead entries (picked, or evicted by a pick's neighborhood);
-    the cursor skips them in one vectorized scan, so the first live entry is
-    the lightest point still farther than 3*gamma from the centers. Entries
-    come off in the order a lazy-deletion min-heap keyed (weight, index)
-    would pop them, so the picks are unchanged from the heap form.
-
-    ``neighborhood_mode``:
-      exact-ball  evict the exact closed 3*gamma ball. Output is identical to
-                  the reference selector, pick for pick. No graph needed.
-      knn-graph   evict the stored adjacency list instead. Cheaper per pick
-                  and faithful to running over a sparse neighbor structure,
-                  but the queue can then yield points closer than 3*gamma, so
-                  output may differ from the reference. Requires ``graph``.
-
-    If the queue runs dry before k picks, the remaining budget is the next
-    unselected entries of the same order, taken in one slice: the lightest
-    unselected points, which is exactly what the reference does once
-    everything is covered. In exact-ball mode every pick after the first
-    answers a far round of the reference, which ``far_rounds`` counts; in
-    knn-graph mode it is left None.
-
-    The queue keeps no distances to the centers, so the only span it can
-    vouch for is that of a run with no far round: k is 1, or every point lay
-    within 3*gamma of the seed and so does at every larger gamma, which
-    makes the span ``3*gamma' >= 3*gamma``. Any other run reports no span.
-    """
-    n = emb.n
-    config.validate(n)
-    if weights.n != n:
-        raise SizeMismatch(expected=n, got=weights.n)
-    if neighborhood_mode not in ("exact-ball", "knn-graph"):
-        raise InvalidArgument(neighborhood_mode=neighborhood_mode)
-    if graph is not None and graph.n != n:
-        raise GraphMismatch(graph_n=graph.n, set_n=n)
-    if neighborhood_mode == "knn-graph" and graph is None:
-        raise InvalidArgument(neighborhood_mode="knn-graph", graph=None)
-
-    w = weights.values
-    gamma = config.gamma
-    three_gamma = 3.0 * gamma
-
-    order = np.lexsort((np.arange(n), w))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    alive = np.ones(n, dtype=bool)      # indexed by position in ``order``
-    in_s = np.zeros(n, dtype=bool)      # indexed by point
-    selected: list[int] = []
-    cursor = 0
-
-    while len(selected) < config.k:
-        # every entry before the cursor is dead; skip to the first live one
-        cursor += int(np.argmax(alive[cursor:]))
-        if not alive[cursor]:
-            break
-        c_hat = int(order[cursor])
-        alive[cursor] = False
-        # c_hat itself is in the ball and unselected, so the argmin is total.
-        # On the very first pop c_hat is the global weight minimum, so the
-        # refinement returns c_hat and the seed matches the reference.
-        row = metric_row(emb, metric, c_hat)
-        ball = row <= gamma
-        ball &= ~in_s
-        pick = int(np.argmin(np.where(ball, w, np.inf)))
-        selected.append(pick)
-        in_s[pick] = True
-        alive[rank[pick]] = False
-        if neighborhood_mode == "exact-ball":
-            if pick != c_hat:
-                row = metric_row(emb, metric, pick)
-            alive[(row <= three_gamma)[order]] = False
-        else:
-            alive[rank[graph.neighbor_indices[pick]]] = False
-    far_rounds = len(selected) - 1 if neighborhood_mode == "exact-ball" else None
-    span = GammaSpan(t_lo=three_gamma) if far_rounds == 0 else None
-
-    if len(selected) < config.k:
-        rest = order[~in_s[order]]
-        selected.extend(int(i) for i in rest[:config.k - len(selected)])
-
-    radius, wsum, obj = weighted_objective(emb, metric, weights,
-                                           config.lambda_, selected)
-    return SubsetSolution(indices=selected, radius_term=radius,
-                          weight_term=wsum, objective=obj,
-                          algorithm="duke-pq", gamma_used=gamma,
-                          extra={"neighborhood_mode": neighborhood_mode},
-                          far_rounds=far_rounds, span=span)
-
-
 def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
                  k: int) -> tuple[float, float]:
     """Bracket for the radius of the optimal weighted solution.
@@ -434,8 +324,7 @@ def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
     per grid gamma."""
     if runner is None:
         def runner(gamma: float) -> SubsetSolution:
-            cfg = SelectionConfig(k=k, lambda_=lambda_, gamma=gamma,
-                                  metric=metric)
+            cfg = SelectionConfig(k=k, lambda_=lambda_, gamma=gamma)
             return weighted_kcenter(emb, metric, weights, cfg)
     lo, hi = gamma_bounds(emb, metric, weights, k)
     best: SubsetSolution | None = None

@@ -61,3 +61,35 @@ def line_points():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+def per_round_selection(emb, metric, w, k, gamma):
+    """The fixed-gamma selector by its definition, for tests to compare
+    ``weighted_kcenter`` against: every round takes the minimum over every
+    center's full distance row again, with no fill shortcut, row reuse or
+    span. Ties break to the lowest index.
+
+    Returns (indices, radius, far_rounds)."""
+    from duke.dataset import metric_row
+
+    w = [float(x) for x in w]
+
+    def lightest(pool):
+        return min(pool, key=lambda i: (w[i], i))
+
+    def to_centers(centers):
+        return np.min([metric_row(emb, metric, c) for c in centers], axis=0)
+
+    selected = [lightest(range(emb.n))]
+    far_rounds = 0
+    while len(selected) < k:
+        far = np.flatnonzero(to_centers(selected) > 3.0 * gamma).tolist()
+        if far:
+            far_rounds += 1
+            row = metric_row(emb, metric, lightest(far))
+            pool = np.flatnonzero(row <= gamma).tolist()
+        else:
+            pool = range(emb.n)
+        taken = set(selected)
+        selected.append(lightest(j for j in pool if j not in taken))
+    return selected, float(to_centers(selected).max()), far_rounds

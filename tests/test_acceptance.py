@@ -5,23 +5,29 @@ pass/fail line, echoed in the terminal summary. Randomized suites run
 at fixed seeds so the whole gate is deterministic.
 """
 
+import struct
 import time
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, per_round_selection
 
-from duke.dataset import EmbeddingSet, ProbabilityMatrix, WeightVector, margin_weights
+from duke.dataset import (
+    EmbeddingSet,
+    ProbabilityMatrix,
+    WeightVector,
+    margin_weights,
+    pairwise_distance,
+)
 from duke.instances import SyntheticSpec, gen_clusters, gen_worked_example
 from duke.oracle import brute_force_kcenter, brute_force_weighted, optimal_gamma
 from duke.parallel import make_partition, parallel_weighted_kcenter
-from duke.verify import parallel_suite, pq_suite, bounds_suite
+from duke.verify import parallel_suite, bounds_suite
 from duke.wkcenter import (
     SelectionConfig,
     default_lambda,
     gamma_bounds,
     weighted_kcenter,
-    weighted_kcenter_pq,
 )
 
 
@@ -51,7 +57,7 @@ def test_criterion_01_worked_example_golden():
     plain = brute_force_kcenter(emb, "euclidean", 8, weights=w)
     weighted = brute_force_weighted(emb, "euclidean", w, 8, 1.0)
     star = optimal_gamma(emb, "euclidean", w, 8, 1.0)
-    cfg = SelectionConfig(k=8, lambda_=1.0, gamma=2.0, metric="euclidean")
+    cfg = SelectionConfig(k=8, lambda_=1.0, gamma=2.0)
     sol = weighted_kcenter(emb, "euclidean", w, cfg)
     elapsed = time.perf_counter() - t0
     ok = (
@@ -130,14 +136,56 @@ def test_criterion_06_greedy_two_x(theorem_run):
                     f"{cosine.checks} cosine instances (worst {cosine.worst:.4f})")
 
 
-def test_criterion_07_pq_equivalence():
+def _selector_instances(count, seed):
+    """Mixed sizes up to n=2000, both metrics, duplicated points, tied
+    weights, and gamma values from zero to past the diameter."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        if t % 100 == 99:
+            # last large draw is pinned so the top of the advertised
+            # size range is actually exercised
+            n = 2000 if t + 1 == count else int(rng.integers(500, 2001))
+        else:
+            n = int(rng.integers(2, 201))
+        dim = int(rng.integers(2, 4))
+        pts = rng.normal(0.0, 1.0, size=(n, dim))
+        if t % 11 == 5 and n >= 4:
+            dup = rng.integers(0, n, size=n // 4)
+            pts[dup] = pts[(dup + 1) % n]
+        w = rng.uniform(0.0, 1.0, size=n)
+        if t % 7 == 3:
+            w = np.round(w, 1)
+        metric = ("euclidean", "cosine-distance")[t % 2]
+        lam = float(rng.uniform(0.0, 1.0))
+        k = int(rng.integers(1, min(n, 50) + 1))
+        a, b = rng.integers(0, n, size=2)
+        emb = EmbeddingSet(pts)
+        if t % 50 == 10:
+            gamma = 0.0
+        elif t % 50 == 20:
+            gamma = 1e9
+        else:
+            gamma = pairwise_distance(int(a), int(b), emb, metric) * \
+                float(rng.uniform(0.2, 1.5))
+        yield emb, WeightVector(w), metric, SelectionConfig(k=k, lambda_=lam,
+                                                            gamma=gamma)
+
+
+def test_criterion_07_selector_matches_definition():
     t0 = time.perf_counter()
-    summary = pq_suite(instances=500, seed=1)
+    checks = violations = 0
+    for emb, w, metric, cfg in _selector_instances(500, seed=1):
+        sol = weighted_kcenter(emb, metric, w, cfg)
+        want, radius, far_rounds = per_round_selection(
+            emb, metric, w.values, cfg.k, cfg.gamma)
+        checks += 1
+        violations += (sol.indices != want or sol.far_rounds != far_rounds
+                       or struct.pack("<d", sol.radius_term) != struct.pack("<d", radius))
     elapsed = time.perf_counter() - t0
-    s = _stat(summary, "pq_exact_ball_identical")
-    ok = s.checks >= 500 and not s.violations
-    _verdict(7, ok, f"queue selector index-identical to reference on "
-                    f"{s.checks} instances up to n=2000 ({elapsed:.1f}s)")
+    ok = checks >= 500 and violations == 0
+    _verdict(7, ok, f"selector equal to the per-round definition (indices, "
+                    f"far rounds, radius bits) on {checks} instances up to "
+                    f"n=2000, {violations} violations ({elapsed:.1f}s)")
 
 
 def test_criterion_08_near_linear_scaling():
@@ -150,7 +198,7 @@ def test_criterion_08_near_linear_scaling():
         emb, w = gen_clusters(SyntheticSpec(kind="uniform-cube", n=n, dim=dim, seed=0))
         lo, hi = gamma_bounds(emb, metric, w, k)
         gamma = float(np.sqrt(max(lo, 1e-12) * max(hi, lo, 1e-12)))
-        cfg = SelectionConfig(k=k, lambda_=default_lambda(k), gamma=gamma, metric=metric)
+        cfg = SelectionConfig(k=k, lambda_=default_lambda(k), gamma=gamma)
         return emb, w, cfg
 
     prepared = {n: build(n) for n in sizes}
@@ -162,7 +210,7 @@ def test_criterion_08_near_linear_scaling():
         for n in sizes:
             emb, w, cfg = prepared[n]
             t = time.perf_counter()
-            weighted_kcenter_pq(emb, metric, w, cfg)
+            weighted_kcenter(emb, metric, w, cfg)
             dt = time.perf_counter() - t
             if rnd > 0:
                 times[n] = min(times[n], dt)
@@ -170,7 +218,7 @@ def test_criterion_08_near_linear_scaling():
     ratios = [times[b] / times[a] for a, b in zip(sizes, sizes[1:])]
     ok = all(r < 2.4 for r in ratios) and elapsed < 600.0
     shown = ", ".join(f"{r:.2f}" for r in ratios)
-    _verdict(8, ok, f"pq wall time n=25k..200k (dim 64, k=100): successive "
+    _verdict(8, ok, f"selector wall time n=25k..200k (dim 64, k=100): successive "
                     f"ratios [{shown}] all < 2.4, bench {elapsed:.0f}s")
 
 
@@ -200,7 +248,7 @@ def test_criterion_10_training_curves_out_of_scope():
         w = WeightVector(rng.random(n))
         lo, hi = gamma_bounds(emb, "euclidean", w, k)
         gamma = float(np.sqrt(max(lo, 1e-12) * max(hi, lo, 1e-12)))
-        cfg = SelectionConfig(k=k, lambda_=0.5, gamma=gamma, metric="euclidean")
+        cfg = SelectionConfig(k=k, lambda_=0.5, gamma=gamma)
         seq = weighted_kcenter(emb, "euclidean", w, cfg)
         for m in machines:
             par = parallel_weighted_kcenter(emb, "euclidean", w, cfg,

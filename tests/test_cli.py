@@ -70,9 +70,7 @@ def _without_timing(text):
     return rep.to_text()
 
 
-@pytest.mark.parametrize("method", ["duke", "duke-pq"])
-def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files,
-                                             method):
+def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files):
     from dataclasses import replace
 
     from duke import cli
@@ -81,7 +79,7 @@ def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files,
 
     pts, w = example_files
     args = ("select", "--embeddings", pts, "--weights", w, "--metric",
-            "euclidean", "--k", "4", "--lambda", "1", "--method", method)
+            "euclidean", "--k", "4", "--lambda", "1")
     runs, report_span = [], [True]
 
     def counted(selector):
@@ -91,14 +89,11 @@ def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files,
             return sol if report_span[0] else replace(sol, span=None)
         return run
 
-    for name in ("weighted_kcenter", "weighted_kcenter_pq"):
-        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    monkeypatch.setattr(cli, "weighted_kcenter", counted(cli.weighted_kcenter))
     code, early, _ = run_cli(capsys, *args)
     assert code == 0
-    # on this instance the spans of the reference cover 8 grid gammas with
-    # 3 runs; the queue form vouches only for the sixth run, which takes no
-    # far round
-    assert len(runs) == {"duke": 3, "duke-pq": 6}[method]
+    # on this instance the spans cover 8 grid gammas with 3 runs
+    assert len(runs) == 3
 
     # a selector that reports no span runs the whole grid
     runs.clear()
@@ -119,11 +114,9 @@ def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files,
     assert rep.get("solution", "objective") == fmt_float(obj)
 
 
-def test_select_pq_and_parallel_methods(capsys, example_files):
+def test_select_parallel_and_baseline_methods(capsys, example_files):
     pts, w = example_files
     for extra in (
-        ("--method", "duke-pq"),
-        ("--method", "duke-pq", "--neighborhood", "knn-graph", "--knn", "10"),
         ("--method", "parallel", "--machines", "2"),
         ("--method", "greedy-kcenter"),
         ("--method", "random"),
@@ -214,7 +207,7 @@ def test_graph_subcommand(capsys, tmp_path, example_files):
 
 def test_verify_zero_trials_pass(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--trials", "0", "--pq-instances", "0", "--parallel-trials", "0",
+        capsys, "verify", "--trials", "0", "--parallel-trials", "0",
     )
     assert code == 0
     assert "overall = pass" in out
@@ -222,22 +215,11 @@ def test_verify_zero_trials_pass(capsys):
 
 def test_verify_small_pass(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--trials", "3", "--pq-instances", "5", "--parallel-trials", "2",
+        capsys, "verify", "--trials", "3", "--parallel-trials", "2",
     )
     assert code == 0
     assert "overall = pass" in out
-    assert "pq_exact_ball_identical = pass" in out
-
-
-def test_bench_smoke(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "--sizes", "200,400", "--k", "5", "--dim", "4", "--repeats", "1",
-    )
-    assert code == 0
-    rep = Report.from_text(out)
-    names = [k for k, _ in rep.section("bench")]
-    assert any(name.endswith("_pq_ms") for name in names)
-    assert any(name.startswith("ratio_") for name in names)
+    assert "early_stop_matches_full_grid = pass" in out
 
 
 def test_missing_file_exit_code(capsys):
@@ -248,9 +230,19 @@ def test_missing_file_exit_code(capsys):
     assert "MissingFile" in err
 
 
-def test_usage_error_exit_code(capsys):
-    code, out, err = run_cli(capsys, "select", "--embeddings")
-    assert code == 1
+def test_usage_error_exit_code(capsys, example_files):
+    pts, _ = example_files
+    for argv in (
+        ("select", "--embeddings"),
+        ("select", "--embeddings", pts, "--k", "3", "--method", "duke-pq"),
+        ("select", "--embeddings", pts, "--k", "3", "--neighborhood", "knn-graph"),
+        ("bench",),
+        ("verify", "--pq-instances", "5"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: UsageError{"), argv
+        assert err.count("\n") == 1, argv
 
 
 def test_validation_exit_code(capsys, example_files):

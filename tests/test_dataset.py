@@ -243,7 +243,7 @@ def test_far_offset_duplicates_reach_radius_zero_at_gamma_zero():
     pts[:12] = distinct
     emb = EmbeddingSet(pts)
     weights = WeightVector(rng.uniform(size=90))
-    cfg = SelectionConfig(k=12, lambda_=0.5, gamma=0.0, metric="euclidean")
+    cfg = SelectionConfig(k=12, lambda_=0.5, gamma=0.0)
     sol = weighted_kcenter(emb, "euclidean", weights, cfg)
     assert sol.radius_term == 0.0
     assert sorted(map(tuple, pts[sol.indices])) == sorted(map(tuple, distinct))

@@ -28,7 +28,7 @@ def test_worked_example_selector_trace(worked_example):
     # run at the certified optimal radius: the selector must land on
     # the known 3x-bounded objective of 6 exactly
     emb, w = worked_example
-    cfg = SelectionConfig(k=EXAMPLE_K, lambda_=EXAMPLE_LAMBDA, gamma=2.0, metric="euclidean")
+    cfg = SelectionConfig(k=EXAMPLE_K, lambda_=EXAMPLE_LAMBDA, gamma=2.0)
     sol = weighted_kcenter(emb, "euclidean", w, cfg)
     assert sol.objective == EXAMPLE_OPT_OBJECTIVE
     assert sol.indices == [0, 4, 1, 2, 3, 5, 6, 7]

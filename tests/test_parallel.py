@@ -49,7 +49,7 @@ def test_single_machine_equals_sequential(rng):
         emb = EmbeddingSet(rng.normal(size=(n, 2)))
         w = WeightVector(rng.random(n))
         k = int(rng.integers(1, min(6, n) + 1))
-        cfg = SelectionConfig(k=k, lambda_=0.2, gamma=1.0, metric="euclidean")
+        cfg = SelectionConfig(k=k, lambda_=0.2, gamma=1.0)
         seq = weighted_kcenter(emb, "euclidean", w, cfg)
         par = parallel_weighted_kcenter(emb, "euclidean", w, cfg, make_partition(n, 1))
         assert sorted(par.indices) == sorted(seq.indices)
@@ -60,7 +60,7 @@ def test_worker_relabeling_does_not_change_result(rng):
     n = 24
     emb = EmbeddingSet(rng.normal(size=(n, 2)))
     w = WeightVector(rng.random(n))
-    cfg = SelectionConfig(k=4, lambda_=0.3, gamma=0.8, metric="euclidean")
+    cfg = SelectionConfig(k=4, lambda_=0.3, gamma=0.8)
     plan = make_partition(n, 3, seed=1, strategy="random")
     relabel = np.array([2, 0, 1])[plan.assignment]
     swapped = PartitionPlan(m=3, assignment=relabel, seed=1, strategy="random")
@@ -81,7 +81,7 @@ def test_parallel_stays_within_14x(rng):
         lam = float(rng.choice([0.0, 0.1, 1.0]))
         opt = brute_force_weighted(emb, "euclidean", w, k, lam)
         gamma = opt.radius_term
-        cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma, metric="euclidean")
+        cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma)
         for m in (1, 2, 3):
             plan = make_partition(n, m, seed=trial, strategy=("round-robin", "random")[trial % 2])
             sol = parallel_weighted_kcenter(emb, "euclidean", w, cfg, plan)
@@ -93,7 +93,7 @@ def test_solution_metadata(rng):
     n = 30
     emb = EmbeddingSet(rng.normal(size=(n, 2)))
     w = WeightVector(rng.random(n))
-    cfg = SelectionConfig(k=5, lambda_=0.1, gamma=1.0, metric="euclidean")
+    cfg = SelectionConfig(k=5, lambda_=0.1, gamma=1.0)
     sol = parallel_weighted_kcenter(emb, "euclidean", w, cfg, make_partition(n, 3))
     assert sol.algorithm == "parallel"
     assert sol.extra["machines"] == 3

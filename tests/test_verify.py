@@ -1,5 +1,5 @@
 from duke.verify import (PropertyStat, VerifySummary, bounds_suite,
-                         early_stop_suite, parallel_suite, pq_suite, run_full)
+                         early_stop_suite, parallel_suite, run_full)
 
 
 def test_theorem_suite_small():
@@ -9,12 +9,6 @@ def test_theorem_suite_small():
     assert "objective_within_3x_at_opt_radius" in names
     assert "radius_bracket_holds" in names
     assert summary.total_checks > 0
-
-
-def test_pq_suite_small():
-    summary = pq_suite(instances=40, seed=1)
-    assert summary.passed
-    assert summary.total_checks >= 40
 
 
 def test_parallel_suite_small():
@@ -32,7 +26,7 @@ def test_early_stop_suite_small():
 
 
 def test_zero_trials_is_vacuous_pass():
-    summary = run_full(trials=0, pq_instances=0, parallel_trials=0)
+    summary = run_full(trials=0, parallel_trials=0)
     assert summary.passed
     assert summary.all_violations() == []
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from conftest import per_round_selection
 
 from duke.dataset import (
     EmbeddingSet,
     WeightVector,
     distance_matrix,
-    pairwise_distance,
 )
 from duke import dataset, wkcenter
 from duke.errors import (
@@ -118,14 +118,14 @@ def test_greedy_farthest_tie_lowest_index():
 
 def test_selector_seeds_global_min_weight(line_points):
     w = wv(0.5, 0.4, 0.3, 0.2, 0.1)
-    cfg = SelectionConfig(k=1, lambda_=1.0, gamma=100.0, metric="euclidean")
+    cfg = SelectionConfig(k=1, lambda_=1.0, gamma=100.0)
     sol = weighted_kcenter(line_points, "euclidean", w, cfg)
     assert sol.indices == [4]
 
 
 def test_selector_min_weight_tie_lowest_index(line_points):
     w = wv(0.3, 0.3, 0.3, 0.3, 0.3)
-    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=100.0, metric="euclidean")
+    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=100.0)
     sol = weighted_kcenter(line_points, "euclidean", w, cfg)
     assert sol.indices == [0, 1]
 
@@ -134,16 +134,22 @@ def test_selector_big_gamma_collects_lightest(line_points):
     # with an enormous gamma nothing is ever far, so after the seed the
     # selector keeps taking the lightest unselected point
     w = wv(0.1, 0.1, 1.0, 1.0, 1.0)
-    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=100.0, metric="euclidean")
+    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=100.0)
     sol = weighted_kcenter(line_points, "euclidean", w, cfg)
     assert sol.indices == [0, 1]
     assert sol.radius_term == 9.0
     assert sol.weight_term == pytest.approx(0.2)
+    # one tight cluster: every round after the seed fills with the lightest
+    # unselected point, in ascending weight
+    pts = EmbeddingSet(np.array([[0.0], [0.01], [0.02], [0.03], [0.04]]))
+    cfg = SelectionConfig(k=4, lambda_=1.0, gamma=100.0)
+    sol = weighted_kcenter(pts, "euclidean", wv(0.5, 0.1, 0.4, 0.2, 0.3), cfg)
+    assert sol.indices == [1, 3, 4, 2]
 
 
 def test_selector_small_gamma_chases_far_points(line_points):
     w = wv(0.1, 0.1, 1.0, 1.0, 1.0)
-    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=2.0, metric="euclidean")
+    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=2.0)
     sol = weighted_kcenter(line_points, "euclidean", w, cfg)
     # the outlier at 10 is beyond 3*gamma from the seed, so its ball is
     # searched for the lightest representative
@@ -155,7 +161,7 @@ def test_selector_small_gamma_chases_far_points(line_points):
 def test_selector_ball_pick_is_lightest_within_gamma():
     pts = EmbeddingSet(np.array([[0.0], [5.5], [7.0]]))
     w = wv(0.1, 0.2, 0.5)
-    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=2.0, metric="euclidean")
+    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=2.0)
     sol = weighted_kcenter(pts, "euclidean", w, cfg)
     # index 2 is the only far point (7 > 3*gamma from the seed) and so
     # anchors the round, but index 1 sits inside its gamma ball and is
@@ -172,13 +178,13 @@ def test_far_round_reuses_the_anchor_row_when_it_is_the_pick(monkeypatch):
 
     monkeypatch.setattr(wkcenter, "metric_row", counted)
     pts = EmbeddingSet(np.array([[0.0], [10.0], [20.0]]))
-    cfg = SelectionConfig(k=3, lambda_=1.0, gamma=1.0, metric="euclidean")
+    cfg = SelectionConfig(k=3, lambda_=1.0, gamma=1.0)
     # both far anchors (10, then 20) are their own ball picks: one row each
     assert weighted_kcenter(pts, "euclidean", wv(0.0, 0.1, 0.2), cfg).indices == [0, 1, 2]
     assert rows == [0, 1, 2]
     rows.clear()
     pts = EmbeddingSet(np.array([[-2.0], [1.5], [3.0]]))
-    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=1.5, metric="euclidean")
+    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=1.5)
     # anchor 3 picks the lighter 1.5 within gamma, whose row is computed
     assert weighted_kcenter(pts, "euclidean", wv(0.0, 0.25, 0.5), cfg).indices == [0, 1]
     assert rows == [0, 2, 1]
@@ -187,7 +193,7 @@ def test_far_round_reuses_the_anchor_row_when_it_is_the_pick(monkeypatch):
 def test_selector_deterministic(rng):
     emb = EmbeddingSet(rng.normal(size=(40, 3)))
     w = WeightVector(rng.random(40))
-    cfg = SelectionConfig(k=6, lambda_=0.5, gamma=1.3, metric="euclidean")
+    cfg = SelectionConfig(k=6, lambda_=0.5, gamma=1.3)
     a = weighted_kcenter(emb, "euclidean", w, cfg)
     b = weighted_kcenter(emb, "euclidean", w, cfg)
     assert a.indices == b.indices
@@ -212,7 +218,7 @@ def test_selector_input_validation(line_points):
 def test_stored_terms_match_recomputation(rng):
     emb = EmbeddingSet(rng.normal(size=(25, 2)))
     w = WeightVector(rng.random(25))
-    cfg = SelectionConfig(k=5, lambda_=0.7, gamma=0.9, metric="euclidean")
+    cfg = SelectionConfig(k=5, lambda_=0.7, gamma=0.9)
     sol = weighted_kcenter(emb, "euclidean", w, cfg)
     radius, wsum, obj = weighted_objective(emb, "euclidean", w, 0.7, sol.indices)
     assert sol.radius_term == radius
@@ -279,27 +285,6 @@ def test_gamma_search_trace_and_best(rng):
     assert gammas == sorted(gammas)
 
 
-def _per_round_selection(emb, metric, w, k, gamma):
-    """The selector by its definition: one full pass per round, no shortcut."""
-    n = emb.n
-    d = [[pairwise_distance(c, i, emb, metric) for i in range(n)] for c in range(n)]
-
-    def key(i):
-        return w[i], i
-
-    selected = [min(range(n), key=key)]
-    while len(selected) < k:
-        far = [i for i in range(n) if min(d[c][i] for c in selected) > 3.0 * gamma]
-        if far:
-            c_hat = min(far, key=key)
-            pool = [j for j in range(n) if d[c_hat][j] <= gamma]
-        else:
-            pool = range(n)
-        selected.append(min((j for j in pool if j not in selected), key=key))
-    radius = max(min(d[c][i] for c in selected) for i in range(n))
-    return selected, radius
-
-
 def _bits(x):
     return struct.pack("<d", x)
 
@@ -322,16 +307,57 @@ def _small_instances(draw):
     return pts, w, metric, gamma, k
 
 
+# three weight levels over 300 points: the far anchors, the ball picks and
+# the fill slice all rest on the index tie-break
+_TIED_RNG = np.random.default_rng(0)
+_TIED = (_TIED_RNG.normal(size=(300, 2)), _TIED_RNG.integers(0, 3, size=300) / 2.0,
+         "euclidean")
+
+
 @given(_small_instances())
+@example((*_TIED, 0.05, 40))
+@example((*_TIED, 0.4, 40))
+@example((*_TIED, 100.0, 40))
 @settings(max_examples=300, deadline=None)
 def test_selector_matches_per_round_definition(inst):
     pts, w, metric, gamma, k = inst
     emb = EmbeddingSet(pts)
-    cfg = SelectionConfig(k=k, lambda_=0.5, gamma=gamma, metric=metric)
+    cfg = SelectionConfig(k=k, lambda_=0.5, gamma=gamma)
     sol = weighted_kcenter(emb, metric, WeightVector(np.array(w)), cfg)
-    want, radius = _per_round_selection(emb, metric, w, k, gamma)
+    want, radius, far_rounds = per_round_selection(emb, metric, w, k, gamma)
     assert sol.indices == want
     assert _bits(sol.radius_term) == _bits(radius)
+    assert sol.far_rounds == far_rounds
+
+
+@st.composite
+def _untied_permuted_instances(draw):
+    """Small selections with distinct weights, plus a permutation of rows."""
+    pts, _, _, gamma, k = draw(_small_instances())
+    n = len(pts)
+    w = np.array(draw(st.permutations(range(n)))) / 16.0
+    metric = draw(st.sampled_from(["euclidean", "manhattan"]))
+    perm = np.array(draw(st.permutations(range(n))))
+    return pts, w, metric, gamma, k, perm
+
+
+# Permuting rows moves each row to another place in its kernel block, and a
+# BLAS matrix-vector product may round a row's entry differently there: on
+# random float data a permutation moved some euclidean and cosine distances
+# by an ulp, which can flip a comparison with gamma or 3*gamma. On a small
+# dyadic grid every euclidean and manhattan distance is computed exactly (or
+# is one correctly rounded square root), so it cannot move; cosine divides
+# by row norms and is left out.
+@given(_untied_permuted_instances())
+@settings(max_examples=200, deadline=None)
+def test_selection_follows_a_permutation_of_the_input(inst):
+    pts, w, metric, gamma, k, perm = inst
+    cfg = SelectionConfig(k=k, lambda_=0.5, gamma=gamma)
+    sol = weighted_kcenter(EmbeddingSet(pts), metric, WeightVector(w), cfg)
+    moved = weighted_kcenter(EmbeddingSet(pts[perm]), metric,
+                             WeightVector(w[perm]), cfg)
+    assert [int(perm[i]) for i in moved.indices] == sol.indices
+    assert _bits(moved.radius_term) == _bits(sol.radius_term)
 
 
 # On the line -2, 1.5, 3 (lightest first) point 3 is the far anchor for
@@ -350,7 +376,7 @@ def test_selection_repeats_at_every_gamma_in_its_span(inst):
     emb, w = EmbeddingSet(np.array(pts)), WeightVector(np.array(w))
 
     def run(g):
-        cfg = SelectionConfig(k=k, lambda_=0.5, gamma=g, metric=metric)
+        cfg = SelectionConfig(k=k, lambda_=0.5, gamma=g)
         return weighted_kcenter(emb, metric, w, cfg)
 
     sol = run(gamma)
@@ -390,7 +416,7 @@ def test_clustered_search_runs_the_selector_once(monkeypatch):
     grid = make_gamma_grid(*gamma_bounds(emb, "euclidean", w, 100), 8)
     for g, (traced_g, objective) in zip(grid, trace):
         full = selector(emb, "euclidean", w, SelectionConfig(
-            k=100, lambda_=0.001, gamma=float(g), metric="euclidean"))
+            k=100, lambda_=0.001, gamma=float(g)))
         assert full.indices == sol.indices
         assert (traced_g, objective) == (float(g), full.objective)
 
@@ -416,7 +442,7 @@ def test_gamma_search_equals_selector_at_every_grid_gamma(rng, monkeypatch):
         stopped += len(runs) < 8
         grid = make_gamma_grid(*gamma_bounds(emb, metric, w, k), 8)
         full = [selector(emb, metric, w, SelectionConfig(
-            k=k, lambda_=0.5, gamma=float(g), metric=metric)) for g in grid]
+            k=k, lambda_=0.5, gamma=float(g))) for g in grid]
         assert trace == [(float(g), r.objective) for g, r in zip(grid, full)]
         best = min(full, key=lambda r: r.objective)    # first of equals
         assert sol.indices == best.indices
@@ -475,7 +501,7 @@ def test_cosine_radius_can_exceed_three_gamma_star():
     w = WeightVector(_COSINE_3G_WEIGHTS)
     star = optimal_gamma(emb, "cosine-distance", w, 3, 0.1)
     assert star == pytest.approx(0.2811590464474556)
-    cfg = SelectionConfig(k=3, lambda_=0.1, gamma=star, metric="cosine-distance")
+    cfg = SelectionConfig(k=3, lambda_=0.1, gamma=star)
     sol = weighted_kcenter(emb, "cosine-distance", w, cfg)
     assert sol.radius_term > 3.0 * star
     assert sol.radius_term == pytest.approx(0.8524732345133944)
