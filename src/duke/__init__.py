@@ -10,7 +10,6 @@ from .dataset import (
     load_probabilities,
     load_weights,
     margin_weights,
-    pairwise_distance,
 )
 from .nngraph import NeighborGraph, build_knn_graph
 from .wkcenter import (
@@ -31,7 +30,6 @@ from .oracle import (
     OracleResult,
     brute_force_kcenter,
     brute_force_weighted,
-    optimal_gamma,
 )
 from .baselines import (
     margin_select,

@@ -16,16 +16,12 @@ from .nngraph import NeighborGraph
 from .wkcenter import SubsetSolution
 
 __all__ = [
-    "BASELINE_TAGS",
     "random_select",
     "margin_select",
     "edge_similarities",
     "utility_from_weights",
     "submodular_greedy",
 ]
-
-BASELINE_TAGS = ("random", "margin", "submodular", "greedy-kcenter")
-
 
 def _unevaluated(indices, algorithm: str, extra=None) -> SubsetSolution:
     return SubsetSolution(indices=[int(i) for i in indices],

@@ -145,12 +145,14 @@ def cmd_select(args) -> tuple[Report, int]:
     graph_ms = 0.0
     method = args.method
 
+    if method == "parallel":
+        plan = make_partition(emb.n, args.machines, seed=args.seed,
+                              strategy=args.partition)
+
     def run_fixed(gamma: float) -> SubsetSolution:
         cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma)
         if method == "duke":
             return weighted_kcenter(emb, metric, weights, cfg)
-        plan = make_partition(emb.n, args.machines, seed=args.seed,
-                              strategy=args.partition)
         return parallel_weighted_kcenter(emb, metric, weights, cfg, plan)
 
     if method in SELF_EVALUATING:
@@ -162,7 +164,7 @@ def cmd_select(args) -> tuple[Report, int]:
             for g, objective in trace:
                 rep.add("trace", f"gamma_{fmt_float(g)}", objective)
     elif method == "greedy-kcenter":
-        sol = greedy_kcenter(emb, metric, k, start=args.start)
+        sol = greedy_kcenter(emb, metric, k)
     elif method == "random":
         sol = baselines.random_select(emb.n, k, args.seed)
     elif method == "margin":
@@ -294,7 +296,6 @@ def build_parser() -> _Parser:
     p_sel.add_argument("--seed", type=int, default=0)
     p_sel.add_argument("--knn", type=int, default=10)
     p_sel.add_argument("--lambda-s", dest="lambda_s", type=float, default=0.9)
-    p_sel.add_argument("--start", type=int, default=0)
     p_sel.add_argument("--out", default=None)
     p_sel.set_defaults(fn=cmd_select)
 

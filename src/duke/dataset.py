@@ -29,7 +29,6 @@ from .errors import (
     ProbabilityOutOfRange,
     RaggedRow,
     RowSumError,
-    SizeMismatch,
     TooFewClasses,
     TruncatedInput,
     UnknownMetric,
@@ -39,23 +38,21 @@ from .errors import (
 # DistanceMetric values accepted everywhere a metric is passed.
 METRICS = ("cosine-distance", "euclidean", "manhattan")
 
+# Largest |row sum - 1| a probability row may show.
+ROW_SUM_TOL = 1e-6
 
-def _frozen(values, dtype) -> np.ndarray:
-    """Contiguous read-only array of ``values``.
+
+def _as_readonly_f64(values, ndim: int) -> np.ndarray:
+    """Contiguous read-only float64 array of ``values`` with ``ndim`` axes.
 
     An array the caller can still write is copied rather than frozen in
     place; a read-only one (the loaders hand over theirs that way) is kept.
     """
-    arr = np.ascontiguousarray(values, dtype=dtype)
+    arr = np.ascontiguousarray(values, dtype=np.float64)
     # a fresh conversion owns its data; anything else is the caller's memory
     if arr.flags.writeable and (arr is values or arr.base is not None):
         arr = arr.copy()
     arr.setflags(write=False)
-    return arr
-
-
-def _as_readonly_f64(values, ndim: int) -> np.ndarray:
-    arr = _frozen(values, np.float64)
     if arr.ndim != ndim:
         raise MalformedValue(expected_ndim=ndim, got=arr.ndim)
     return arr
@@ -63,14 +60,9 @@ def _as_readonly_f64(values, ndim: int) -> np.ndarray:
 
 @dataclass
 class EmbeddingSet:
-    """Feature matrix of shape (n, dim), float64, read-only after init.
-
-    Optional integer labels ride along for synthetic instances; nothing in the
-    selection path reads them.
-    """
+    """Feature matrix of shape (n, dim), float64, read-only after init."""
 
     features: np.ndarray
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         feats = _as_readonly_f64(self.features, 2)
@@ -80,11 +72,6 @@ class EmbeddingSet:
             bad = int(np.argwhere(~np.isfinite(feats).all(axis=1))[0, 0])
             raise NonFiniteValue(row=bad)
         self.features = feats
-        if self.labels is not None:
-            lab = _frozen(self.labels, np.int64)
-            if lab.shape != (feats.shape[0],):
-                raise SizeMismatch(expected=feats.shape[0], got=lab.shape)
-            self.labels = lab
         self._sq_norms = None
         self._norms = None
 
@@ -114,20 +101,18 @@ class EmbeddingSet:
         return self._norms
 
     def subset(self, indices) -> "EmbeddingSet":
-        idx = np.asarray(indices, dtype=np.int64)
-        lab = self.labels[idx] if self.labels is not None else None
-        return EmbeddingSet(self.features[idx], lab)
+        return EmbeddingSet(self.features[np.asarray(indices, dtype=np.int64)])
 
 
 @dataclass
 class ProbabilityMatrix:
     """Per-point class probabilities, shape (n, L), rows summing to 1.
 
-    Row sums are checked within ``row_sum_tol``; entries must lie in [0, 1].
+    Row sums are checked within :data:`ROW_SUM_TOL`; entries must lie in
+    [0, 1].
     """
 
     values: np.ndarray
-    row_sum_tol: float = 1e-6
 
     def __post_init__(self):
         vals = _as_readonly_f64(self.values, 2)
@@ -143,7 +128,7 @@ class ProbabilityMatrix:
             bad = int(np.argwhere(out.any(axis=1))[0, 0])
             raise ProbabilityOutOfRange(row=bad)
         sums = vals.sum(axis=1)
-        off = np.abs(sums - 1.0) > self.row_sum_tol
+        off = np.abs(sums - 1.0) > ROW_SUM_TOL
         if off.any():
             bad = int(np.argmax(off))
             raise RowSumError(row=bad, sum=float(sums[bad]))
@@ -152,10 +137,6 @@ class ProbabilityMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def classes(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -194,11 +175,6 @@ def margin_weights(probs: ProbabilityMatrix) -> WeightVector:
         raise TooFewClasses(classes=v.shape[1])
     part = np.partition(v, v.shape[1] - 2, axis=1)
     return WeightVector(part[:, -1] - part[:, -2])
-
-
-def _check_metric(metric: str) -> None:
-    if metric not in METRICS:
-        raise UnknownMetric(metric=metric)
 
 
 def _cosine_norm_check(norms: np.ndarray) -> None:
@@ -277,7 +253,8 @@ def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
 
 
 def _check_rows(emb: EmbeddingSet, metric: str) -> None:
-    _check_metric(metric)
+    if metric not in METRICS:
+        raise UnknownMetric(metric=metric)
     if metric == "cosine-distance":
         _cosine_norm_check(emb.norms())
 
@@ -316,30 +293,6 @@ def min_dists(emb: EmbeddingSet, metric: str, centers) -> np.ndarray:
         for c in idx[1:]:
             np.minimum(dmin, _row_block(emb, metric, c, lo, hi), out=dmin)
     return out
-
-
-def pairwise_distance(a: int, b: int, emb: EmbeddingSet, metric: str) -> float:
-    """Distance between rows a and b.
-
-    Computed by the row kernel over the block that holds b, so any value
-    stored elsewhere in the package recomputes here bitwise-equal. Cosine mode
-    only requires rows a and b to be nonzero; other zero rows are ignored
-    rather than rejected.
-    """
-    _check_metric(metric)
-    if a == b:
-        return 0.0
-    if metric == "cosine-distance":
-        norms = emb.norms()
-        for idx in (a, b):
-            if norms[idx] == 0.0:
-                raise ZeroVectorCosine(index=int(idx))
-    step = block_rows(emb)
-    lo = int(b) // step * step
-    # zero rows other than a and b divide by zero in their own entries only
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = _row_block(emb, metric, int(a), lo, min(lo + step, emb.n))
-    return float(d[int(b) - lo])
 
 
 def distance_matrix(emb: EmbeddingSet, metric: str) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Every error renders as one machine-parsable line ``Name{key=value,...}`` so the
 CLI can print it to stderr without formatting logic. ``exit_code`` drives the
-process exit status: 1 usage, 2 data/contract, 3 verification failure.
+process exit status: 1 usage, 2 data/contract.
 """
 
 from __future__ import annotations
@@ -24,12 +24,6 @@ class UsageError(DukeError):
     """Bad command-line arguments or flag combinations."""
 
     exit_code = 1
-
-
-class InvariantViolation(DukeError):
-    """A verification property failed on a concrete instance."""
-
-    exit_code = 3
 
 
 # data ingestion

@@ -37,7 +37,6 @@ _EXAMPLE_POINTS = np.array([
     (23.0, 0.0), (17.0, 0.0), (20.0, 3.0),                  # blues, cluster B
 ])
 _EXAMPLE_WEIGHTS = np.array([0.5] * 8 + [1.0] * 6)
-_EXAMPLE_LABELS = np.array([0] * 8 + [1] * 6)
 
 EXAMPLE_K = 8
 EXAMPLE_LAMBDA = 1.0
@@ -51,8 +50,7 @@ EXAMPLE_OPT_SUBSET = tuple(range(8))
 
 
 def gen_worked_example() -> tuple[EmbeddingSet, WeightVector]:
-    emb = EmbeddingSet(_EXAMPLE_POINTS.copy(), _EXAMPLE_LABELS.copy())
-    return emb, WeightVector(_EXAMPLE_WEIGHTS.copy())
+    return EmbeddingSet(_EXAMPLE_POINTS), WeightVector(_EXAMPLE_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,6 @@ def gen_clusters(spec: SyntheticSpec) -> tuple[EmbeddingSet, WeightVector]:
     else:
         raise InvalidArgument(weight_scheme=spec.weight_scheme)
 
-    # handed over read-only, so the containers take them without a copy
+    # handed over read-only, so the container takes it without a copy
     points.setflags(write=False)
-    assign.setflags(write=False)
-    return EmbeddingSet(points, assign), WeightVector(w)
+    return EmbeddingSet(points), WeightVector(w)

@@ -2,8 +2,8 @@
 
 Construction is a straight all-pairs scan per node. Neighbor lists are sorted
 by (distance, index), self excluded, and clamped to n-1 entries. Stored
-distances come from the shared metric kernel, so recomputing any edge through
-``pairwise_distance`` reproduces the stored value exactly.
+distances are entries of ``metric_row``: the edge (i, j) holds
+``metric_row(emb, metric, i)[j]`` exactly.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = ["NeighborGraph", "build_knn_graph", "export_graph"]
 class NeighborGraph:
     neighbor_indices: np.ndarray  # (n, kk) int64
     neighbor_dists: np.ndarray    # (n, kk) float64
-    k_requested: int
-    metric: str
 
     @property
     def n(self) -> int:
@@ -52,7 +50,7 @@ def build_knn_graph(emb: EmbeddingSet, k_nn: int, metric: str) -> NeighborGraph:
         order = order[order != i][:kk]
         idx_out[i] = order
         dist_out[i] = d[order]
-    return NeighborGraph(idx_out, dist_out, k_nn, metric)
+    return NeighborGraph(idx_out, dist_out)
 
 
 def export_graph(graph: NeighborGraph, stream) -> None:

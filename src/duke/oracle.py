@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset import EmbeddingSet, WeightVector, distance_matrix
 from .errors import BudgetExceedsGroundSet, InstanceTooLarge, SizeMismatch
+from .wkcenter import check_lambda
 
 __all__ = [
     "OracleResult",
@@ -24,7 +25,6 @@ __all__ = [
     "MEMORY_BUDGET",
     "brute_force_weighted",
     "brute_force_kcenter",
-    "optimal_gamma",
 ]
 
 ENUMERATION_CAP = 2_000_000
@@ -68,6 +68,7 @@ def brute_force_weighted(emb: EmbeddingSet, metric: str, weights: WeightVector,
     n = emb.n
     if weights.n != n:
         raise SizeMismatch(expected=n, got=weights.n)
+    check_lambda(lambda_)
     total = _check_budget(n, k, cap)
     chunk = _chunk_size(n, k)
     dist = distance_matrix(emb, metric)
@@ -122,10 +123,3 @@ def brute_force_kcenter(emb: EmbeddingSet, metric: str, k: int,
                         radius_term=res.radius_term, weight_term=wsum,
                         enumerated=res.enumerated)
 
-
-def optimal_gamma(emb: EmbeddingSet, metric: str, weights: WeightVector,
-                  k: int, lambda_: float, cap: int = ENUMERATION_CAP) -> float:
-    """Radius term of the optimal weighted solution. This is the gamma at
-    which the selector's guarantees are stated."""
-    return brute_force_weighted(emb, metric, weights, k, lambda_,
-                                cap=cap).radius_term

@@ -30,7 +30,6 @@ class PartitionPlan:
 
     m: int
     assignment: np.ndarray
-    seed: int
     strategy: str
 
     def members(self, worker: int) -> np.ndarray:
@@ -50,8 +49,7 @@ def make_partition(n: int, m: int, seed: int = 0,
         perm = np.random.default_rng(seed).permutation(n)
         assignment = np.empty(n, dtype=np.int64)
         assignment[perm] = np.arange(n, dtype=np.int64) % m
-    return PartitionPlan(m=m, assignment=assignment, seed=seed,
-                         strategy=strategy)
+    return PartitionPlan(m=m, assignment=assignment, strategy=strategy)
 
 
 def parallel_weighted_kcenter(emb: EmbeddingSet, metric: str,

@@ -30,6 +30,10 @@ __all__ = ["PropertyStat", "VerifySummary", "bounds_suite", "parallel_suite",
            "early_stop_suite", "run_full"]
 
 _LAMBDAS = (0.0, 0.1, 1.0)
+# over-estimates alpha * gamma* at which the bounds suite checks 3 * alpha
+_ALPHAS = (1.5, 2.0)
+# worker counts of the parallel suite
+_MACHINES = (1, 2, 3)
 _METRICS = ("euclidean", "cosine-distance")
 _GRID_SIZE = 8
 
@@ -69,10 +73,6 @@ class VerifySummary:
     def passed(self) -> bool:
         return all(s.passed for s in self.stats)
 
-    @property
-    def total_checks(self) -> int:
-        return sum(s.checks for s in self.stats)
-
     def all_violations(self) -> list[str]:
         return [v for s in self.stats for v in s.violations]
 
@@ -100,8 +100,7 @@ def _rand_instance(rng: np.random.Generator, n_lo: int, n_hi: int,
 
 
 def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
-                   k_max: int = 6,
-                   alphas: tuple[float, ...] = (1.5, 2.0)) -> VerifySummary:
+                 k_max: int = 6) -> VerifySummary:
     """Guarantee checks for the fixed-gamma selector, run at the radius of
     the exact optimum (and at over-estimates of it), plus the radius bracket
     and the greedy 2-approximation, all against brute force."""
@@ -141,7 +140,7 @@ def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
                         _serialize(emb, weights, k, lam, metric,
                                    f"radius {sol.radius_term!r} > 3x gamma* {gamma_star!r}"))
 
-        for alpha in alphas:
+        for alpha in _ALPHAS:
             cfg_a = SelectionConfig(k=k, lambda_=lam, gamma=alpha * gamma_star)
             sol_a = weighted_kcenter(emb, metric, weights, cfg_a)
             bound = 3.0 * alpha * opt.objective
@@ -157,7 +156,7 @@ def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
                          _serialize(emb, weights, k, lam, metric,
                                     f"bracket failed: {gamma1!r} <= {gamma_star!r} <= {gamma2!r}"))
 
-        grd = greedy_kcenter(emb, metric, k, start=0)
+        grd = greedy_kcenter(emb, metric, k)
         factor = 4.0 if metric == "cosine-distance" else 2.0
         stat = s_greedy_cos if metric == "cosine-distance" else s_greedy
         stat.record(grd.radius_term <= factor * gamma1,
@@ -167,8 +166,7 @@ def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
     return summary
 
 
-def parallel_suite(trials: int = 60, seed: int = 2,
-                   machines: tuple[int, ...] = (1, 2, 3)) -> VerifySummary:
+def parallel_suite(trials: int = 60, seed: int = 2) -> VerifySummary:
     """Partition-parallel runs stay within 14x of the optimum at the optimal
     radius; one machine reproduces the sequential selection as a set."""
     rng = np.random.default_rng(seed)
@@ -185,7 +183,7 @@ def parallel_suite(trials: int = 60, seed: int = 2,
         cfg = SelectionConfig(k=k, lambda_=lam, gamma=opt.radius_term)
         seq = weighted_kcenter(emb, metric, weights, cfg)
         strategy = "round-robin" if t % 2 == 0 else "random"
-        for m in machines:
+        for m in _MACHINES:
             if m > emb.n:
                 continue
             plan = make_partition(emb.n, m, seed=t, strategy=strategy)
@@ -257,7 +255,7 @@ def run_full(trials: int = 200, parallel_trials: int = 60, seed: int = 0,
     """Every suite: the bounds and early-stop suites run ``trials`` instances
     each, the parallel suite ``parallel_trials``."""
     summary = bounds_suite(trials=trials, seed=seed, n_max=n_max,
-                             k_max=k_max)
+                           k_max=k_max)
     summary.merge(parallel_suite(trials=parallel_trials, seed=seed + 2))
     summary.merge(early_stop_suite(instances=trials, seed=seed + 3))
     return summary

@@ -38,6 +38,7 @@ balances the two terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -47,6 +48,7 @@ from .dataset import EmbeddingSet, WeightVector, metric_row, min_dists
 from .errors import BudgetExceedsGroundSet, InvalidArgument, SizeMismatch
 
 __all__ = [
+    "check_lambda",
     "SelectionConfig",
     "GammaSpan",
     "SubsetSolution",
@@ -62,6 +64,12 @@ __all__ = [
 ]
 
 
+def check_lambda(lambda_: float) -> None:
+    """Reject a weight penalty that is negative, infinite or NaN."""
+    if not (math.isfinite(lambda_) and lambda_ >= 0.0):
+        raise InvalidArgument(lambda_=lambda_)
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """Run parameters for one selection."""
@@ -73,9 +81,9 @@ class SelectionConfig:
     def validate(self, n: int) -> None:
         if self.k < 1 or self.k > n:
             raise BudgetExceedsGroundSet(k=self.k, n=n)
-        if self.lambda_ < 0.0:
-            raise InvalidArgument(lambda_=self.lambda_)
-        if self.gamma < 0.0:
+        check_lambda(self.lambda_)
+        # written so that NaN fails; gamma = inf is a legal all-fill run
+        if not self.gamma >= 0.0:
             raise InvalidArgument(gamma=self.gamma)
 
 
@@ -145,6 +153,7 @@ def kcenter_cost(emb: EmbeddingSet, metric: str, centers) -> float:
 def weighted_objective(emb: EmbeddingSet, metric: str, weights: WeightVector,
                        lambda_: float, centers) -> tuple[float, float, float]:
     """(radius_term, weight_term, objective) for a center set."""
+    check_lambda(lambda_)
     if weights.n != emb.n:
         raise SizeMismatch(expected=emb.n, got=weights.n)
     radius = kcenter_cost(emb, metric, centers)
@@ -160,21 +169,19 @@ def evaluate_solution(emb: EmbeddingSet, metric: str, weights: WeightVector,
     return replace(sol, radius_term=radius, weight_term=wsum, objective=obj)
 
 
-def greedy_kcenter(emb: EmbeddingSet, metric: str, k: int,
-                   start: int = 0) -> SubsetSolution:
-    """Farthest-point traversal. 2-approximation for the k-center radius.
+def greedy_kcenter(emb: EmbeddingSet, metric: str, k: int) -> SubsetSolution:
+    """Farthest-point traversal from point 0. 2-approximation for the
+    k-center radius.
 
     Ignores weights entirely (weight_term reported as 0; objective equals the
     radius)."""
     n = emb.n
     if k < 1 or k > n:
         raise BudgetExceedsGroundSet(k=k, n=n)
-    if start < 0 or start >= n:
-        raise InvalidArgument(start=start)
-    selected = [start]
+    selected = [0]
     in_s = np.zeros(n, dtype=bool)
-    in_s[start] = True
-    dmin = metric_row(emb, metric, start).copy()
+    in_s[0] = True
+    dmin = metric_row(emb, metric, 0)
     while len(selected) < k:
         masked = np.where(in_s, -np.inf, dmin)
         nxt = int(np.argmax(masked))
@@ -222,7 +229,7 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     taken = np.zeros(n, dtype=bool)     # indexed by position in ``order``
     taken[0] = True
     selected = [int(order[0])]
-    dmin = metric_row(emb, metric, selected[0]).copy()
+    dmin = metric_row(emb, metric, selected[0])
     t_lo = g_lo = -np.inf
     t_hi = g_hi = np.inf
 
@@ -284,7 +291,7 @@ def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
     order = np.lexsort((np.arange(n), weights.values))
     lightest = np.sort(order[:k])
     hi = kcenter_cost(emb, metric, lightest)
-    lo = greedy_kcenter(emb, metric, k, start=0).radius_term / 2.0
+    lo = greedy_kcenter(emb, metric, k).radius_term / 2.0
     return lo, hi
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from duke.baselines import (
-    BASELINE_TAGS,
     edge_similarities,
     margin_select,
     random_select,
@@ -136,9 +135,3 @@ def test_submodular_greedy_near_optimal(rng):
         best = max(set_value(c, utils, sims, lam) for c in itertools.combinations(range(10), 3))
         assert got >= (1.0 - 1.0 / math.e) * best - 1e-9
         assert sol.extra["submodular_value"] == pytest.approx(got)
-
-
-def test_baseline_tags():
-    assert "random" in BASELINE_TAGS
-    assert "margin" in BASELINE_TAGS
-    assert "submodular" in BASELINE_TAGS

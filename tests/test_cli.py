@@ -1,9 +1,13 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import duke
+from duke import cli
 from duke.cli import main
 from duke.report import Report, fmt_float
 
@@ -247,12 +251,94 @@ def test_usage_error_exit_code(capsys, example_files):
 
 def test_validation_exit_code(capsys, example_files):
     pts, w = example_files
-    code, out, err = run_cli(
+    for argv, error in (
+        (("select", "--k", "50"), "BudgetExceedsGroundSet"),
+        (("select", "--k", "3", "--lambda", "-1"), "InvalidArgument"),
+        (("select", "--k", "3", "--lambda", "nan"), "InvalidArgument"),
+        (("select", "--k", "3", "--lambda", "inf"), "InvalidArgument"),
+        (("select", "--k", "3", "--gamma", "nan"), "InvalidArgument"),
+        (("select", "--k", "3", "--gamma", "-1"), "InvalidArgument"),
+        (("select", "--k", "3", "--method", "random", "--lambda", "nan"),
+         "InvalidArgument"),
+        (("select", "--k", "3", "--method", "parallel", "--machines", "2",
+          "--gamma", "nan"), "InvalidArgument"),
+        (("oracle", "--k", "3", "--lambda", "nan"), "InvalidArgument"),
+        (("oracle", "--k", "3", "--lambda", "-1"), "InvalidArgument"),
+        (("oracle", "--k", "3", "--lambda", "inf"), "InvalidArgument"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--embeddings", pts,
+                                 "--weights", w, "--metric", "euclidean")
+        assert code == 2, argv
+        assert err.startswith(f"error: {error}{{"), argv
+        assert out == "", argv
+
+
+def test_gamma_inf_is_an_all_fill_run(capsys, example_files):
+    pts, w = example_files
+    code, out, _ = run_cli(
         capsys, "select", "--embeddings", pts, "--weights", w,
-        "--metric", "euclidean", "--k", "50",
+        "--metric", "euclidean", "--k", "3", "--gamma", "inf",
     )
-    assert code == 2
-    assert "BudgetExceedsGroundSet" in err
+    assert code == 0
+    # every pick is a fill pick: the three lightest points
+    assert Report.from_text(out).get("solution", "indices") == "0,1,2"
+
+
+# each method with non-default values for the flags it reads
+_ECHO_CASES = [
+    ("--method", "duke", "--lambda", "0.5", "--gamma-grid", "5"),
+    ("--method", "duke", "--metric", "manhattan", "--gamma", "1.5"),
+    ("--method", "parallel", "--machines", "3", "--partition", "random",
+     "--seed", "4", "--gamma-grid", "3", "--lambda", "0.25"),
+    ("--method", "greedy-kcenter", "--metric", "manhattan"),
+    ("--method", "greedy-kcenter", "--start", "3"),
+    ("--method", "random", "--seed", "5"),
+    ("--method", "margin", "--lambda", "0.25"),
+    ("--method", "submodular", "--knn", "4", "--lambda-s", "0.5"),
+]
+
+
+@pytest.mark.parametrize("extra", _ECHO_CASES)
+def test_config_echo_reproduces_the_solution(capsys, example_files, extra):
+    assert {case[1] for case in _ECHO_CASES} == set(cli.METHODS)
+    pts, w = example_files
+    data = ("select", "--embeddings", pts, "--weights", w)
+    code, out, err = run_cli(capsys, *data, "--k", "5",
+                             "--metric", "euclidean", *extra)
+    if code != 0:
+        # a flag the echo cannot show must not be accepted at all
+        assert code == 1 and "--start" in extra, err
+        return
+    rep = Report.from_text(out)
+    argv = []
+    for key, value in rep.section("config"):
+        # n and dim describe the data; a searched gamma is the default
+        if key in ("command", "n", "dim") or (key, value) == ("gamma", "search"):
+            continue
+        argv += ["--" + key.replace("_", "-"), value]
+    code, again, _ = run_cli(capsys, *data, *argv)
+    assert code == 0
+    assert Report.from_text(again).section("solution") == rep.section("solution")
+
+
+def test_parallel_search_builds_one_partition(capsys, monkeypatch,
+                                              example_files):
+    pts, w = example_files
+    plans, make = [], cli.make_partition
+
+    def counted(*a, **kw):
+        plans.append(1)
+        return make(*a, **kw)
+
+    monkeypatch.setattr(cli, "make_partition", counted)
+    code, out, _ = run_cli(
+        capsys, "select", "--embeddings", pts, "--weights", w,
+        "--metric", "euclidean", "--k", "4", "--method", "parallel",
+        "--machines", "2", "--partition", "random",
+    )
+    assert code == 0
+    assert len(Report.from_text(out).section("trace")) == 8
+    assert len(plans) == 1
 
 
 def test_out_flag_writes_report(capsys, tmp_path, example_files):
@@ -271,11 +357,16 @@ def test_out_flag_writes_report(capsys, tmp_path, example_files):
 
 def test_module_entrypoint_subprocess(example_files):
     pts, w = example_files
+    # the child imports the same duke as this process, installed or not
+    src = str(Path(duke.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "duke", "select", "--embeddings", pts,
          "--weights", w, "--metric", "euclidean", "--k", "8",
          "--lambda", "1", "--gamma", "2"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert "objective = 6" in proc.stdout

@@ -20,7 +20,6 @@ from duke.dataset import (
     margin_weights,
     metric_row,
     min_dists,
-    pairwise_distance,
 )
 from duke.errors import (
     EmptyInput,
@@ -89,47 +88,37 @@ def test_weight_vector_range():
 
 def test_pairwise_euclidean_345():
     emb = EmbeddingSet(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    assert pairwise_distance(0, 1, emb, "euclidean") == 5.0
+    assert metric_row(emb, "euclidean", 0)[1] == 5.0
 
 
 def test_pairwise_manhattan():
     emb = EmbeddingSet(np.array([[1.0, 2.0], [4.0, -2.0]]))
-    assert pairwise_distance(0, 1, emb, "manhattan") == 7.0
+    assert metric_row(emb, "manhattan", 0)[1] == 7.0
 
 
 def test_pairwise_cosine_landmarks():
     emb = EmbeddingSet(np.array([[1.0, 0.0], [0.0, 2.0], [-3.0, 0.0], [5.0, 0.0]]))
-    assert pairwise_distance(0, 1, emb, "cosine-distance") == pytest.approx(1.0)
-    assert pairwise_distance(0, 2, emb, "cosine-distance") == pytest.approx(2.0)
+    row = metric_row(emb, "cosine-distance", 0)
+    assert row[1] == pytest.approx(1.0)
+    assert row[2] == pytest.approx(2.0)
     # parallel vectors of different norm are at distance zero
-    assert pairwise_distance(0, 3, emb, "cosine-distance") == 0.0
+    assert row[3] == 0.0
     # self distance is exactly zero by construction
-    assert pairwise_distance(2, 2, emb, "cosine-distance") == 0.0
+    assert metric_row(emb, "cosine-distance", 2)[2] == 0.0
 
 
 def test_cosine_zero_vector_rejected():
     emb = EmbeddingSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ZeroVectorCosine):
-        pairwise_distance(0, 1, emb, "cosine-distance")
+        metric_row(emb, "cosine-distance", 1)
     # euclidean does not care about zero rows
-    assert pairwise_distance(0, 1, emb, "euclidean") == 1.0
+    assert metric_row(emb, "euclidean", 0)[1] == 1.0
 
 
 def test_unknown_metric():
     emb = EmbeddingSet(np.array([[0.0], [1.0]]))
     with pytest.raises(UnknownMetric):
         metric_row(emb, "chebyshev", 0)
-
-
-def test_metric_row_matches_pairwise(rng):
-    pts = rng.normal(size=(20, 3))
-    emb = EmbeddingSet(pts)
-    for metric in ("euclidean", "manhattan", "cosine-distance"):
-        for i in (0, 7, 19):
-            row = metric_row(emb, metric, i)
-            assert row[i] == 0.0
-            for j in range(20):
-                assert row[j] == pairwise_distance(i, j, emb, metric)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine-distance"])
@@ -153,10 +142,6 @@ def test_min_dists_bitwise_equals_row_minimum(rng, monkeypatch, metric,
     for c in centers[1:]:
         np.minimum(ref, metric_row(emb, metric, c), out=ref)
     assert np.array_equal(min_dists(emb, metric, centers), ref)
-    for c in centers:
-        row = metric_row(emb, metric, c)
-        for j in (0, step - 1, step, n - 1):
-            assert pairwise_distance(c, j, emb, metric) == row[j]
 
 
 def test_distance_matrix_symmetric(rng):
@@ -292,16 +277,13 @@ def test_embedding_validation():
 
 def test_containers_leave_the_callers_array_writable():
     pts = np.arange(12.0).reshape(6, 2)
-    labels = np.arange(6)
     w = np.full(6, 0.5)
-    emb = EmbeddingSet(pts, labels)
+    emb = EmbeddingSet(pts)
     wv = WeightVector(w)
     pts[0, 0] = 1.0
-    labels[0] = 7
     w[0] = 0.25
     # the containers hold their own read-only copies
     assert emb.features[0, 0] == 0.0
-    assert emb.labels[0] == 0
     assert wv.values[0] == 0.5
     with pytest.raises(ValueError):
         emb.features[0, 0] = 1.0
@@ -392,8 +374,7 @@ def test_load_weights_and_probs(tmp_path):
 
 
 def test_subset_view():
-    emb = EmbeddingSet(np.arange(10.0).reshape(5, 2), labels=np.arange(5))
+    emb = EmbeddingSet(np.arange(10.0).reshape(5, 2))
     sub = emb.subset(np.array([0, 3]))
     assert sub.features.shape == (2, 2)
     assert sub.features[1, 0] == 6.0
-    assert list(sub.labels) == [0, 3]

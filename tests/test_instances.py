@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from duke.dataset import pairwise_distance
+from duke.dataset import metric_row
 from duke.errors import InvalidArgument
 from duke.instances import (
     EXAMPLE_K,
@@ -18,10 +18,9 @@ def test_worked_example_layout(worked_example):
     emb, w = worked_example
     assert emb.features.shape == (14, 2)
     assert list(w.values) == [0.5] * 8 + [1.0] * 6
-    assert list(emb.labels) == [0] * 8 + [1] * 6
     # the two tight groups sit 20 apart; sanity anchors for the geometry
-    assert pairwise_distance(0, 4, emb, "euclidean") == 20.0
-    assert pairwise_distance(8, 0, emb, "euclidean") == 3.0
+    assert metric_row(emb, "euclidean", 0)[4] == 20.0
+    assert metric_row(emb, "euclidean", 8)[0] == 3.0
 
 
 def test_worked_example_selector_trace(worked_example):

