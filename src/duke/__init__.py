@@ -25,7 +25,7 @@ from .wkcenter import (
     weighted_kcenter,
     weighted_objective,
 )
-from .parallel import PartitionPlan, make_partition, parallel_weighted_kcenter
+from .parallel import make_partition, parallel_weighted_kcenter
 from .oracle import (
     OracleResult,
     brute_force_kcenter,

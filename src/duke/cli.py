@@ -33,6 +33,7 @@ from .report import Report, fmt_float
 from .wkcenter import (
     SelectionConfig,
     SubsetSolution,
+    check_lambda,
     default_lambda,
     evaluate_solution,
     gamma_search,
@@ -44,7 +45,7 @@ METHODS = ("duke", "parallel", "greedy-kcenter", "random", "margin",
            "submodular")
 # selectors that score their own result with the run's lambda; their radius
 # and weight sum equal evaluate_solution's bit for bit
-SELF_EVALUATING = ("duke", "parallel")
+SELF_EVALUATING = ("duke", "parallel", "greedy-kcenter")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,10 +117,7 @@ def _solution_block(rep: Report, sol: SubsetSolution) -> None:
     rep.add("solution", "objective", sol.objective)
     rep.add("solution", "gamma_used", sol.gamma_used)
     for key in sorted(sol.extra):
-        value = sol.extra[key]
-        if isinstance(value, dict):
-            continue
-        rep.add("solution", key, value)
+        rep.add("solution", key, sol.extra[key])
 
 
 def cmd_select(args) -> tuple[Report, int]:
@@ -141,21 +139,24 @@ def cmd_select(args) -> tuple[Report, int]:
         ("lambda_s", args.lambda_s),
     ])
 
+    # every method echoes --gamma and --lambda, so both are checked first
+    SelectionConfig(k, lam, 0.0 if args.gamma is None else args.gamma).validate(emb.n)
+
     t1 = _now_ms()
     graph_ms = 0.0
     method = args.method
 
     if method == "parallel":
-        plan = make_partition(emb.n, args.machines, seed=args.seed,
-                              strategy=args.partition)
+        parts = make_partition(emb.n, args.machines, seed=args.seed,
+                               strategy=args.partition)
 
     def run_fixed(gamma: float) -> SubsetSolution:
         cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma)
         if method == "duke":
             return weighted_kcenter(emb, metric, weights, cfg)
-        return parallel_weighted_kcenter(emb, metric, weights, cfg, plan)
+        return parallel_weighted_kcenter(emb, metric, weights, cfg, parts)
 
-    if method in SELF_EVALUATING:
+    if method in ("duke", "parallel"):
         if args.gamma is not None:
             sol = run_fixed(args.gamma)
         else:
@@ -164,7 +165,7 @@ def cmd_select(args) -> tuple[Report, int]:
             for g, objective in trace:
                 rep.add("trace", f"gamma_{fmt_float(g)}", objective)
     elif method == "greedy-kcenter":
-        sol = greedy_kcenter(emb, metric, k)
+        sol = greedy_kcenter(emb, metric, k, weights, lam)
     elif method == "random":
         sol = baselines.random_select(emb.n, k, args.seed)
     elif method == "margin":
@@ -195,6 +196,7 @@ def cmd_oracle(args) -> tuple[Report, int]:
     emb, weights = _load_inputs(args)
     k = args.k
     lam = args.lambda_ if args.lambda_ is not None else default_lambda(k)
+    check_lambda(lam)
     rep = Report()
     _config_echo(rep, [
         ("command", "oracle"), ("k", k), ("lambda", lam),

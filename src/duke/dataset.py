@@ -308,8 +308,9 @@ def _parse_csv(path: Path, header: bool) -> np.ndarray:
     arity = -1
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
-    start = 1 if header else 0
-    for lineno, line in enumerate(lines[start:], start=start):
+    # errors name the data row: its index among the non-blank lines after
+    # the header, as NonFiniteValue and the raw-float32 loader count
+    for line in lines[1 if header else 0:]:
         stripped = line.strip()
         if not stripped:
             continue
@@ -317,13 +318,13 @@ def _parse_csv(path: Path, header: bool) -> np.ndarray:
         if arity == -1:
             arity = len(tokens)
         elif len(tokens) != arity:
-            raise RaggedRow(row=lineno - start)
+            raise RaggedRow(row=len(rows))
         vals = []
         for tok in tokens:
             try:
                 vals.append(float(tok))
             except ValueError:
-                raise MalformedValue(row=lineno - start, token=tok.strip()) from None
+                raise MalformedValue(row=len(rows), token=tok.strip()) from None
         rows.append(vals)
     if not rows:
         raise EmptyInput(path=str(path))

@@ -1,83 +1,77 @@
 """Partition-parallel selection.
 
 The ground set is dealt across m workers, each worker runs the fixed-gamma
-selector on its slice with the shared gamma, and a reduce step runs the same
-selector over the union of all worker picks. Quality degrades by a constant
-factor versus the sequential run but each worker only touches n/m points.
+selector on its part with the shared gamma, and a reduce step runs the same
+selector over the union of all worker picks (the composable coreset of
+Malkomes et al. 2015). Quality degrades by a constant factor versus the
+sequential run but each worker only touches n/m points.
 
 The final evaluation is always against the full ground set, and the union is
 sorted before reduction, so the result does not depend on worker ordering.
+It repeats at every guess at which all worker runs and the reduce run
+repeat, so its span is the intersection of theirs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .dataset import EmbeddingSet, WeightVector
 from .errors import InvalidArgument, SizeMismatch, TooManyWorkers
-from .wkcenter import SelectionConfig, SubsetSolution, weighted_kcenter, weighted_objective
+from .wkcenter import (GammaSpan, SelectionConfig, SubsetSolution,
+                       weighted_kcenter, weighted_objective)
 
-__all__ = ["PartitionPlan", "make_partition", "parallel_weighted_kcenter"]
+__all__ = ["make_partition", "parallel_weighted_kcenter"]
 
 STRATEGIES = ("round-robin", "random")
 
 
-@dataclass
-class PartitionPlan:
-    """Assignment of each point to a worker in [0, m)."""
-
-    m: int
-    assignment: np.ndarray
-    strategy: str
-
-    def members(self, worker: int) -> np.ndarray:
-        return np.nonzero(self.assignment == worker)[0]
-
-
 def make_partition(n: int, m: int, seed: int = 0,
-                   strategy: str = "round-robin") -> PartitionPlan:
-    """Deal n points across m workers; sizes differ by at most one."""
+                   strategy: str = "round-robin") -> list[np.ndarray]:
+    """Deal n points across m workers: one sorted index array per worker,
+    sizes differing by at most one."""
     if m < 1 or m > n:
         raise TooManyWorkers(m=m, n=n)
     if strategy not in STRATEGIES:
         raise InvalidArgument(strategy=strategy)
     if strategy == "round-robin":
-        assignment = np.arange(n, dtype=np.int64) % m
-    else:
-        perm = np.random.default_rng(seed).permutation(n)
-        assignment = np.empty(n, dtype=np.int64)
-        assignment[perm] = np.arange(n, dtype=np.int64) % m
-    return PartitionPlan(m=m, assignment=assignment, strategy=strategy)
+        return [np.arange(w, n, m) for w in range(m)]
+    perm = np.random.default_rng(seed).permutation(n)
+    return [np.sort(perm[w::m]) for w in range(m)]
 
 
 def parallel_weighted_kcenter(emb: EmbeddingSet, metric: str,
                               weights: WeightVector, config: SelectionConfig,
-                              plan: PartitionPlan) -> SubsetSolution:
+                              parts: list[np.ndarray]) -> SubsetSolution:
+    """Select on each part, then reselect on the union of the picks.
+
+    ``parts`` must hold every index in ``range(n)`` exactly once."""
     n = emb.n
     config.validate(n)
     if weights.n != n:
         raise SizeMismatch(expected=n, got=weights.n)
-    if plan.assignment.shape != (n,):
-        raise SizeMismatch(expected=n, got=plan.assignment.shape)
-    if plan.m < 1 or plan.m > n:
-        raise TooManyWorkers(m=plan.m, n=n)
+    if not 1 <= len(parts) <= n:
+        raise TooManyWorkers(m=len(parts), n=n)
+    if not np.array_equal(np.sort(np.concatenate(parts)), np.arange(n)):
+        raise InvalidArgument(parts="not-a-partition", n=n)
 
-    candidate_lists: list[np.ndarray] = []
-    for worker in range(plan.m):
-        part = plan.members(worker)
+    candidate_lists, spans = [], []
+    for part in parts:
         if part.size == 0:
             continue
         sub_cfg = replace(config, k=min(config.k, int(part.size)))
         sub_sol = weighted_kcenter(emb.subset(part), metric,
                                    weights.subset(part), sub_cfg)
         candidate_lists.append(part[np.asarray(sub_sol.indices)])
+        spans.append(sub_sol.span)
 
     union = np.sort(np.concatenate(candidate_lists))
     red_cfg = replace(config, k=min(config.k, int(union.size)))
     red_sol = weighted_kcenter(emb.subset(union), metric,
                                weights.subset(union), red_cfg)
+    spans.append(red_sol.span)
     final = [int(union[i]) for i in red_sol.indices]
 
     radius, wsum, obj = weighted_objective(emb, metric, weights,
@@ -85,8 +79,8 @@ def parallel_weighted_kcenter(emb: EmbeddingSet, metric: str,
     return SubsetSolution(
         indices=final, radius_term=radius, weight_term=wsum, objective=obj,
         algorithm="parallel", gamma_used=config.gamma,
-        extra={"machines": plan.m,
-               "strategy": plan.strategy,
-               "union_size": int(union.size),
-               "worker_candidates": [sorted(int(x) for x in c)
-                                     for c in candidate_lists]})
+        extra={"machines": len(parts), "union_size": int(union.size),
+               "worker_candidates": [sorted(map(int, c))
+                                     for c in candidate_lists]},
+        span=GammaSpan(config.gamma, min(s.t_hi for s in spans),
+                       min(s.g_hi for s in spans)))

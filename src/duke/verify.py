@@ -186,8 +186,8 @@ def parallel_suite(trials: int = 60, seed: int = 2) -> VerifySummary:
         for m in _MACHINES:
             if m > emb.n:
                 continue
-            plan = make_partition(emb.n, m, seed=t, strategy=strategy)
-            par = parallel_weighted_kcenter(emb, metric, weights, cfg, plan)
+            parts = make_partition(emb.n, m, seed=t, strategy=strategy)
+            par = parallel_weighted_kcenter(emb, metric, weights, cfg, parts)
             s_qual.record(par.objective <= 14.0 * opt.objective,
                           par.objective / opt.objective,
                           _serialize(emb, weights, k, lam, metric,

@@ -27,10 +27,10 @@ A far round whose ball pick is its own anchor reuses the anchor's row.
 The selection at a guess changes only when the guess crosses one of the
 thresholds the run compared it with (the guess-the-radius structure of
 Hochbaum & Shmoys 1985). A fixed-gamma run therefore records the span of
-guesses at which every one of its comparisons comes out the same; a run at
-any guess in that span repeats it pick for pick. The grid search runs the
-selector only at grid gammas outside the span of its last run and copies
-the objective into the trace for the rest.
+larger guesses at which every one of its comparisons comes out the same; a
+run at any guess in that span repeats it pick for pick. The grid search
+walks upward, runs the selector only at grid gammas outside the span of its
+last run and copies the objective into the trace for the rest.
 
 Weights and distances are consumed on their native scales; lambda alone
 balances the two terms.
@@ -89,26 +89,24 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class GammaSpan:
-    """The guesses at which a fixed-gamma run repeats itself.
+    """The guesses from a run's own gamma upward at which it repeats itself.
 
-    A run at ``gamma`` records a bound for each comparison it makes, on the
-    same float it compared: ``t = 3.0 * gamma`` against a distance to the
-    centers (far anchors, entry into the fill regime) or ``gamma`` itself
-    against a distance to the anchor (ball picks). A guess ``gamma'`` lies in
-    the span when ``t_lo <= 3.0 * gamma' < t_hi`` and
-    ``g_lo <= gamma' < g_hi``; a run at ``gamma'`` then makes every
-    comparison the same way, so it returns the same indices and the same
-    objective bit for bit. The run's own gamma always lies in its span.
+    A run compares ``3.0 * gamma`` with distances to the centers (far
+    anchors, entry into the fill regime) and ``gamma`` with distances to an
+    anchor (ball picks). A distance found "at most" stays so at any larger
+    guess; one found "greater" bounds the guess from above, on the same
+    float it compared. At a guess ``gamma'`` with ``gamma <= gamma'``,
+    ``3.0 * gamma' < t_hi`` and ``gamma' < g_hi`` a run makes every
+    comparison the same way, so it returns the same indices and objective
+    bit for bit.
     """
 
-    t_lo: float = -np.inf
+    gamma: float
     t_hi: float = np.inf
-    g_lo: float = -np.inf
     g_hi: float = np.inf
 
     def __contains__(self, gamma: float) -> bool:
-        return (self.t_lo <= 3.0 * gamma < self.t_hi
-                and self.g_lo <= gamma < self.g_hi)
+        return self.gamma <= gamma < self.g_hi and 3.0 * gamma < self.t_hi
 
 
 @dataclass
@@ -122,10 +120,10 @@ class SubsetSolution:
     :func:`evaluate_solution` fills them.
 
     ``far_rounds`` counts the rounds of a :func:`weighted_kcenter` run that
-    took the far branch, and ``span`` holds the guesses at which the run
-    repeats itself (:class:`GammaSpan`). Every other selector leaves them
-    None; :func:`gamma_search` then runs the next grid gamma. Neither is part
-    of the report.
+    took the far branch. ``span`` holds the guesses at which a
+    :func:`weighted_kcenter` or partition-parallel run repeats itself
+    (:class:`GammaSpan`); :func:`gamma_search` reads it. Other selectors
+    leave both None. Neither is part of the report.
     """
 
     indices: list[int]
@@ -169,15 +167,21 @@ def evaluate_solution(emb: EmbeddingSet, metric: str, weights: WeightVector,
     return replace(sol, radius_term=radius, weight_term=wsum, objective=obj)
 
 
-def greedy_kcenter(emb: EmbeddingSet, metric: str, k: int) -> SubsetSolution:
+def greedy_kcenter(emb: EmbeddingSet, metric: str, k: int,
+                   weights: WeightVector | None = None,
+                   lambda_: float = 0.0) -> SubsetSolution:
     """Farthest-point traversal from point 0. 2-approximation for the
     k-center radius.
 
-    Ignores weights entirely (weight_term reported as 0; objective equals the
-    radius)."""
+    The picks ignore weights. With ``weights`` the traversal's own radius is
+    scored as :func:`evaluate_solution` would score it; without, weight_term
+    is 0 and the objective equals the radius."""
     n = emb.n
     if k < 1 or k > n:
         raise BudgetExceedsGroundSet(k=k, n=n)
+    check_lambda(lambda_)
+    if weights is not None and weights.n != n:
+        raise SizeMismatch(expected=n, got=weights.n)
     selected = [0]
     in_s = np.zeros(n, dtype=bool)
     in_s[0] = True
@@ -189,9 +193,10 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, k: int) -> SubsetSolution:
         in_s[nxt] = True
         np.minimum(dmin, metric_row(emb, metric, nxt), out=dmin)
     radius = float(dmin.max())
-    return SubsetSolution(indices=selected, radius_term=radius, weight_term=0.0,
-                          objective=radius, algorithm="greedy-kcenter",
-                          gamma_used=0.0)
+    wsum = 0.0 if weights is None else _weight_sum(weights, selected)
+    return SubsetSolution(indices=selected, radius_term=radius,
+                          weight_term=wsum, objective=radius + lambda_ * wsum,
+                          algorithm="greedy-kcenter", gamma_used=0.0)
 
 
 def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -215,8 +220,9 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     ``dmin[c] > 3*gamma'`` and ``dmin <= 3*gamma'`` for every point ahead of c
     in the (weight, index) order; its pick needs ``row[pick] <= gamma'`` and
     ``row > gamma'`` for every unselected point ahead of the pick; entering
-    the fill regime needs ``max(dmin) <= 3*gamma'``. The fill picks do not
-    depend on gamma.
+    the fill regime needs ``max(dmin) <= 3*gamma'``. The "at most" tests hold
+    at every ``gamma' >= gamma``, so only the "greater" ones bound the span.
+    The fill picks do not depend on gamma.
     """
     n = emb.n
     config.validate(n)
@@ -230,17 +236,14 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     taken[0] = True
     selected = [int(order[0])]
     dmin = metric_row(emb, metric, selected[0])
-    t_lo = g_lo = -np.inf
     t_hi = g_hi = np.inf
 
     while len(selected) < config.k:
         d = dmin[order]
         a = int(np.argmax(d > three_gamma))
         if not d[a] > three_gamma:
-            t_lo = max(t_lo, float(d.max()))
             break
         c_hat = int(order[a])
-        t_lo = max(t_lo, float(d[:a].max(initial=-np.inf)))
         t_hi = min(t_hi, float(d[a]))
         # c_hat is unselected and at distance 0 from itself, so the ball
         # holds an unselected point no later than c_hat in the order
@@ -249,7 +252,6 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         ball = r <= gamma
         ball &= ~taken
         p = int(np.argmax(ball))
-        g_lo = max(g_lo, float(r[p]))
         g_hi = min(g_hi, float(r[:p].min(where=~taken[:p], initial=np.inf)))
         pick = int(order[p])
         selected.append(pick)
@@ -271,7 +273,7 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
                           objective=radius + config.lambda_ * wsum,
                           algorithm="duke", gamma_used=gamma,
                           far_rounds=far_rounds,
-                          span=GammaSpan(t_lo, t_hi, g_lo, g_hi))
+                          span=GammaSpan(gamma, t_hi, g_hi))
 
 
 def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -324,8 +326,8 @@ def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
     is not run: the selector would repeat that run pick for pick, so its
     objective is copied into the trace. Since ties keep the smallest gamma, a
     copy never wins. A run with no far round has a span with no upper end,
-    so it stands for every larger grid gamma. A runner that leaves ``span``
-    None runs the next grid gamma.
+    so it stands for every larger grid gamma. The runner's solutions must
+    carry a span.
 
     Returns the winning solution and the (gamma, objective) trace, one entry
     per grid gamma."""
@@ -338,7 +340,7 @@ def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
     last: SubsetSolution | None = None
     trace: list[tuple[float, float]] = []
     for g in map(float, make_gamma_grid(lo, hi, grid_size)):
-        if last is None or last.span is None or g not in last.span:
+        if last is None or g not in last.span:
             last = runner(g)
             if best is None or last.objective < best.objective:
                 best = last

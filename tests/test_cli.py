@@ -79,7 +79,7 @@ def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files):
 
     from duke import cli
     from duke.dataset import load_embeddings, load_weights
-    from duke.wkcenter import weighted_objective
+    from duke.wkcenter import GammaSpan, weighted_objective
 
     pts, w = example_files
     args = ("select", "--embeddings", pts, "--weights", w, "--metric",
@@ -90,7 +90,8 @@ def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files):
         def run(*a, **kw):
             runs.append(1)
             sol = selector(*a, **kw)
-            return sol if report_span[0] else replace(sol, span=None)
+            # a span that holds no larger gamma leaves nothing to skip
+            return sol if report_span[0] else replace(sol, span=GammaSpan(np.inf))
         return run
 
     monkeypatch.setattr(cli, "weighted_kcenter", counted(cli.weighted_kcenter))
@@ -99,7 +100,7 @@ def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files):
     # on this instance the spans cover 8 grid gammas with 3 runs
     assert len(runs) == 3
 
-    # a selector that reports no span runs the whole grid
+    # with nothing to skip the search runs the whole grid
     runs.clear()
     report_span[0] = False
     _, full, _ = run_cli(capsys, *args)
@@ -265,6 +266,15 @@ def test_validation_exit_code(capsys, example_files):
         (("oracle", "--k", "3", "--lambda", "nan"), "InvalidArgument"),
         (("oracle", "--k", "3", "--lambda", "-1"), "InvalidArgument"),
         (("oracle", "--k", "3", "--lambda", "inf"), "InvalidArgument"),
+        # methods that read neither flag still check what they echo
+        (("select", "--k", "3", "--method", "random", "--gamma", "-5"),
+         "InvalidArgument"),
+        (("select", "--k", "3", "--method", "greedy-kcenter", "--gamma",
+          "nan"), "InvalidArgument"),
+        (("select", "--k", "3", "--method", "margin", "--gamma", "-1"),
+         "InvalidArgument"),
+        (("oracle", "--k", "3", "--kcenter", "--lambda", "nan"),
+         "InvalidArgument"),
     ):
         code, out, err = run_cli(capsys, *argv, "--embeddings", pts,
                                  "--weights", w, "--metric", "euclidean")

@@ -322,7 +322,8 @@ def test_load_csv_header_and_blank_lines(tmp_path):
 
 def test_load_csv_ragged_row(tmp_path):
     p = tmp_path / "e.csv"
-    p.write_text("1,2\n3,4\n5,6,7\n8,9\n")
+    # blank lines are skipped and not counted: the bad row is data row 2
+    p.write_text("1,2\n3,4\n\n5,6,7\n8,9\n")
     with pytest.raises(RaggedRow) as exc:
         load_embeddings(str(p), fmt="csv")
     assert exc.value.details["row"] == 2
@@ -330,13 +331,15 @@ def test_load_csv_ragged_row(tmp_path):
 
 def test_load_csv_malformed_and_nonfinite(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("1,2\n3,oops\n")
-    with pytest.raises(MalformedValue):
+    bad.write_text("1,2\n\n3,oops\n")
+    with pytest.raises(MalformedValue) as exc:
         load_embeddings(str(bad), fmt="csv")
+    assert exc.value.details["row"] == 1
     nf = tmp_path / "nf.csv"
-    nf.write_text("1,2\nnan,4\n")
-    with pytest.raises(NonFiniteValue):
+    nf.write_text("1,2\n\nnan,4\n")
+    with pytest.raises(NonFiniteValue) as exc:
         load_embeddings(str(nf), fmt="csv")
+    assert exc.value.details["row"] == 1
 
 
 def test_load_csv_empty(tmp_path):

@@ -54,7 +54,7 @@ def test_gen_clusters_deterministic():
 def test_gen_clusters_spread_zero_collapses():
     spec = SyntheticSpec(kind="clusters", n=20, dim=2, clusters=4, spread=0.0, seed=3)
     emb, _ = gen_clusters(spec)
-    # members of the same cluster coincide exactly
+    # points of the same cluster coincide exactly
     assert np.array_equal(emb.features[0], emb.features[4])
     assert np.array_equal(emb.features[1], emb.features[5])
     assert not np.array_equal(emb.features[0], emb.features[1])

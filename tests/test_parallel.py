@@ -2,36 +2,48 @@ import numpy as np
 import pytest
 
 from duke.dataset import EmbeddingSet, WeightVector
-from duke.errors import TooManyWorkers
+from duke.errors import InvalidArgument, TooManyWorkers
 from duke.oracle import brute_force_weighted
-from duke.parallel import PartitionPlan, make_partition, parallel_weighted_kcenter
+from duke.parallel import make_partition, parallel_weighted_kcenter
 from duke.wkcenter import SelectionConfig, weighted_kcenter
 
 
 def test_round_robin_partition():
-    plan = make_partition(10, 2)
-    assert plan.m == 2
-    assert list(plan.members(0)) == [0, 2, 4, 6, 8]
-    assert list(plan.members(1)) == [1, 3, 5, 7, 9]
+    parts = make_partition(10, 2)
+    assert [list(p) for p in parts] == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
 
 
 def test_partition_sizes_balanced():
-    plan = make_partition(7, 3)
-    sizes = sorted(len(plan.members(j)) for j in range(3))
-    assert sizes == [2, 2, 3]
+    parts = make_partition(7, 3)
+    assert sorted(len(p) for p in parts) == [2, 2, 3]
     # every element lands in exactly one part
-    all_members = np.concatenate([plan.members(j) for j in range(3)])
-    assert sorted(all_members) == list(range(7))
+    assert sorted(np.concatenate(parts)) == list(range(7))
 
 
 def test_random_partition_deterministic():
     a = make_partition(50, 4, seed=9, strategy="random")
     b = make_partition(50, 4, seed=9, strategy="random")
-    assert np.array_equal(a.assignment, b.assignment)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
     c = make_partition(50, 4, seed=10, strategy="random")
-    assert not np.array_equal(a.assignment, c.assignment)
-    sizes = sorted(len(c.members(j)) for j in range(4))
+    assert not all(np.array_equal(x, y) for x, y in zip(a, c))
+    sizes = sorted(len(p) for p in c)
     assert max(sizes) - min(sizes) <= 1
+    # point perm[i] goes to worker i % m, each part in index order
+    perm = np.random.default_rng(10).permutation(50)
+    for w, part in enumerate(c):
+        assert list(part) == sorted(perm[w::4])
+
+
+def test_parts_must_cover_every_point_once(rng):
+    emb = EmbeddingSet(rng.normal(size=(10, 2)))
+    w = WeightVector(rng.random(10))
+    cfg = SelectionConfig(k=3, lambda_=0.1, gamma=0.5)
+    # a point in no part, a point in two parts, an index outside the set
+    for parts in ([np.arange(0, 9, 2), np.arange(1, 9, 2)],
+                  [np.arange(0, 10, 2), np.arange(1, 10, 2), np.array([3])],
+                  [np.arange(0, 10, 2), np.array([1, 3, 5, 7, 10])]):
+        with pytest.raises(InvalidArgument):
+            parallel_weighted_kcenter(emb, "euclidean", w, cfg, parts)
 
 
 def test_partition_bounds():
@@ -40,7 +52,7 @@ def test_partition_bounds():
     with pytest.raises(TooManyWorkers):
         make_partition(5, 6)
     one = make_partition(5, 1)
-    assert list(one.members(0)) == list(range(5))
+    assert [list(p) for p in one] == [list(range(5))]
 
 
 def test_single_machine_equals_sequential(rng):
@@ -61,10 +73,9 @@ def test_worker_relabeling_does_not_change_result(rng):
     emb = EmbeddingSet(rng.normal(size=(n, 2)))
     w = WeightVector(rng.random(n))
     cfg = SelectionConfig(k=4, lambda_=0.3, gamma=0.8)
-    plan = make_partition(n, 3, seed=1, strategy="random")
-    relabel = np.array([2, 0, 1])[plan.assignment]
-    swapped = PartitionPlan(m=3, assignment=relabel, strategy="random")
-    a = parallel_weighted_kcenter(emb, "euclidean", w, cfg, plan)
+    parts = make_partition(n, 3, seed=1, strategy="random")
+    swapped = [parts[1], parts[2], parts[0]]
+    a = parallel_weighted_kcenter(emb, "euclidean", w, cfg, parts)
     b = parallel_weighted_kcenter(emb, "euclidean", w, cfg, swapped)
     assert a.indices == b.indices
     assert a.objective == b.objective
@@ -83,8 +94,8 @@ def test_parallel_stays_within_14x(rng):
         gamma = opt.radius_term
         cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma)
         for m in (1, 2, 3):
-            plan = make_partition(n, m, seed=trial, strategy=("round-robin", "random")[trial % 2])
-            sol = parallel_weighted_kcenter(emb, "euclidean", w, cfg, plan)
+            parts = make_partition(n, m, seed=trial, strategy=("round-robin", "random")[trial % 2])
+            sol = parallel_weighted_kcenter(emb, "euclidean", w, cfg, parts)
             assert len(sol.indices) == k
             assert sol.objective <= 14.0 * opt.objective + 1e-9, (trial, m)
 

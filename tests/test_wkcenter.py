@@ -20,6 +20,7 @@ from duke.errors import (
     ZeroVectorCosine,
 )
 from duke.oracle import brute_force_weighted
+from duke.parallel import make_partition, parallel_weighted_kcenter
 from duke.wkcenter import (
     SelectionConfig,
     default_lambda,
@@ -362,8 +363,9 @@ def test_selection_follows_a_permutation_of_the_input(inst):
 
 # On the line -2, 1.5, 3 (lightest first) point 3 is the far anchor for
 # 3*gamma in [3.5, 5). At gamma 1.2 it is its own ball pick, and point 1.5
-# ahead of it bounds the span at gamma < 1.5; at gamma 1.5 point 1.5 is the
-# pick, which bounds the span at gamma >= 1.5.
+# ahead of it ends the span below gamma 1.5; at gamma 1.5 point 1.5 is the
+# pick, and the span starts at the run's own gamma, the first guess at
+# which point 1.5 is within gamma of the anchor.
 _LINE = ([[-2.0], [1.5], [3.0]], [0.0, 0.25, 0.5], "euclidean")
 
 
@@ -430,27 +432,43 @@ def test_gamma_search_equals_selector_at_every_grid_gamma(rng, monkeypatch):
         return selector(*args)
 
     monkeypatch.setattr(wkcenter, "weighted_kcenter", counted)
-    stopped = 0
+    stopped = {"duke": 0, "parallel": 0}
     for trial in range(40):
         n = int(rng.integers(3, 30))
         k = int(rng.integers(1, n))
         metric = ("euclidean", "cosine-distance")[trial % 2]
         emb = EmbeddingSet(rng.normal(size=(n, 2)))
         w = WeightVector(np.round(rng.random(n), 1))
-        runs.clear()
-        sol, trace = gamma_search(emb, metric, w, k, 0.5, grid_size=8)
-        stopped += len(runs) < 8
+        parts = make_partition(n, 2, seed=trial,
+                               strategy=("round-robin", "random")[trial % 2])
+
+        def duke(g):
+            cfg = SelectionConfig(k=k, lambda_=0.5, gamma=g)
+            return selector(emb, metric, w, cfg)
+
+        def parallel(g):
+            runs.append(1)
+            cfg = SelectionConfig(k=k, lambda_=0.5, gamma=g)
+            return parallel_weighted_kcenter(emb, metric, w, cfg, parts)
+
         grid = make_gamma_grid(*gamma_bounds(emb, metric, w, k), 8)
-        full = [selector(emb, metric, w, SelectionConfig(
-            k=k, lambda_=0.5, gamma=float(g))) for g in grid]
-        assert trace == [(float(g), r.objective) for g, r in zip(grid, full)]
-        best = min(full, key=lambda r: r.objective)    # first of equals
-        assert sol.indices == best.indices
-        assert sol.gamma_used == best.gamma_used
-        assert (sol.radius_term, sol.weight_term, sol.objective) == \
-            (best.radius_term, best.weight_term, best.objective)
+        # the default runner is duke's; parallel runs are passed in
+        for name, run, runner in (("duke", duke, None),
+                                  ("parallel", parallel, parallel)):
+            runs.clear()
+            sol, trace = gamma_search(emb, metric, w, k, 0.5, grid_size=8,
+                                      runner=runner)
+            stopped[name] += len(runs) < 8
+            full = [run(float(g)) for g in grid]
+            assert trace == [(float(g), r.objective)
+                             for g, r in zip(grid, full)]
+            best = min(full, key=lambda r: r.objective)    # first of equals
+            assert sol.indices == best.indices
+            assert sol.gamma_used == best.gamma_used
+            assert (sol.radius_term, sol.weight_term, sol.objective) == \
+                (best.radius_term, best.weight_term, best.objective)
     # the early stop fired on part of the instances, not on all
-    assert 0 < stopped < 40
+    assert all(0 < s < 40 for s in stopped.values()), stopped
 
 
 def test_gamma_search_beats_three_x_on_euclidean(rng):
