@@ -16,6 +16,8 @@ other distance is within a relative ``(dim + 2) * eps / NEAR`` of the true one.
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -303,13 +305,21 @@ def distance_matrix(emb: EmbeddingSet, metric: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # file ingestion
 
-def _parse_csv(path: Path, header: bool) -> np.ndarray:
+def _parse_csv_reference(path: Path, header: bool) -> np.ndarray:
+    """The CSV format's definition, in Python.
+
+    UTF-8 text; with ``header`` the first line is skipped unread. A line
+    that strips to nothing is skipped and not counted; every other line is a
+    data row of comma-separated tokens, each one a string ``float`` accepts
+    (surrounding whitespace, ``1_0``, non-ASCII digits, ``nan`` and ``inf``
+    included). Every row has the first row's number of tokens. Errors name
+    the data row: its index among the non-blank lines after the header. A
+    byte that is not UTF-8 makes its token malformed.
+    """
     rows: list[list[float]] = []
     arity = -1
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = fh.readlines()
-    # errors name the data row: its index among the non-blank lines after
-    # the header, as NonFiniteValue and the raw-float32 loader count
     for line in lines[1 if header else 0:]:
         stripped = line.strip()
         if not stripped:
@@ -324,29 +334,72 @@ def _parse_csv(path: Path, header: bool) -> np.ndarray:
             try:
                 vals.append(float(tok))
             except ValueError:
-                raise MalformedValue(row=len(rows), token=tok.strip()) from None
+                # an undecodable byte is shown as its \xNN escape
+                shown = tok.strip().encode("utf-8", "surrogateescape")
+                raise MalformedValue(
+                    row=len(rows),
+                    token=shown.decode("utf-8", "backslashreplace")) from None
         rows.append(vals)
     if not rows:
         raise EmptyInput(path=str(path))
-    arr = np.array(rows, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        bad = int(np.argwhere(~np.isfinite(arr).all(axis=1))[0, 0])
-        raise NonFiniteValue(row=bad)
+    return np.array(rows, dtype=np.float64)
+
+
+def _parse_csv(path: Path, header: bool) -> np.ndarray:
+    """Parse a CSV file with numpy's C reader, or else with the reference.
+
+    ``np.loadtxt`` accepts a subset of :func:`_parse_csv_reference`'s
+    grammar (no whitespace-only lines, no ``1_0``, ASCII digits only) and
+    gives the same float for every token it accepts, as both end in
+    CPython's string-to-double. Wherever it raises or finds no rows, the
+    reference parses the file again, so the result and every error (row and
+    token included) are the reference's.
+    """
+    try:
+        with warnings.catch_warnings():
+            # no rows is the reference's EmptyInput, not a second stderr line
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning)
+            # comments=None: '#' is a malformed token, not a comment
+            arr = np.loadtxt(path, dtype=np.float64, delimiter=",",
+                             comments=None, skiprows=1 if header else 0,
+                             ndmin=2, encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError included
+        arr = None
+    if arr is None or arr.shape[0] == 0:
+        return _parse_csv_reference(path, header)
     return arr
 
 
+# float32 values converted per read while filling the float64 matrix
+_RAW_CHUNK = BLOCK_BYTES // 4
+
+
 def _parse_raw_float32(path: Path, dim: int) -> np.ndarray:
+    """Little-endian float32 rows of ``dim`` values, widened to float64.
+
+    The row count comes from the file size, and the float64 matrix is filled
+    one chunk of about 1 MiB at a time, so no whole float32 copy is held.
+    """
     if dim is None or dim < 1:
         raise MalformedValue(dim=dim)
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size == 0:
-        raise EmptyInput(path=str(path))
-    if raw.size % dim != 0:
-        raise TruncatedInput(values=raw.size, dim=dim)
-    arr = raw.reshape(-1, dim).astype(np.float64)
-    if not np.isfinite(arr).all():
-        bad = int(np.argwhere(~np.isfinite(arr).all(axis=1))[0, 0])
-        raise NonFiniteValue(row=bad)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size % 4 != 0:
+            raise TruncatedInput(bytes=size)
+        values = size // 4
+        if values == 0:
+            raise EmptyInput(path=str(path))
+        if values % dim != 0:
+            raise TruncatedInput(values=values, dim=dim)
+        arr = np.empty((values // dim, dim), dtype=np.float64)
+        flat = arr.reshape(-1)
+        for a in range(0, values, _RAW_CHUNK):
+            count = min(_RAW_CHUNK, values - a)
+            chunk = np.fromfile(fh, dtype="<f4", count=count)
+            if chunk.size != count:  # the file shrank after its size was read
+                raise TruncatedInput(bytes=4 * (a + chunk.size))
+            flat[a:a + count] = chunk
     return arr
 
 
@@ -355,7 +408,8 @@ def load_matrix(path, fmt: str = "csv", dim: int | None = None,
     """Shared loader for embeddings, probabilities and weight columns.
 
     The parsed array is returned read-only, so the containers take it without
-    a copy."""
+    a copy. Non-finite values pass through: each container raises
+    NonFiniteValue at the first row that holds one."""
     p = Path(path)
     if fmt == "csv":
         arr = _parse_csv(p, header)

@@ -365,18 +365,36 @@ def test_out_flag_writes_report(capsys, tmp_path, example_files):
     assert rep.get("solution", "objective") == "6"
 
 
-def test_module_entrypoint_subprocess(example_files):
-    pts, w = example_files
-    # the child imports the same duke as this process, installed or not
+def _run_module(*argv):
+    # the child imports the same duke as this process, installed or not, and
+    # prints warnings as an interpreter does by default
     src = str(Path(duke.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "duke", "select", "--embeddings", pts,
-         "--weights", w, "--metric", "euclidean", "--k", "8",
-         "--lambda", "1", "--gamma", "2"],
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "duke", *argv],
         capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+def test_module_entrypoint_subprocess(example_files):
+    pts, w = example_files
+    proc = _run_module(
+        "select", "--embeddings", pts, "--weights", w, "--metric",
+        "euclidean", "--k", "8", "--lambda", "1", "--gamma", "2")
     assert proc.returncode == 0
     assert "objective = 6" in proc.stdout
+
+
+@pytest.mark.parametrize("data,error", [
+    (b"", "EmptyInput"),
+    (b"1,2\n3,\xff\n", "MalformedValue{row=1,token=\\xff}"),
+])
+def test_data_error_is_one_stderr_line(tmp_path, data, error):
+    pts = tmp_path / "e.csv"
+    pts.write_bytes(data)
+    proc = _run_module("select", "--embeddings", str(pts), "--k", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: " + error)

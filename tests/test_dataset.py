@@ -22,6 +22,7 @@ from duke.dataset import (
     min_dists,
 )
 from duke.errors import (
+    DukeError,
     EmptyInput,
     MalformedValue,
     NonFiniteValue,
@@ -349,6 +350,99 @@ def test_load_csv_empty(tmp_path):
         load_embeddings(str(p), fmt="csv")
 
 
+def test_load_csv_invalid_utf8_names_the_row(tmp_path):
+    p = tmp_path / "e.csv"
+    p.write_bytes(b"1,2\n\n3,4\n5,\xff6\n")
+    with pytest.raises(MalformedValue) as exc:
+        load_embeddings(str(p), fmt="csv")
+    assert exc.value.details == {"row": 2, "token": "\\xff6"}
+
+
+def _csv_outcome(parse, path, header):
+    try:
+        arr = parse(path, header)
+    except DukeError as exc:
+        return type(exc), exc.details
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+_NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.17g" % x),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+)
+_ODD_TOKENS = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "Infinity", "1e500", "-1e500", "1e-500",
+    "1_0", "", " ", "#", "1 # c", "x", "\u0661", "\u00a01", "0x10", '"1"',
+])
+
+
+@st.composite
+def _csv_texts(draw):
+    cols = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+            continue
+        width = cols if kind > 1 else draw(st.integers(1, 5))
+        tokens = []
+        for _ in range(width):
+            tok = draw(_ODD_TOKENS if draw(st.integers(0, 15)) == 0
+                       else _NUMBER_TOKENS)
+            pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
+            tokens.append(pad + tok + pad)
+        lines.append(",".join(tokens))
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, draw(st.sampled_from(["x,y", "a", "", "1,2", "# h"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if lines and draw(st.booleans()) else "")
+    return text, header
+
+
+@given(case=_csv_texts())
+@settings(max_examples=400, deadline=None)
+def test_csv_fast_path_matches_the_reference(tmp_path_factory, case):
+    # the C reader must give the reference parser's bits, or its error
+    text, header = case
+    path = tmp_path_factory.mktemp("csv") / "e.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_csv_outcome(dataset._parse_csv, path, header)
+            == _csv_outcome(dataset._parse_csv_reference, path, header))
+
+
+@pytest.mark.parametrize("text,header", [("", False), ("x,y\n", True),
+                                         ("\n \n", False)])
+def test_csv_without_rows_is_empty_input(tmp_path, text, header):
+    p = tmp_path / "e.csv"
+    p.write_text(text)
+    for parse in (dataset._parse_csv, dataset._parse_csv_reference):
+        with pytest.raises(EmptyInput):
+            parse(p, header)
+
+
+def test_csv_reference_runs_only_when_the_c_reader_fails(tmp_path,
+                                                         monkeypatch):
+    calls = []
+    ref = dataset._parse_csv_reference
+
+    def spy(*args):
+        calls.append(args)
+        return ref(*args)
+
+    monkeypatch.setattr(dataset, "_parse_csv_reference", spy)
+    p = tmp_path / "e.csv"
+    p.write_text("h\n1.5, 2\r\n\n-3e2,inf\n")
+    arr = dataset._parse_csv(p, True)
+    assert arr.tolist() == [[1.5, 2.0], [-300.0, np.inf]] and not calls
+    # loadtxt rejects the underscore, float() accepts it
+    p.write_text("1_0,2\n")
+    assert dataset._parse_csv(p, False).tolist() == [[10.0, 2.0]]
+    assert len(calls) == 1
+
+
 def test_load_raw_float32(tmp_path):
     p = tmp_path / "e.bin"
     np.arange(8, dtype="<f4").tofile(p)
@@ -363,6 +457,24 @@ def test_load_raw_float32_truncated(tmp_path):
     np.arange(7, dtype="<f4").tofile(p)
     with pytest.raises(TruncatedInput):
         load_embeddings(str(p), fmt="raw-float32", dim=2)
+
+
+def test_load_raw_float32_trailing_bytes(tmp_path):
+    p = tmp_path / "e.bin"
+    p.write_bytes(np.arange(6, dtype="<f4").tobytes() + b"\0\0")
+    with pytest.raises(TruncatedInput) as exc:
+        load_embeddings(str(p), fmt="raw-float32", dim=3)
+    assert exc.value.details == {"bytes": 26}
+
+
+def test_load_raw_float32_reads_in_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "_RAW_CHUNK", 5)
+    vals = np.random.default_rng(0).normal(size=(7, 3)).astype("<f4")
+    p = tmp_path / "e.bin"
+    vals.tofile(p)
+    arr = dataset.load_matrix(p, "raw-float32", 3)
+    assert arr.dtype == np.float64
+    assert np.array_equal(arr, vals.astype(np.float64))
 
 
 def test_load_weights_and_probs(tmp_path):
