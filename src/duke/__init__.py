@@ -13,17 +13,15 @@ from .dataset import (
 )
 from .nngraph import NeighborGraph, build_knn_graph
 from .wkcenter import (
-    SelectionConfig,
     SubsetSolution,
+    check_selection,
     default_lambda,
     evaluate_solution,
     gamma_bounds,
     gamma_search,
     greedy_kcenter,
-    kcenter_cost,
     make_gamma_grid,
     weighted_kcenter,
-    weighted_objective,
 )
 from .parallel import make_partition, parallel_weighted_kcenter
 from .oracle import (

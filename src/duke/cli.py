@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -24,16 +25,17 @@ from .dataset import (
     margin_weights,
     METRICS,
 )
-from .errors import DukeError, MissingFile, SizeMismatch, UsageError
+from .errors import (DukeError, InvalidArgument, MissingFile, SizeMismatch,
+                     TooManyWorkers, UsageError)
 from .instances import KINDS, SyntheticSpec, gen_clusters
 from .nngraph import build_knn_graph, export_graph
 from .oracle import brute_force_kcenter, brute_force_weighted
 from .parallel import STRATEGIES, make_partition, parallel_weighted_kcenter
 from .report import Report, fmt_float
 from .wkcenter import (
-    SelectionConfig,
     SubsetSolution,
     check_lambda,
+    check_selection,
     default_lambda,
     evaluate_solution,
     gamma_search,
@@ -43,9 +45,6 @@ from .wkcenter import (
 
 METHODS = ("duke", "parallel", "greedy-kcenter", "random", "margin",
            "submodular")
-# selectors that score their own result with the run's lambda; their radius
-# and weight sum equal evaluate_solution's bit for bit
-SELF_EVALUATING = ("duke", "parallel", "greedy-kcenter")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,8 +138,17 @@ def cmd_select(args) -> tuple[Report, int]:
         ("lambda_s", args.lambda_s),
     ])
 
-    # every method echoes --gamma and --lambda, so both are checked first
-    SelectionConfig(k, lam, 0.0 if args.gamma is None else args.gamma).validate(emb.n)
+    # every method echoes every flag, so each is checked first, as the
+    # method that reads it would check it
+    check_selection(emb.n, k, lam, 0.0 if args.gamma is None else args.gamma)
+    if args.gamma_grid < 1:
+        raise InvalidArgument(grid_size=args.gamma_grid)
+    if not 1 <= args.machines <= emb.n:
+        raise TooManyWorkers(m=args.machines, n=emb.n)
+    if args.knn < 1:
+        raise InvalidArgument(k_nn=args.knn)
+    if not (math.isfinite(args.lambda_s) and args.lambda_s >= 0.0):
+        raise InvalidArgument(lambda_s=args.lambda_s)
 
     t1 = _now_ms()
     graph_ms = 0.0
@@ -151,10 +159,10 @@ def cmd_select(args) -> tuple[Report, int]:
                                strategy=args.partition)
 
     def run_fixed(gamma: float) -> SubsetSolution:
-        cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma)
         if method == "duke":
-            return weighted_kcenter(emb, metric, weights, cfg)
-        return parallel_weighted_kcenter(emb, metric, weights, cfg, parts)
+            return weighted_kcenter(emb, metric, weights, k, lam, gamma)
+        return parallel_weighted_kcenter(emb, metric, weights, k, lam, gamma,
+                                         parts)
 
     if method in ("duke", "parallel"):
         if args.gamma is not None:
@@ -165,23 +173,21 @@ def cmd_select(args) -> tuple[Report, int]:
             for g, objective in trace:
                 rep.add("trace", f"gamma_{fmt_float(g)}", objective)
     elif method == "greedy-kcenter":
-        sol = greedy_kcenter(emb, metric, k, weights, lam)
-    elif method == "random":
-        sol = baselines.random_select(emb.n, k, args.seed)
-    elif method == "margin":
-        sol = baselines.margin_select(weights, k)
-    elif method == "submodular":
-        g0 = _now_ms()
-        graph = build_knn_graph(emb, args.knn, metric)
-        graph_ms = _now_ms() - g0
-        sims = baselines.edge_similarities(graph)
-        utils = baselines.utility_from_weights(weights)
-        sol = baselines.submodular_greedy(graph, utils, sims, args.lambda_s, k)
+        sol = greedy_kcenter(emb, metric, weights, k, lam)
     else:
-        raise UsageError(method=method)
-
-    if method not in SELF_EVALUATING:
-        sol = evaluate_solution(emb, metric, weights, lam, sol)
+        extra = {}
+        if method == "random":
+            picks = baselines.random_select(emb.n, k, args.seed)
+        elif method == "margin":
+            picks = baselines.margin_select(weights, k)
+        else:
+            g0 = _now_ms()
+            graph = build_knn_graph(emb, args.knn, metric)
+            graph_ms = _now_ms() - g0
+            picks, extra = baselines.submodular_greedy(graph, weights,
+                                                       args.lambda_s, k)
+        sol = evaluate_solution(emb, metric, weights, lam, picks, method,
+                                extra=extra)
     select_ms = _now_ms() - t1
     _solution_block(rep, sol)
     rep.add("timing", "load_ms", t_load)

@@ -173,8 +173,6 @@ def margin_weights(probs: ProbabilityMatrix) -> WeightVector:
     classes tie gets weight 0. Invariant to permuting columns within a row.
     """
     v = probs.values
-    if v.shape[1] < 2:
-        raise TooFewClasses(classes=v.shape[1])
     part = np.partition(v, v.shape[1] - 2, axis=1)
     return WeightVector(part[:, -1] - part[:, -2])
 

@@ -14,14 +14,12 @@ repeat, so its span is the intersection of theirs.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .dataset import EmbeddingSet, WeightVector
 from .errors import InvalidArgument, SizeMismatch, TooManyWorkers
-from .wkcenter import (GammaSpan, SelectionConfig, SubsetSolution,
-                       weighted_kcenter, weighted_objective)
+from .wkcenter import (GammaSpan, SubsetSolution, check_selection,
+                       evaluate_solution, weighted_kcenter)
 
 __all__ = ["make_partition", "parallel_weighted_kcenter"]
 
@@ -43,13 +41,14 @@ def make_partition(n: int, m: int, seed: int = 0,
 
 
 def parallel_weighted_kcenter(emb: EmbeddingSet, metric: str,
-                              weights: WeightVector, config: SelectionConfig,
+                              weights: WeightVector, k: int, lambda_: float,
+                              gamma: float,
                               parts: list[np.ndarray]) -> SubsetSolution:
     """Select on each part, then reselect on the union of the picks.
 
     ``parts`` must hold every index in ``range(n)`` exactly once."""
     n = emb.n
-    config.validate(n)
+    check_selection(n, k, lambda_, gamma)
     if weights.n != n:
         raise SizeMismatch(expected=n, got=weights.n)
     if not 1 <= len(parts) <= n:
@@ -61,26 +60,23 @@ def parallel_weighted_kcenter(emb: EmbeddingSet, metric: str,
     for part in parts:
         if part.size == 0:
             continue
-        sub_cfg = replace(config, k=min(config.k, int(part.size)))
         sub_sol = weighted_kcenter(emb.subset(part), metric,
-                                   weights.subset(part), sub_cfg)
+                                   weights.subset(part),
+                                   min(k, int(part.size)), lambda_, gamma)
         candidate_lists.append(part[np.asarray(sub_sol.indices)])
         spans.append(sub_sol.span)
 
     union = np.sort(np.concatenate(candidate_lists))
-    red_cfg = replace(config, k=min(config.k, int(union.size)))
     red_sol = weighted_kcenter(emb.subset(union), metric,
-                               weights.subset(union), red_cfg)
+                               weights.subset(union), min(k, int(union.size)),
+                               lambda_, gamma)
     spans.append(red_sol.span)
-    final = [int(union[i]) for i in red_sol.indices]
 
-    radius, wsum, obj = weighted_objective(emb, metric, weights,
-                                           config.lambda_, final)
-    return SubsetSolution(
-        indices=final, radius_term=radius, weight_term=wsum, objective=obj,
-        algorithm="parallel", gamma_used=config.gamma,
+    return evaluate_solution(
+        emb, metric, weights, lambda_, union[red_sol.indices], "parallel",
+        gamma_used=gamma,
         extra={"machines": len(parts), "union_size": int(union.size),
                "worker_candidates": [sorted(map(int, c))
                                      for c in candidate_lists]},
-        span=GammaSpan(config.gamma, min(s.t_hi for s in spans),
+        span=GammaSpan(gamma, min(s.t_hi for s in spans),
                        min(s.g_hi for s in spans)))

@@ -18,7 +18,6 @@ from .dataset import EmbeddingSet, WeightVector
 from .oracle import brute_force_kcenter, brute_force_weighted
 from .parallel import make_partition, parallel_weighted_kcenter
 from .wkcenter import (
-    SelectionConfig,
     gamma_bounds,
     gamma_search,
     greedy_kcenter,
@@ -125,8 +124,7 @@ def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
 
         opt = brute_force_weighted(emb, metric, weights, k, lam)
         gamma_star = opt.radius_term
-        cfg = SelectionConfig(k=k, lambda_=lam, gamma=gamma_star)
-        sol = weighted_kcenter(emb, metric, weights, cfg)
+        sol = weighted_kcenter(emb, metric, weights, k, lam, gamma_star)
 
         ratio = sol.objective / opt.objective
         s_ratio.record(sol.objective <= 3.0 * opt.objective, ratio,
@@ -141,8 +139,8 @@ def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
                                    f"radius {sol.radius_term!r} > 3x gamma* {gamma_star!r}"))
 
         for alpha in _ALPHAS:
-            cfg_a = SelectionConfig(k=k, lambda_=lam, gamma=alpha * gamma_star)
-            sol_a = weighted_kcenter(emb, metric, weights, cfg_a)
+            sol_a = weighted_kcenter(emb, metric, weights, k, lam,
+                                     alpha * gamma_star)
             bound = 3.0 * alpha * opt.objective
             s_alpha.record(sol_a.objective <= bound,
                            sol_a.objective / opt.objective,
@@ -156,7 +154,7 @@ def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
                          _serialize(emb, weights, k, lam, metric,
                                     f"bracket failed: {gamma1!r} <= {gamma_star!r} <= {gamma2!r}"))
 
-        grd = greedy_kcenter(emb, metric, k)
+        grd = greedy_kcenter(emb, metric, weights, k)
         factor = 4.0 if metric == "cosine-distance" else 2.0
         stat = s_greedy_cos if metric == "cosine-distance" else s_greedy
         stat.record(grd.radius_term <= factor * gamma1,
@@ -180,14 +178,15 @@ def parallel_suite(trials: int = 60, seed: int = 2) -> VerifySummary:
         emb, weights, k = _rand_instance(rng, 6, 12, 4)
 
         opt = brute_force_weighted(emb, metric, weights, k, lam)
-        cfg = SelectionConfig(k=k, lambda_=lam, gamma=opt.radius_term)
-        seq = weighted_kcenter(emb, metric, weights, cfg)
+        gamma = opt.radius_term
+        seq = weighted_kcenter(emb, metric, weights, k, lam, gamma)
         strategy = "round-robin" if t % 2 == 0 else "random"
         for m in _MACHINES:
             if m > emb.n:
                 continue
             parts = make_partition(emb.n, m, seed=t, strategy=strategy)
-            par = parallel_weighted_kcenter(emb, metric, weights, cfg, parts)
+            par = parallel_weighted_kcenter(emb, metric, weights, k, lam,
+                                            gamma, parts)
             s_qual.record(par.objective <= 14.0 * opt.objective,
                           par.objective / opt.objective,
                           _serialize(emb, weights, k, lam, metric,
@@ -234,8 +233,7 @@ def early_stop_suite(instances: int = 200, seed: int = 3) -> VerifySummary:
 
         sol, trace = gamma_search(emb, metric, weights, k, lam, _GRID_SIZE)
         grid = make_gamma_grid(*gamma_bounds(emb, metric, weights, k), _GRID_SIZE)
-        runs = [weighted_kcenter(emb, metric, weights,
-                                 SelectionConfig(k=k, lambda_=lam, gamma=float(g)))
+        runs = [weighted_kcenter(emb, metric, weights, k, lam, float(g))
                 for g in grid]
         best = min(runs, key=lambda r: r.objective)   # first of equals
         same = (trace == [(float(g), r.objective) for g, r in zip(grid, runs)]

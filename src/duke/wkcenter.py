@@ -32,6 +32,11 @@ run at any guess in that span repeats it pick for pick. The grid search
 walks upward, runs the selector only at grid gammas outside the span of its
 last run and copies the objective into the trace for the rest.
 
+Every selection, whoever picked it, is scored by :func:`_scored` from the
+distance of every point to its nearest pick: the selectors here pass the
+distances they folded, and :func:`evaluate_solution` computes them in one
+pass for picks that come without.
+
 Weights and distances are consumed on their native scales; lambda alone
 balances the two terms.
 """
@@ -39,7 +44,7 @@ balances the two terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,11 +54,9 @@ from .errors import BudgetExceedsGroundSet, InvalidArgument, SizeMismatch
 
 __all__ = [
     "check_lambda",
-    "SelectionConfig",
+    "check_selection",
     "GammaSpan",
     "SubsetSolution",
-    "kcenter_cost",
-    "weighted_objective",
     "evaluate_solution",
     "greedy_kcenter",
     "weighted_kcenter",
@@ -70,21 +73,15 @@ def check_lambda(lambda_: float) -> None:
         raise InvalidArgument(lambda_=lambda_)
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
-    """Run parameters for one selection."""
-
-    k: int
-    lambda_: float
-    gamma: float
-
-    def validate(self, n: int) -> None:
-        if self.k < 1 or self.k > n:
-            raise BudgetExceedsGroundSet(k=self.k, n=n)
-        check_lambda(self.lambda_)
-        # written so that NaN fails; gamma = inf is a legal all-fill run
-        if not self.gamma >= 0.0:
-            raise InvalidArgument(gamma=self.gamma)
+def check_selection(n: int, k: int, lambda_: float, gamma: float) -> None:
+    """Reject a budget outside [1, n], a bad lambda or a negative or NaN
+    gamma; gamma = inf is a legal all-fill run."""
+    if k < 1 or k > n:
+        raise BudgetExceedsGroundSet(k=k, n=n)
+    check_lambda(lambda_)
+    # written so that NaN fails
+    if not gamma >= 0.0:
+        raise InvalidArgument(gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -111,13 +108,10 @@ class GammaSpan:
 
 @dataclass
 class SubsetSolution:
-    """A selected subset plus its evaluation.
+    """A selected subset plus its score.
 
-    ``indices`` is the selection order. ``objective`` always equals
-    ``radius_term + lambda * weight_term`` as computed by
-    :func:`weighted_objective`; selectors that cannot evaluate themselves
-    (the simple baselines) leave the three terms NaN until
-    :func:`evaluate_solution` fills them.
+    ``indices`` is the selection order. ``objective`` is
+    ``radius_term + lambda * weight_term``, as :func:`_scored` computes it.
 
     ``far_rounds`` counts the rounds of a :func:`weighted_kcenter` run that
     took the far branch. ``span`` holds the guesses at which a
@@ -137,50 +131,45 @@ class SubsetSolution:
     span: GammaSpan | None = None
 
 
-def _weight_sum(weights: WeightVector, centers) -> float:
-    # canonical ascending-index order so equal sets sum bitwise-equal
-    idx = np.sort(np.asarray(centers, dtype=np.int64))
-    return float(weights.values[idx].sum())
+def _scored(weights: WeightVector, lambda_: float, indices, dmin: np.ndarray,
+            algorithm: str, gamma_used: float = 0.0,
+            **fields) -> SubsetSolution:
+    """Score a selection from the distance of every point to it.
 
-
-def kcenter_cost(emb: EmbeddingSet, metric: str, centers) -> float:
-    """Covering radius: max over points of distance to the nearest center."""
-    return float(min_dists(emb, metric, centers).max())
-
-
-def weighted_objective(emb: EmbeddingSet, metric: str, weights: WeightVector,
-                       lambda_: float, centers) -> tuple[float, float, float]:
-    """(radius_term, weight_term, objective) for a center set."""
-    check_lambda(lambda_)
-    if weights.n != emb.n:
-        raise SizeMismatch(expected=emb.n, got=weights.n)
-    radius = kcenter_cost(emb, metric, centers)
-    wsum = _weight_sum(weights, centers)
-    return radius, wsum, radius + lambda_ * wsum
+    The radius is ``dmin.max()``. The weight sum runs in ascending index
+    order, so equal sets score bit for bit the same whatever order they
+    were picked in."""
+    indices = [int(i) for i in indices]
+    radius = float(dmin.max())
+    wsum = float(weights.values[np.sort(indices)].sum())
+    return SubsetSolution(indices=indices, radius_term=radius,
+                          weight_term=wsum, objective=radius + lambda_ * wsum,
+                          algorithm=algorithm, gamma_used=gamma_used, **fields)
 
 
 def evaluate_solution(emb: EmbeddingSet, metric: str, weights: WeightVector,
-                      lambda_: float, sol: SubsetSolution) -> SubsetSolution:
-    """Fill the evaluation fields of a solution from its indices."""
-    radius, wsum, obj = weighted_objective(emb, metric, weights, lambda_,
-                                           sol.indices)
-    return replace(sol, radius_term=radius, weight_term=wsum, objective=obj)
+                      lambda_: float, indices, algorithm: str,
+                      **fields) -> SubsetSolution:
+    """Score a selection by one pass of :func:`min_dists` over its indices.
+
+    ``fields`` are passed on to :class:`SubsetSolution`."""
+    check_lambda(lambda_)
+    if weights.n != emb.n:
+        raise SizeMismatch(expected=emb.n, got=weights.n)
+    return _scored(weights, lambda_, indices,
+                   min_dists(emb, metric, indices), algorithm, **fields)
 
 
-def greedy_kcenter(emb: EmbeddingSet, metric: str, k: int,
-                   weights: WeightVector | None = None,
-                   lambda_: float = 0.0) -> SubsetSolution:
+def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
+                   k: int, lambda_: float = 0.0) -> SubsetSolution:
     """Farthest-point traversal from point 0. 2-approximation for the
     k-center radius.
 
-    The picks ignore weights. With ``weights`` the traversal's own radius is
-    scored as :func:`evaluate_solution` would score it; without, weight_term
-    is 0 and the objective equals the radius."""
+    The picks ignore weights; the traversal scores its own selection from
+    the distances it folded."""
     n = emb.n
-    if k < 1 or k > n:
-        raise BudgetExceedsGroundSet(k=k, n=n)
-    check_lambda(lambda_)
-    if weights is not None and weights.n != n:
+    check_selection(n, k, lambda_, 0.0)
+    if weights.n != n:
         raise SizeMismatch(expected=n, got=weights.n)
     selected = [0]
     in_s = np.zeros(n, dtype=bool)
@@ -192,15 +181,11 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, k: int,
         selected.append(nxt)
         in_s[nxt] = True
         np.minimum(dmin, metric_row(emb, metric, nxt), out=dmin)
-    radius = float(dmin.max())
-    wsum = 0.0 if weights is None else _weight_sum(weights, selected)
-    return SubsetSolution(indices=selected, radius_term=radius,
-                          weight_term=wsum, objective=radius + lambda_ * wsum,
-                          algorithm="greedy-kcenter", gamma_used=0.0)
+    return _scored(weights, lambda_, selected, dmin, "greedy-kcenter")
 
 
 def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
-                     config: SelectionConfig) -> SubsetSolution:
+                     k: int, lambda_: float, gamma: float) -> SubsetSolution:
     """Reference selector at a fixed gamma.
 
     Seeds with the globally lightest point. Per round: if some point is still
@@ -225,10 +210,9 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     The fill picks do not depend on gamma.
     """
     n = emb.n
-    config.validate(n)
+    check_selection(n, k, lambda_, gamma)
     if weights.n != n:
         raise SizeMismatch(expected=n, got=weights.n)
-    gamma = config.gamma
     three_gamma = 3.0 * gamma
 
     order = np.lexsort((np.arange(n), weights.values))
@@ -238,7 +222,7 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     dmin = metric_row(emb, metric, selected[0])
     t_hi = g_hi = np.inf
 
-    while len(selected) < config.k:
+    while len(selected) < k:
         d = dmin[order]
         a = int(np.argmax(d > three_gamma))
         if not d[a] > three_gamma:
@@ -261,19 +245,13 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         np.minimum(dmin, row, out=dmin)
     far_rounds = len(selected) - 1
 
-    if len(selected) < config.k:
-        rest = order[~taken][:config.k - len(selected)]
+    if len(selected) < k:
+        rest = order[~taken][:k - len(selected)]
         selected.extend(int(i) for i in rest)
         np.minimum(dmin, min_dists(emb, metric, rest), out=dmin)
 
-    radius = float(dmin.max())
-    wsum = _weight_sum(weights, selected)
-    return SubsetSolution(indices=selected, radius_term=radius,
-                          weight_term=wsum,
-                          objective=radius + config.lambda_ * wsum,
-                          algorithm="duke", gamma_used=gamma,
-                          far_rounds=far_rounds,
-                          span=GammaSpan(gamma, t_hi, g_hi))
+    return _scored(weights, lambda_, selected, dmin, "duke", gamma,
+                   far_rounds=far_rounds, span=GammaSpan(gamma, t_hi, g_hi))
 
 
 def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -284,16 +262,11 @@ def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
     solution an infinite lambda would force. Lower bound: half the greedy
     farthest-point radius, valid because greedy is a 2-approximation to the
     best achievable radius and no weighted solution can beat that radius.
+    The greedy run checks k and the weights first.
     """
-    n = emb.n
-    if k < 1 or k > n:
-        raise BudgetExceedsGroundSet(k=k, n=n)
-    if weights.n != n:
-        raise SizeMismatch(expected=n, got=weights.n)
-    order = np.lexsort((np.arange(n), weights.values))
-    lightest = np.sort(order[:k])
-    hi = kcenter_cost(emb, metric, lightest)
-    lo = greedy_kcenter(emb, metric, k).radius_term / 2.0
+    lo = greedy_kcenter(emb, metric, weights, k).radius_term / 2.0
+    order = np.lexsort((np.arange(emb.n), weights.values))
+    hi = float(min_dists(emb, metric, np.sort(order[:k])).max())
     return lo, hi
 
 
@@ -333,8 +306,7 @@ def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
     per grid gamma."""
     if runner is None:
         def runner(gamma: float) -> SubsetSolution:
-            cfg = SelectionConfig(k=k, lambda_=lambda_, gamma=gamma)
-            return weighted_kcenter(emb, metric, weights, cfg)
+            return weighted_kcenter(emb, metric, weights, k, lambda_, gamma)
     lo, hi = gamma_bounds(emb, metric, weights, k)
     best: SubsetSolution | None = None
     last: SubsetSolution | None = None

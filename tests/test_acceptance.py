@@ -24,7 +24,6 @@ from duke.oracle import brute_force_kcenter, brute_force_weighted
 from duke.parallel import make_partition, parallel_weighted_kcenter
 from duke.verify import parallel_suite, bounds_suite
 from duke.wkcenter import (
-    SelectionConfig,
     default_lambda,
     gamma_bounds,
     weighted_kcenter,
@@ -56,8 +55,7 @@ def test_criterion_01_worked_example_golden():
     emb, w = gen_worked_example()
     plain = brute_force_kcenter(emb, "euclidean", 8, weights=w)
     weighted = brute_force_weighted(emb, "euclidean", w, 8, 1.0)
-    cfg = SelectionConfig(k=8, lambda_=1.0, gamma=2.0)
-    sol = weighted_kcenter(emb, "euclidean", w, cfg)
+    sol = weighted_kcenter(emb, "euclidean", w, 8, 1.0, 2.0)
     elapsed = time.perf_counter() - t0
     ok = (
         plain.radius_term == 1.0
@@ -166,17 +164,16 @@ def _selector_instances(count, seed):
         else:
             gamma = metric_row(emb, metric, int(a))[int(b)] * \
                 float(rng.uniform(0.2, 1.5))
-        yield emb, WeightVector(w), metric, SelectionConfig(k=k, lambda_=lam,
-                                                            gamma=gamma)
+        yield emb, WeightVector(w), metric, k, lam, gamma
 
 
 def test_criterion_07_selector_matches_definition():
     t0 = time.perf_counter()
     checks = violations = 0
-    for emb, w, metric, cfg in _selector_instances(500, seed=1):
-        sol = weighted_kcenter(emb, metric, w, cfg)
+    for emb, w, metric, k, lam, gamma in _selector_instances(500, seed=1):
+        sol = weighted_kcenter(emb, metric, w, k, lam, gamma)
         want, radius, far_rounds = per_round_selection(
-            emb, metric, w.values, cfg.k, cfg.gamma)
+            emb, metric, w.values, k, gamma)
         checks += 1
         violations += (sol.indices != want or sol.far_rounds != far_rounds
                        or struct.pack("<d", sol.radius_term) != struct.pack("<d", radius))
@@ -197,8 +194,7 @@ def test_criterion_08_near_linear_scaling():
         emb, w = gen_clusters(SyntheticSpec(kind="uniform-cube", n=n, dim=dim, seed=0))
         lo, hi = gamma_bounds(emb, metric, w, k)
         gamma = float(np.sqrt(max(lo, 1e-12) * max(hi, lo, 1e-12)))
-        cfg = SelectionConfig(k=k, lambda_=default_lambda(k), gamma=gamma)
-        return emb, w, cfg
+        return emb, w, gamma
 
     prepared = {n: build(n) for n in sizes}
     times = {n: float("inf") for n in sizes}
@@ -207,9 +203,9 @@ def test_criterion_08_near_linear_scaling():
     # it bias one block of the ladder
     for rnd in range(rounds):
         for n in sizes:
-            emb, w, cfg = prepared[n]
+            emb, w, gamma = prepared[n]
             t = time.perf_counter()
-            weighted_kcenter(emb, metric, w, cfg)
+            weighted_kcenter(emb, metric, w, k, default_lambda(k), gamma)
             dt = time.perf_counter() - t
             if rnd > 0:
                 times[n] = min(times[n], dt)
@@ -247,10 +243,9 @@ def test_criterion_10_training_curves_out_of_scope():
         w = WeightVector(rng.random(n))
         lo, hi = gamma_bounds(emb, "euclidean", w, k)
         gamma = float(np.sqrt(max(lo, 1e-12) * max(hi, lo, 1e-12)))
-        cfg = SelectionConfig(k=k, lambda_=0.5, gamma=gamma)
-        seq = weighted_kcenter(emb, "euclidean", w, cfg)
+        seq = weighted_kcenter(emb, "euclidean", w, k, 0.5, gamma)
         for m in machines:
-            par = parallel_weighted_kcenter(emb, "euclidean", w, cfg,
+            par = parallel_weighted_kcenter(emb, "euclidean", w, k, 0.5, gamma,
                                             make_partition(n, m, seed=trial))
             ratios[m].append(par.objective / seq.objective)
     shown = ", ".join(

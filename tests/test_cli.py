@@ -79,7 +79,7 @@ def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files):
 
     from duke import cli
     from duke.dataset import load_embeddings, load_weights
-    from duke.wkcenter import GammaSpan, weighted_objective
+    from duke.wkcenter import GammaSpan, evaluate_solution
 
     pts, w = example_files
     args = ("select", "--embeddings", pts, "--weights", w, "--metric",
@@ -112,11 +112,11 @@ def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files):
     assert "far_rounds" not in early
     # the selector's own scoring stands in for the final evaluation
     inds = [int(t) for t in rep.get("solution", "indices").split(",")]
-    radius, wsum, obj = weighted_objective(
-        load_embeddings(pts), "euclidean", load_weights(w), 1.0, inds)
-    assert rep.get("solution", "radius_term") == fmt_float(radius)
-    assert rep.get("solution", "weight_term") == fmt_float(wsum)
-    assert rep.get("solution", "objective") == fmt_float(obj)
+    again = evaluate_solution(load_embeddings(pts), "euclidean",
+                              load_weights(w), 1.0, inds, "duke")
+    assert rep.get("solution", "radius_term") == fmt_float(again.radius_term)
+    assert rep.get("solution", "weight_term") == fmt_float(again.weight_term)
+    assert rep.get("solution", "objective") == fmt_float(again.objective)
 
 
 def test_select_parallel_and_baseline_methods(capsys, example_files):
@@ -274,6 +274,21 @@ def test_validation_exit_code(capsys, example_files):
         (("select", "--k", "3", "--method", "margin", "--gamma", "-1"),
          "InvalidArgument"),
         (("oracle", "--k", "3", "--kcenter", "--lambda", "nan"),
+         "InvalidArgument"),
+        # every method echoes --lambda-s
+        (("select", "--k", "3", "--method", "submodular", "--lambda-s",
+          "nan"), "InvalidArgument"),
+        (("select", "--k", "3", "--method", "submodular", "--lambda-s",
+          "inf"), "InvalidArgument"),
+        (("select", "--k", "3", "--method", "random", "--lambda-s", "-1"),
+         "InvalidArgument"),
+        # and --gamma-grid, --machines and --knn
+        (("select", "--k", "3", "--method", "random", "--gamma-grid", "-3"),
+         "InvalidArgument"),
+        (("select", "--k", "3", "--gamma", "1", "--gamma-grid", "0"),
+         "InvalidArgument"),
+        (("select", "--k", "3", "--machines", "-5"), "TooManyWorkers"),
+        (("select", "--k", "3", "--method", "greedy-kcenter", "--knn", "-2"),
          "InvalidArgument"),
     ):
         code, out, err = run_cli(capsys, *argv, "--embeddings", pts,

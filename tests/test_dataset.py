@@ -34,7 +34,7 @@ from duke.errors import (
     UnknownMetric,
     ZeroVectorCosine,
 )
-from duke.wkcenter import SelectionConfig, weighted_kcenter
+from duke.wkcenter import weighted_kcenter
 
 
 def test_margin_exact_rows():
@@ -229,8 +229,7 @@ def test_far_offset_duplicates_reach_radius_zero_at_gamma_zero():
     pts[:12] = distinct
     emb = EmbeddingSet(pts)
     weights = WeightVector(rng.uniform(size=90))
-    cfg = SelectionConfig(k=12, lambda_=0.5, gamma=0.0)
-    sol = weighted_kcenter(emb, "euclidean", weights, cfg)
+    sol = weighted_kcenter(emb, "euclidean", weights, 12, 0.5, 0.0)
     assert sol.radius_term == 0.0
     assert sorted(map(tuple, pts[sol.indices])) == sorted(map(tuple, distinct))
 

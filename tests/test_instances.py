@@ -11,7 +11,7 @@ from duke.instances import (
     gen_clusters,
     gen_worked_example,
 )
-from duke.wkcenter import SelectionConfig, weighted_kcenter
+from duke.wkcenter import weighted_kcenter
 
 
 def test_worked_example_layout(worked_example):
@@ -27,8 +27,7 @@ def test_worked_example_selector_trace(worked_example):
     # run at the certified optimal radius: the selector must land on
     # the known 3x-bounded objective of 6 exactly
     emb, w = worked_example
-    cfg = SelectionConfig(k=EXAMPLE_K, lambda_=EXAMPLE_LAMBDA, gamma=2.0)
-    sol = weighted_kcenter(emb, "euclidean", w, cfg)
+    sol = weighted_kcenter(emb, "euclidean", w, EXAMPLE_K, EXAMPLE_LAMBDA, 2.0)
     assert sol.objective == EXAMPLE_OPT_OBJECTIVE
     assert sol.indices == [0, 4, 1, 2, 3, 5, 6, 7]
     assert sorted(sol.indices) == list(range(8))

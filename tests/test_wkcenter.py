@@ -22,16 +22,14 @@ from duke.errors import (
 from duke.oracle import brute_force_weighted
 from duke.parallel import make_partition, parallel_weighted_kcenter
 from duke.wkcenter import (
-    SelectionConfig,
+    check_selection,
     default_lambda,
     evaluate_solution,
     gamma_bounds,
     gamma_search,
     greedy_kcenter,
-    kcenter_cost,
     make_gamma_grid,
     weighted_kcenter,
-    weighted_objective,
 )
 
 
@@ -39,17 +37,23 @@ def wv(*vals):
     return WeightVector(np.array(vals, dtype=float))
 
 
+def _radius(emb, metric, centers):
+    # the k-center cost: distance from the farthest point to its center
+    zero = WeightVector(np.zeros(emb.n))
+    return evaluate_solution(emb, metric, zero, 0.0, centers, "t").radius_term
+
+
 def test_kcenter_cost_line(line_points):
-    assert kcenter_cost(line_points, "euclidean", [1, 4]) == 2.0
-    assert kcenter_cost(line_points, "euclidean", [0, 1, 2, 3, 4]) == 0.0
+    assert _radius(line_points, "euclidean", [1, 4]) == 2.0
+    assert _radius(line_points, "euclidean", [0, 1, 2, 3, 4]) == 0.0
     with pytest.raises(EmptyCenters):
-        kcenter_cost(line_points, "euclidean", [])
+        _radius(line_points, "euclidean", [])
 
 
 def test_kcenter_cost_center_order_irrelevant(rng):
     emb = EmbeddingSet(rng.normal(size=(30, 3)))
-    a = kcenter_cost(emb, "euclidean", [3, 11, 27])
-    b = kcenter_cost(emb, "euclidean", [27, 3, 11])
+    a = _radius(emb, "euclidean", [3, 11, 27])
+    b = _radius(emb, "euclidean", [27, 3, 11])
     assert a == b
 
 
@@ -70,25 +74,32 @@ def test_kcenter_cost_cosine_zero_row_checked_once_before_any_distance(
     monkeypatch.setattr(dataset, "_row_block", counted_rows)
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 3 * 4)   # 4 rows a block
     pts = rng.normal(size=(30, 3)) + 2.0
-    assert kcenter_cost(EmbeddingSet(pts.copy()), "cosine-distance",
-                        [1, 9, 20]) > 0.0
+    assert _radius(EmbeddingSet(pts.copy()), "cosine-distance",
+                   [1, 9, 20]) > 0.0
     assert calls == {"check": 1, "rows": 8 * 3}
     pts[17] = 0.0
     calls.update(check=0, rows=0)
     with pytest.raises(ZeroVectorCosine):
-        kcenter_cost(EmbeddingSet(pts), "cosine-distance", [1, 9, 20])
+        _radius(EmbeddingSet(pts), "cosine-distance", [1, 9, 20])
     assert calls == {"check": 1, "rows": 0}
 
 
 def test_weighted_objective_identity(line_points):
     w = wv(0.1, 0.2, 0.3, 0.4, 0.5)
-    radius, wsum, obj = weighted_objective(line_points, "euclidean", w, 2.0, [0, 4])
-    assert radius == 3.0
-    assert wsum == 0.1 + 0.5
-    assert obj == radius + 2.0 * wsum
+    sol = evaluate_solution(line_points, "euclidean", w, 2.0, [4, 0], "t",
+                            gamma_used=1.5, extra={"x": 1})
+    assert sol.radius_term == 3.0
+    assert sol.weight_term == 0.1 + 0.5
+    assert sol.objective == sol.radius_term + 2.0 * sol.weight_term
+    assert (sol.indices, sol.algorithm, sol.gamma_used, sol.extra) == \
+        ([4, 0], "t", 1.5, {"x": 1})
     # lambda zero reduces to the plain cover radius
-    r0, _, obj0 = weighted_objective(line_points, "euclidean", w, 0.0, [0, 4])
-    assert obj0 == r0 == kcenter_cost(line_points, "euclidean", [0, 4])
+    sol0 = evaluate_solution(line_points, "euclidean", w, 0.0, [0, 4], "t")
+    assert sol0.objective == sol0.radius_term == 3.0
+    with pytest.raises(InvalidArgument):
+        evaluate_solution(line_points, "euclidean", w, -1.0, [0, 4], "t")
+    with pytest.raises(SizeMismatch):
+        evaluate_solution(line_points, "euclidean", wv(0.1, 0.2), 1.0, [0], "t")
 
 
 def test_weight_sum_order_canonical():
@@ -97,37 +108,41 @@ def test_weight_sum_order_canonical():
     vals = np.array([0.1, 0.7, 0.3, 0.9, 0.2], dtype=float)
     emb = EmbeddingSet(np.arange(5.0)[:, None])
     w = WeightVector(vals)
-    _, a, _ = weighted_objective(emb, "euclidean", w, 1.0, [4, 0, 2])
-    _, b, _ = weighted_objective(emb, "euclidean", w, 1.0, [2, 4, 0])
-    assert a == b
+    a = evaluate_solution(emb, "euclidean", w, 1.0, [4, 0, 2], "t")
+    b = evaluate_solution(emb, "euclidean", w, 1.0, [2, 4, 0], "t")
+    assert a.weight_term == b.weight_term == float(vals[[0, 2, 4]].sum())
 
 
 def test_greedy_line(line_points):
-    sol = greedy_kcenter(line_points, "euclidean", 2)
+    w = wv(0.1, 0.2, 0.3, 0.4, 0.5)
+    sol = greedy_kcenter(line_points, "euclidean", w, 2)
     assert sol.indices == [0, 4]
     assert sol.radius_term == 3.0
     assert sol.algorithm == "greedy-kcenter"
-    three = greedy_kcenter(line_points, "euclidean", 3)
+    # the picks ignore the weights; the score uses them
+    assert sol.objective == 3.0
+    scored = greedy_kcenter(line_points, "euclidean", w, 2, 2.0)
+    assert scored.indices == [0, 4]
+    assert scored.objective == 3.0 + 2.0 * (0.1 + 0.5)
+    three = greedy_kcenter(line_points, "euclidean", w, 3)
     assert three.indices == [0, 4, 3]
 
 
 def test_greedy_farthest_tie_lowest_index():
     emb = EmbeddingSet(np.array([[0.0], [1.0], [-1.0]]))
-    sol = greedy_kcenter(emb, "euclidean", 2)
+    sol = greedy_kcenter(emb, "euclidean", wv(0.5, 0.0, 0.5), 2)
     assert sol.indices == [0, 1]
 
 
 def test_selector_seeds_global_min_weight(line_points):
     w = wv(0.5, 0.4, 0.3, 0.2, 0.1)
-    cfg = SelectionConfig(k=1, lambda_=1.0, gamma=100.0)
-    sol = weighted_kcenter(line_points, "euclidean", w, cfg)
+    sol = weighted_kcenter(line_points, "euclidean", w, 1, 1.0, 100.0)
     assert sol.indices == [4]
 
 
 def test_selector_min_weight_tie_lowest_index(line_points):
     w = wv(0.3, 0.3, 0.3, 0.3, 0.3)
-    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=100.0)
-    sol = weighted_kcenter(line_points, "euclidean", w, cfg)
+    sol = weighted_kcenter(line_points, "euclidean", w, 2, 1.0, 100.0)
     assert sol.indices == [0, 1]
 
 
@@ -135,23 +150,20 @@ def test_selector_big_gamma_collects_lightest(line_points):
     # with an enormous gamma nothing is ever far, so after the seed the
     # selector keeps taking the lightest unselected point
     w = wv(0.1, 0.1, 1.0, 1.0, 1.0)
-    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=100.0)
-    sol = weighted_kcenter(line_points, "euclidean", w, cfg)
+    sol = weighted_kcenter(line_points, "euclidean", w, 2, 1.0, 100.0)
     assert sol.indices == [0, 1]
     assert sol.radius_term == 9.0
     assert sol.weight_term == pytest.approx(0.2)
     # one tight cluster: every round after the seed fills with the lightest
     # unselected point, in ascending weight
     pts = EmbeddingSet(np.array([[0.0], [0.01], [0.02], [0.03], [0.04]]))
-    cfg = SelectionConfig(k=4, lambda_=1.0, gamma=100.0)
-    sol = weighted_kcenter(pts, "euclidean", wv(0.5, 0.1, 0.4, 0.2, 0.3), cfg)
+    sol = weighted_kcenter(pts, "euclidean", wv(0.5, 0.1, 0.4, 0.2, 0.3), 4, 1.0, 100.0)
     assert sol.indices == [1, 3, 4, 2]
 
 
 def test_selector_small_gamma_chases_far_points(line_points):
     w = wv(0.1, 0.1, 1.0, 1.0, 1.0)
-    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=2.0)
-    sol = weighted_kcenter(line_points, "euclidean", w, cfg)
+    sol = weighted_kcenter(line_points, "euclidean", w, 2, 1.0, 2.0)
     # the outlier at 10 is beyond 3*gamma from the seed, so its ball is
     # searched for the lightest representative
     assert sol.indices == [0, 4]
@@ -162,8 +174,7 @@ def test_selector_small_gamma_chases_far_points(line_points):
 def test_selector_ball_pick_is_lightest_within_gamma():
     pts = EmbeddingSet(np.array([[0.0], [5.5], [7.0]]))
     w = wv(0.1, 0.2, 0.5)
-    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=2.0)
-    sol = weighted_kcenter(pts, "euclidean", w, cfg)
+    sol = weighted_kcenter(pts, "euclidean", w, 2, 1.0, 2.0)
     # index 2 is the only far point (7 > 3*gamma from the seed) and so
     # anchors the round, but index 1 sits inside its gamma ball and is
     # lighter, so the selector substitutes it
@@ -179,24 +190,22 @@ def test_far_round_reuses_the_anchor_row_when_it_is_the_pick(monkeypatch):
 
     monkeypatch.setattr(wkcenter, "metric_row", counted)
     pts = EmbeddingSet(np.array([[0.0], [10.0], [20.0]]))
-    cfg = SelectionConfig(k=3, lambda_=1.0, gamma=1.0)
     # both far anchors (10, then 20) are their own ball picks: one row each
-    assert weighted_kcenter(pts, "euclidean", wv(0.0, 0.1, 0.2), cfg).indices == [0, 1, 2]
+    assert weighted_kcenter(pts, "euclidean", wv(0.0, 0.1, 0.2), 3, 1.0, 1.0).indices == [0, 1, 2]
     assert rows == [0, 1, 2]
     rows.clear()
     pts = EmbeddingSet(np.array([[-2.0], [1.5], [3.0]]))
-    cfg = SelectionConfig(k=2, lambda_=1.0, gamma=1.5)
     # anchor 3 picks the lighter 1.5 within gamma, whose row is computed
-    assert weighted_kcenter(pts, "euclidean", wv(0.0, 0.25, 0.5), cfg).indices == [0, 1]
+    assert weighted_kcenter(pts, "euclidean", wv(0.0, 0.25, 0.5), 2, 1.0, 1.5).indices == [0, 1]
     assert rows == [0, 2, 1]
 
 
 def test_selector_deterministic(rng):
     emb = EmbeddingSet(rng.normal(size=(40, 3)))
     w = WeightVector(rng.random(40))
-    cfg = SelectionConfig(k=6, lambda_=0.5, gamma=1.3)
-    a = weighted_kcenter(emb, "euclidean", w, cfg)
-    b = weighted_kcenter(emb, "euclidean", w, cfg)
+    cfg = (6, 0.5, 1.3)
+    a = weighted_kcenter(emb, "euclidean", w, *cfg)
+    b = weighted_kcenter(emb, "euclidean", w, *cfg)
     assert a.indices == b.indices
     assert a.objective == b.objective
     assert a.radius_term == b.radius_term
@@ -205,28 +214,32 @@ def test_selector_deterministic(rng):
 def test_selector_input_validation(line_points):
     w = wv(0.1, 0.2, 0.3, 0.4, 0.5)
     with pytest.raises(BudgetExceedsGroundSet):
-        weighted_kcenter(line_points, "euclidean", w, SelectionConfig(k=6, lambda_=1.0, gamma=1.0))
+        weighted_kcenter(line_points, "euclidean", w, 6, 1.0, 1.0)
     with pytest.raises(BudgetExceedsGroundSet):
-        SelectionConfig(k=0, lambda_=1.0, gamma=1.0).validate(5)
+        check_selection(5, 0, 1.0, 1.0)
     with pytest.raises(InvalidArgument):
-        SelectionConfig(k=2, lambda_=-1.0, gamma=1.0).validate(5)
+        check_selection(5, 2, -1.0, 1.0)
     with pytest.raises(InvalidArgument):
-        SelectionConfig(k=2, lambda_=1.0, gamma=-0.5).validate(5)
+        check_selection(5, 2, 1.0, -0.5)
+    with pytest.raises(InvalidArgument):
+        check_selection(5, 2, 1.0, float("nan"))
+    check_selection(5, 5, 0.0, float("inf"))
     with pytest.raises(SizeMismatch):
-        weighted_kcenter(line_points, "euclidean", wv(0.1, 0.2), SelectionConfig(k=2, lambda_=1.0, gamma=1.0))
+        weighted_kcenter(line_points, "euclidean", wv(0.1, 0.2), 2, 1.0, 1.0)
+    with pytest.raises(SizeMismatch):
+        greedy_kcenter(line_points, "euclidean", wv(0.1, 0.2), 2)
 
 
 def test_stored_terms_match_recomputation(rng):
     emb = EmbeddingSet(rng.normal(size=(25, 2)))
     w = WeightVector(rng.random(25))
-    cfg = SelectionConfig(k=5, lambda_=0.7, gamma=0.9)
-    sol = weighted_kcenter(emb, "euclidean", w, cfg)
-    radius, wsum, obj = weighted_objective(emb, "euclidean", w, 0.7, sol.indices)
-    assert sol.radius_term == radius
-    assert sol.weight_term == wsum
-    assert sol.objective == obj
-    again = evaluate_solution(emb, "euclidean", w, 0.7, sol)
-    assert again.objective == sol.objective
+    for sol in (weighted_kcenter(emb, "euclidean", w, 5, 0.7, 0.9),
+                greedy_kcenter(emb, "euclidean", w, 5, 0.7)):
+        again = evaluate_solution(emb, "euclidean", w, 0.7, sol.indices,
+                                  sol.algorithm)
+        assert sol.radius_term == again.radius_term
+        assert sol.weight_term == again.weight_term
+        assert sol.objective == again.objective
 
 
 def test_gamma_bounds_line(line_points):
@@ -323,8 +336,7 @@ _TIED = (_TIED_RNG.normal(size=(300, 2)), _TIED_RNG.integers(0, 3, size=300) / 2
 def test_selector_matches_per_round_definition(inst):
     pts, w, metric, gamma, k = inst
     emb = EmbeddingSet(pts)
-    cfg = SelectionConfig(k=k, lambda_=0.5, gamma=gamma)
-    sol = weighted_kcenter(emb, metric, WeightVector(np.array(w)), cfg)
+    sol = weighted_kcenter(emb, metric, WeightVector(np.array(w)), k, 0.5, gamma)
     want, radius, far_rounds = per_round_selection(emb, metric, w, k, gamma)
     assert sol.indices == want
     assert _bits(sol.radius_term) == _bits(radius)
@@ -353,10 +365,10 @@ def _untied_permuted_instances(draw):
 @settings(max_examples=200, deadline=None)
 def test_selection_follows_a_permutation_of_the_input(inst):
     pts, w, metric, gamma, k, perm = inst
-    cfg = SelectionConfig(k=k, lambda_=0.5, gamma=gamma)
-    sol = weighted_kcenter(EmbeddingSet(pts), metric, WeightVector(w), cfg)
+    cfg = (k, 0.5, gamma)
+    sol = weighted_kcenter(EmbeddingSet(pts), metric, WeightVector(w), *cfg)
     moved = weighted_kcenter(EmbeddingSet(pts[perm]), metric,
-                             WeightVector(w[perm]), cfg)
+                             WeightVector(w[perm]), *cfg)
     assert [int(perm[i]) for i in moved.indices] == sol.indices
     assert _bits(moved.radius_term) == _bits(sol.radius_term)
 
@@ -378,8 +390,7 @@ def test_selection_repeats_at_every_gamma_in_its_span(inst):
     emb, w = EmbeddingSet(np.array(pts)), WeightVector(np.array(w))
 
     def run(g):
-        cfg = SelectionConfig(k=k, lambda_=0.5, gamma=g)
-        return weighted_kcenter(emb, metric, w, cfg)
+        return weighted_kcenter(emb, metric, w, k, 0.5, g)
 
     sol = run(gamma)
     assert gamma in sol.span
@@ -417,8 +428,7 @@ def test_clustered_search_runs_the_selector_once(monkeypatch):
     assert len(runs) == 1 and runs[0].far_rounds > 0
     grid = make_gamma_grid(*gamma_bounds(emb, "euclidean", w, 100), 8)
     for g, (traced_g, objective) in zip(grid, trace):
-        full = selector(emb, "euclidean", w, SelectionConfig(
-            k=100, lambda_=0.001, gamma=float(g)))
+        full = selector(emb, "euclidean", w, 100, 0.001, float(g))
         assert full.indices == sol.indices
         assert (traced_g, objective) == (float(g), full.objective)
 
@@ -443,13 +453,11 @@ def test_gamma_search_equals_selector_at_every_grid_gamma(rng, monkeypatch):
                                strategy=("round-robin", "random")[trial % 2])
 
         def duke(g):
-            cfg = SelectionConfig(k=k, lambda_=0.5, gamma=g)
-            return selector(emb, metric, w, cfg)
+            return selector(emb, metric, w, k, 0.5, g)
 
         def parallel(g):
             runs.append(1)
-            cfg = SelectionConfig(k=k, lambda_=0.5, gamma=g)
-            return parallel_weighted_kcenter(emb, metric, w, cfg, parts)
+            return parallel_weighted_kcenter(emb, metric, w, k, 0.5, g, parts)
 
         grid = make_gamma_grid(*gamma_bounds(emb, metric, w, k), 8)
         # the default runner is duke's; parallel runs are passed in
@@ -519,8 +527,7 @@ def test_cosine_radius_can_exceed_three_gamma_star():
     w = WeightVector(_COSINE_3G_WEIGHTS)
     star = brute_force_weighted(emb, "cosine-distance", w, 3, 0.1).radius_term
     assert star == pytest.approx(0.2811590464474556)
-    cfg = SelectionConfig(k=3, lambda_=0.1, gamma=star)
-    sol = weighted_kcenter(emb, "cosine-distance", w, cfg)
+    sol = weighted_kcenter(emb, "cosine-distance", w, 3, 0.1, star)
     assert sol.radius_term > 3.0 * star
     assert sol.radius_term == pytest.approx(0.8524732345133944)
 
@@ -543,7 +550,8 @@ def test_cosine_greedy_can_exceed_two_x_but_not_four():
     from duke.oracle import brute_force_kcenter
 
     emb = EmbeddingSet(_COSINE_GREEDY_POINTS)
-    sol = greedy_kcenter(emb, "cosine-distance", 4)
+    sol = greedy_kcenter(emb, "cosine-distance",
+                         WeightVector(np.zeros(emb.n)), 4)
     opt = brute_force_kcenter(emb, "cosine-distance", 4)
     ratio = sol.radius_term / opt.radius_term
     assert ratio == pytest.approx(2.178943889069998)
