@@ -45,9 +45,12 @@ def submodular_greedy(graph: NeighborGraph, weights: WeightVector,
     """Greedy maximization of  sum util(i) - lambda_s * sum_{edges in S} sim.
 
     Utility is 1 - weight, so uncertain points are the valuable ones. The
-    edges are the kNN adjacency taken undirected, with sim = 1 - d/2.
-    Penalties only accrue on graph edges, so each pick updates the marginal
-    gains of its neighbors alone. Ties break to the lowest index.
+    edges are the kNN adjacency taken undirected, with sim = 1 - d/D, where
+    D is the longest edge or 2, whichever is larger: every similarity lies
+    in [0, 1] under any metric, and cosine distances, which never exceed 2,
+    keep D = 2. Penalties only accrue on graph edges, so each pick updates
+    the marginal gains of its neighbors alone, and a pick's gain never
+    exceeds its utility. Ties break to the lowest index.
 
     Returns the picks and ``extra``: the function value and the picked
     gains."""
@@ -61,10 +64,11 @@ def submodular_greedy(graph: NeighborGraph, weights: WeightVector,
 
     # a pair listed in both directions holds the similarity written last
     adj: list[dict[int, float]] = [{} for _ in range(n)]
+    scale = float(np.max(graph.neighbor_dists, initial=2.0))
     for i in range(n):
         idx, dist = graph.neighbors(i)
         for j, d in zip(idx.tolist(), dist.tolist()):
-            adj[i][j] = adj[j][i] = 1.0 - d / 2.0
+            adj[i][j] = adj[j][i] = 1.0 - d / scale
 
     gain = 1.0 - weights.values
     in_s = np.zeros(n, dtype=bool)

@@ -168,8 +168,10 @@ def cmd_select(args) -> tuple[Report, int]:
         if args.gamma is not None:
             sol = run_fixed(args.gamma)
         else:
-            sol, trace = gamma_search(emb, metric, weights, k, lam,
-                                      args.gamma_grid, runner=run_fixed)
+            # duke searches with the default runner, which skips all-fill runs
+            sol, trace = gamma_search(
+                emb, metric, weights, k, lam, args.gamma_grid,
+                runner=None if method == "duke" else run_fixed)
             for g, objective in trace:
                 rep.add("trace", f"gamma_{fmt_float(g)}", objective)
     elif method == "greedy-kcenter":

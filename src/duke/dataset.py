@@ -2,9 +2,12 @@
 
 All distance computation funnels through one row kernel, which computes the
 distances from one point to a contiguous block of points. :func:`metric_row`
-is its full-range call and :func:`min_dists` its blocked form, so every part
-of the package (graph construction, selection, oracle, cost evaluation) sees
-bitwise-identical values for the same point pair.
+is its full-range call, so every part of the package (graph construction,
+selection, oracle, cost evaluation) sees bitwise-identical values for the
+same point pair. :func:`covering_radius`, the largest distance from a point
+to its nearest center, folds kernel rows too, but only over the blocks that
+a matrix-product screen with a proven error bound leaves as able to hold the
+maximum; its result is the full fold's bit for bit.
 
 Cosine and euclidean distances both rest on one matrix-vector product per
 block. Euclidean takes ``d^2 = (|y|^2 + |x|^2) - 2 y.x`` from the cached
@@ -270,29 +273,148 @@ def metric_row(emb: EmbeddingSet, metric: str, i: int) -> np.ndarray:
     return _row_block(emb, metric, int(i), 0, emb.n)
 
 
-def min_dists(emb: EmbeddingSet, metric: str, centers) -> np.ndarray:
-    """Distance from every point to its nearest center.
+# The screen of covering_radius forms its matrix products about this many
+# bytes at a time; an unchunked product per kernel block costs resident memory
+# and gains no speed.
+SCREEN_BYTES = 1 << 16
 
-    Bitwise equal to ``np.minimum`` folded over ``metric_row`` of each center.
-    The points are walked one kernel block at a time and every center is
-    applied to a block before the next one is read, so the feature matrix
-    streams from memory once rather than once per center. Validation (metric,
-    cosine zero rows) runs once, before any distance.
+# With fewer centers the screen costs as much as the exact fold it would save
+# (100k x 64 with one BLAS thread: about 20 ms either way at 8 centers, 2x
+# the fold's time at 2).
+SCREEN_MIN_CENTERS = 8
+
+
+def _screen(emb: EmbeddingSet, metric: str, idx: np.ndarray,
+            dmin: np.ndarray | None,
+            starts: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Each kernel block's largest nearest-center distance, approximately,
+    and a bound on its distance from the row kernel's value.
+
+    One matrix product per chunk of rows against a group of centers:
+    pre-normalised centers for cosine, ``-2 C`` plus ``|c|^2`` for
+    euclidean. None where there is no screen: manhattan has no product
+    form, cosine norms outside [2^-450, 2^450] leave the rounding model, and
+    below :data:`SCREEN_MIN_CENTERS` centers the screen does not pay.
+
+    The bound, first order in the unit roundoff u = eps/2. A dot product of
+    ``dim`` terms, in any summation order, is within ``dim * u * |y| |x|``
+    of its value, and a cached squared norm within ``dim * u`` of its value
+    relatively.
+
+    - cosine: the kernel's ``1 - clip(y.x / (|y| |x|))`` and the screen's
+      ``1 - clip((y . c/|c|) / |y|)`` share the cached norms, and each is
+      within ``(2 dim + 6) u`` of the true distance, so they differ by at
+      most ``(2 dim + 6) eps``. Taking ``8 (dim + 4) eps`` leaves 4x.
+    - euclidean: with ``S = |y|^2 + |c|^2`` the kernel's squared distance
+      (norm form or exact difference) is within ``(2 dim + 6) u S`` of the
+      true one and the screen's ``(|c|^2 - 2 y.c) + |y|^2`` within
+      ``(2 dim + 4) u S``; ``|sqrt(a) - sqrt(b)| <= sqrt(|a - b|)`` turns
+      their ``(2 dim + 5) eps S`` into a distance bound, and each rounding in
+      the subnormal range adds at most 2^-1075. Four times its square root,
+      at the largest ``S`` of the call, is the bound.
+
+    A minimum over centers (and over ``dmin``, exact) and a maximum over rows
+    are 1-Lipschitz, so each block's screened maximum is within the bound of
+    the kernel's. The 4x margin also covers the second-order terms and the
+    rounding of the comparisons :func:`covering_radius` makes.
+    """
+    if idx.size < SCREEN_MIN_CENTERS:
+        return None
+    f, n, dim = emb.features, emb.n, emb.dim
+    sq = emb.sq_norms()
+    eps = np.finfo(np.float64).eps
+    cosine = metric == "cosine-distance"
+    if cosine:
+        if not (sq.min() >= 2.0 ** -900 and sq.max() <= 2.0 ** 900):
+            return None
+        norms = emb.norms()
+        delta = 8.0 * (dim + 4) * eps
+    elif metric == "euclidean":
+        s_max = float(sq.max() + sq[idx].max())
+        delta = 4.0 * np.sqrt((2 * dim + 5) * (eps * s_max + 2.0 ** -1074))
+        if not np.isfinite(delta):
+            return None
+    else:
+        return None
+    step = block_rows(emb)
+    tops = np.empty(starts.size)
+    for t, lo in enumerate(starts):
+        hi = min(lo + step, n)
+        # cosine keeps the largest y.c/|c|, euclidean the smallest
+        # |c|^2 - 2 y.c, of each row
+        near = np.full(hi - lo, -np.inf if cosine else np.inf)
+        # centers a group at a time, no more of them than rows in a block
+        for g in range(0, idx.size, step):
+            cent = idx[g:g + step]
+            if cosine:
+                cols = f[cent] / norms[cent, None]
+            else:
+                cols, shift = -2.0 * f[cent], sq[cent]
+            rows = max(1, SCREEN_BYTES // (8 * cent.size))
+            for a in range(lo, hi, rows):
+                prod = f[a:min(a + rows, hi)] @ cols.T
+                part = near[a - lo:a - lo + len(prod)]
+                if cosine:
+                    np.maximum(part, prod.max(axis=1), out=part)
+                else:
+                    prod += shift
+                    np.minimum(part, prod.min(axis=1), out=part)
+        if cosine:
+            near /= norms[lo:hi]
+            np.clip(near, -1.0, 1.0, out=near)
+            np.subtract(1.0, near, out=near)
+        else:
+            near += sq[lo:hi]
+            np.maximum(near, 0.0, out=near)
+            np.sqrt(near, out=near)
+        if dmin is not None:
+            np.minimum(near, dmin[lo:hi], out=near)
+        tops[t] = near.max()
+    return tops, float(delta)
+
+
+def covering_radius(emb: EmbeddingSet, metric: str, centers,
+                    dmin: np.ndarray | None = None) -> float:
+    """Distance from the farthest point to its nearest center.
+
+    Bitwise equal to ``np.minimum`` folded over ``metric_row`` of each center
+    (and over ``dmin``, a distance per point, when given) followed by
+    ``.max()``. :func:`_screen` first estimates every kernel block's largest
+    nearest-center distance within a bound ``delta``. A block gets the exact
+    fold of :func:`_row_block` rows only when it could hold the maximum: its
+    screened maximum plus ``delta`` reaches the largest finite screened
+    maximum minus ``delta``, or its screen holds a non-finite value. Every
+    other block's maximum is below another block's, so the returned float
+    comes from the row kernel alone. Manhattan, which has no screen, folds
+    every block. Validation (metric, cosine zero rows) runs once, before any
+    distance; ``dmin`` is not modified.
     """
     _check_rows(emb, metric)
-    idx = [int(c) for c in np.asarray(centers, dtype=np.int64)]
-    if not idx:
-        raise EmptyCenters()
+    idx = np.asarray(centers, dtype=np.int64).reshape(-1)
+    if idx.size == 0:
+        if dmin is None:
+            raise EmptyCenters()
+        return float(dmin.max())
     n = emb.n
     step = block_rows(emb)
-    out = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, step):
+    starts = np.arange(0, n, step)
+    screen = _screen(emb, metric, idx, dmin, starts)
+    if screen is not None:
+        tops, delta = screen
+        finite = np.isfinite(tops)
+        if finite.any():
+            bar = tops[finite].max() - delta
+            starts = starts[~finite | (tops + delta >= bar)]
+
+    def block_max(lo: int) -> float:
         hi = min(lo + step, n)
-        dmin = out[lo:hi]
-        dmin[:] = _row_block(emb, metric, idx[0], lo, hi)
-        for c in idx[1:]:
-            np.minimum(dmin, _row_block(emb, metric, c, lo, hi), out=dmin)
-    return out
+        rows = (_row_block(emb, metric, int(c), lo, hi) for c in idx)
+        d = next(rows) if dmin is None else dmin[lo:hi].copy()
+        for row in rows:
+            np.minimum(d, row, out=d)
+        return d.max()
+
+    return float(np.max([block_max(lo) for lo in starts]))
 
 
 def distance_matrix(emb: EmbeddingSet, metric: str) -> np.ndarray:

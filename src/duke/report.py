@@ -7,8 +7,9 @@ lines. The text form is
     key = value
 
 Values are written with repr-faithful formatting (floats through '%.9g',
-index lists comma-joined), and parsing the text back yields the same
-section/key/value strings, so a report round-trips losslessly.
+index lists comma-joined), so the text reads back as the same
+section/key/value strings. The program only writes reports; the parser
+lives with the tests (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -43,20 +44,6 @@ class Report:
                 return
         self.sections.append((section, [(key, _fmt_value(value))]))
 
-    def get(self, section: str, key: str) -> str:
-        for name, pairs in self.sections:
-            if name == section:
-                for k, v in pairs:
-                    if k == key:
-                        return v
-        raise KeyError((section, key))
-
-    def section(self, section: str) -> list[tuple[str, str]]:
-        for name, pairs in self.sections:
-            if name == section:
-                return pairs
-        raise KeyError(section)
-
     def to_text(self) -> str:
         out: list[str] = []
         for name, pairs in self.sections:
@@ -65,21 +52,3 @@ class Report:
                 out.append(f"{k} = {v}")
             out.append("")
         return "\n".join(out)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Report":
-        rep = cls()
-        current: list[tuple[str, str]] | None = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = []
-                rep.sections.append((line[1:-1], current))
-                continue
-            if current is None or " = " not in line:
-                raise ValueError(f"unparseable report line: {raw!r}")
-            k, v = line.split(" = ", 1)
-            current.append((k, v))
-        return rep

@@ -149,7 +149,7 @@ def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
 
         kc = brute_force_kcenter(emb, metric, k)
         gamma1 = kc.radius_term
-        _, gamma2 = gamma_bounds(emb, metric, weights, k)
+        gamma2 = gamma_bounds(emb, metric, weights, k).hi
         s_bracket.record(gamma1 <= gamma_star <= gamma2, None,
                          _serialize(emb, weights, k, lam, metric,
                                     f"bracket failed: {gamma1!r} <= {gamma_star!r} <= {gamma2!r}"))
@@ -232,7 +232,8 @@ def early_stop_suite(instances: int = 200, seed: int = 3) -> VerifySummary:
         emb, weights = EmbeddingSet(pts), WeightVector(w)
 
         sol, trace = gamma_search(emb, metric, weights, k, lam, _GRID_SIZE)
-        grid = make_gamma_grid(*gamma_bounds(emb, metric, weights, k), _GRID_SIZE)
+        grid = make_gamma_grid(*gamma_bounds(emb, metric, weights, k)[:2],
+                               _GRID_SIZE)
         runs = [weighted_kcenter(emb, metric, weights, k, lam, float(g))
                 for g in grid]
         best = min(runs, key=lambda r: r.objective)   # first of equals

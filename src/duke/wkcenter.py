@@ -21,8 +21,8 @@ guesses.
 Only rows the answer depends on are computed. Distances to the centers never
 grow, so once no point is farther than 3*gamma the run is in its fill regime
 for good: the rest of the budget is the lightest unselected points, taken in
-one slice and folded into the distances by one blocked pass over the matrix.
-A far round whose ball pick is its own anchor reuses the anchor's row.
+one slice, and only the covering radius they leave is computed. A far round
+whose ball pick is its own anchor reuses the anchor's row.
 
 The selection at a guess changes only when the guess crosses one of the
 thresholds the run compared it with (the guess-the-radius structure of
@@ -30,12 +30,15 @@ Hochbaum & Shmoys 1985). A fixed-gamma run therefore records the span of
 larger guesses at which every one of its comparisons comes out the same; a
 run at any guess in that span repeats it pick for pick. The grid search
 walks upward, runs the selector only at grid gammas outside the span of its
-last run and copies the objective into the trace for the rest.
+last run and copies the objective into the trace for the rest. A guess at
+which the seed's row holds no point farther than 3*gamma fills with the k
+lightest points; the bracket has already scored them, so the search runs
+nothing there.
 
-Every selection, whoever picked it, is scored by :func:`_scored` from the
-distance of every point to its nearest pick: the selectors here pass the
-distances they folded, and :func:`evaluate_solution` computes them in one
-pass for picks that come without.
+Every selection, whoever picked it, is scored by :func:`_scored` from its
+covering radius: the selectors here pass the radius of the distances they
+folded, and :func:`evaluate_solution` computes it with
+:func:`~duke.dataset.covering_radius` for picks that come without.
 
 Weights and distances are consumed on their native scales; lambda alone
 balances the two terms.
@@ -45,16 +48,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import EmbeddingSet, WeightVector, metric_row, min_dists
+from .dataset import EmbeddingSet, WeightVector, covering_radius, metric_row
 from .errors import BudgetExceedsGroundSet, InvalidArgument, SizeMismatch
 
 __all__ = [
     "check_lambda",
     "check_selection",
+    "GammaBracket",
     "GammaSpan",
     "SubsetSolution",
     "evaluate_solution",
@@ -131,16 +135,14 @@ class SubsetSolution:
     span: GammaSpan | None = None
 
 
-def _scored(weights: WeightVector, lambda_: float, indices, dmin: np.ndarray,
+def _scored(weights: WeightVector, lambda_: float, indices, radius: float,
             algorithm: str, gamma_used: float = 0.0,
             **fields) -> SubsetSolution:
-    """Score a selection from the distance of every point to it.
+    """Score a selection from its covering radius.
 
-    The radius is ``dmin.max()``. The weight sum runs in ascending index
-    order, so equal sets score bit for bit the same whatever order they
-    were picked in."""
+    The weight sum runs in ascending index order, so equal sets score bit
+    for bit the same whatever order they were picked in."""
     indices = [int(i) for i in indices]
-    radius = float(dmin.max())
     wsum = float(weights.values[np.sort(indices)].sum())
     return SubsetSolution(indices=indices, radius_term=radius,
                           weight_term=wsum, objective=radius + lambda_ * wsum,
@@ -150,14 +152,15 @@ def _scored(weights: WeightVector, lambda_: float, indices, dmin: np.ndarray,
 def evaluate_solution(emb: EmbeddingSet, metric: str, weights: WeightVector,
                       lambda_: float, indices, algorithm: str,
                       **fields) -> SubsetSolution:
-    """Score a selection by one pass of :func:`min_dists` over its indices.
+    """Score a selection by the :func:`covering_radius` of its indices.
 
     ``fields`` are passed on to :class:`SubsetSolution`."""
     check_lambda(lambda_)
     if weights.n != emb.n:
         raise SizeMismatch(expected=emb.n, got=weights.n)
     return _scored(weights, lambda_, indices,
-                   min_dists(emb, metric, indices), algorithm, **fields)
+                   covering_radius(emb, metric, indices), algorithm,
+                   **fields)
 
 
 def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -181,7 +184,8 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         selected.append(nxt)
         in_s[nxt] = True
         np.minimum(dmin, metric_row(emb, metric, nxt), out=dmin)
-    return _scored(weights, lambda_, selected, dmin, "greedy-kcenter")
+    return _scored(weights, lambda_, selected, float(dmin.max()),
+                   "greedy-kcenter")
 
 
 def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -197,9 +201,8 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     Distances to the centers never grow, so after the first round with no
     point farther than 3*gamma every later round is a fill round too. The run
     takes all of them at once: the next unselected entries of the (weight,
-    index) order, folded into the distances by one :func:`min_dists` call that
-    streams the matrix once instead of once per pick. ``np.minimum`` is exact,
-    so the radius is the same float as a pick-by-pick fold.
+    index) order, scored by one :func:`covering_radius` call over them and
+    the distances so far, which is the same float as a pick-by-pick fold.
 
     The run records its :class:`GammaSpan`. A far round needs
     ``dmin[c] > 3*gamma'`` and ``dmin <= 3*gamma'`` for every point ahead of c
@@ -245,17 +248,32 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         np.minimum(dmin, row, out=dmin)
     far_rounds = len(selected) - 1
 
-    if len(selected) < k:
-        rest = order[~taken][:k - len(selected)]
-        selected.extend(int(i) for i in rest)
-        np.minimum(dmin, min_dists(emb, metric, rest), out=dmin)
+    rest = order[~taken][:k - len(selected)]
+    selected.extend(int(i) for i in rest)
+    radius = covering_radius(emb, metric, rest, dmin)
 
-    return _scored(weights, lambda_, selected, dmin, "duke", gamma,
+    return _scored(weights, lambda_, selected, radius, "duke", gamma,
                    far_rounds=far_rounds, span=GammaSpan(gamma, t_hi, g_hi))
 
 
+class GammaBracket(NamedTuple):
+    """The bracket ``[lo, hi]`` of :func:`gamma_bounds`, and the all-fill run.
+
+    ``lightest`` is the k lightest points in (weight, index) order, ``hi``
+    their covering radius, folded from the first one's row, and ``t0`` the
+    largest entry of that row. A fixed-gamma run finds no far point in its
+    first round iff ``3.0 * gamma >= t0``, and then selects ``lightest``
+    with radius ``hi``.
+    """
+
+    lo: float
+    hi: float
+    t0: float
+    lightest: np.ndarray
+
+
 def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
-                 k: int) -> tuple[float, float]:
+                 k: int) -> GammaBracket:
     """Bracket for the radius of the optimal weighted solution.
 
     Upper bound: the covering radius of the k lightest points, which is the
@@ -265,9 +283,10 @@ def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
     The greedy run checks k and the weights first.
     """
     lo = greedy_kcenter(emb, metric, weights, k).radius_term / 2.0
-    order = np.lexsort((np.arange(emb.n), weights.values))
-    hi = float(min_dists(emb, metric, np.sort(order[:k])).max())
-    return lo, hi
+    lightest = np.lexsort((np.arange(emb.n), weights.values))[:k]
+    seed = metric_row(emb, metric, int(lightest[0]))
+    hi = covering_radius(emb, metric, lightest[1:], seed)
+    return GammaBracket(lo, hi, float(seed.max()), lightest)
 
 
 _GRID_FLOOR = 1e-12
@@ -294,20 +313,28 @@ def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
     """Run a fixed-gamma selector across a geometric gamma grid, keep the best.
 
     ``runner(gamma)`` returns the selection at one gamma; the default is
-    :func:`weighted_kcenter` with ``k`` and ``lambda_``. The grid is walked
-    upward. A grid gamma that lies in the :class:`GammaSpan` of the last run
-    is not run: the selector would repeat that run pick for pick, so its
-    objective is copied into the trace. Since ties keep the smallest gamma, a
-    copy never wins. A run with no far round has a span with no upper end,
-    so it stands for every larger grid gamma. The runner's solutions must
-    carry a span.
+    :func:`weighted_kcenter` with ``k`` and ``lambda_``, except at a gamma
+    with ``3.0 * gamma >= t0`` (see :class:`GammaBracket`). There the run
+    would fill with the k lightest points, so their score from the bracket
+    is returned instead, bit for bit the run's. The grid is walked upward. A
+    grid gamma that lies in the :class:`GammaSpan` of the last run is not
+    run: the selector would repeat that run pick for pick, so its objective
+    is copied into the trace. Since ties keep the smallest gamma, a copy
+    never wins. A run with no far round has a span with no upper end, so it
+    stands for every larger grid gamma. The runner's solutions must carry a
+    span.
 
     Returns the winning solution and the (gamma, objective) trace, one entry
     per grid gamma."""
+    # the bracket's top is scored without a selector run that would check
+    check_selection(emb.n, k, lambda_, 0.0)
+    lo, hi, t0, lightest = gamma_bounds(emb, metric, weights, k)
     if runner is None:
         def runner(gamma: float) -> SubsetSolution:
+            if 3.0 * gamma >= t0:
+                return _scored(weights, lambda_, lightest, hi, "duke", gamma,
+                               far_rounds=0, span=GammaSpan(gamma))
             return weighted_kcenter(emb, metric, weights, k, lambda_, gamma)
-    lo, hi = gamma_bounds(emb, metric, weights, k)
     best: SubsetSolution | None = None
     last: SubsetSolution | None = None
     trace: list[tuple[float, float]] = []

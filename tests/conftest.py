@@ -25,6 +25,7 @@ from duke.instances import (
     gen_worked_example,
 )
 from duke.oracle import brute_force_kcenter, brute_force_weighted
+from duke.report import Report
 
 
 @pytest.fixture(scope="session")
@@ -93,3 +94,36 @@ def per_round_selection(emb, metric, w, k, gamma):
         taken = set(selected)
         selected.append(lightest(j for j in pool if j not in taken))
     return selected, float(to_centers(selected).max()), far_rounds
+
+
+class ParsedReport(Report):
+    """A report read back from its text, with lookups by section and key."""
+
+    def get(self, section: str, key: str) -> str:
+        return dict(self.section(section))[key]
+
+    def section(self, section: str) -> list[tuple[str, str]]:
+        for name, pairs in self.sections:
+            if name == section:
+                return pairs
+        raise KeyError(section)
+
+
+def parse_report(text: str) -> ParsedReport:
+    """Read ``Report.to_text`` output back; raise ValueError on a line that
+    is neither a ``[section]`` header nor a ``key = value`` pair in one."""
+    rep = ParsedReport()
+    current: list[tuple[str, str]] | None = None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = []
+            rep.sections.append((line[1:-1], current))
+            continue
+        if current is None or " = " not in line:
+            raise ValueError(f"unparseable report line: {raw!r}")
+        k, v = line.split(" = ", 1)
+        current.append((k, v))
+    return rep

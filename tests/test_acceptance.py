@@ -192,7 +192,7 @@ def test_criterion_08_near_linear_scaling():
 
     def build(n):
         emb, w = gen_clusters(SyntheticSpec(kind="uniform-cube", n=n, dim=dim, seed=0))
-        lo, hi = gamma_bounds(emb, metric, w, k)
+        lo, hi = gamma_bounds(emb, metric, w, k)[:2]
         gamma = float(np.sqrt(max(lo, 1e-12) * max(hi, lo, 1e-12)))
         return emb, w, gamma
 
@@ -241,7 +241,7 @@ def test_criterion_10_training_curves_out_of_scope():
         k = int(rng.integers(3, 9))
         emb = EmbeddingSet(rng.normal(size=(n, 3)))
         w = WeightVector(rng.random(n))
-        lo, hi = gamma_bounds(emb, "euclidean", w, k)
+        lo, hi = gamma_bounds(emb, "euclidean", w, k)[:2]
         gamma = float(np.sqrt(max(lo, 1e-12) * max(hi, lo, 1e-12)))
         seq = weighted_kcenter(emb, "euclidean", w, k, 0.5, gamma)
         for m in machines:

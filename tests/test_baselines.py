@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duke.baselines import (
     margin_select,
     random_select,
     submodular_greedy,
 )
-from duke.dataset import EmbeddingSet, WeightVector, metric_row
+from duke.dataset import METRICS, EmbeddingSet, WeightVector, metric_row
 from duke.errors import BudgetExceedsGroundSet, InvalidArgument, SizeMismatch
 from duke.nngraph import build_knn_graph
 from duke.wkcenter import evaluate_solution
@@ -163,3 +165,22 @@ def test_submodular_greedy_near_optimal(rng):
         best = max(set_value(c, utils, sims, lam) for c in itertools.combinations(range(10), 3))
         assert got >= (1.0 - 1.0 / math.e) * best - 1e-9
         assert extra["submodular_value"] == pytest.approx(got)
+
+
+@given(st.sampled_from(METRICS), st.integers(2, 30), st.integers(1, 6),
+       st.sampled_from([0.01, 1.0, 100.0]), st.floats(0.0, 5.0),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_submodular_gain_never_exceeds_the_picks_utility(metric, n, knn, scale,
+                                                         lambda_s, seed):
+    # similarities lie in [0, 1] under every metric, so the penalty only
+    # lowers a gain; on spread-out euclidean or manhattan points a similarity
+    # of 1 - d/2 would be negative and raise it
+    rng = np.random.default_rng(seed)
+    emb = EmbeddingSet(scale * rng.normal(size=(n, 3)) + scale / 2)
+    w = WeightVector(rng.random(n))
+    graph = build_knn_graph(emb, knn, metric)
+    k = int(rng.integers(1, n + 1))
+    picks, extra = submodular_greedy(graph, w, lambda_s=lambda_s, k=k)
+    for pick, gain in zip(picks, extra["marginal_gains"]):
+        assert gain <= 1.0 - w.values[pick]

@@ -9,7 +9,8 @@ import pytest
 import duke
 from duke import cli
 from duke.cli import main
-from duke.report import Report, fmt_float
+from conftest import parse_report
+from duke.report import fmt_float
 
 
 @pytest.fixture()
@@ -35,7 +36,7 @@ def test_select_worked_example(capsys, example_files):
         "--metric", "euclidean", "--k", "8", "--lambda", "1", "--gamma", "2",
     )
     assert code == 0
-    rep = Report.from_text(out)
+    rep = parse_report(out)
     assert rep.get("solution", "objective") == "6"
     assert rep.get("solution", "indices") == "0,4,1,2,3,5,6,7"
     assert rep.get("solution", "radius_term") == "2"
@@ -48,7 +49,7 @@ def test_select_report_is_reproducible(capsys, example_files):
             "--metric", "euclidean", "--k", "8", "--lambda", "1")
     _, out_a, _ = run_cli(capsys, *args)
     _, out_b, _ = run_cli(capsys, *args)
-    rep_a, rep_b = Report.from_text(out_a), Report.from_text(out_b)
+    rep_a, rep_b = parse_report(out_a), parse_report(out_b)
     # timing varies run to run; everything else must be byte equal
     for section in ("config", "trace", "solution"):
         assert rep_a.section(section) == rep_b.section(section)
@@ -61,7 +62,7 @@ def test_select_gamma_grid_trace(capsys, example_files):
         "--metric", "euclidean", "--k", "8", "--lambda", "1", "--gamma-grid", "8",
     )
     assert code == 0
-    rep = Report.from_text(out)
+    rep = parse_report(out)
     trace = rep.section("trace")
     assert len(trace) == 8
     best = float(rep.get("solution", "objective"))
@@ -69,7 +70,7 @@ def test_select_gamma_grid_trace(capsys, example_files):
 
 
 def _without_timing(text):
-    rep = Report.from_text(text)
+    rep = parse_report(text)
     rep.sections = [sec for sec in rep.sections if sec[0] != "timing"]
     return rep.to_text()
 
@@ -77,7 +78,7 @@ def _without_timing(text):
 def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files):
     from dataclasses import replace
 
-    from duke import cli
+    from duke import wkcenter
     from duke.dataset import load_embeddings, load_weights
     from duke.wkcenter import GammaSpan, evaluate_solution
 
@@ -94,20 +95,23 @@ def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files):
             return sol if report_span[0] else replace(sol, span=GammaSpan(np.inf))
         return run
 
-    monkeypatch.setattr(cli, "weighted_kcenter", counted(cli.weighted_kcenter))
+    # the search's default runner calls the selector by its module's name
+    monkeypatch.setattr(wkcenter, "weighted_kcenter",
+                        counted(wkcenter.weighted_kcenter))
     code, early, _ = run_cli(capsys, *args)
     assert code == 0
-    # on this instance the spans cover 8 grid gammas with 3 runs
-    assert len(runs) == 3
+    # on this instance the spans cover the 5 lowest grid gammas with 2 runs,
+    # and the top 3 are all-fill: the bracket's score of the k lightest
+    assert len(runs) == 2
 
     # with nothing to skip the search runs the whole grid
     runs.clear()
     report_span[0] = False
     _, full, _ = run_cli(capsys, *args)
-    assert len(runs) == 8
+    assert len(runs) == 5
 
     assert _without_timing(early) == _without_timing(full)
-    rep = Report.from_text(early)
+    rep = parse_report(early)
     assert len(rep.section("trace")) == 8
     assert "far_rounds" not in early
     # the selector's own scoring stands in for the final evaluation
@@ -117,6 +121,72 @@ def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files):
     assert rep.get("solution", "radius_term") == fmt_float(again.radius_term)
     assert rep.get("solution", "weight_term") == fmt_float(again.weight_term)
     assert rep.get("solution", "objective") == fmt_float(again.objective)
+
+
+# ``duke select`` on 40 points of the 8-d unit cube (``gen --kind
+# uniform-cube --seed 0``), k = 4, cosine: the seed's row holds no point
+# farther than 3 * gamma at any grid gamma, so every run would fill with the
+# four lightest points. Recorded before the search scored them from its
+# bracket instead of running the selector.
+_ALL_FILL_REPORT = """\
+[config]
+command = select
+method = duke
+k = 4
+lambda = 0.025
+metric = cosine-distance
+seed = 0
+n = 40
+dim = 8
+gamma = search
+gamma_grid = 8
+machines = 1
+partition = round-robin
+knn = 10
+lambda_s = 0.9
+
+[trace]
+gamma_0.13231125 = 0.250679
+gamma_0.144550174 = 0.250679
+gamma_0.157921211 = 0.250679
+gamma_0.172529082 = 0.250679
+gamma_0.188488195 = 0.250679
+gamma_0.205923543 = 0.250679
+gamma_0.224971678 = 0.250679
+gamma_0.245781785 = 0.250679
+
+[solution]
+algorithm = duke
+indices = 20,13,25,3
+radius_term = 0.245781785
+weight_term = 0.195888595
+objective = 0.250679
+gamma_used = 0.13231125
+"""
+
+
+def test_select_all_fill_grid_runs_no_selector(capsys, monkeypatch, tmp_path):
+    from duke import wkcenter
+    from duke.instances import SyntheticSpec, gen_clusters
+
+    emb, w = gen_clusters(SyntheticSpec("uniform-cube", n=40, dim=8, seed=0))
+    pts, wfile = tmp_path / "p.csv", tmp_path / "w.csv"
+    np.savetxt(pts, emb.features, delimiter=",", fmt="%.17g")
+    np.savetxt(wfile, w.values, fmt="%.17g")
+    runs = []
+
+    def counted(*a, **kw):
+        runs.append(1)
+        return selector(*a, **kw)
+
+    selector = wkcenter.weighted_kcenter
+    monkeypatch.setattr(wkcenter, "weighted_kcenter", counted)
+    monkeypatch.setattr(cli, "weighted_kcenter", counted)
+    code, out, _ = run_cli(capsys, "select", "--embeddings", str(pts),
+                           "--weights", str(wfile), "--k", "4")
+    assert code == 0
+    assert runs == []
+    assert _without_timing(out) == _ALL_FILL_REPORT
 
 
 def test_select_parallel_and_baseline_methods(capsys, example_files):
@@ -133,7 +203,7 @@ def test_select_parallel_and_baseline_methods(capsys, example_files):
             "--metric", "euclidean", "--k", "8", "--lambda", "1", "--gamma", "2", *extra,
         )
         assert code == 0, extra
-        rep = Report.from_text(out)
+        rep = parse_report(out)
         inds = [int(t) for t in rep.get("solution", "indices").split(",")]
         assert len(inds) == 8
         # every method's report carries a full evaluation
@@ -154,7 +224,7 @@ def test_select_margin_from_probabilities(capsys, tmp_path, example_files):
         "--method", "margin",
     )
     assert code == 0
-    rep = Report.from_text(out)
+    rep = parse_report(out)
     assert rep.get("solution", "indices") == "0,1"
 
 
@@ -165,14 +235,14 @@ def test_oracle_subcommand(capsys, example_files):
         "--metric", "euclidean", "--k", "8", "--lambda", "1",
     )
     assert code == 0
-    rep = Report.from_text(out)
+    rep = parse_report(out)
     assert rep.get("oracle", "objective") == "6"
     assert rep.get("oracle", "best_subset") == "0,1,2,3,4,5,6,7"
     code, out, _ = run_cli(
         capsys, "oracle", "--embeddings", pts, "--weights", w,
         "--metric", "euclidean", "--k", "8", "--kcenter",
     )
-    rep = Report.from_text(out)
+    rep = parse_report(out)
     assert rep.get("oracle", "radius_term") == "1"
     assert rep.get("oracle", "weight_term") == "7"
 
@@ -306,7 +376,7 @@ def test_gamma_inf_is_an_all_fill_run(capsys, example_files):
     )
     assert code == 0
     # every pick is a fill pick: the three lightest points
-    assert Report.from_text(out).get("solution", "indices") == "0,1,2"
+    assert parse_report(out).get("solution", "indices") == "0,1,2"
 
 
 # each method with non-default values for the flags it reads
@@ -334,7 +404,7 @@ def test_config_echo_reproduces_the_solution(capsys, example_files, extra):
         # a flag the echo cannot show must not be accepted at all
         assert code == 1 and "--start" in extra, err
         return
-    rep = Report.from_text(out)
+    rep = parse_report(out)
     argv = []
     for key, value in rep.section("config"):
         # n and dim describe the data; a searched gamma is the default
@@ -343,7 +413,7 @@ def test_config_echo_reproduces_the_solution(capsys, example_files, extra):
         argv += ["--" + key.replace("_", "-"), value]
     code, again, _ = run_cli(capsys, *data, *argv)
     assert code == 0
-    assert Report.from_text(again).section("solution") == rep.section("solution")
+    assert parse_report(again).section("solution") == rep.section("solution")
 
 
 def test_parallel_search_builds_one_partition(capsys, monkeypatch,
@@ -362,7 +432,7 @@ def test_parallel_search_builds_one_partition(capsys, monkeypatch,
         "--machines", "2", "--partition", "random",
     )
     assert code == 0
-    assert len(Report.from_text(out).section("trace")) == 8
+    assert len(parse_report(out).section("trace")) == 8
     assert len(plans) == 1
 
 
@@ -376,7 +446,7 @@ def test_out_flag_writes_report(capsys, tmp_path, example_files):
     )
     assert code == 0
     text = dest.read_text()
-    rep = Report.from_text(text)
+    rep = parse_report(text)
     assert rep.get("solution", "objective") == "6"
 
 

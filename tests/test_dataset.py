@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 import duke
 from duke import dataset
 from duke.dataset import (
+    METRICS,
     EmbeddingSet,
     ProbabilityMatrix,
     WeightVector,
+    covering_radius,
     distance_matrix,
     load_embeddings,
     load_probabilities,
     load_weights,
     margin_weights,
     metric_row,
-    min_dists,
 )
 from duke.errors import (
     DukeError,
@@ -138,11 +139,122 @@ def test_min_dists_bitwise_equals_row_minimum(rng, monkeypatch, metric,
     emb = EmbeddingSet(pts)
     step = dataset.block_rows(emb)
     assert n % step != 0 and n > 2 * step
-    centers = [0, 3, step + 1, n - 1, n - 4, 2]
-    ref = metric_row(emb, metric, centers[0]).copy()
-    for c in centers[1:]:
-        np.minimum(ref, metric_row(emb, metric, c), out=ref)
-    assert np.array_equal(min_dists(emb, metric, centers), ref)
+    # six centers take the fold, twelve the screen
+    for centers in ([0, 3, step + 1, n - 1, n - 4, 2],
+                    [0, 3, step + 1, n - 1, n - 4, 2, 7, 8, 9, 30, 31, n - 2]):
+        ref = metric_row(emb, metric, centers[0]).copy()
+        for c in centers[1:]:
+            np.minimum(ref, metric_row(emb, metric, c), out=ref)
+        assert _bits(covering_radius(emb, metric, centers)) == _bits(ref.max())
+        dmin = metric_row(emb, metric, n // 2)
+        assert _bits(covering_radius(emb, metric, centers, dmin)) == \
+            _bits(np.minimum(ref, dmin).max())
+        assert _bits(covering_radius(emb, metric, [], dmin)) == _bits(dmin.max())
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _fold_radius(emb, metric, centers, dmin=None):
+    """The covering radius by its definition: every center's row, folded."""
+    rows = [metric_row(emb, metric, int(c)) for c in centers]
+    if dmin is not None:
+        rows.append(dmin)
+    return np.minimum.reduce(rows).max()
+
+
+@st.composite
+def _radius_cases(draw):
+    """Point sets whose covering radius the screen must not change."""
+    metric = draw(st.sampled_from(METRICS))
+    n = draw(st.integers(1, 120))
+    dim = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["normal", "lattice", "offset", "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "normal":
+        pts = draw(st.sampled_from([1e-6, 1.0, 1e6])) * rng.normal(size=(n, dim))
+    elif kind == "lattice":
+        # few distinct distances: the maximum ties in several blocks
+        pts = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    elif kind == "offset":
+        # far from the origin: most euclidean entries are in the NEAR band
+        pts = 1e6 + rng.normal(size=(n, dim))
+    else:
+        # squared norms and products near or past the largest float
+        pts = draw(st.sampled_from([0.6e154, 1e154])) * rng.normal(size=(n, dim))
+    dup = rng.integers(0, n, size=n // 4)
+    pts[n - 1 - dup] = pts[dup]           # duplicated rows, across blocks
+    if metric == "cosine-distance":
+        pts[~np.abs(pts).any(axis=1)] = 1.0
+    centers = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=24))
+    rows_per_block = draw(st.integers(1, 40))
+    dmin = draw(st.booleans())
+    return metric, pts, centers, rows_per_block, dmin
+
+
+@given(_radius_cases())
+@settings(max_examples=300, deadline=None)
+def test_covering_radius_bitwise_equals_the_row_fold(case):
+    metric, pts, centers, rows_per_block, use_dmin = case
+    emb = EmbeddingSet(pts)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
+                                                         invalid="ignore"):
+        # a tiny block puts centers inside and outside most blocks
+        mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
+        dmin = metric_row(emb, metric, centers[-1]) if use_dmin else None
+        got = covering_radius(emb, metric, centers, dmin)
+        want = _fold_radius(emb, metric, centers, dmin)
+    assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
+
+
+def test_covering_radius_overflowed_screen_takes_the_exact_path(monkeypatch):
+    # 1-d points at +-0.9e154: the squared norms are finite, but the screen's
+    # |c|^2 - 2 y.c + |y|^2 across the origin overflows, as does the kernel's
+    # squared distance; the overflowed block is folded and holds the radius
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 4)
+    pts = np.r_[np.full(12, 0.9e154), np.full(4, -0.9e154)][:, None]
+    emb = EmbeddingSet(pts)
+    blocks = []
+    rows = dataset._row_block
+
+    def counted(emb_, metric, i, lo, hi):
+        blocks.append(lo)
+        return rows(emb_, metric, i, lo, hi)
+
+    monkeypatch.setattr(dataset, "_row_block", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = covering_radius(emb, "euclidean", list(range(8)))
+    assert got == np.inf and 12 in blocks
+
+
+def test_covering_radius_rechecks_one_block_when_separated(monkeypatch):
+    # 40 tight clusters and a center in each but the last: only the block
+    # holding that cluster can hold the radius, so the exact fold runs there
+    # alone; a fallback to the fold of every block fails here
+    rng = np.random.default_rng(4)
+    dim, per = 8, 64
+    centers_at = 100.0 * rng.normal(size=(40, dim))
+    pts = np.repeat(centers_at, per, axis=0) + rng.normal(size=(40 * per, dim))
+    emb = EmbeddingSet(pts)
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * dim * per)
+    step = dataset.block_rows(emb)
+    centers = list(range(0, 39 * per, per))
+    blocks = []
+    rows = dataset._row_block
+
+    def counted(emb_, metric, i, lo, hi):
+        blocks.append(lo)
+        return rows(emb_, metric, i, lo, hi)
+
+    monkeypatch.setattr(dataset, "_row_block", counted)
+    for metric in ("euclidean", "cosine-distance"):
+        blocks.clear()
+        got = covering_radius(emb, metric, centers)
+        assert blocks == [39 * step] * len(centers)
+        monkeypatch.setattr(dataset, "_row_block", rows)
+        assert _bits(got) == _bits(_fold_radius(emb, metric, centers))
+        monkeypatch.setattr(dataset, "_row_block", counted)
 
 
 def test_distance_matrix_symmetric(rng):
@@ -178,19 +290,22 @@ def test_euclidean_kernel_exact_on_duplicates_and_within_bound(
     pts[dup] = pts[(dup + 1) % n]
     emb = EmbeddingSet(pts)
     f = emb.features
-    centers = sorted({0, n - 1, int(dup[0]), int(dup[0] + 1) % n})
+    centers = sorted({0, n - 1, int(dup[0]), int(dup[0] + 1) % n,
+                      *range(0, n, 7)})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "BLOCK_BYTES", 8 * dim * rows_per_block)
         rows = {c: metric_row(emb, "euclidean", c) for c in centers}
-        dmin = min_dists(emb, "euclidean", centers)
+        radius = covering_radius(emb, "euclidean", centers)
     for c, row in rows.items():
         ref = _euclid_reference(f, c)
         same = (f == f[c]).all(axis=1)
         assert np.all(row[same] == 0.0)
         _assert_euclid_close(row, ref, dim)
-    assert np.all(dmin[(f[:, None] == f[centers]).all(axis=2).any(axis=1)] == 0.0)
-    _assert_euclid_close(dmin, np.min([_euclid_reference(f, c) for c in centers],
-                                      axis=0), dim)
+    assert _bits(radius) == _bits(np.minimum.reduce(list(rows.values())).max())
+    _assert_euclid_close(
+        np.array([radius]),
+        np.array([np.min([_euclid_reference(f, c) for c in centers], axis=0).max()]),
+        dim)
 
 
 def test_euclidean_block_mixes_near_and_far_entries():
@@ -237,7 +352,7 @@ def test_far_offset_duplicates_reach_radius_zero_at_gamma_zero():
 _KERNEL_HASH = """
 import hashlib
 import numpy as np
-from duke.dataset import EmbeddingSet, metric_row, min_dists
+from duke.dataset import EmbeddingSet, covering_radius, metric_row
 h = hashlib.sha256()
 rng = np.random.default_rng(3)
 # 10 and 2 blocks with a short last one; a single matrix-vector product over
@@ -249,7 +364,10 @@ for n, dim in ((20001, 64), (9001, 16)):
     for metric in ("euclidean", "cosine-distance", "manhattan"):
         for i in (0, 1, n - 1):
             h.update(metric_row(emb, metric, i).tobytes())
-        h.update(min_dists(emb, metric, list(range(0, n, n // 12))).tobytes())
+        for centers in (range(0, n, n // 12), range(0, n, n // 4)):
+            # 13 centers take the screen, 5 the fold
+            radius = covering_radius(emb, metric, list(centers))
+            h.update(np.float64(radius).tobytes())
 print(h.hexdigest())
 """
 

@@ -60,16 +60,18 @@ GOLDEN = {
         "weight_term = 0.397050681\n"
         "objective = 33.7246709\n"
         "gamma_used = 0\n"),
+    # re-recorded when similarities were scaled by the longest kNN edge, so
+    # that no euclidean gain exceeds its utility (it reached 1.66 before)
     ("submodular", "--knn", "4"): (
         "algorithm = submodular\n"
-        "indices = 39,23,15,19,11,35\n"
-        "radius_term = 37.0700361\n"
-        "weight_term = 1.40178871\n"
-        "objective = 39.8736135\n"
+        "indices = 39,19,13,20,10,5\n"
+        "radius_term = 32.9305695\n"
+        "weight_term = 0.397050681\n"
+        "objective = 33.7246709\n"
         "gamma_used = 0\n"
-        "marginal_gains = 0.998851586,1.66274893,1.09136264,0.991033527,"
-        "1.05266364,1.43792325\n"
-        "submodular_value = 7.23458358\n"),
+        "marginal_gains = 0.998851586,0.991033527,0.946970325,0.935749678,"
+        "0.856363054,0.759539826\n"
+        "submodular_value = 5.488508\n"),
 }
 
 

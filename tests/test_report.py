@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duke.report import Report, fmt_float
+from conftest import parse_report
 
 
 def build_sample():
@@ -19,7 +20,7 @@ def build_sample():
 def test_round_trip_byte_exact():
     rep = build_sample()
     text = rep.to_text()
-    again = Report.from_text(text)
+    again = parse_report(text)
     assert again.to_text() == text
 
 
@@ -30,7 +31,7 @@ def test_section_structure():
     assert "[solution]" in text
     assert "indices = 0,4,1,2" in text
     assert "approx = true" in text
-    assert rep.get("config", "k") == "8"
+    assert parse_report(text).get("config", "k") == "8"
 
 
 def test_float_formatting():
@@ -43,9 +44,9 @@ def test_float_formatting():
 
 def test_from_text_rejects_garbage():
     with pytest.raises(ValueError):
-        Report.from_text("[section]\nthis line has no equals sign\n")
+        parse_report("[section]\nthis line has no equals sign\n")
     with pytest.raises(ValueError):
-        Report.from_text("key = before any section\n")
+        parse_report("key = before any section\n")
 
 
 @given(st.lists(
@@ -61,4 +62,4 @@ def test_round_trip_arbitrary_keys(pairs):
     for name, value in pairs:
         rep.add("s", name, float(value))
     text = rep.to_text()
-    assert Report.from_text(text).to_text() == text
+    assert parse_report(text).to_text() == text

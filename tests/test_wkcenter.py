@@ -74,14 +74,19 @@ def test_kcenter_cost_cosine_zero_row_checked_once_before_any_distance(
     monkeypatch.setattr(dataset, "_row_block", counted_rows)
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 3 * 4)   # 4 rows a block
     pts = rng.normal(size=(30, 3)) + 2.0
-    assert _radius(EmbeddingSet(pts.copy()), "cosine-distance",
-                   [1, 9, 20]) > 0.0
-    assert calls == {"check": 1, "rows": 8 * 3}
-    pts[17] = 0.0
-    calls.update(check=0, rows=0)
-    with pytest.raises(ZeroVectorCosine):
-        _radius(EmbeddingSet(pts), "cosine-distance", [1, 9, 20])
-    assert calls == {"check": 1, "rows": 0}
+    zero = pts.copy()
+    zero[17] = 0.0
+    # three centers fold all 8 blocks; eight centers are screened first, and
+    # only the one block that can hold the radius is folded
+    for centers, folded in (([1, 9, 20], 8 * 3),
+                            ([1, 9, 20, 3, 5, 12, 27, 29], 1 * 8)):
+        calls.update(check=0, rows=0)
+        assert _radius(EmbeddingSet(pts), "cosine-distance", centers) > 0.0
+        assert calls == {"check": 1, "rows": folded}
+        calls.update(check=0, rows=0)
+        with pytest.raises(ZeroVectorCosine):
+            _radius(EmbeddingSet(zero), "cosine-distance", centers)
+        assert calls == {"check": 1, "rows": 0}
 
 
 def test_weighted_objective_identity(line_points):
@@ -244,17 +249,19 @@ def test_stored_terms_match_recomputation(rng):
 
 def test_gamma_bounds_line(line_points):
     w = wv(0.1, 0.2, 0.3, 0.4, 0.5)
-    lo, hi = gamma_bounds(line_points, "euclidean", w, 2)
+    lo, hi, t0, lightest = gamma_bounds(line_points, "euclidean", w, 2)
     # upper bound: cover radius of the two lightest points {0,1}
     assert hi == 9.0
     # lower bound: half the greedy radius
     assert lo == 1.5
     assert lo <= hi
+    # the lightest point's row reaches the outlier at 10
+    assert (t0, lightest.tolist()) == (10.0, [0, 1])
 
 
 def test_gamma_bounds_k_equals_n(line_points):
     w = wv(0.1, 0.2, 0.3, 0.4, 0.5)
-    lo, hi = gamma_bounds(line_points, "euclidean", w, 5)
+    lo, hi = gamma_bounds(line_points, "euclidean", w, 5)[:2]
     assert hi == 0.0
     assert lo == 0.0
 
@@ -267,7 +274,7 @@ def test_gamma_bounds_bracket_optimum(rng):
         emb = EmbeddingSet(rng.normal(size=(n, 2)))
         w = WeightVector(rng.random(n))
         lam = float(rng.choice([0.0, 0.1, 1.0]))
-        lo, hi = gamma_bounds(emb, "euclidean", w, k)
+        lo, hi = gamma_bounds(emb, "euclidean", w, k)[:2]
         star = brute_force_weighted(emb, "euclidean", w, k, lam).radius_term
         assert lo <= star <= hi
 
@@ -426,7 +433,7 @@ def test_clustered_search_runs_the_selector_once(monkeypatch):
     monkeypatch.setattr(wkcenter, "weighted_kcenter", counted)
     sol, trace = gamma_search(emb, "euclidean", w, 100, 0.001, grid_size=8)
     assert len(runs) == 1 and runs[0].far_rounds > 0
-    grid = make_gamma_grid(*gamma_bounds(emb, "euclidean", w, 100), 8)
+    grid = make_gamma_grid(*gamma_bounds(emb, "euclidean", w, 100)[:2], 8)
     for g, (traced_g, objective) in zip(grid, trace):
         full = selector(emb, "euclidean", w, 100, 0.001, float(g))
         assert full.indices == sol.indices
@@ -459,7 +466,7 @@ def test_gamma_search_equals_selector_at_every_grid_gamma(rng, monkeypatch):
             runs.append(1)
             return parallel_weighted_kcenter(emb, metric, w, k, 0.5, g, parts)
 
-        grid = make_gamma_grid(*gamma_bounds(emb, metric, w, k), 8)
+        grid = make_gamma_grid(*gamma_bounds(emb, metric, w, k)[:2], 8)
         # the default runner is duke's; parallel runs are passed in
         for name, run, runner in (("duke", duke, None),
                                   ("parallel", parallel, parallel)):
@@ -477,6 +484,39 @@ def test_gamma_search_equals_selector_at_every_grid_gamma(rng, monkeypatch):
                 (best.radius_term, best.weight_term, best.objective)
     # the early stop fired on part of the instances, not on all
     assert all(0 < s < 40 for s in stopped.values()), stopped
+
+
+@st.composite
+def _search_instances(draw):
+    """Small searches, half of them on the cosine cube, whose grid is mostly
+    all-fill."""
+    if draw(st.booleans()):
+        pts, w, metric, _, k = draw(_small_instances())
+        return np.array(pts), np.array(w), metric, k
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 40))
+    pts = rng.random((n, draw(st.integers(2, 16))))
+    w = np.round(rng.random(n), draw(st.sampled_from([1, 3])))
+    return pts, w, "cosine-distance", draw(st.integers(1, n))
+
+
+@given(_search_instances(), st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_gamma_search_equals_a_selector_run_at_every_grid_gamma(inst, size):
+    pts, w, metric, k = inst
+    emb, w = EmbeddingSet(pts), WeightVector(w)
+    sol, trace = gamma_search(emb, metric, w, k, 0.5, grid_size=size)
+    grid = make_gamma_grid(*gamma_bounds(emb, metric, w, k)[:2], size)
+    full = [weighted_kcenter(emb, metric, w, k, 0.5, float(g)) for g in grid]
+    assert trace == [(float(g), r.objective) for g, r in zip(grid, full)]
+    best = min(full, key=lambda r: r.objective)    # first of equals
+    assert (sol.indices, sol.gamma_used, sol.far_rounds) == \
+        (best.indices, best.gamma_used, best.far_rounds)
+    assert [_bits(x) for x in (sol.radius_term, sol.weight_term, sol.objective)] == \
+        [_bits(x) for x in (best.radius_term, best.weight_term, best.objective)]
+    # a grid the bracket's top answers whole runs no selector to check lambda
+    with pytest.raises(InvalidArgument):
+        gamma_search(emb, metric, w, k, -1.0, grid_size=size)
 
 
 def test_gamma_search_beats_three_x_on_euclidean(rng):
