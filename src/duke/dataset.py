@@ -4,10 +4,13 @@ All distance computation funnels through one row kernel, which computes the
 distances from one point to a contiguous block of points. :func:`metric_row`
 is its full-range call, so every part of the package (graph construction,
 selection, oracle, cost evaluation) sees bitwise-identical values for the
-same point pair. :func:`covering_radius`, the largest distance from a point
-to its nearest center, folds kernel rows too, but only over the blocks that
-a matrix-product screen with a proven error bound leaves as able to hold the
-maximum; its result is the full fold's bit for bit.
+same point pair. :func:`fold_block` folds many centers' rows over one block
+while it sits in cache, applying the kernel's monotone finish once, and
+gives the ``np.minimum`` fold of those rows bit for bit.
+:func:`covering_radius`, the largest distance from a point to its nearest
+center, folds only the blocks that a matrix-product screen with a proven
+error bound leaves as able to hold the maximum; its result is the full
+fold's bit for bit.
 
 Cosine and euclidean distances both rest on one matrix-vector product per
 block. Euclidean takes ``d^2 = (|y|^2 + |x|^2) - 2 y.x`` from the cached
@@ -210,17 +213,20 @@ def block_rows(emb: EmbeddingSet) -> int:
 NEAR = 2.0 ** -10
 
 
-def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
+def _raw_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
                hi: int) -> np.ndarray:
-    """Distances from point i to points lo..hi-1, d(i, i) forced to exactly 0.
+    """Point i's distances to points lo..hi-1 before their monotone finish.
 
-    The shared row kernel. The products (cosine and euclidean matvec,
-    manhattan abs-sums) are taken block by block from ``lo``; the rest is
-    elementwise. Euclidean forms ``(|y|^2 + |x|^2) - 2 y.x`` per block and
-    recomputes every entry in the :data:`NEAR` band (and any that overflowed)
-    as the exact sum of squared differences, so identical rows come out at
-    exactly 0. It does not validate the metric or the cosine norms; its
-    callers do that once per call of their own.
+    The products (cosine and euclidean matvec, manhattan abs-sums) are taken
+    block by block from ``lo``; the rest is elementwise. Cosine gives the
+    scaled product ``y.x / (|y| |x|)``, which :func:`_finish` turns into
+    ``1 - clip(...)``, a non-increasing map. Euclidean forms the squared
+    distance ``(|y|^2 + |x|^2) - 2 y.x`` per block and recomputes every entry
+    in the :data:`NEAR` band (and any that overflowed) as the exact sum of
+    squared differences; :func:`_finish` takes its square root, a
+    non-decreasing map. Manhattan needs no finish. It does not validate the
+    metric or the cosine norms; its callers do that once per call of their
+    own.
     """
     f = emb.features
     x = f[i]
@@ -246,13 +252,63 @@ def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
     if metric == "cosine-distance":
         norms = emb.norms()
         d /= norms[lo:hi] * norms[i]
+    return d
+
+
+def _finish(metric: str, d: np.ndarray) -> None:
+    """Turn :func:`_raw_block` values into distances, in place."""
+    if metric == "cosine-distance":
         np.clip(d, -1.0, 1.0, out=d)
         np.subtract(1.0, d, out=d)
     elif metric == "euclidean":
         np.sqrt(d, out=d)
+
+
+def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
+               hi: int) -> np.ndarray:
+    """Distances from point i to points lo..hi-1, d(i, i) forced to exactly 0.
+
+    The shared row kernel: :func:`_raw_block` and its finish. Identical rows
+    come out at exactly 0 for euclidean, since the difference form is exact.
+    """
+    d = _raw_block(emb, metric, i, lo, hi)
+    _finish(metric, d)
     if lo <= i < hi:
         d[i - lo] = 0.0
     return d
+
+
+def fold_block(emb: EmbeddingSet, metric: str, centers, lo: int, hi: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Each point of lo..hi-1's distance to its nearest center, folded into
+    ``out`` in place when given.
+
+    Bit for bit ``np.minimum`` folded over the :func:`_row_block` rows of
+    ``centers`` (and ``out``). Rounding is monotone and the finish of
+    :func:`_raw_block` is monotone, so the minimum of finished rows is the
+    finish of the extreme raw value (the largest scaled product for cosine,
+    the smallest squared distance for euclidean): the fold applies the
+    finish and the ``d(c, c) = 0`` of each center in the range once, not
+    once per center. A NaN breaks that order; only cosine rows whose norms
+    overflow or underflow give one, and a block that holds one is folded
+    from rows. It does not validate the metric or the cosine norms.
+    """
+    idx = np.asarray(centers, dtype=np.int64).reshape(-1)
+    extreme = np.maximum if metric == "cosine-distance" else np.minimum
+    acc = _raw_block(emb, metric, int(idx[0]), lo, hi)
+    for c in idx[1:]:
+        extreme(acc, _raw_block(emb, metric, int(c), lo, hi), out=acc)
+    if np.isnan(acc).any():
+        rows = (_row_block(emb, metric, int(c), lo, hi) for c in idx)
+        acc = next(rows)
+        for row in rows:
+            np.minimum(acc, row, out=acc)
+    else:
+        _finish(metric, acc)
+        acc[idx[(lo <= idx) & (idx < hi)] - lo] = 0.0
+    if out is None:
+        return acc
+    return np.minimum(out, acc, out=out)
 
 
 def _check_rows(emb: EmbeddingSet, metric: str) -> None:
@@ -260,6 +316,21 @@ def _check_rows(emb: EmbeddingSet, metric: str) -> None:
         raise UnknownMetric(metric=metric)
     if metric == "cosine-distance":
         _cosine_norm_check(emb.norms())
+
+
+def numeric_distances(emb: EmbeddingSet, metric: str) -> bool:
+    """False where a kernel distance can be NaN: cosine with a squared row
+    norm outside [2^-900, 2^900].
+
+    Inside that range a product ``y.x`` and its partial sums stay below
+    about ``|y| |x|`` and a norm product is normal, so every cosine distance
+    is a number. Euclidean and manhattan overflow only to inf, and an
+    overflowed squared distance is recomputed as a sum of squares.
+    """
+    if metric != "cosine-distance":
+        return True
+    sq = emb.sq_norms()
+    return bool(sq.min() >= 2.0 ** -900 and sq.max() <= 2.0 ** 900)
 
 
 def metric_row(emb: EmbeddingSet, metric: str, i: int) -> np.ndarray:
@@ -325,7 +396,7 @@ def _screen(emb: EmbeddingSet, metric: str, idx: np.ndarray,
     eps = np.finfo(np.float64).eps
     cosine = metric == "cosine-distance"
     if cosine:
-        if not (sq.min() >= 2.0 ** -900 and sq.max() <= 2.0 ** 900):
+        if not numeric_distances(emb, metric):
             return None
         norms = emb.norms()
         delta = 8.0 * (dim + 4) * eps
@@ -408,11 +479,8 @@ def covering_radius(emb: EmbeddingSet, metric: str, centers,
 
     def block_max(lo: int) -> float:
         hi = min(lo + step, n)
-        rows = (_row_block(emb, metric, int(c), lo, hi) for c in idx)
-        d = next(rows) if dmin is None else dmin[lo:hi].copy()
-        for row in rows:
-            np.minimum(d, row, out=d)
-        return d.max()
+        prior = None if dmin is None else dmin[lo:hi].copy()
+        return fold_block(emb, metric, idx, lo, hi, prior).max()
 
     return float(np.max([block_max(lo) for lo in starts]))
 

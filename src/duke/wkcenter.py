@@ -24,6 +24,13 @@ for good: the rest of the budget is the lightest unselected points, taken in
 one slice, and only the covering radius they leave is computed. A far round
 whose ball pick is its own anchor reuses the anchor's row.
 
+The bracket's farthest-point traversal computes no full rows. It keeps its
+distances per kernel block with a stale maximum that bounds the block from
+above, and folds the centers a block lacks into it only when that block
+could hold the next pick (lazy evaluation as in Minoux's accelerated greedy,
+1978). A block is then read once for many centers, while it sits in cache,
+and the picks and radius are those of the full-row traversal bit for bit.
+
 The selection at a guess changes only when the guess crosses one of the
 thresholds the run compared it with (the guess-the-radius structure of
 Hochbaum & Shmoys 1985). A fixed-gamma run therefore records the span of
@@ -52,7 +59,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import EmbeddingSet, WeightVector, covering_radius, metric_row
+from .dataset import (
+    EmbeddingSet,
+    WeightVector,
+    _check_rows,
+    block_rows,
+    covering_radius,
+    fold_block,
+    metric_row,
+    numeric_distances,
+)
 from .errors import BudgetExceedsGroundSet, InvalidArgument, SizeMismatch
 
 __all__ = [
@@ -168,24 +184,82 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     """Farthest-point traversal from point 0. 2-approximation for the
     k-center radius.
 
-    The picks ignore weights; the traversal scores its own selection from
-    the distances it folded."""
+    Each round picks the point farthest from the centers so far, the lowest
+    index among ties. The picks ignore weights; the traversal scores its own
+    selection from the distances it folded.
+
+    The distances are kept per kernel block (the 1 MiB grid of
+    :func:`~duke.dataset.block_rows`), each with the number of centers
+    folded into it and its largest distance from an unselected point when it
+    was last brought up to date. Distances to the centers never grow, so
+    that stale maximum bounds the block's current one. A round brings the
+    block with the largest stale maximum (the lowest block on ties) up to
+    date with one :func:`~duke.dataset.fold_block` of every center it lacks,
+    until that block is up to date; its farthest point is then the global
+    one. A block is read once per visit instead of once per center, and a
+    block that never comes near the top is not read again. The final radius
+    is found the same way. Where a distance can be NaN
+    (:func:`~duke.dataset.numeric_distances`) no stale maximum is a bound,
+    and every block is brought up to date every round. Indices and radius
+    are those of folding every center's full row into every point, bit for
+    bit (a NaN radius as NaN).
+    """
     n = emb.n
     check_selection(n, k, lambda_, 0.0)
     if weights.n != n:
         raise SizeMismatch(expected=n, got=weights.n)
+    _check_rows(emb, metric)
+    step = block_rows(emb)
+    dmin = np.full(n, np.inf)
+    held = np.zeros(n, dtype=bool)      # selected points, out of the maxima
+    held[0] = True
+    folded = np.zeros(-(-n // step), dtype=np.int64)
+    far = np.zeros(folded.size, dtype=np.int64)
+    # NaN is np.argmax's largest value and a fold can turn a number into
+    # one, so where a distance can be NaN no stale maximum bounds a block:
+    # every pick leaves every block unknown
+    bounded = numeric_distances(emb, metric)
+    top = np.full(folded.size, np.inf if bounded else np.nan)
     selected = [0]
-    in_s = np.zeros(n, dtype=bool)
-    in_s[0] = True
-    dmin = metric_row(emb, metric, 0)
-    while len(selected) < k:
-        masked = np.where(in_s, -np.inf, dmin)
-        nxt = int(np.argmax(masked))
-        selected.append(nxt)
-        in_s[nxt] = True
-        np.minimum(dmin, metric_row(emb, metric, nxt), out=dmin)
-    return _scored(weights, lambda_, selected, float(dmin.max()),
-                   "greedy-kcenter")
+    while True:
+        b = int(np.argmax(top))
+        while folded[b] < len(selected):
+            lo, hi = b * step, min(b * step + step, n)
+            d = fold_block(emb, metric, selected[folded[b]:], lo, hi,
+                           dmin[lo:hi])
+            folded[b] = len(selected)
+            d = np.where(held[lo:hi], -np.inf, d)
+            far[b] = lo + int(np.argmax(d))
+            top[b] = d[far[b] - lo]
+            b = int(np.argmax(top))
+        if len(selected) == k:
+            break
+        selected.append(int(far[b]))
+        held[far[b]] = True
+        if not bounded:
+            top[:] = np.nan
+    # A selected point is at distance 0 from itself, so the radius is the
+    # largest unselected distance, or 0. Where a NaN can arise the loop has
+    # brought every block up to date or stopped at a NaN that dmin holds.
+    radius = max(float(top[b]), 0.0) if bounded else float(dmin.max())
+    return _scored(weights, lambda_, selected, radius, "greedy-kcenter")
+
+
+# positions of the (weight, index) order a far scan reads at a time
+_SCAN = 1024
+
+
+def _next_far(dmin: np.ndarray, order: np.ndarray, a: int,
+              three_gamma: float) -> int:
+    """The first position from ``a`` on whose point is farther than
+    ``three_gamma``, or ``len(order)``."""
+    n = order.size
+    for lo in range(a, n, _SCAN):
+        far = dmin[order[lo:lo + _SCAN]] > three_gamma
+        j = int(np.argmax(far))
+        if far[j]:
+            return lo + j
+    return n
 
 
 def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -203,6 +277,9 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     takes all of them at once: the next unselected entries of the (weight,
     index) order, scored by one :func:`covering_radius` call over them and
     the distances so far, which is the same float as a pick-by-pick fold.
+    For the same reason the points ahead of an anchor in that order stay
+    within 3*gamma, so each far scan resumes at the last anchor's position,
+    and a ball is read only up to its anchor, which it always holds.
 
     The run records its :class:`GammaSpan`. A far round needs
     ``dmin[c] > 3*gamma'`` and ``dmin <= 3*gamma'`` for every point ahead of c
@@ -225,19 +302,19 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     dmin = metric_row(emb, metric, selected[0])
     t_hi = g_hi = np.inf
 
+    a = 0
     while len(selected) < k:
-        d = dmin[order]
-        a = int(np.argmax(d > three_gamma))
-        if not d[a] > three_gamma:
+        a = _next_far(dmin, order, a, three_gamma)
+        if a == n:
             break
         c_hat = int(order[a])
-        t_hi = min(t_hi, float(d[a]))
+        t_hi = min(t_hi, float(dmin[c_hat]))
         # c_hat is unselected and at distance 0 from itself, so the ball
         # holds an unselected point no later than c_hat in the order
         row = metric_row(emb, metric, c_hat)
-        r = row[order]
+        r = row[order[:a + 1]]
         ball = r <= gamma
-        ball &= ~taken
+        ball &= ~taken[:a + 1]
         p = int(np.argmax(ball))
         g_hi = min(g_hi, float(r[:p].min(where=~taken[:p], initial=np.inf)))
         pick = int(order[p])

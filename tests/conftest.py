@@ -96,6 +96,26 @@ def per_round_selection(emb, metric, w, k, gamma):
     return selected, float(to_centers(selected).max()), far_rounds
 
 
+def farthest_point_traversal(emb, metric, k):
+    """The farthest-point traversal by its definition, for tests to compare
+    ``greedy_kcenter`` against: from point 0, every round folds the last
+    pick's full distance row into every point and picks the unselected point
+    farthest from the centers, the lowest index among ties (np.argmax, which
+    also takes the first NaN).
+
+    Returns (indices, radius)."""
+    from duke.dataset import metric_row
+
+    selected = [0]
+    dmin = metric_row(emb, metric, 0).copy()
+    while len(selected) < k:
+        masked = dmin.copy()
+        masked[selected] = -np.inf
+        selected.append(int(np.argmax(masked)))
+        np.minimum(dmin, metric_row(emb, metric, selected[-1]), out=dmin)
+    return selected, float(dmin.max())
+
+
 class ParsedReport(Report):
     """A report read back from its text, with lookups by section and key."""
 

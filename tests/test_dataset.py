@@ -16,6 +16,7 @@ from duke.dataset import (
     WeightVector,
     covering_radius,
     distance_matrix,
+    fold_block,
     load_embeddings,
     load_probabilities,
     load_weights,
@@ -208,6 +209,44 @@ def test_covering_radius_bitwise_equals_the_row_fold(case):
     assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
 
 
+@given(_radius_cases(), st.integers(0, 2 ** 16))
+@settings(max_examples=300, deadline=None)
+def test_fold_block_bitwise_equals_the_row_fold(case, pick):
+    metric, pts, centers, rows_per_block, use_out = case
+    emb = EmbeddingSet(pts)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
+                                                         invalid="ignore"):
+        mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
+        step = dataset.block_rows(emb)
+        lo = step * (pick % -(-emb.n // step))
+        hi = min(lo + step, emb.n)
+        # with a tiny block, centers fall inside it as well as outside
+        rows = [dataset._row_block(emb, metric, c, lo, hi) for c in centers]
+        out = None
+        if use_out:
+            out = dataset._row_block(emb, metric, centers[-1] // 2, lo, hi)
+            rows.insert(0, out.copy())
+        want = rows[0]
+        for row in rows[1:]:
+            want = np.minimum(want, row)
+        got = fold_block(emb, metric, centers, lo, hi, out)
+    assert got.tobytes() == want.tobytes()
+    assert out is None or got is out
+
+
+def test_fold_block_keeps_the_nan_a_row_holds_at_a_center():
+    # the squared norms overflow, so y.x / (|y| |x|) is NaN between the two
+    # centers: each center's own row holds 0 at the center, the other's NaN,
+    # and the fold keeps the NaN where a fold of the largest products would
+    # force 0
+    emb = EmbeddingSet(np.array([[1e200, 1e200], [1e200, -1e200], [1.0, 2.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = fold_block(emb, "cosine-distance", [0, 1], 0, 3)
+        rows = [metric_row(emb, "cosine-distance", c) for c in (0, 1)]
+    assert np.isnan(got[:2]).all() and got[2] == 1.0
+    assert got.tobytes() == np.minimum(*rows).tobytes()
+
+
 def test_covering_radius_overflowed_screen_takes_the_exact_path(monkeypatch):
     # 1-d points at +-0.9e154: the squared norms are finite, but the screen's
     # |c|^2 - 2 y.c + |y|^2 across the origin overflows, as does the kernel's
@@ -216,13 +255,13 @@ def test_covering_radius_overflowed_screen_takes_the_exact_path(monkeypatch):
     pts = np.r_[np.full(12, 0.9e154), np.full(4, -0.9e154)][:, None]
     emb = EmbeddingSet(pts)
     blocks = []
-    rows = dataset._row_block
+    rows = dataset._raw_block
 
     def counted(emb_, metric, i, lo, hi):
         blocks.append(lo)
         return rows(emb_, metric, i, lo, hi)
 
-    monkeypatch.setattr(dataset, "_row_block", counted)
+    monkeypatch.setattr(dataset, "_raw_block", counted)
     with np.errstate(over="ignore", invalid="ignore"):
         got = covering_radius(emb, "euclidean", list(range(8)))
     assert got == np.inf and 12 in blocks
@@ -241,20 +280,20 @@ def test_covering_radius_rechecks_one_block_when_separated(monkeypatch):
     step = dataset.block_rows(emb)
     centers = list(range(0, 39 * per, per))
     blocks = []
-    rows = dataset._row_block
+    rows = dataset._raw_block
 
     def counted(emb_, metric, i, lo, hi):
         blocks.append(lo)
         return rows(emb_, metric, i, lo, hi)
 
-    monkeypatch.setattr(dataset, "_row_block", counted)
+    monkeypatch.setattr(dataset, "_raw_block", counted)
     for metric in ("euclidean", "cosine-distance"):
         blocks.clear()
         got = covering_radius(emb, metric, centers)
         assert blocks == [39 * step] * len(centers)
-        monkeypatch.setattr(dataset, "_row_block", rows)
+        monkeypatch.setattr(dataset, "_raw_block", rows)
         assert _bits(got) == _bits(_fold_radius(emb, metric, centers))
-        monkeypatch.setattr(dataset, "_row_block", counted)
+        monkeypatch.setattr(dataset, "_raw_block", counted)
 
 
 def test_distance_matrix_symmetric(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from conftest import per_round_selection
+from conftest import farthest_point_traversal, per_round_selection
 
 from duke.dataset import (
     EmbeddingSet,
@@ -60,7 +60,7 @@ def test_kcenter_cost_center_order_irrelevant(rng):
 def test_kcenter_cost_cosine_zero_row_checked_once_before_any_distance(
         rng, monkeypatch):
     calls = {"check": 0, "rows": 0}
-    check, rows = dataset._cosine_norm_check, dataset._row_block
+    check, rows = dataset._cosine_norm_check, dataset._raw_block
 
     def counted_check(norms):
         calls["check"] += 1
@@ -71,7 +71,7 @@ def test_kcenter_cost_cosine_zero_row_checked_once_before_any_distance(
         return rows(*args)
 
     monkeypatch.setattr(dataset, "_cosine_norm_check", counted_check)
-    monkeypatch.setattr(dataset, "_row_block", counted_rows)
+    monkeypatch.setattr(dataset, "_raw_block", counted_rows)
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 3 * 4)   # 4 rows a block
     pts = rng.normal(size=(30, 3)) + 2.0
     zero = pts.copy()
@@ -137,6 +137,71 @@ def test_greedy_farthest_tie_lowest_index():
     emb = EmbeddingSet(np.array([[0.0], [1.0], [-1.0]]))
     sol = greedy_kcenter(emb, "euclidean", wv(0.5, 0.0, 0.5), 2)
     assert sol.indices == [0, 1]
+
+
+@st.composite
+def _traversal_cases(draw):
+    """Point sets on which a deferred traversal could go astray: maxima
+    tied within and across blocks, duplicate rows, and cosine norms that
+    overflow to NaN distances."""
+    metric = draw(st.sampled_from(dataset.METRICS))
+    n = draw(st.integers(1, 90))
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["normal", "lattice", "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "normal":
+        pts = rng.normal(size=(n, dim))
+    elif kind == "lattice":
+        # few distinct distances: the farthest point ties in several blocks
+        pts = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    else:
+        pts = 1e200 * rng.normal(size=(n, dim))
+    dup = rng.integers(0, n, size=n // 3)
+    pts[n - 1 - dup] = pts[dup]           # duplicated rows, across blocks
+    if metric == "cosine-distance":
+        pts[~np.abs(pts).any(axis=1)] = 1.0
+    return metric, pts, draw(st.integers(1, n)), draw(st.integers(1, 40))
+
+
+@given(_traversal_cases())
+@settings(max_examples=300, deadline=None)
+def test_greedy_equals_the_full_row_traversal(case):
+    metric, pts, k, rows_per_block = case
+    emb = EmbeddingSet(pts)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
+                                                         invalid="ignore"):
+        mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
+        sol = greedy_kcenter(emb, metric, WeightVector(np.zeros(emb.n)), k)
+        indices, radius = farthest_point_traversal(emb, metric, k)
+    assert sol.indices == indices
+    assert _bits(sol.radius_term) == _bits(radius) or \
+        (np.isnan(sol.radius_term) and np.isnan(radius))
+
+
+def test_greedy_defers_centers_to_the_blocks_it_reads(monkeypatch):
+    # three separated clusters, a block each: a round brings up to date only
+    # the blocks whose stale maximum reaches the top, so a block skips some
+    # centers and takes others several at a time
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([rng.normal(size=(8, 2)),
+                          100.0 + rng.normal(size=(8, 2)),
+                          [-50.0, 0.0] + rng.normal(size=(8, 2))])
+    emb = EmbeddingSet(pts)
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 2 * 8)
+    visits = []
+    fold = dataset.fold_block
+
+    def counted(emb_, metric, centers, lo, hi, out=None):
+        visits.append((lo, len(centers)))
+        return fold(emb_, metric, centers, lo, hi, out)
+
+    monkeypatch.setattr(wkcenter, "fold_block", counted)
+    sol = greedy_kcenter(emb, "euclidean", WeightVector(np.zeros(24)), 12)
+    indices, radius = farthest_point_traversal(emb, "euclidean", 12)
+    assert sol.indices == indices and _bits(sol.radius_term) == _bits(radius)
+    folds = sum(c for _, c in visits)
+    # the full-row traversal folds 12 rows into each of 3 blocks
+    assert folds < 12 * 3 and len(visits) < folds
 
 
 def test_selector_seeds_global_min_weight(line_points):
