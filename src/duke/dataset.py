@@ -10,7 +10,8 @@ gives the ``np.minimum`` fold of those rows bit for bit.
 :func:`covering_radius`, the largest distance from a point to its nearest
 center, folds only the blocks that a matrix-product screen with a proven
 error bound leaves as able to hold the maximum; its result is the full
-fold's bit for bit.
+fold's bit for bit. The fixed-gamma selector settles its threshold tests
+with the same screen (:func:`_screen_rows`, :func:`_screen_delta`).
 
 Cosine and euclidean distances both rest on one matrix-vector product per
 block. Euclidean takes ``d^2 = (|y|^2 + |x|^2) - 2 y.x`` from the cached
@@ -344,10 +345,12 @@ def metric_row(emb: EmbeddingSet, metric: str, i: int) -> np.ndarray:
     return _row_block(emb, metric, int(i), 0, emb.n)
 
 
-# The screen of covering_radius forms its matrix products about this many
-# bytes at a time; an unchunked product per kernel block costs resident memory
-# and gains no speed.
-SCREEN_BYTES = 1 << 16
+# The screen forms its matrix products about this many bytes at a time.
+# Bigger chunks pay: 64 KiB left 20-row products at 399 centers, and 256 KiB
+# took covering_radius from 130 to 92 ms on 50k x 32 gaussian clusters with
+# 399 centers and from 85 to 71 ms on a 100k x 64 cosine cube with 99 (one
+# BLAS thread, same radius bits), for about 0.2 MiB more resident memory.
+SCREEN_BYTES = 1 << 18
 
 # With fewer centers the screen costs as much as the exact fold it would save
 # (100k x 64 with one BLAS thread: about 20 ms either way at 8 centers, 2x
@@ -355,17 +358,18 @@ SCREEN_BYTES = 1 << 16
 SCREEN_MIN_CENTERS = 8
 
 
-def _screen(emb: EmbeddingSet, metric: str, idx: np.ndarray,
-            dmin: np.ndarray | None,
-            starts: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Each kernel block's largest nearest-center distance, approximately,
-    and a bound on its distance from the row kernel's value.
+def _screen_delta(emb: EmbeddingSet, metric: str,
+                  centers: np.ndarray | None = None) -> float:
+    """A bound on how far a screened distance (:func:`_screen_rows`) lies
+    from the row kernel's value for the same pair; inf where there is no
+    screen.
 
-    One matrix product per chunk of rows against a group of centers:
-    pre-normalised centers for cosine, ``-2 C`` plus ``|c|^2`` for
-    euclidean. None where there is no screen: manhattan has no product
-    form, cosine norms outside [2^-450, 2^450] leave the rounding model, and
-    below :data:`SCREEN_MIN_CENTERS` centers the screen does not pay.
+    Manhattan has no product form, and cosine norms outside [2^-450, 2^450]
+    leave the rounding model. Euclidean pairs are bounded through
+    ``s_max = max |y|^2 + max |c|^2`` over the set and ``centers``, or
+    ``2 max |y|^2`` where the centers are not known in advance. Every
+    intermediate of the euclidean screen is at most ``2 s_max`` in size, so
+    where ``4 s_max`` overflows the screen is off too.
 
     The bound, first order in the unit roundoff u = eps/2. A dot product of
     ``dim`` terms, in any summation order, is within ``dim * u * |y| |x|``
@@ -382,70 +386,106 @@ def _screen(emb: EmbeddingSet, metric: str, idx: np.ndarray,
       ``(2 dim + 4) u S``; ``|sqrt(a) - sqrt(b)| <= sqrt(|a - b|)`` turns
       their ``(2 dim + 5) eps S`` into a distance bound, and each rounding in
       the subnormal range adds at most 2^-1075. Four times its square root,
-      at the largest ``S`` of the call, is the bound.
+      at ``S = s_max``, is the bound.
 
-    A minimum over centers (and over ``dmin``, exact) and a maximum over rows
-    are 1-Lipschitz, so each block's screened maximum is within the bound of
-    the kernel's. The 4x margin also covers the second-order terms and the
-    rounding of the comparisons :func:`covering_radius` makes.
+    A minimum over centers (and over exact distances) and a maximum over
+    rows are 1-Lipschitz, so a screened nearest-center distance, and a
+    block's largest one, are within the bound of the kernel's. The 4x margin
+    also covers the second-order terms and the rounding of the comparisons
+    the callers make with ``screened -+ delta``.
+    """
+    eps = np.finfo(np.float64).eps
+    dim = emb.dim
+    if metric == "cosine-distance" and numeric_distances(emb, metric):
+        return 8.0 * (dim + 4) * eps
+    if metric == "euclidean":
+        sq = emb.sq_norms()
+        top = float(sq.max())
+        s_max = top + (top if centers is None else float(sq[centers].max()))
+        if np.isfinite(4.0 * s_max):
+            return float(4.0 * np.sqrt((2 * dim + 5)
+                                       * (eps * s_max + 2.0 ** -1074)))
+    return np.inf
+
+
+def _product_form(emb: EmbeddingSet, metric: str,
+                  idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Centers ``idx`` as the screen's matrix-product columns: normalised
+    centers for cosine, ``-2 C`` and the shift ``|c|^2`` for euclidean."""
+    f = emb.features
+    if metric == "cosine-distance":
+        return f[idx] / emb.norms()[idx, None], None
+    return -2.0 * f[idx], emb.sq_norms()[idx]
+
+
+def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
+                 cols: np.ndarray, shift: np.ndarray | None, out: np.ndarray,
+                 points: np.ndarray | None = None) -> None:
+    """Fold into ``out`` the screened distance from each point lo..hi-1
+    (or ``points[lo:hi]``) to its nearest center, given in
+    :func:`_product_form`.
+
+    One matrix product per chunk of about :data:`SCREEN_BYTES`; cosine keeps
+    each row's largest ``y.c/|c|`` and takes ``1 - clip(. / |y|)``,
+    euclidean its smallest ``|c|^2 - 2 y.c`` and takes
+    ``sqrt(max(. + |y|^2, 0))``. Both finishes are monotone, so each result
+    is within :func:`_screen_delta` of the row kernel's fold.
+    """
+    f = emb.features
+    cosine = shift is None
+    scale = emb.norms() if cosine else emb.sq_norms()
+    step = max(1, SCREEN_BYTES // (8 * max(len(cols), emb.dim)))
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        rows = slice(a, b) if points is None else points[a:b]
+        prod = f[rows] @ cols.T
+        if cosine:
+            near = prod.max(axis=1)
+            near /= scale[rows]
+            np.clip(near, -1.0, 1.0, out=near)
+            np.subtract(1.0, near, out=near)
+        else:
+            prod += shift
+            near = prod.min(axis=1)
+            near += scale[rows]
+            np.maximum(near, 0.0, out=near)
+            np.sqrt(near, out=near)
+        part = out[a - lo:b - lo]
+        np.minimum(part, near, out=part)
+
+
+def _screen(emb: EmbeddingSet, metric: str, idx: np.ndarray,
+            dmin: np.ndarray | None,
+            starts: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Each kernel block's largest nearest-center distance, screened by
+    :func:`_screen_rows`, and the bound :func:`_screen_delta` on its
+    distance from the row kernel's value.
+
+    Centers go a group at a time, no more of them than rows in a block.
+    None where :func:`_screen_delta` is inf and below
+    :data:`SCREEN_MIN_CENTERS` centers, where the screen does not pay.
     """
     if idx.size < SCREEN_MIN_CENTERS:
         return None
-    f, n, dim = emb.features, emb.n, emb.dim
-    sq = emb.sq_norms()
-    eps = np.finfo(np.float64).eps
-    cosine = metric == "cosine-distance"
-    if cosine:
-        if not numeric_distances(emb, metric):
-            return None
-        norms = emb.norms()
-        delta = 8.0 * (dim + 4) * eps
-    elif metric == "euclidean":
-        s_max = float(sq.max() + sq[idx].max())
-        delta = 4.0 * np.sqrt((2 * dim + 5) * (eps * s_max + 2.0 ** -1074))
-        if not np.isfinite(delta):
-            return None
-    else:
+    delta = _screen_delta(emb, metric, idx)
+    if not np.isfinite(delta):
         return None
+    n = emb.n
     step = block_rows(emb)
     tops = np.empty(starts.size)
     for t, lo in enumerate(starts):
         hi = min(lo + step, n)
-        # cosine keeps the largest y.c/|c|, euclidean the smallest
-        # |c|^2 - 2 y.c, of each row
-        near = np.full(hi - lo, -np.inf if cosine else np.inf)
-        # centers a group at a time, no more of them than rows in a block
+        near = np.full(hi - lo, np.inf) if dmin is None else dmin[lo:hi].copy()
         for g in range(0, idx.size, step):
-            cent = idx[g:g + step]
-            if cosine:
-                cols = f[cent] / norms[cent, None]
-            else:
-                cols, shift = -2.0 * f[cent], sq[cent]
-            rows = max(1, SCREEN_BYTES // (8 * cent.size))
-            for a in range(lo, hi, rows):
-                prod = f[a:min(a + rows, hi)] @ cols.T
-                part = near[a - lo:a - lo + len(prod)]
-                if cosine:
-                    np.maximum(part, prod.max(axis=1), out=part)
-                else:
-                    prod += shift
-                    np.minimum(part, prod.min(axis=1), out=part)
-        if cosine:
-            near /= norms[lo:hi]
-            np.clip(near, -1.0, 1.0, out=near)
-            np.subtract(1.0, near, out=near)
-        else:
-            near += sq[lo:hi]
-            np.maximum(near, 0.0, out=near)
-            np.sqrt(near, out=near)
-        if dmin is not None:
-            np.minimum(near, dmin[lo:hi], out=near)
+            cols, shift = _product_form(emb, metric, idx[g:g + step])
+            _screen_rows(emb, metric, lo, hi, cols, shift, near)
         tops[t] = near.max()
-    return tops, float(delta)
+    return tops, delta
 
 
 def covering_radius(emb: EmbeddingSet, metric: str, centers,
-                    dmin: np.ndarray | None = None) -> float:
+                    dmin: np.ndarray | None = None,
+                    held: np.ndarray | None = None) -> float:
     """Distance from the farthest point to its nearest center.
 
     Bitwise equal to ``np.minimum`` folded over ``metric_row`` of each center
@@ -457,8 +497,10 @@ def covering_radius(emb: EmbeddingSet, metric: str, centers,
     maximum minus ``delta``, or its screen holds a non-finite value. Every
     other block's maximum is below another block's, so the returned float
     comes from the row kernel alone. Manhattan, which has no screen, folds
-    every block. Validation (metric, cosine zero rows) runs once, before any
-    distance; ``dmin`` is not modified.
+    every block. ``held``, with ``dmin``, gives per kernel block how many of
+    the leading ``centers`` that block of ``dmin`` already holds; its exact
+    fold skips them. Validation (metric, cosine zero rows) runs once, before
+    any distance; ``dmin`` is not modified.
     """
     _check_rows(emb, metric)
     idx = np.asarray(centers, dtype=np.int64).reshape(-1)
@@ -479,8 +521,12 @@ def covering_radius(emb: EmbeddingSet, metric: str, centers,
 
     def block_max(lo: int) -> float:
         hi = min(lo + step, n)
-        prior = None if dmin is None else dmin[lo:hi].copy()
-        return fold_block(emb, metric, idx, lo, hi, prior).max()
+        if dmin is None:
+            return fold_block(emb, metric, idx, lo, hi).max()
+        rest = idx if held is None else idx[held[lo // step]:]
+        if rest.size == 0:
+            return dmin[lo:hi].max()
+        return fold_block(emb, metric, rest, lo, hi, dmin[lo:hi].copy()).max()
 
     return float(np.max([block_max(lo) for lo in starts]))
 

@@ -18,11 +18,17 @@ solution, the result is within 3x of the optimal objective and never carries
 more weight than the optimum. A gamma grid search runs it over a bracket of
 guesses.
 
-Only rows the answer depends on are computed. Distances to the centers never
+A run computes one full row, the seed's, and an anchor's only when a
+quarter of the set is ahead of it in a ball test. Both of its tests compare a
+distance with a threshold, so each is settled from screened point-to-center
+distances, kept per point and brought up to date only when the far scan
+reads the point, and the row kernel is asked only where a screened value
+lies within its proven error bound of the threshold (the bound-based
+skipping of Elkan, "Using the triangle inequality to accelerate k-means",
+2003). The picks are those of full rows. Distances to the centers never
 grow, so once no point is farther than 3*gamma the run is in its fill regime
 for good: the rest of the budget is the lightest unselected points, taken in
-one slice, and only the covering radius they leave is computed. A far round
-whose ball pick is its own anchor reuses the anchor's row.
+one slice, and one covering radius over all the picks scores the run.
 
 The bracket's farthest-point traversal computes no full rows. It keeps its
 distances per kernel block with a stale maximum that bounds the block from
@@ -33,9 +39,10 @@ and the picks and radius are those of the full-row traversal bit for bit.
 
 The selection at a guess changes only when the guess crosses one of the
 thresholds the run compared it with (the guess-the-radius structure of
-Hochbaum & Shmoys 1985). A fixed-gamma run therefore records the span of
-larger guesses at which every one of its comparisons comes out the same; a
-run at any guess in that span repeats it pick for pick. The grid search
+Hochbaum & Shmoys 1985). A fixed-gamma run therefore records a span of
+larger guesses at which every one of its comparisons comes out the same,
+bounded by certified lower bounds on the distances it compared; a run at
+any guess in that span repeats it pick for pick. The grid search
 walks upward, runs the selector only at grid gammas outside the span of its
 last run and copies the objective into the trace for the rest. A guess at
 which the seed's row holds no point farther than 3*gamma fills with the k
@@ -43,8 +50,8 @@ lightest points; the bracket has already scored them, so the search runs
 nothing there.
 
 Every selection, whoever picked it, is scored by :func:`_scored` from its
-covering radius: the selectors here pass the radius of the distances they
-folded, and :func:`evaluate_solution` computes it with
+covering radius: the selectors here pass the radius they computed, and
+:func:`evaluate_solution` computes it with
 :func:`~duke.dataset.covering_radius` for picks that come without.
 
 Weights and distances are consumed on their native scales; lambda alone
@@ -63,6 +70,10 @@ from .dataset import (
     EmbeddingSet,
     WeightVector,
     _check_rows,
+    _product_form,
+    _row_block,
+    _screen_delta,
+    _screen_rows,
     block_rows,
     covering_radius,
     fold_block,
@@ -111,11 +122,14 @@ class GammaSpan:
     A run compares ``3.0 * gamma`` with distances to the centers (far
     anchors, entry into the fill regime) and ``gamma`` with distances to an
     anchor (ball picks). A distance found "at most" stays so at any larger
-    guess; one found "greater" bounds the guess from above, on the same
-    float it compared. At a guess ``gamma'`` with ``gamma <= gamma'``,
+    guess; one found "greater" bounds the guess from above. ``t_hi`` and
+    ``g_hi`` are the smallest such distances, or certified lower bounds on
+    them where a run settled a comparison from a screened value without
+    the exact one. At a guess ``gamma'`` with ``gamma <= gamma'``,
     ``3.0 * gamma' < t_hi`` and ``gamma' < g_hi`` a run makes every
     comparison the same way, so it returns the same indices and objective
-    bit for bit.
+    bit for bit. A span is therefore a subset, not always all, of the
+    guesses at which the run repeats.
     """
 
     gamma: float
@@ -136,7 +150,9 @@ class SubsetSolution:
     ``far_rounds`` counts the rounds of a :func:`weighted_kcenter` run that
     took the far branch. ``span`` holds the guesses at which a
     :func:`weighted_kcenter` or partition-parallel run repeats itself
-    (:class:`GammaSpan`); :func:`gamma_search` reads it. Other selectors
+    (:class:`GammaSpan`, whose ends may be certified lower bounds, so it
+    can be smaller than the set of such guesses); :func:`gamma_search`
+    reads it. Other selectors
     leave both None. Neither is part of the report.
     """
 
@@ -245,21 +261,186 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     return _scored(weights, lambda_, selected, radius, "greedy-kcenter")
 
 
-# positions of the (weight, index) order a far scan reads at a time
+# positions of the (weight, index) order a far scan reads at most at a time
 _SCAN = 1024
 
+# A ball test screens the unselected points ahead of its anchor while they
+# are at most 1/_BALL_SHARE of the set; past that the anchor's row costs
+# less. Screening a quarter of the set, gathered in weight order, took about
+# as long as one row at 50k x 32 and 0.4-0.6 of one at 100k x 64 (one BLAS
+# thread); at a third it took 1.3 rows at 50k x 32.
+_BALL_SHARE = 4
 
-def _next_far(dmin: np.ndarray, order: np.ndarray, a: int,
-              three_gamma: float) -> int:
-    """The first position from ``a`` on whose point is farther than
-    ``three_gamma``, or ``len(order)``."""
-    n = order.size
-    for lo in range(a, n, _SCAN):
-        far = dmin[order[lo:lo + _SCAN]] > three_gamma
-        j = int(np.argmax(far))
-        if far[j]:
-            return lo + j
-    return n
+
+class _Nearest:
+    """Each point's distance to its nearest center, screened and exact.
+
+    ``screen[p]`` is a screened distance (:func:`~duke.dataset._screen_rows`)
+    from the point at position p of the (weight, index) ``order`` to its
+    nearest center, within ``delta`` of the row kernel's. It starts as the
+    seed's exact row and is brought up to date lazily: a range of positions
+    gets the screened centers it lacks only when a far scan reads it. The
+    counts folded are non-increasing in position past the scan's start, so
+    they are kept as ``segs``, (end, count) runs with ends increasing.
+
+    ``exact`` is the seed's row with, per kernel block, the centers
+    ``selected[1:done[b]]`` folded in by :func:`~duke.dataset.fold_block`, so
+    that an entry is the row fold's bit for bit once its block is up to
+    date. A decision the screen leaves open, a value within ``delta`` of its
+    threshold, is settled there. Where ``delta`` is inf (manhattan, cosine
+    norms outside [2^-450, 2^450]) no screen is kept and every decision is
+    settled exactly.
+    """
+
+    def __init__(self, emb: EmbeddingSet, metric: str, order: np.ndarray):
+        self.emb, self.metric, self.order = emb, metric, order
+        self.selected = [int(order[0])]
+        seed = self.exact = metric_row(emb, metric, self.selected[0])
+        self.step = block_rows(emb)
+        self.done = np.ones(-(-emb.n // self.step), dtype=np.int64)
+        self.delta = _screen_delta(emb, metric)
+        self.screen = seed[order] if np.isfinite(self.delta) else None
+        # the screened centers in product form, with room to grow
+        self.cols, self.shift = np.empty((8, emb.dim)), np.empty(8)
+        self.m = 0
+        self.segs: list[tuple[int, int]] = []
+
+    def add(self, c: int, row: np.ndarray | None) -> None:
+        """Make point c a center; ``row``, its exact row when known, is
+        folded into every screened distance at once."""
+        self.selected.append(c)
+        if self.screen is None:
+            return
+        if row is not None:
+            np.minimum(self.screen, row[self.order], out=self.screen)
+            return
+        cols, shift = _product_form(self.emb, self.metric, [c])
+        if self.m == len(self.cols):
+            self.cols = np.concatenate([self.cols, self.cols])
+            self.shift = np.concatenate([self.shift, self.shift])
+        self.cols[self.m] = cols[0]
+        self.shift[self.m] = 0.0 if shift is None else shift[0]
+        self.m += 1
+
+    def _bring(self, lo: int, hi: int) -> None:
+        """Fold into positions lo..hi-1 the screened centers they lack."""
+        a = lo
+        for end, count in self.segs:
+            if end <= a:
+                continue
+            b = min(end, hi)
+            self._fold(a, b, count)
+            a = b
+            if a == hi:
+                break
+        if a < hi:
+            self._fold(a, hi, 0)
+        self.segs = [(hi, self.m)] + [s for s in self.segs if s[0] > hi]
+
+    def _fold(self, a: int, b: int, count: int) -> None:
+        if count < self.m:
+            shift = (None if self.metric == "cosine-distance"
+                     else self.shift[count:self.m])
+            _screen_rows(self.emb, self.metric, a, b,
+                         self.cols[count:self.m], shift, self.screen[a:b],
+                         self.order)
+
+    def _exact_at(self, points: np.ndarray) -> np.ndarray:
+        """Exact nearest-center distances of ``points``, their blocks
+        brought up to date."""
+        m, step, n = len(self.selected), self.step, self.emb.n
+        for b in np.unique(points // step):
+            if self.done[b] < m:
+                lo, hi = b * step, min(b * step + step, n)
+                fold_block(self.emb, self.metric, self.selected[self.done[b]:],
+                           lo, hi, self.exact[lo:hi])
+                self.done[b] = m
+        return self.exact[points]
+
+    def _row_at(self, c: int, points: np.ndarray) -> np.ndarray:
+        """Point c's row kernel distances to ``points``, block by block."""
+        out = np.empty(points.size)
+        blocks = points // self.step
+        for b in np.unique(blocks):
+            lo = b * self.step
+            hi = min(lo + self.step, self.emb.n)
+            sel = blocks == b
+            row = _row_block(self.emb, self.metric, c, lo, hi)
+            out[sel] = row[points[sel] - lo]
+        return out
+
+    def next_far(self, start: int, t: float) -> tuple[int, float]:
+        """The first position from ``start`` on whose point is farther than
+        ``t`` from the centers, and a lower bound on that distance: its
+        screened value minus ``delta``, or its exact value where that was
+        computed. ``(len(order), inf)`` if there is none.
+
+        Windows of the order double in size from ``start``, up to
+        :data:`_SCAN` positions."""
+        n, delta = self.order.size, self.delta
+        lo, width = start, 1
+        while lo < n:
+            hi = min(lo + width, n)
+            width = min(2 * width, _SCAN)
+            if self.screen is not None:
+                self._bring(lo, hi)
+                s = self.screen[lo:hi]
+                far = np.flatnonzero(s - delta > t)
+                end = int(far[0]) if far.size else hi - lo
+                # NaN, and a value within delta of t, are open
+                band = np.flatnonzero(~(s[:end] + delta <= t))
+            else:
+                far, end = (), hi - lo
+                band = np.arange(end)
+            if band.size:
+                e = self._exact_at(self.order[lo + band])
+                j = np.flatnonzero(e > t)
+                if j.size:
+                    return lo + int(band[j[0]]), float(e[j[0]])
+            if len(far):
+                return lo + end, float(s[end] - delta)
+            lo = hi
+        return n, np.inf
+
+    def ball(self, a: int, taken: np.ndarray,
+             gamma: float) -> tuple[int, float, np.ndarray | None]:
+        """The position of the lightest unselected point within ``gamma`` of
+        the anchor at position ``a``, a lower bound on the distances of the
+        unselected points ahead of it, and the anchor's row if it was
+        computed.
+
+        The anchor is at distance 0 from itself, so the ball holds a point
+        no later than ``a``. A point ahead is out when its screened distance
+        minus ``delta`` exceeds ``gamma``, in when plus ``delta`` it does
+        not; the row kernel decides the rest, block by block. When the
+        points ahead are many the anchor's whole row decides instead."""
+        c = int(self.order[a])
+        ahead = np.flatnonzero(~taken[:a + 1])
+        points = self.order[ahead]
+        row = None
+        if ahead.size * _BALL_SHARE > self.emb.n:
+            row = metric_row(self.emb, self.metric, c)
+            lower = row[points]
+            p = int(np.argmax(lower <= gamma))
+        else:
+            lower = np.full(ahead.size, -np.inf)
+            within = np.zeros(ahead.size, dtype=bool)
+            if self.screen is not None:
+                s = np.full(ahead.size, np.inf)
+                _screen_rows(self.emb, self.metric, 0, ahead.size - 1,
+                             *_product_form(self.emb, self.metric, [c]), s,
+                             points)
+                lower = s - self.delta
+                within = s + self.delta <= gamma
+            within[-1] = True
+            p = int(np.argmax(within))
+            band = np.flatnonzero(~(lower[:p] > gamma))
+            if band.size:
+                lower[band] = e = self._row_at(c, points[band])
+                inside = np.flatnonzero(e <= gamma)
+                if inside.size:
+                    p = int(band[inside[0]])
+        return int(ahead[p]), float(lower[:p].min(initial=np.inf)), row
 
 
 def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -269,25 +450,34 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     Seeds with the globally lightest point. Per round: if some point is still
     farther than 3*gamma from the centers, take the lightest such point c and
     add the lightest point within gamma of c; otherwise add the lightest
-    unselected point. Ties always break to the lowest index. When the pick is
-    c itself, c's row is reused for the distances.
+    unselected point. Ties always break to the lowest index.
+
+    The only full row computed is the seed's, unless a ball test has many
+    points ahead of its anchor. Both tests compare a distance with a
+    threshold, so each is settled from screened point-to-center distances
+    (:class:`_Nearest`) and goes to the row kernel only when the screened
+    value lies within its error bound of the threshold; the decisions, and
+    so the picks, are those of full rows.
 
     Distances to the centers never grow, so after the first round with no
     point farther than 3*gamma every later round is a fill round too. The run
     takes all of them at once: the next unselected entries of the (weight,
-    index) order, scored by one :func:`covering_radius` call over them and
-    the distances so far, which is the same float as a pick-by-pick fold.
-    For the same reason the points ahead of an anchor in that order stay
-    within 3*gamma, so each far scan resumes at the last anchor's position,
-    and a ball is read only up to its anchor, which it always holds.
+    index) order. The selection is scored by one :func:`covering_radius`
+    call over every center but the seed, whose row it starts from, with the
+    centers the row kernel already folded per block skipped; it is the
+    same float as a pick-by-pick fold. For the same reason the points
+    ahead of an anchor in that order stay within 3*gamma, so each far scan
+    resumes after the last anchor, and a ball is read only up to its
+    anchor, which it always holds.
 
     The run records its :class:`GammaSpan`. A far round needs
     ``dmin[c] > 3*gamma'`` and ``dmin <= 3*gamma'`` for every point ahead of c
     in the (weight, index) order; its pick needs ``row[pick] <= gamma'`` and
     ``row > gamma'`` for every unselected point ahead of the pick; entering
     the fill regime needs ``max(dmin) <= 3*gamma'``. The "at most" tests hold
-    at every ``gamma' >= gamma``, so only the "greater" ones bound the span.
-    The fill picks do not depend on gamma.
+    at every ``gamma' >= gamma``, so only the "greater" ones bound the span,
+    each by a certified lower bound on the distance it compared. The fill
+    picks do not depend on gamma.
     """
     n = emb.n
     check_selection(n, k, lambda_, gamma)
@@ -298,36 +488,27 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     order = np.lexsort((np.arange(n), weights.values))
     taken = np.zeros(n, dtype=bool)     # indexed by position in ``order``
     taken[0] = True
-    selected = [int(order[0])]
-    dmin = metric_row(emb, metric, selected[0])
+    near = _Nearest(emb, metric, order)
+    selected = near.selected
     t_hi = g_hi = np.inf
 
     a = 0
     while len(selected) < k:
-        a = _next_far(dmin, order, a, three_gamma)
+        a, bound = near.next_far(a + 1, three_gamma)
         if a == n:
             break
-        c_hat = int(order[a])
-        t_hi = min(t_hi, float(dmin[c_hat]))
-        # c_hat is unselected and at distance 0 from itself, so the ball
-        # holds an unselected point no later than c_hat in the order
-        row = metric_row(emb, metric, c_hat)
-        r = row[order[:a + 1]]
-        ball = r <= gamma
-        ball &= ~taken[:a + 1]
-        p = int(np.argmax(ball))
-        g_hi = min(g_hi, float(r[:p].min(where=~taken[:p], initial=np.inf)))
-        pick = int(order[p])
-        selected.append(pick)
+        t_hi = min(t_hi, bound)
+        p, bound, row = near.ball(a, taken, gamma)
+        g_hi = min(g_hi, bound)
         taken[p] = True
-        if pick != c_hat:
-            row = metric_row(emb, metric, pick)
-        np.minimum(dmin, row, out=dmin)
+        near.add(int(order[p]), row if p == a else None)
     far_rounds = len(selected) - 1
 
+    near.screen = None      # free before the radius screen allocates its own
     rest = order[~taken][:k - len(selected)]
     selected.extend(int(i) for i in rest)
-    radius = covering_radius(emb, metric, rest, dmin)
+    radius = covering_radius(emb, metric, selected[1:], near.exact,
+                             near.done - 1)
 
     return _scored(weights, lambda_, selected, radius, "duke", gamma,
                    far_rounds=far_rounds, span=GammaSpan(gamma, t_hi, g_hi))

@@ -194,9 +194,9 @@ def _radius_cases(draw):
     return metric, pts, centers, rows_per_block, dmin
 
 
-@given(_radius_cases())
+@given(_radius_cases(), st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)))
 @settings(max_examples=300, deadline=None)
-def test_covering_radius_bitwise_equals_the_row_fold(case):
+def test_covering_radius_bitwise_equals_the_row_fold(case, held_seed):
     metric, pts, centers, rows_per_block, use_dmin = case
     emb = EmbeddingSet(pts)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
@@ -204,8 +204,20 @@ def test_covering_radius_bitwise_equals_the_row_fold(case):
         # a tiny block puts centers inside and outside most blocks
         mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
         dmin = metric_row(emb, metric, centers[-1]) if use_dmin else None
-        got = covering_radius(emb, metric, centers, dmin)
         want = _fold_radius(emb, metric, centers, dmin)
+        held = None
+        if dmin is not None and held_seed is not None:
+            # each block of dmin already holds a leading run of the centers
+            step = dataset.block_rows(emb)
+            held = np.random.default_rng(held_seed).integers(
+                0, len(centers) + 1, size=-(-emb.n // step))
+            dmin = dmin.copy()
+            for b, h in enumerate(held):
+                lo, hi = b * step, min(b * step + step, emb.n)
+                for c in centers[:h]:
+                    np.minimum(dmin[lo:hi], metric_row(emb, metric, c)[lo:hi],
+                               out=dmin[lo:hi])
+        got = covering_radius(emb, metric, centers, dmin, held)
     assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
 
 

@@ -259,15 +259,30 @@ def test_far_round_reuses_the_anchor_row_when_it_is_the_pick(monkeypatch):
         return dataset.metric_row(emb, metric, i)
 
     monkeypatch.setattr(wkcenter, "metric_row", counted)
-    pts = EmbeddingSet(np.array([[0.0], [10.0], [20.0]]))
-    # both far anchors (10, then 20) are their own ball picks: one row each
-    assert weighted_kcenter(pts, "euclidean", wv(0.0, 0.1, 0.2), 3, 1.0, 1.0).indices == [0, 1, 2]
-    assert rows == [0, 1, 2]
-    rows.clear()
-    pts = EmbeddingSet(np.array([[-2.0], [1.5], [3.0]]))
-    # anchor 3 picks the lighter 1.5 within gamma, whose row is computed
-    assert weighted_kcenter(pts, "euclidean", wv(0.0, 0.25, 0.5), 2, 1.0, 1.5).indices == [0, 1]
-    assert rows == [0, 2, 1]
+
+    def run(pts, w, k, gamma):
+        emb = EmbeddingSet(np.array(pts)[:, None])
+        rows.clear()
+        sol = weighted_kcenter(emb, "euclidean", wv(*w), k, 1.0, gamma)
+        want, radius, far_rounds = per_round_selection(emb, "euclidean", w,
+                                                       k, gamma)
+        assert (sol.indices, sol.radius_term, sol.far_rounds) == \
+            (want, radius, far_rounds)
+        return sol.indices
+
+    # one unselected point ahead of each anchor, and six heavy ones by the
+    # seed: the ball is screened, and the seed's is the only row
+    assert run([0.0, 10.0, 20.0] + [0.5] * 6, [0.0, 0.1, 0.2] + [0.9] * 6,
+               3, 1.0) == [0, 1, 2]
+    assert rows == [0]
+    # three of four points ahead of anchor 10: its row decides the ball, and
+    # as it is its own pick the row also brings every screened distance up
+    # to date; the fill pick 0.5 needs no row of its own
+    assert run([0.0, 0.5, 1.0, 10.0], [0.0, 0.1, 0.2, 0.3], 3, 1.0) == [0, 3, 1]
+    assert rows == [0, 3]
+    # anchor 3.4 picks the lighter 2.5 within gamma, whose row is not needed
+    assert run([0.0, 2.5, 3.4], [0.0, 0.25, 0.5], 2, 1.0) == [0, 1]
+    assert rows == [0, 2]
 
 
 def test_selector_deterministic(rng):
@@ -413,6 +428,92 @@ def test_selector_matches_per_round_definition(inst):
     assert sol.indices == want
     assert _bits(sol.radius_term) == _bits(radius)
     assert sol.far_rounds == far_rounds
+
+
+@st.composite
+def _threshold_instances(draw):
+    """Integer-grid selections whose gamma is a pairwise distance or a third
+    of one, so that screened values fall within their error bound of a
+    threshold; with duplicate rows, cosine norms near 2^500 and 2^-500 (no
+    screen there), and the ball test screened always, by default or never."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 40))
+    pts = rng.integers(-3, 4, size=(n, draw(st.integers(1, 4)))).astype(float)
+    dup = rng.integers(0, n, size=n // 3)
+    pts[n - 1 - dup] = pts[dup]
+    metric = draw(st.sampled_from(["euclidean", "manhattan", "cosine-distance"]))
+    if metric == "cosine-distance":
+        pts[~pts.any(axis=1)] = 1.0
+        pts *= draw(st.sampled_from([1.0, 2.0 ** 500, 2.0 ** -500]))
+    w = rng.integers(0, 4, size=n) / 4.0
+    i, j = rng.integers(0, n, size=2)
+    d = float(dataset.metric_row(EmbeddingSet(pts), metric, int(i))[j])
+    gamma = draw(st.sampled_from([d, d / 3.0]))
+    share = draw(st.sampled_from([0, wkcenter._BALL_SHARE, 10 ** 9]))
+    return pts, w, metric, gamma, draw(st.integers(1, n)), share
+
+
+@given(_threshold_instances())
+@settings(max_examples=300, deadline=None)
+def test_selector_on_thresholds_matches_per_round_definition(inst):
+    pts, w, metric, gamma, k, share = inst
+    emb = EmbeddingSet(pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wkcenter, "_BALL_SHARE", share)
+        sol = weighted_kcenter(emb, metric, WeightVector(w), k, 0.5, gamma)
+    want, radius, far_rounds = per_round_selection(emb, metric, w, k, gamma)
+    assert sol.indices == want
+    assert _bits(sol.radius_term) == _bits(radius)
+    assert sol.far_rounds == far_rounds
+
+
+def test_band_decisions_go_to_the_row_kernel(monkeypatch):
+    # after the first far round takes (100, 0), (115, 0) is exactly 3*gamma
+    # from it and exactly gamma from the next far anchor (120, 0); ten heavy
+    # points by the seed keep the ball screened. Manhattan gives the same
+    # distances and has no screen at all.
+    pts = np.array([[0.0, 0.0], [100.0, 0.0], [115.0, 0.0], [120.0, 0.0]]
+                   + [[0.0, 1.0]] * 10)
+    w = WeightVector(np.array([0.0, 0.1, 0.2, 0.3] + [0.9] * 10))
+    calls = []
+    for name in ("metric_row", "fold_block", "_row_block", "_screen_rows"):
+        def counted(*args, _f=getattr(wkcenter, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(wkcenter, name, counted)
+    for metric in ("euclidean", "manhattan"):
+        calls.clear()
+        sol = weighted_kcenter(EmbeddingSet(pts), metric, w, 3, 1.0, 5.0)
+        assert sol.indices == [0, 1, 2]
+        assert calls.count("metric_row") == 1
+        assert "fold_block" in calls and "_row_block" in calls
+        assert ("_screen_rows" in calls) == (metric == "euclidean")
+        # the far test was settled by a lower bound on the anchor's 20
+        assert sol.span.t_hi <= 20.0 and sol.span.g_hi == np.inf
+
+
+def test_clustered_far_rounds_compute_only_the_seed_row(monkeypatch):
+    # clusters-raw-pinned-far in small: 20 gaussian clusters in 32 dims and
+    # gamma 1 far below the spread of a cluster, so every round is far and
+    # every anchor is its own ball pick
+    rng = np.random.default_rng([3, 0])
+    centers = rng.normal(0.0, 10.0, size=(20, 32))
+    emb = EmbeddingSet(centers[np.arange(4000) % 20]
+                       + rng.normal(0.0, 1.0, size=(4000, 32)))
+    w = rng.uniform(0.0, 1.0, size=4000)
+    rows = []
+
+    def counted(emb_, metric, i):
+        rows.append(i)
+        return dataset.metric_row(emb_, metric, i)
+
+    monkeypatch.setattr(wkcenter, "metric_row", counted)
+    sol = weighted_kcenter(emb, "euclidean", WeightVector(w), 100, 0.001, 1.0)
+    assert rows == [int(np.argmin(w))]
+    want, radius, far_rounds = per_round_selection(emb, "euclidean", w, 100,
+                                                   1.0)
+    assert sol.indices == want and far_rounds == sol.far_rounds == 99
+    assert _bits(sol.radius_term) == _bits(radius)
 
 
 @st.composite
