@@ -7,11 +7,16 @@ selection, oracle, cost evaluation) sees bitwise-identical values for the
 same point pair. :func:`fold_block` folds many centers' rows over one block
 while it sits in cache, applying the kernel's monotone finish once, and
 gives the ``np.minimum`` fold of those rows bit for bit.
-:func:`covering_radius`, the largest distance from a point to its nearest
-center, folds only the blocks that a matrix-product screen with a proven
-error bound leaves as able to hold the maximum; its result is the full
-fold's bit for bit. The fixed-gamma selector settles its threshold tests
-with the same screen (:func:`_screen_rows`, :func:`_screen_delta`).
+
+:class:`Cover` is the one nearest-center state: each point's distance to
+its nearest center, with per kernel block the number of centers folded in.
+The farthest-point traversal, the fixed-gamma selector and the scoring of
+any selection all keep their distances there, and a block takes the centers
+it lacks only when it is read. Its covering radius folds only the blocks
+that a matrix-product screen with a proven error bound leaves as able to
+hold the maximum, and is the full fold's bit for bit. The fixed-gamma
+selector settles its threshold tests with the same screen
+(:func:`_screen_rows`, :func:`_screen_delta`).
 
 Cosine and euclidean distances both rest on one matrix-vector product per
 block. Euclidean takes ``d^2 = (|y|^2 + |x|^2) - 2 y.x`` from the cached
@@ -280,12 +285,12 @@ def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
 
 
 def fold_block(emb: EmbeddingSet, metric: str, centers, lo: int, hi: int,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Each point of lo..hi-1's distance to its nearest center, folded into
-    ``out`` in place when given.
+               out: np.ndarray) -> None:
+    """Fold into ``out``, in place, each point of lo..hi-1's distance to its
+    nearest center.
 
-    Bit for bit ``np.minimum`` folded over the :func:`_row_block` rows of
-    ``centers`` (and ``out``). Rounding is monotone and the finish of
+    Bit for bit ``np.minimum`` folded over ``out`` and the :func:`_row_block`
+    rows of ``centers``. Rounding is monotone and the finish of
     :func:`_raw_block` is monotone, so the minimum of finished rows is the
     finish of the extreme raw value (the largest scaled product for cosine,
     the smallest squared distance for euclidean): the fold applies the
@@ -307,9 +312,7 @@ def fold_block(emb: EmbeddingSet, metric: str, centers, lo: int, hi: int,
     else:
         _finish(metric, acc)
         acc[idx[(lo <= idx) & (idx < hi)] - lo] = 0.0
-    if out is None:
-        return acc
-    return np.minimum(out, acc, out=out)
+    np.minimum(out, acc, out=out)
 
 
 def _check_rows(emb: EmbeddingSet, metric: str) -> None:
@@ -347,29 +350,27 @@ def metric_row(emb: EmbeddingSet, metric: str, i: int) -> np.ndarray:
 
 # The screen forms its matrix products about this many bytes at a time.
 # Bigger chunks pay: 64 KiB left 20-row products at 399 centers, and 256 KiB
-# took covering_radius from 130 to 92 ms on 50k x 32 gaussian clusters with
-# 399 centers and from 85 to 71 ms on a 100k x 64 cosine cube with 99 (one
-# BLAS thread, same radius bits), for about 0.2 MiB more resident memory.
+# took the covering radius from 130 to 92 ms on 50k x 32 gaussian clusters
+# with 399 centers and from 85 to 71 ms on a 100k x 64 cosine cube with 99
+# (one BLAS thread, same radius bits), for about 0.2 MiB more resident memory.
 SCREEN_BYTES = 1 << 18
 
-# With fewer centers the screen costs as much as the exact fold it would save
-# (100k x 64 with one BLAS thread: about 20 ms either way at 8 centers, 2x
-# the fold's time at 2).
+# A block lacking fewer centers is folded rather than screened: the screen
+# costs as much as the exact fold it would save (100k x 64 with one BLAS
+# thread: about 20 ms either way at 8 centers, 2x the fold's time at 2).
 SCREEN_MIN_CENTERS = 8
 
 
-def _screen_delta(emb: EmbeddingSet, metric: str,
-                  centers: np.ndarray | None = None) -> float:
+def _screen_delta(emb: EmbeddingSet, metric: str) -> float:
     """A bound on how far a screened distance (:func:`_screen_rows`) lies
     from the row kernel's value for the same pair; inf where there is no
     screen.
 
     Manhattan has no product form, and cosine norms outside [2^-450, 2^450]
     leave the rounding model. Euclidean pairs are bounded through
-    ``s_max = max |y|^2 + max |c|^2`` over the set and ``centers``, or
-    ``2 max |y|^2`` where the centers are not known in advance. Every
-    intermediate of the euclidean screen is at most ``2 s_max`` in size, so
-    where ``4 s_max`` overflows the screen is off too.
+    ``s_max = 2 max |y|^2`` over the set. Every intermediate of the
+    euclidean screen is at most ``2 s_max`` in size, so where ``4 s_max``
+    overflows the screen is off too.
 
     The bound, first order in the unit roundoff u = eps/2. A dot product of
     ``dim`` terms, in any summation order, is within ``dim * u * |y| |x|``
@@ -399,9 +400,7 @@ def _screen_delta(emb: EmbeddingSet, metric: str,
     if metric == "cosine-distance" and numeric_distances(emb, metric):
         return 8.0 * (dim + 4) * eps
     if metric == "euclidean":
-        sq = emb.sq_norms()
-        top = float(sq.max())
-        s_max = top + (top if centers is None else float(sq[centers].max()))
+        s_max = 2.0 * float(emb.sq_norms().max())
         if np.isfinite(4.0 * s_max):
             return float(4.0 * np.sqrt((2 * dim + 5)
                                        * (eps * s_max + 2.0 ** -1074)))
@@ -409,17 +408,18 @@ def _screen_delta(emb: EmbeddingSet, metric: str,
 
 
 def _product_form(emb: EmbeddingSet, metric: str,
-                  idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Centers ``idx`` as the screen's matrix-product columns: normalised
-    centers for cosine, ``-2 C`` and the shift ``|c|^2`` for euclidean."""
+                  idx) -> tuple[np.ndarray, np.ndarray]:
+    """Centers ``idx`` as the screen's matrix-product columns and shifts:
+    normalised centers and zeros for cosine, ``-2 C`` and ``|c|^2`` for
+    euclidean."""
     f = emb.features
     if metric == "cosine-distance":
-        return f[idx] / emb.norms()[idx, None], None
+        return f[idx] / emb.norms()[idx, None], np.zeros(len(idx))
     return -2.0 * f[idx], emb.sq_norms()[idx]
 
 
 def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
-                 cols: np.ndarray, shift: np.ndarray | None, out: np.ndarray,
+                 cols: np.ndarray, shift: np.ndarray, out: np.ndarray,
                  points: np.ndarray | None = None) -> None:
     """Fold into ``out`` the screened distance from each point lo..hi-1
     (or ``points[lo:hi]``) to its nearest center, given in
@@ -432,7 +432,7 @@ def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
     is within :func:`_screen_delta` of the row kernel's fold.
     """
     f = emb.features
-    cosine = shift is None
+    cosine = metric == "cosine-distance"
     scale = emb.norms() if cosine else emb.sq_norms()
     step = max(1, SCREEN_BYTES // (8 * max(len(cols), emb.dim)))
     for a in range(lo, hi, step):
@@ -454,81 +454,91 @@ def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
         np.minimum(part, near, out=part)
 
 
-def _screen(emb: EmbeddingSet, metric: str, idx: np.ndarray,
-            dmin: np.ndarray | None,
-            starts: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Each kernel block's largest nearest-center distance, screened by
-    :func:`_screen_rows`, and the bound :func:`_screen_delta` on its
-    distance from the row kernel's value.
+class Cover:
+    """Each point's distance to its nearest center, folded a kernel block at
+    a time when the block is read.
 
-    Centers go a group at a time, no more of them than rows in a block.
-    None where :func:`_screen_delta` is inf and below
-    :data:`SCREEN_MIN_CENTERS` centers, where the screen does not pay.
+    ``dmin`` starts as the first center's :func:`metric_row`, which
+    validates the metric and the cosine norms once, before any other
+    distance. ``folded[b]`` counts the leading ``centers`` that block b of
+    ``dmin`` holds. The constructor's other centers and :meth:`add` read
+    nothing; :meth:`block`, :meth:`at` and :meth:`radius` fold in the
+    centers a block lacks with one :func:`fold_block`. A block brought up to
+    date holds ``np.minimum`` folded over every center's :func:`metric_row`
+    bit for bit, whatever reads came between the adds.
     """
-    if idx.size < SCREEN_MIN_CENTERS:
-        return None
-    delta = _screen_delta(emb, metric, idx)
-    if not np.isfinite(delta):
-        return None
-    n = emb.n
-    step = block_rows(emb)
-    tops = np.empty(starts.size)
-    for t, lo in enumerate(starts):
-        hi = min(lo + step, n)
-        near = np.full(hi - lo, np.inf) if dmin is None else dmin[lo:hi].copy()
-        for g in range(0, idx.size, step):
-            cols, shift = _product_form(emb, metric, idx[g:g + step])
-            _screen_rows(emb, metric, lo, hi, cols, shift, near)
-        tops[t] = near.max()
-    return tops, delta
 
-
-def covering_radius(emb: EmbeddingSet, metric: str, centers,
-                    dmin: np.ndarray | None = None,
-                    held: np.ndarray | None = None) -> float:
-    """Distance from the farthest point to its nearest center.
-
-    Bitwise equal to ``np.minimum`` folded over ``metric_row`` of each center
-    (and over ``dmin``, a distance per point, when given) followed by
-    ``.max()``. :func:`_screen` first estimates every kernel block's largest
-    nearest-center distance within a bound ``delta``. A block gets the exact
-    fold of :func:`_row_block` rows only when it could hold the maximum: its
-    screened maximum plus ``delta`` reaches the largest finite screened
-    maximum minus ``delta``, or its screen holds a non-finite value. Every
-    other block's maximum is below another block's, so the returned float
-    comes from the row kernel alone. Manhattan, which has no screen, folds
-    every block. ``held``, with ``dmin``, gives per kernel block how many of
-    the leading ``centers`` that block of ``dmin`` already holds; its exact
-    fold skips them. Validation (metric, cosine zero rows) runs once, before
-    any distance; ``dmin`` is not modified.
-    """
-    _check_rows(emb, metric)
-    idx = np.asarray(centers, dtype=np.int64).reshape(-1)
-    if idx.size == 0:
-        if dmin is None:
+    def __init__(self, emb: EmbeddingSet, metric: str, centers):
+        self.emb, self.metric = emb, metric
+        self.centers = [int(c) for c in centers]
+        if not self.centers:
             raise EmptyCenters()
-        return float(dmin.max())
-    n = emb.n
-    step = block_rows(emb)
-    starts = np.arange(0, n, step)
-    screen = _screen(emb, metric, idx, dmin, starts)
-    if screen is not None:
-        tops, delta = screen
-        finite = np.isfinite(tops)
-        if finite.any():
-            bar = tops[finite].max() - delta
-            starts = starts[~finite | (tops + delta >= bar)]
+        self.dmin = metric_row(emb, metric, self.centers[0])
+        self.step = block_rows(emb)
+        self.folded = np.ones(-(-emb.n // self.step), dtype=np.int64)
 
-    def block_max(lo: int) -> float:
-        hi = min(lo + step, n)
-        if dmin is None:
-            return fold_block(emb, metric, idx, lo, hi).max()
-        rest = idx if held is None else idx[held[lo // step]:]
-        if rest.size == 0:
-            return dmin[lo:hi].max()
-        return fold_block(emb, metric, rest, lo, hi, dmin[lo:hi].copy()).max()
+    def add(self, c: int) -> None:
+        """Make point c a center."""
+        self.centers.append(int(c))
 
-    return float(np.max([block_max(lo) for lo in starts]))
+    def block(self, b: int) -> np.ndarray:
+        """Kernel block b of ``dmin``, brought up to date, as a view."""
+        lo = b * self.step
+        d = self.dmin[lo:lo + self.step]
+        if self.folded[b] < len(self.centers):
+            fold_block(self.emb, self.metric, self.centers[self.folded[b]:],
+                       lo, lo + d.size, d)
+            self.folded[b] = len(self.centers)
+        return d
+
+    def at(self, points: np.ndarray) -> np.ndarray:
+        """Nearest-center distances of ``points``, their blocks brought up
+        to date."""
+        for b in np.unique(points // self.step):
+            self.block(b)
+        return self.dmin[points]
+
+    def radius(self) -> float:
+        """Distance from the farthest point to its nearest center, bit for
+        bit ``np.minimum`` folded over every center's :func:`metric_row`
+        followed by ``.max()``.
+
+        A block that lacks at least :data:`SCREEN_MIN_CENTERS` centers is
+        screened (:func:`_screen_rows`) for those alone, from the distances
+        it holds, so its largest nearest-center distance is known within
+        :func:`_screen_delta`; every other block is brought up to date and
+        its largest is exact. A screened block is folded only when it could
+        hold the maximum: its largest plus ``delta`` reaches the largest
+        finite one minus ``delta``, or its largest is not finite. Every other
+        block's maximum is below another block's, so the result comes from
+        the row kernel alone. Manhattan, which has no screen, folds every
+        block.
+        """
+        m, step, n = len(self.centers), self.step, self.emb.n
+        screened = m - self.folded >= SCREEN_MIN_CENTERS
+        delta = _screen_delta(self.emb, self.metric) if screened.any() else 0.0
+        screened &= np.isfinite(delta)
+        if screened.any():
+            base = int(self.folded[screened].min())
+            cols, shift = _product_form(self.emb, self.metric,
+                                        self.centers[base:])
+        tops = np.empty(self.folded.size)
+        for b in range(tops.size):
+            if not screened[b]:
+                tops[b] = self.block(b).max()
+                continue
+            lo, hi = b * step, min(b * step + step, n)
+            near = self.dmin[lo:hi].copy()
+            # centers go a group at a time, no more than rows in a block
+            for g in range(self.folded[b] - base, m - base, step):
+                _screen_rows(self.emb, self.metric, lo, hi, cols[g:g + step],
+                             shift[g:g + step], near)
+            tops[b] = near.max()
+        keep = ~np.isfinite(tops)
+        if not keep.all():
+            keep |= tops + delta >= tops[~keep].max() - delta
+        return float(np.max([self.block(b).max()
+                             for b in np.flatnonzero(keep)]))
 
 
 def distance_matrix(emb: EmbeddingSet, metric: str) -> np.ndarray:

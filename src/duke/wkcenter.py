@@ -30,12 +30,16 @@ grow, so once no point is farther than 3*gamma the run is in its fill regime
 for good: the rest of the budget is the lightest unselected points, taken in
 one slice, and one covering radius over all the picks scores the run.
 
-The bracket's farthest-point traversal computes no full rows. It keeps its
-distances per kernel block with a stale maximum that bounds the block from
-above, and folds the centers a block lacks into it only when that block
+The bracket's farthest-point traversal computes one full row, its first
+center's. It keeps a stale maximum per kernel block that bounds the block
+from above, and folds the centers a block lacks into it only when that block
 could hold the next pick (lazy evaluation as in Minoux's accelerated greedy,
 1978). A block is then read once for many centers, while it sits in cache,
 and the picks and radius are those of the full-row traversal bit for bit.
+
+The traversal, the fixed-gamma run and :func:`evaluate_solution` keep their
+exact distances in one :class:`~duke.dataset.Cover`, which folds into a
+kernel block the centers it lacks only when the block is read.
 
 The selection at a guess changes only when the guess crosses one of the
 thresholds the run compared it with (the guess-the-radius structure of
@@ -51,8 +55,8 @@ nothing there.
 
 Every selection, whoever picked it, is scored by :func:`_scored` from its
 covering radius: the selectors here pass the radius they computed, and
-:func:`evaluate_solution` computes it with
-:func:`~duke.dataset.covering_radius` for picks that come without.
+:func:`evaluate_solution` computes it with a
+:class:`~duke.dataset.Cover` for picks that come without.
 
 Weights and distances are consumed on their native scales; lambda alone
 balances the two terms.
@@ -67,16 +71,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import (
+    Cover,
     EmbeddingSet,
     WeightVector,
-    _check_rows,
     _product_form,
     _row_block,
     _screen_delta,
     _screen_rows,
-    block_rows,
-    covering_radius,
-    fold_block,
     metric_row,
     numeric_distances,
 )
@@ -184,15 +185,15 @@ def _scored(weights: WeightVector, lambda_: float, indices, radius: float,
 def evaluate_solution(emb: EmbeddingSet, metric: str, weights: WeightVector,
                       lambda_: float, indices, algorithm: str,
                       **fields) -> SubsetSolution:
-    """Score a selection by the :func:`covering_radius` of its indices.
+    """Score a selection by the covering radius of a
+    :class:`~duke.dataset.Cover` of its indices.
 
     ``fields`` are passed on to :class:`SubsetSolution`."""
     check_lambda(lambda_)
     if weights.n != emb.n:
         raise SizeMismatch(expected=emb.n, got=weights.n)
     return _scored(weights, lambda_, indices,
-                   covering_radius(emb, metric, indices), algorithm,
-                   **fields)
+                   Cover(emb, metric, indices).radius(), algorithm, **fields)
 
 
 def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -204,60 +205,60 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     index among ties. The picks ignore weights; the traversal scores its own
     selection from the distances it folded.
 
-    The distances are kept per kernel block (the 1 MiB grid of
-    :func:`~duke.dataset.block_rows`), each with the number of centers
-    folded into it and its largest distance from an unselected point when it
-    was last brought up to date. Distances to the centers never grow, so
-    that stale maximum bounds the block's current one. A round brings the
-    block with the largest stale maximum (the lowest block on ties) up to
-    date with one :func:`~duke.dataset.fold_block` of every center it lacks,
-    until that block is up to date; its farthest point is then the global
-    one. A block is read once per visit instead of once per center, and a
-    block that never comes near the top is not read again. The final radius
-    is found the same way. Where a distance can be NaN
-    (:func:`~duke.dataset.numeric_distances`) no stale maximum is a bound,
-    and every block is brought up to date every round. Indices and radius
-    are those of folding every center's full row into every point, bit for
-    bit (a NaN radius as NaN).
+    The distances are a :class:`~duke.dataset.Cover` from point 0's row.
+    Each kernel block (the 1 MiB grid of :func:`~duke.dataset.block_rows`)
+    also keeps its largest distance from an unselected point when it was
+    last brought up to date. Distances to the centers never grow, so that
+    stale maximum bounds the block's current one. A round brings the block
+    with the largest stale maximum (the lowest block on ties) up to date,
+    folding every center it lacks at once, until that block is up to date;
+    its farthest point is then the global one. A block is read once per
+    visit instead of once per center, and a block that never comes near the
+    top is not read again. The final radius is found the same way. Where a
+    distance can be NaN (:func:`~duke.dataset.numeric_distances`) no stale
+    maximum is a bound, and every block is brought up to date every round.
+    Indices and radius are those of folding every center's full row into
+    every point, bit for bit (a NaN radius as NaN).
     """
     n = emb.n
     check_selection(n, k, lambda_, 0.0)
     if weights.n != n:
         raise SizeMismatch(expected=n, got=weights.n)
-    _check_rows(emb, metric)
-    step = block_rows(emb)
-    dmin = np.full(n, np.inf)
+    cover = Cover(emb, metric, [0])
+    selected, step = cover.centers, cover.step
     held = np.zeros(n, dtype=bool)      # selected points, out of the maxima
     held[0] = True
-    folded = np.zeros(-(-n // step), dtype=np.int64)
-    far = np.zeros(folded.size, dtype=np.int64)
+    top = np.empty(cover.folded.size)
+    far = np.empty(top.size, dtype=np.int64)
+
+    def refresh(b: int) -> None:
+        lo = b * step
+        d = cover.block(b)
+        d = np.where(held[lo:lo + d.size], -np.inf, d)
+        far[b] = lo + int(np.argmax(d))
+        top[b] = d[far[b] - lo]
+
+    for b in range(top.size):
+        refresh(b)
     # NaN is np.argmax's largest value and a fold can turn a number into
     # one, so where a distance can be NaN no stale maximum bounds a block:
     # every pick leaves every block unknown
     bounded = numeric_distances(emb, metric)
-    top = np.full(folded.size, np.inf if bounded else np.nan)
-    selected = [0]
     while True:
         b = int(np.argmax(top))
-        while folded[b] < len(selected):
-            lo, hi = b * step, min(b * step + step, n)
-            d = fold_block(emb, metric, selected[folded[b]:], lo, hi,
-                           dmin[lo:hi])
-            folded[b] = len(selected)
-            d = np.where(held[lo:hi], -np.inf, d)
-            far[b] = lo + int(np.argmax(d))
-            top[b] = d[far[b] - lo]
+        while cover.folded[b] < len(selected):
+            refresh(b)
             b = int(np.argmax(top))
         if len(selected) == k:
             break
-        selected.append(int(far[b]))
+        cover.add(far[b])
         held[far[b]] = True
         if not bounded:
             top[:] = np.nan
     # A selected point is at distance 0 from itself, so the radius is the
     # largest unselected distance, or 0. Where a NaN can arise the loop has
     # brought every block up to date or stopped at a NaN that dmin holds.
-    radius = max(float(top[b]), 0.0) if bounded else float(dmin.max())
+    radius = max(float(top[b]), 0.0) if bounded else float(cover.dmin.max())
     return _scored(weights, lambda_, selected, radius, "greedy-kcenter")
 
 
@@ -283,23 +284,19 @@ class _Nearest:
     counts folded are non-increasing in position past the scan's start, so
     they are kept as ``segs``, (end, count) runs with ends increasing.
 
-    ``exact`` is the seed's row with, per kernel block, the centers
-    ``selected[1:done[b]]`` folded in by :func:`~duke.dataset.fold_block`, so
-    that an entry is the row fold's bit for bit once its block is up to
-    date. A decision the screen leaves open, a value within ``delta`` of its
-    threshold, is settled there. Where ``delta`` is inf (manhattan, cosine
-    norms outside [2^-450, 2^450]) no screen is kept and every decision is
-    settled exactly.
+    ``cover`` (:class:`~duke.dataset.Cover`, from the seed's row) holds the
+    exact distances. A decision the screen leaves open, a value within
+    ``delta`` of its threshold, is settled there. Where ``delta`` is inf
+    (manhattan, cosine norms outside [2^-450, 2^450]) no screen is kept and
+    every decision is settled exactly.
     """
 
     def __init__(self, emb: EmbeddingSet, metric: str, order: np.ndarray):
         self.emb, self.metric, self.order = emb, metric, order
-        self.selected = [int(order[0])]
-        seed = self.exact = metric_row(emb, metric, self.selected[0])
-        self.step = block_rows(emb)
-        self.done = np.ones(-(-emb.n // self.step), dtype=np.int64)
+        self.cover = Cover(emb, metric, order[:1])
         self.delta = _screen_delta(emb, metric)
-        self.screen = seed[order] if np.isfinite(self.delta) else None
+        self.screen = (self.cover.dmin[order] if np.isfinite(self.delta)
+                       else None)
         # the screened centers in product form, with room to grow
         self.cols, self.shift = np.empty((8, emb.dim)), np.empty(8)
         self.m = 0
@@ -308,7 +305,7 @@ class _Nearest:
     def add(self, c: int, row: np.ndarray | None) -> None:
         """Make point c a center; ``row``, its exact row when known, is
         folded into every screened distance at once."""
-        self.selected.append(c)
+        self.cover.add(c)
         if self.screen is None:
             return
         if row is not None:
@@ -319,7 +316,7 @@ class _Nearest:
             self.cols = np.concatenate([self.cols, self.cols])
             self.shift = np.concatenate([self.shift, self.shift])
         self.cols[self.m] = cols[0]
-        self.shift[self.m] = 0.0 if shift is None else shift[0]
+        self.shift[self.m] = shift[0]
         self.m += 1
 
     def _bring(self, lo: int, hi: int) -> None:
@@ -339,31 +336,18 @@ class _Nearest:
 
     def _fold(self, a: int, b: int, count: int) -> None:
         if count < self.m:
-            shift = (None if self.metric == "cosine-distance"
-                     else self.shift[count:self.m])
             _screen_rows(self.emb, self.metric, a, b,
-                         self.cols[count:self.m], shift, self.screen[a:b],
-                         self.order)
-
-    def _exact_at(self, points: np.ndarray) -> np.ndarray:
-        """Exact nearest-center distances of ``points``, their blocks
-        brought up to date."""
-        m, step, n = len(self.selected), self.step, self.emb.n
-        for b in np.unique(points // step):
-            if self.done[b] < m:
-                lo, hi = b * step, min(b * step + step, n)
-                fold_block(self.emb, self.metric, self.selected[self.done[b]:],
-                           lo, hi, self.exact[lo:hi])
-                self.done[b] = m
-        return self.exact[points]
+                         self.cols[count:self.m], self.shift[count:self.m],
+                         self.screen[a:b], self.order)
 
     def _row_at(self, c: int, points: np.ndarray) -> np.ndarray:
         """Point c's row kernel distances to ``points``, block by block."""
         out = np.empty(points.size)
-        blocks = points // self.step
+        step = self.cover.step
+        blocks = points // step
         for b in np.unique(blocks):
-            lo = b * self.step
-            hi = min(lo + self.step, self.emb.n)
+            lo = b * step
+            hi = min(lo + step, self.emb.n)
             sel = blocks == b
             row = _row_block(self.emb, self.metric, c, lo, hi)
             out[sel] = row[points[sel] - lo]
@@ -393,7 +377,7 @@ class _Nearest:
                 far, end = (), hi - lo
                 band = np.arange(end)
             if band.size:
-                e = self._exact_at(self.order[lo + band])
+                e = self.cover.at(self.order[lo + band])
                 j = np.flatnonzero(e > t)
                 if j.size:
                     return lo + int(band[j[0]]), float(e[j[0]])
@@ -445,7 +429,7 @@ class _Nearest:
 
 def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
                      k: int, lambda_: float, gamma: float) -> SubsetSolution:
-    """Reference selector at a fixed gamma.
+    """The selector at a fixed gamma.
 
     Seeds with the globally lightest point. Per round: if some point is still
     farther than 3*gamma from the centers, take the lightest such point c and
@@ -462,10 +446,10 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     Distances to the centers never grow, so after the first round with no
     point farther than 3*gamma every later round is a fill round too. The run
     takes all of them at once: the next unselected entries of the (weight,
-    index) order. The selection is scored by one :func:`covering_radius`
-    call over every center but the seed, whose row it starts from, with the
-    centers the row kernel already folded per block skipped; it is the
-    same float as a pick-by-pick fold. For the same reason the points
+    index) order. The selection is scored by the covering radius of the
+    run's :class:`~duke.dataset.Cover`, in which each block already holds
+    the centers the row kernel folded into it; it is the same float as a
+    pick-by-pick fold. For the same reason the points
     ahead of an anchor in that order stay within 3*gamma, so each far scan
     resumes after the last anchor, and a ball is read only up to its
     anchor, which it always holds.
@@ -489,7 +473,7 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     taken = np.zeros(n, dtype=bool)     # indexed by position in ``order``
     taken[0] = True
     near = _Nearest(emb, metric, order)
-    selected = near.selected
+    selected = near.cover.centers
     t_hi = g_hi = np.inf
 
     a = 0
@@ -505,10 +489,9 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     far_rounds = len(selected) - 1
 
     near.screen = None      # free before the radius screen allocates its own
-    rest = order[~taken][:k - len(selected)]
-    selected.extend(int(i) for i in rest)
-    radius = covering_radius(emb, metric, selected[1:], near.exact,
-                             near.done - 1)
+    for c in order[~taken][:k - len(selected)]:
+        near.cover.add(c)
+    radius = near.cover.radius()
 
     return _scored(weights, lambda_, selected, radius, "duke", gamma,
                    far_rounds=far_rounds, span=GammaSpan(gamma, t_hi, g_hi))
@@ -542,9 +525,9 @@ def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
     """
     lo = greedy_kcenter(emb, metric, weights, k).radius_term / 2.0
     lightest = np.lexsort((np.arange(emb.n), weights.values))[:k]
-    seed = metric_row(emb, metric, int(lightest[0]))
-    hi = covering_radius(emb, metric, lightest[1:], seed)
-    return GammaBracket(lo, hi, float(seed.max()), lightest)
+    cover = Cover(emb, metric, lightest)
+    t0 = float(cover.dmin.max())        # no block read yet: the first's row
+    return GammaBracket(lo, cover.radius(), t0, lightest)
 
 
 _GRID_FLOOR = 1e-12

@@ -11,10 +11,10 @@ import duke
 from duke import dataset
 from duke.dataset import (
     METRICS,
+    Cover,
     EmbeddingSet,
     ProbabilityMatrix,
     WeightVector,
-    covering_radius,
     distance_matrix,
     fold_block,
     load_embeddings,
@@ -126,8 +126,8 @@ def test_unknown_metric():
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine-distance"])
 @pytest.mark.parametrize("rows_per_block", [7, None])
-def test_min_dists_bitwise_equals_row_minimum(rng, monkeypatch, metric,
-                                              rows_per_block):
+def test_cover_radius_bitwise_equals_row_minimum(rng, monkeypatch, metric,
+                                                rows_per_block):
     # 7 rows per block gives 8 blocks of 52 points with a short last one;
     # None keeps the default block, under which 5000 x 64 is 3 blocks
     if rows_per_block is None:
@@ -140,28 +140,32 @@ def test_min_dists_bitwise_equals_row_minimum(rng, monkeypatch, metric,
     emb = EmbeddingSet(pts)
     step = dataset.block_rows(emb)
     assert n % step != 0 and n > 2 * step
-    # six centers take the fold, twelve the screen
+    # blocks lacking five or six centers take the fold, eleven or twelve
+    # the screen
     for centers in ([0, 3, step + 1, n - 1, n - 4, 2],
                     [0, 3, step + 1, n - 1, n - 4, 2, 7, 8, 9, 30, 31, n - 2]):
         ref = metric_row(emb, metric, centers[0]).copy()
         for c in centers[1:]:
             np.minimum(ref, metric_row(emb, metric, c), out=ref)
-        assert _bits(covering_radius(emb, metric, centers)) == _bits(ref.max())
-        dmin = metric_row(emb, metric, n // 2)
-        assert _bits(covering_radius(emb, metric, centers, dmin)) == \
-            _bits(np.minimum(ref, dmin).max())
-        assert _bits(covering_radius(emb, metric, [], dmin)) == _bits(dmin.max())
+        assert _bits(_cover_radius(emb, metric, centers)) == _bits(ref.max())
+        first = metric_row(emb, metric, n // 2)
+        assert _bits(_cover_radius(emb, metric, [n // 2, *centers])) == \
+            _bits(np.minimum(ref, first).max())
+        assert _bits(_cover_radius(emb, metric, [n // 2])) == \
+            _bits(first.max())
+
+
+def _cover_radius(emb, metric, centers):
+    return Cover(emb, metric, centers).radius()
 
 
 def _bits(x):
     return np.float64(x).tobytes()
 
 
-def _fold_radius(emb, metric, centers, dmin=None):
+def _fold_radius(emb, metric, centers):
     """The covering radius by its definition: every center's row, folded."""
     rows = [metric_row(emb, metric, int(c)) for c in centers]
-    if dmin is not None:
-        rows.append(dmin)
     return np.minimum.reduce(rows).max()
 
 
@@ -190,34 +194,45 @@ def _radius_cases(draw):
         pts[~np.abs(pts).any(axis=1)] = 1.0
     centers = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=24))
     rows_per_block = draw(st.integers(1, 40))
-    dmin = draw(st.booleans())
-    return metric, pts, centers, rows_per_block, dmin
+    use_out = draw(st.booleans())
+    return metric, pts, centers, rows_per_block, use_out
 
 
-@given(_radius_cases(), st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)))
+@given(_radius_cases(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_covering_radius_bitwise_equals_the_row_fold(case, held_seed):
-    metric, pts, centers, rows_per_block, use_dmin = case
+def test_covering_radius_bitwise_equals_the_row_fold(case, data):
+    # reads of blocks and points between the adds leave each block holding
+    # a different leading run of the centers; the radius, and every read,
+    # is still the row fold's
+    metric, pts, centers, rows_per_block, _ = case
     emb = EmbeddingSet(pts)
+    reads = st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 16)),
+                     max_size=3)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
                                                          invalid="ignore"):
         # a tiny block puts centers inside and outside most blocks
         mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
-        dmin = metric_row(emb, metric, centers[-1]) if use_dmin else None
-        want = _fold_radius(emb, metric, centers, dmin)
-        held = None
-        if dmin is not None and held_seed is not None:
-            # each block of dmin already holds a leading run of the centers
-            step = dataset.block_rows(emb)
-            held = np.random.default_rng(held_seed).integers(
-                0, len(centers) + 1, size=-(-emb.n // step))
-            dmin = dmin.copy()
-            for b, h in enumerate(held):
-                lo, hi = b * step, min(b * step + step, emb.n)
-                for c in centers[:h]:
-                    np.minimum(dmin[lo:hi], metric_row(emb, metric, c)[lo:hi],
-                               out=dmin[lo:hi])
-        got = covering_radius(emb, metric, centers, dmin, held)
+        want = _fold_radius(emb, metric, centers)
+        cover = Cover(emb, metric, centers[:1])
+        for m, c in enumerate(centers[1:], 2):
+            cover.add(c)
+            for whole, pick in data.draw(reads):
+                if whole:
+                    b = pick % cover.folded.size
+                    lo = b * cover.step
+                    points = np.arange(lo, min(lo + cover.step, emb.n))
+                    got = cover.block(b)
+                else:
+                    points = np.unique((pick + np.r_[0, 7, 13, 31]) % emb.n)
+                    got = cover.at(points)
+                rows = [metric_row(emb, metric, c)[points]
+                        for c in centers[:m]]
+                want_at = np.minimum.reduce(rows)
+                # bit for bit, but a NaN's sign may differ
+                nan = np.isnan(want_at)
+                assert np.array_equal(np.isnan(got), nan)
+                assert got[~nan].tobytes() == want_at[~nan].tobytes()
+        got = cover.radius()
     assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
 
 
@@ -234,16 +249,15 @@ def test_fold_block_bitwise_equals_the_row_fold(case, pick):
         hi = min(lo + step, emb.n)
         # with a tiny block, centers fall inside it as well as outside
         rows = [dataset._row_block(emb, metric, c, lo, hi) for c in centers]
-        out = None
+        out = np.full(hi - lo, np.inf)
         if use_out:
             out = dataset._row_block(emb, metric, centers[-1] // 2, lo, hi)
             rows.insert(0, out.copy())
         want = rows[0]
         for row in rows[1:]:
             want = np.minimum(want, row)
-        got = fold_block(emb, metric, centers, lo, hi, out)
-    assert got.tobytes() == want.tobytes()
-    assert out is None or got is out
+        fold_block(emb, metric, centers, lo, hi, out)
+    assert out.tobytes() == want.tobytes()
 
 
 def test_fold_block_keeps_the_nan_a_row_holds_at_a_center():
@@ -253,7 +267,8 @@ def test_fold_block_keeps_the_nan_a_row_holds_at_a_center():
     # force 0
     emb = EmbeddingSet(np.array([[1e200, 1e200], [1e200, -1e200], [1.0, 2.0]]))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = fold_block(emb, "cosine-distance", [0, 1], 0, 3)
+        got = np.full(3, np.inf)
+        fold_block(emb, "cosine-distance", [0, 1], 0, 3, got)
         rows = [metric_row(emb, "cosine-distance", c) for c in (0, 1)]
     assert np.isnan(got[:2]).all() and got[2] == 1.0
     assert got.tobytes() == np.minimum(*rows).tobytes()
@@ -275,14 +290,15 @@ def test_covering_radius_overflowed_screen_takes_the_exact_path(monkeypatch):
 
     monkeypatch.setattr(dataset, "_raw_block", counted)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = covering_radius(emb, "euclidean", list(range(8)))
+        got = _cover_radius(emb, "euclidean", list(range(8)))
     assert got == np.inf and 12 in blocks
 
 
 def test_covering_radius_rechecks_one_block_when_separated(monkeypatch):
     # 40 tight clusters and a center in each but the last: only the block
-    # holding that cluster can hold the radius, so the exact fold runs there
-    # alone; a fallback to the fold of every block fails here
+    # holding that cluster can hold the radius, so after the first center's
+    # row the exact fold runs there alone; a fallback to the fold of every
+    # block fails here
     rng = np.random.default_rng(4)
     dim, per = 8, 64
     centers_at = 100.0 * rng.normal(size=(40, dim))
@@ -301,8 +317,8 @@ def test_covering_radius_rechecks_one_block_when_separated(monkeypatch):
     monkeypatch.setattr(dataset, "_raw_block", counted)
     for metric in ("euclidean", "cosine-distance"):
         blocks.clear()
-        got = covering_radius(emb, metric, centers)
-        assert blocks == [39 * step] * len(centers)
+        got = _cover_radius(emb, metric, centers)
+        assert blocks == [0] + [39 * step] * (len(centers) - 1)
         monkeypatch.setattr(dataset, "_raw_block", rows)
         assert _bits(got) == _bits(_fold_radius(emb, metric, centers))
         monkeypatch.setattr(dataset, "_raw_block", counted)
@@ -346,7 +362,7 @@ def test_euclidean_kernel_exact_on_duplicates_and_within_bound(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "BLOCK_BYTES", 8 * dim * rows_per_block)
         rows = {c: metric_row(emb, "euclidean", c) for c in centers}
-        radius = covering_radius(emb, "euclidean", centers)
+        radius = _cover_radius(emb, "euclidean", centers)
     for c, row in rows.items():
         ref = _euclid_reference(f, c)
         same = (f == f[c]).all(axis=1)
@@ -403,7 +419,7 @@ def test_far_offset_duplicates_reach_radius_zero_at_gamma_zero():
 _KERNEL_HASH = """
 import hashlib
 import numpy as np
-from duke.dataset import EmbeddingSet, covering_radius, metric_row
+from duke.dataset import Cover, EmbeddingSet, metric_row
 h = hashlib.sha256()
 rng = np.random.default_rng(3)
 # 10 and 2 blocks with a short last one; a single matrix-vector product over
@@ -416,8 +432,8 @@ for n, dim in ((20001, 64), (9001, 16)):
         for i in (0, 1, n - 1):
             h.update(metric_row(emb, metric, i).tobytes())
         for centers in (range(0, n, n // 12), range(0, n, n // 4)):
-            # 13 centers take the screen, 5 the fold
-            radius = covering_radius(emb, metric, list(centers))
+            # blocks lacking 12 centers take the screen, 4 the fold
+            radius = Cover(emb, metric, list(centers)).radius()
             h.update(np.float64(radius).tobytes())
 print(h.hexdigest())
 """

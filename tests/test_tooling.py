@@ -1,17 +1,22 @@
-"""The benchmark's tracer names duke functions by module and attribute; a
-rename in duke must fail here rather than in a traced benchmark run."""
+"""The benchmark's tracer names duke functions by module and attribute, and
+derives per-layer metrics from the spans it records; a rename in duke, or a
+run shape whose metrics cannot be derived, must fail here rather than in a
+traced benchmark run."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from duke import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("_perfbench_tracing",
                                                   TRACING)
     module = importlib.util.module_from_spec(spec)
@@ -24,10 +29,10 @@ def _targets():
     finally:
         del sys.modules[spec.name]
         sys.dont_write_bytecode = saved
-    return module.TARGETS
+    return module
 
 
-@pytest.mark.parametrize("target", _targets(), ids=lambda t: t[0])
+@pytest.mark.parametrize("target", _tracing().TARGETS, ids=lambda t: t[0])
 def test_tracer_target_resolves(target):
     _, modname, attr, cls, _ = target
     assert modname == "duke" or modname.startswith("duke.")
@@ -37,3 +42,33 @@ def test_tracer_target_resolves(target):
         # the tracer wraps the class's own attribute, not an inherited one
         assert attr in vars(owner), (modname, cls, attr)
     assert callable(getattr(owner, attr)), (modname, cls, attr)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine-distance"])
+@pytest.mark.parametrize("extra", [[], ["--gamma", "0.5"],
+                                   ["--method", "greedy-kcenter"],
+                                   ["--method", "margin"]],
+                         ids=["search", "pinned", "greedy", "margin"])
+def test_layer_metrics_of_a_traced_select(tmp_path, metric, extra):
+    # layer_metrics divides by the time of the traced loads and of the
+    # traced metric_row calls, so every select path must compute a row
+    tracing = _tracing()
+    rng = np.random.default_rng(6)
+    n, dim, k = 80, 3, 6
+    emb, wts = tmp_path / "points.csv", tmp_path / "weights.csv"
+    np.savetxt(emb, 2.0 + rng.normal(size=(n, dim)), delimiter=",")
+    np.savetxt(wts, rng.uniform(size=(n, 1)), delimiter=",")
+    argv = ["select", "--embeddings", str(emb), "--weights", str(wts),
+            "--metric", metric, "--k", str(k),
+            "--out", str(tmp_path / "report.txt"), *extra]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    input_bytes = emb.stat().st_size + wts.stat().st_size
+    measured, counts = tracing.layer_metrics(tracer.spans, 0, k, n, dim,
+                                             input_bytes)
+    assert counts["dataset.metric_row_calls"] >= 1
+    assert all(np.isfinite(v) for v in measured.values())

@@ -43,21 +43,33 @@ def _radius(emb, metric, centers):
     return evaluate_solution(emb, metric, zero, 0.0, centers, "t").radius_term
 
 
-def test_kcenter_cost_line(line_points):
+def _count_calls(monkeypatch, names, calls):
+    """Append the name of each call of ``names`` made by dataset or wkcenter
+    to ``calls``."""
+    for mod in (dataset, wkcenter):
+        for name in names:
+            if hasattr(mod, name):
+                def counted(*args, _f=getattr(mod, name), _name=name):
+                    calls.append(_name)
+                    return _f(*args)
+                monkeypatch.setattr(mod, name, counted)
+
+
+def test_evaluated_radius_line(line_points):
     assert _radius(line_points, "euclidean", [1, 4]) == 2.0
     assert _radius(line_points, "euclidean", [0, 1, 2, 3, 4]) == 0.0
     with pytest.raises(EmptyCenters):
         _radius(line_points, "euclidean", [])
 
 
-def test_kcenter_cost_center_order_irrelevant(rng):
+def test_evaluated_radius_center_order_irrelevant(rng):
     emb = EmbeddingSet(rng.normal(size=(30, 3)))
     a = _radius(emb, "euclidean", [3, 11, 27])
     b = _radius(emb, "euclidean", [27, 3, 11])
     assert a == b
 
 
-def test_kcenter_cost_cosine_zero_row_checked_once_before_any_distance(
+def test_evaluated_radius_checks_cosine_zero_row_once_before_any_distance(
         rng, monkeypatch):
     calls = {"check": 0, "rows": 0}
     check, rows = dataset._cosine_norm_check, dataset._raw_block
@@ -76,10 +88,11 @@ def test_kcenter_cost_cosine_zero_row_checked_once_before_any_distance(
     pts = rng.normal(size=(30, 3)) + 2.0
     zero = pts.copy()
     zero[17] = 0.0
-    # three centers fold all 8 blocks; eight centers are screened first, and
-    # only the one block that can hold the radius is folded
-    for centers, folded in (([1, 9, 20], 8 * 3),
-                            ([1, 9, 20, 3, 5, 12, 27, 29], 1 * 8)):
+    # the first center's row is one call; blocks lacking two centers fold
+    # all 8 blocks; blocks lacking eight are screened first, and only the
+    # one block that can hold the radius is folded
+    for centers, folded in (([1, 9, 20], 1 + 8 * 2),
+                            ([1, 9, 20, 3, 5, 12, 27, 29, 0], 1 + 1 * 8)):
         calls.update(check=0, rows=0)
         assert _radius(EmbeddingSet(pts), "cosine-distance", centers) > 0.0
         assert calls == {"check": 1, "rows": folded}
@@ -188,20 +201,49 @@ def test_greedy_defers_centers_to_the_blocks_it_reads(monkeypatch):
                           [-50.0, 0.0] + rng.normal(size=(8, 2))])
     emb = EmbeddingSet(pts)
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 2 * 8)
-    visits = []
-    fold = dataset.fold_block
-
-    def counted(emb_, metric, centers, lo, hi, out=None):
-        visits.append((lo, len(centers)))
-        return fold(emb_, metric, centers, lo, hi, out)
-
-    monkeypatch.setattr(wkcenter, "fold_block", counted)
+    visits = _count_folds(monkeypatch)
     sol = greedy_kcenter(emb, "euclidean", WeightVector(np.zeros(24)), 12)
     indices, radius = farthest_point_traversal(emb, "euclidean", 12)
     assert sol.indices == indices and _bits(sol.radius_term) == _bits(radius)
-    folds = sum(c for _, c in visits)
-    # the full-row traversal folds 12 rows into each of 3 blocks
-    assert folds < 12 * 3 and len(visits) < folds
+    folds = sum(len(c) for _, c in visits)
+    # after the first center's row, the full-row traversal folds 11 rows
+    # into each of 3 blocks
+    assert folds < 11 * 3 and len(visits) < folds
+
+
+def _count_folds(monkeypatch):
+    """The (block start, centers) of each fold_block call, as a list."""
+    visits = []
+    fold = dataset.fold_block
+
+    def counted(emb_, metric, centers, lo, hi, out):
+        visits.append((lo, [int(c) for c in centers]))
+        fold(emb_, metric, centers, lo, hi, out)
+
+    monkeypatch.setattr(dataset, "fold_block", counted)
+    return visits
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan",
+                                    "cosine-distance"])
+def test_each_center_is_folded_into_a_block_at_most_once(monkeypatch, metric):
+    # the traversal with its radius, and a fixed-gamma run with its exact
+    # fallback and its radius, each keep one Cover: no block takes a center
+    # twice, and no block takes the first center, whose row starts the Cover
+    rng = np.random.default_rng(8)
+    emb = EmbeddingSet(rng.normal(size=(300, 4))
+                       + 8.0 * rng.integers(0, 3, size=(300, 1)))
+    w = WeightVector(rng.uniform(size=300))
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 4 * 16)
+    visits = _count_folds(monkeypatch)
+    for run in (lambda: greedy_kcenter(emb, metric, w, 40),
+                lambda: weighted_kcenter(emb, metric, w, 40, 0.1, 0.3)):
+        visits.clear()
+        sol = run()
+        pairs = [(lo, c) for lo, centers in visits for c in centers]
+        assert len(pairs) == len(set(pairs))
+        assert sol.indices[0] not in {c for _, c in pairs}
+        assert len(visits) > 0
 
 
 def test_selector_seeds_global_min_weight(line_points):
@@ -251,21 +293,32 @@ def test_selector_ball_pick_is_lightest_within_gamma():
     assert sol.indices == [0, 1]
 
 
-def test_far_round_reuses_the_anchor_row_when_it_is_the_pick(monkeypatch):
+def _count_rows(monkeypatch):
+    """The point of each metric_row call made by dataset or wkcenter, as a
+    list."""
     rows = []
+    row = dataset.metric_row
 
     def counted(emb, metric, i):
-        rows.append(i)
-        return dataset.metric_row(emb, metric, i)
+        rows.append(int(i))
+        return row(emb, metric, i)
 
+    monkeypatch.setattr(dataset, "metric_row", counted)
     monkeypatch.setattr(wkcenter, "metric_row", counted)
+    return rows
+
+
+def test_far_round_reuses_the_anchor_row_when_it_is_the_pick(monkeypatch):
+    rows = _count_rows(monkeypatch)
 
     def run(pts, w, k, gamma):
         emb = EmbeddingSet(np.array(pts)[:, None])
         rows.clear()
         sol = weighted_kcenter(emb, "euclidean", wv(*w), k, 1.0, gamma)
+        computed = len(rows)
         want, radius, far_rounds = per_round_selection(emb, "euclidean", w,
                                                        k, gamma)
+        del rows[computed:]         # the definition's own rows
         assert (sol.indices, sol.radius_term, sol.far_rounds) == \
             (want, radius, far_rounds)
         return sol.indices
@@ -476,11 +529,8 @@ def test_band_decisions_go_to_the_row_kernel(monkeypatch):
                    + [[0.0, 1.0]] * 10)
     w = WeightVector(np.array([0.0, 0.1, 0.2, 0.3] + [0.9] * 10))
     calls = []
-    for name in ("metric_row", "fold_block", "_row_block", "_screen_rows"):
-        def counted(*args, _f=getattr(wkcenter, name), _name=name):
-            calls.append(_name)
-            return _f(*args)
-        monkeypatch.setattr(wkcenter, name, counted)
+    _count_calls(monkeypatch, ("metric_row", "fold_block", "_row_block",
+                               "_screen_rows"), calls)
     for metric in ("euclidean", "manhattan"):
         calls.clear()
         sol = weighted_kcenter(EmbeddingSet(pts), metric, w, 3, 1.0, 5.0)
@@ -501,13 +551,7 @@ def test_clustered_far_rounds_compute_only_the_seed_row(monkeypatch):
     emb = EmbeddingSet(centers[np.arange(4000) % 20]
                        + rng.normal(0.0, 1.0, size=(4000, 32)))
     w = rng.uniform(0.0, 1.0, size=4000)
-    rows = []
-
-    def counted(emb_, metric, i):
-        rows.append(i)
-        return dataset.metric_row(emb_, metric, i)
-
-    monkeypatch.setattr(wkcenter, "metric_row", counted)
+    rows = _count_rows(monkeypatch)
     sol = weighted_kcenter(emb, "euclidean", WeightVector(w), 100, 0.001, 1.0)
     assert rows == [int(np.argmin(w))]
     want, radius, far_rounds = per_round_selection(emb, "euclidean", w, 100,
