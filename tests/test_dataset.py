@@ -194,8 +194,7 @@ def _radius_cases(draw):
         pts[~np.abs(pts).any(axis=1)] = 1.0
     centers = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=24))
     rows_per_block = draw(st.integers(1, 40))
-    use_out = draw(st.booleans())
-    return metric, pts, centers, rows_per_block, use_out
+    return metric, pts, centers, rows_per_block
 
 
 @given(_radius_cases(), st.data())
@@ -204,7 +203,7 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
     # reads of blocks and points between the adds leave each block holding
     # a different leading run of the centers; the radius, and every read,
     # is still the row fold's
-    metric, pts, centers, rows_per_block, _ = case
+    metric, pts, centers, rows_per_block = case
     emb = EmbeddingSet(pts)
     reads = st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 16)),
                      max_size=3)
@@ -236,10 +235,10 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
     assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
 
 
-@given(_radius_cases(), st.integers(0, 2 ** 16))
+@given(_radius_cases(), st.integers(0, 2 ** 16), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_fold_block_bitwise_equals_the_row_fold(case, pick):
-    metric, pts, centers, rows_per_block, use_out = case
+def test_fold_block_bitwise_equals_the_row_fold(case, pick, use_out):
+    metric, pts, centers, rows_per_block = case
     emb = EmbeddingSet(pts)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
                                                          invalid="ignore"):

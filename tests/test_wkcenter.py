@@ -43,18 +43,6 @@ def _radius(emb, metric, centers):
     return evaluate_solution(emb, metric, zero, 0.0, centers, "t").radius_term
 
 
-def _count_calls(monkeypatch, names, calls):
-    """Append the name of each call of ``names`` made by dataset or wkcenter
-    to ``calls``."""
-    for mod in (dataset, wkcenter):
-        for name in names:
-            if hasattr(mod, name):
-                def counted(*args, _f=getattr(mod, name), _name=name):
-                    calls.append(_name)
-                    return _f(*args)
-                monkeypatch.setattr(mod, name, counted)
-
-
 def test_evaluated_radius_line(line_points):
     assert _radius(line_points, "euclidean", [1, 4]) == 2.0
     assert _radius(line_points, "euclidean", [0, 1, 2, 3, 4]) == 0.0
@@ -529,14 +517,25 @@ def test_band_decisions_go_to_the_row_kernel(monkeypatch):
                    + [[0.0, 1.0]] * 10)
     w = WeightVector(np.array([0.0, 0.1, 0.2, 0.3] + [0.9] * 10))
     calls = []
-    _count_calls(monkeypatch, ("metric_row", "fold_block", "_row_block",
-                               "_screen_rows"), calls)
+    # rows are counted wherever computed; fold_block only comes from the
+    # Cover, which also folds for the radius, so the far band's folds are
+    # the ones made before the radius. _row_block in wkcenter is the ball
+    # band's and _screen_rows there the selector's screen.
+    hooks = [(dataset, "metric_row"), (wkcenter, "metric_row"),
+             (dataset, "fold_block"), (wkcenter, "_row_block"),
+             (wkcenter, "_screen_rows"), (dataset.Cover, "radius")]
+    for mod, name in hooks:
+        def counted(*args, _f=getattr(mod, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(mod, name, counted)
     for metric in ("euclidean", "manhattan"):
         calls.clear()
         sol = weighted_kcenter(EmbeddingSet(pts), metric, w, 3, 1.0, 5.0)
         assert sol.indices == [0, 1, 2]
         assert calls.count("metric_row") == 1
-        assert "fold_block" in calls and "_row_block" in calls
+        assert "fold_block" in calls[:calls.index("radius")]
+        assert "_row_block" in calls
         assert ("_screen_rows" in calls) == (metric == "euclidean")
         # the far test was settled by a lower bound on the anchor's 20
         assert sol.span.t_hi <= 20.0 and sol.span.g_hi == np.inf
