@@ -5,18 +5,23 @@ distances from one point to a contiguous block of points. :func:`metric_row`
 is its full-range call, so every part of the package (graph construction,
 selection, oracle, cost evaluation) sees bitwise-identical values for the
 same point pair. :func:`fold_block` folds many centers' rows over one block
-while it sits in cache, applying the kernel's monotone finish once, and
-gives the ``np.minimum`` fold of those rows bit for bit.
+(or a few of its points) while it sits in cache, applying the kernel's
+monotone finish once, and gives the ``np.minimum`` fold of those rows bit
+for bit.
 
-:class:`Cover` is the one nearest-center state: each point's distance to
-its nearest center, with per kernel block the number of centers folded in.
-The farthest-point traversal, the fixed-gamma selector and the scoring of
-any selection all keep their distances there, and a block takes the centers
-it lacks only when it is read. Its covering radius folds only the blocks
-that a matrix-product screen with a proven error bound leaves as able to
-hold the maximum, and is the full fold's bit for bit. The fixed-gamma
-selector settles its threshold tests with the same screen
-(:func:`_screen_rows`, :func:`_screen_delta`).
+:class:`Cover` is the one nearest-center state: each point's exact
+distance to its nearest center, with per kernel block the number of centers
+folded in, and beside it a screened distance within a proven bound delta
+(:func:`_screen_rows`, :func:`_screen_delta`). A block takes the centers it
+lacks only when it is read, in the screen with one matrix product. Exact
+values are computed only where a pick or the radius is decided, and only
+from the centers the screen leaves able to be nearest, so they are the full
+fold's floats. The farthest-point traversal, the fixed-gamma selector and
+the scoring of any selection all keep their distances there. On the
+benchmark's 100k x 64 cosine cube (seed 7) with k = 100 the traversal reads
+539 exact block rows where a fold of every center a visited block lacks
+reads 4221, and the covering radius of the 100 lightest points reads one
+where a fold of the block that can hold it reads 99.
 
 Cosine and euclidean distances both rest on one matrix-vector product per
 block. Euclidean takes ``d^2 = (|y|^2 + |x|^2) - 2 y.x`` from the cached
@@ -264,7 +269,8 @@ def _raw_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
 def _finish(metric: str, d: np.ndarray) -> None:
     """Turn :func:`_raw_block` values into distances, in place."""
     if metric == "cosine-distance":
-        np.clip(d, -1.0, 1.0, out=d)
+        # np.clip's bits, without its Python layers on short blocks
+        np.minimum(np.maximum(d, -1.0, out=d), 1.0, out=d)
         np.subtract(1.0, d, out=d)
     elif metric == "euclidean":
         np.sqrt(d, out=d)
@@ -285,9 +291,10 @@ def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
 
 
 def fold_block(emb: EmbeddingSet, metric: str, centers, lo: int, hi: int,
-               out: np.ndarray) -> None:
+               out: np.ndarray, at: np.ndarray | None = None) -> None:
     """Fold into ``out``, in place, each point of lo..hi-1's distance to its
-    nearest center.
+    nearest center; with ``at``, only the points at those offsets from
+    ``lo``, which ``out`` then holds in that order.
 
     Bit for bit ``np.minimum`` folded over ``out`` and the :func:`_row_block`
     rows of ``centers``. Rounding is monotone and the finish of
@@ -302,16 +309,24 @@ def fold_block(emb: EmbeddingSet, metric: str, centers, lo: int, hi: int,
     idx = np.asarray(centers, dtype=np.int64).reshape(-1)
     extreme = np.maximum if metric == "cosine-distance" else np.minimum
     acc = _raw_block(emb, metric, int(idx[0]), lo, hi)
+    acc = acc if at is None else acc[at]
     for c in idx[1:]:
-        extreme(acc, _raw_block(emb, metric, int(c), lo, hi), out=acc)
+        row = _raw_block(emb, metric, int(c), lo, hi)
+        extreme(acc, row if at is None else row[at], out=acc)
     if np.isnan(acc).any():
-        rows = (_row_block(emb, metric, int(c), lo, hi) for c in idx)
+        pick = slice(None) if at is None else at
+        rows = (_row_block(emb, metric, int(c), lo, hi)[pick] for c in idx)
         acc = next(rows)
         for row in rows:
             np.minimum(acc, row, out=acc)
     else:
         _finish(metric, acc)
-        acc[idx[(lo <= idx) & (idx < hi)] - lo] = 0.0
+        own = idx[(lo <= idx) & (idx < hi)] - lo
+        if at is not None:
+            center = np.zeros(hi - lo, dtype=bool)
+            center[own] = True
+            own = center[at]
+        acc[own] = 0.0
     np.minimum(out, acc, out=out)
 
 
@@ -357,8 +372,29 @@ SCREEN_BYTES = 1 << 18
 
 # A block lacking fewer centers is folded rather than screened: the screen
 # costs as much as the exact fold it would save (100k x 64 with one BLAS
-# thread: about 20 ms either way at 8 centers, 2x the fold's time at 2).
+# thread: about 20 ms either way at 8 centers, 2x the fold's time at 2). The
+# traversal took 0.19 s on that cube at 8 or 16, against 0.21-0.24 s at 1, 2
+# or 4 and when every visit folds (medians of 5).
 SCREEN_MIN_CENTERS = 8
+
+# A screen whose delta is more than this fraction of the first center's
+# farthest distance is off (delta 0): it cannot tell the distances near the
+# top apart, and the points and centers it leaves open cost more exact reads
+# than the blocks' folds. On 50k x 32 unit gaussians shifted by s (farthest
+# distance 11), the traversal with k = 100 took 0.39 against 0.70 s with the
+# screen at s = 5e3 (ratio 555), the same at 7e3 (ratio 396) and 0.88
+# against 0.60 s at 1e4 (ratio 277).
+SCREEN_SPREAD = 512
+
+# Up to this many centers a screen takes a matrix-vector product each, which
+# beats a matrix product there (40 against 63 us at 2 centers).
+_MATVEC_CENTERS = 2
+
+# Centers per screen pass of the covering radius, after each of which the
+# points that cannot hold the radius drop out: 16 took 25 ms on the cube's
+# 100 lightest points and 19 ms on 400 picks of 50k x 32 clusters, against
+# 33 and 29 ms at 8, 34 and 16 ms at 64 and 43 and 69 ms with one pass.
+_RADIUS_GROUP = 16
 
 
 def _screen_delta(emb: EmbeddingSet, metric: str) -> float:
@@ -418,6 +454,33 @@ def _product_form(emb: EmbeddingSet, metric: str,
     return -2.0 * f[idx], emb.sq_norms()[idx]
 
 
+def _screen_chunks(emb: EmbeddingSet, cols: np.ndarray, lo: int, hi: int):
+    """(g0, g1, a, b): center groups ``cols[g0:g1]`` and row ranges a..b-1
+    whose products, and gathered rows, stay within :data:`SCREEN_BYTES`. A
+    group keeps at least 64 rows per product."""
+    width = max(1, SCREEN_BYTES // (8 * 64))
+    for g in range(0, len(cols), width):
+        m = min(width, len(cols) - g)
+        step = max(1, SCREEN_BYTES // (8 * max(m, emb.dim)))
+        for a in range(lo, hi, step):
+            yield g, g + m, a, min(a + step, hi)
+
+
+def _screen_finish(emb: EmbeddingSet, metric: str, s: np.ndarray,
+                   rows) -> None:
+    """Turn products ``y.c/|c|`` (cosine) or ``|c|^2 - 2 y.c`` (euclidean)
+    of points ``rows``, along the last axis, into screened distances, in
+    place: ``1 - clip(. / |y|)`` or ``sqrt(max(. + |y|^2, 0))``."""
+    if metric == "cosine-distance":
+        s /= emb.norms()[rows]
+        np.clip(s, -1.0, 1.0, out=s)
+        np.subtract(1.0, s, out=s)
+    else:
+        s += emb.sq_norms()[rows]
+        np.maximum(s, 0.0, out=s)
+        np.sqrt(s, out=s)
+
+
 def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
                  cols: np.ndarray, shift: np.ndarray, out: np.ndarray,
                  points: np.ndarray | None = None) -> None:
@@ -425,47 +488,77 @@ def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
     (or ``points[lo:hi]``) to its nearest center, given in
     :func:`_product_form`.
 
-    One matrix product per chunk of about :data:`SCREEN_BYTES`; cosine keeps
-    each row's largest ``y.c/|c|`` and takes ``1 - clip(. / |y|)``,
-    euclidean its smallest ``|c|^2 - 2 y.c`` and takes
-    ``sqrt(max(. + |y|^2, 0))``. Both finishes are monotone, so each result
-    is within :func:`_screen_delta` of the row kernel's fold.
+    One product per chunk (:func:`_screen_chunks`), ``cols @ rows.T``, whose
+    columns reduce faster than the rows of ``rows @ cols.T`` (44 against
+    58 ms for 99 centers over 100k x 64); up to :data:`_MATVEC_CENTERS`
+    centers take a matrix-vector product each instead. Cosine keeps each
+    point's largest product and euclidean its smallest before
+    :func:`_screen_finish`; both finishes are monotone, so each result is
+    within :func:`_screen_delta` of the row kernel's fold.
     """
     f = emb.features
     cosine = metric == "cosine-distance"
-    scale = emb.norms() if cosine else emb.sq_norms()
-    step = max(1, SCREEN_BYTES // (8 * max(len(cols), emb.dim)))
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
+    extreme = np.maximum if cosine else np.minimum
+    for g0, g1, a, b in _screen_chunks(emb, cols, lo, hi):
         rows = slice(a, b) if points is None else points[a:b]
-        prod = f[rows] @ cols.T
-        if cosine:
-            near = prod.max(axis=1)
-            near /= scale[rows]
-            np.clip(near, -1.0, 1.0, out=near)
-            np.subtract(1.0, near, out=near)
+        block = f[rows]
+        if g1 - g0 > _MATVEC_CENTERS:
+            prod = cols[g0:g1] @ block.T
+            if not cosine:
+                prod += shift[g0:g1, None]
+            near = extreme.reduce(prod, axis=0)
         else:
-            prod += shift
-            near = prod.min(axis=1)
-            near += scale[rows]
-            np.maximum(near, 0.0, out=near)
-            np.sqrt(near, out=near)
+            near = None
+            for g in range(g0, g1):
+                v = block @ cols[g]
+                if not cosine:
+                    v += shift[g]
+                near = v if near is None else extreme(near, v, out=near)
+        _screen_finish(emb, metric, near, rows)
         part = out[a - lo:b - lo]
         np.minimum(part, near, out=part)
 
 
+def _screen_hits(emb: EmbeddingSet, metric: str, points: np.ndarray,
+                 cols: np.ndarray, shift: np.ndarray,
+                 limit: np.ndarray) -> np.ndarray:
+    """For each center of ``cols`` (:func:`_product_form`), whether its
+    screened distance to some point of ``points`` is at most that point's
+    ``limit``; the screened distances are those of :func:`_screen_rows`,
+    pair by pair."""
+    hits = np.zeros(len(cols), dtype=bool)
+    for g0, g1, a, b in _screen_chunks(emb, cols, 0, points.size):
+        rows = points[a:b]
+        s = cols[g0:g1] @ emb.features[rows].T
+        if metric != "cosine-distance":
+            s += shift[g0:g1, None]
+        _screen_finish(emb, metric, s, rows)
+        hits[g0:g1] |= (s <= limit[a:b]).any(axis=1)
+    return hits
+
+
 class Cover:
-    """Each point's distance to its nearest center, folded a kernel block at
-    a time when the block is read.
+    """Each point's distance to its nearest center, exact and screened,
+    brought up to date a kernel block at a time when the block is read.
 
     ``dmin`` starts as the first center's :func:`metric_row`, which
     validates the metric and the cosine norms once, before any other
     distance. ``folded[b]`` counts the leading ``centers`` that block b of
     ``dmin`` holds. The constructor's other centers and :meth:`add` read
-    nothing; :meth:`block`, :meth:`at` and :meth:`radius` fold in the
-    centers a block lacks with one :func:`fold_block`. A block brought up to
-    date holds ``np.minimum`` folded over every center's :func:`metric_row`
-    bit for bit, whatever reads came between the adds.
+    nothing; :meth:`block` and :meth:`at` fold in the centers a block lacks
+    with one :func:`fold_block`. A block brought up to date holds
+    ``np.minimum`` folded over every center's :func:`metric_row` bit for
+    bit, whatever reads came between the adds.
+
+    ``near`` is the screened distance, within ``delta``
+    (:func:`_screen_delta`) of that fold, and ``screened[b]`` counts the
+    centers block b of it holds: :meth:`screen` brings a block up to date
+    with one product for the centers it lacks. :meth:`exact` then gives the
+    fold's value at a few points from only the centers the screen leaves
+    able to be nearest. Where the screen cannot tell distances apart (a
+    ``delta`` of more than 1/:data:`SCREEN_SPREAD` of the first center's
+    farthest distance, or none at all), ``delta`` is 0 and ``near`` is
+    ``dmin``: the exact fold is the screen.
     """
 
     def __init__(self, emb: EmbeddingSet, metric: str, centers):
@@ -476,6 +569,16 @@ class Cover:
         self.dmin = metric_row(emb, metric, self.centers[0])
         self.step = block_rows(emb)
         self.folded = np.ones(-(-emb.n // self.step), dtype=np.int64)
+        # one block holds every maximum, so a screen cannot spare its reads
+        delta = _screen_delta(emb, metric) if self.folded.size > 1 else np.inf
+        # written so that a NaN row turns the screen off
+        on = delta < np.inf and SCREEN_SPREAD * delta <= self.dmin.max()
+        self.delta = delta if on else 0.0
+        if on:      # allocated by the first read of the screen
+            self.near = self.screened = None
+        else:       # the exact fold is the screen
+            self.near, self.screened, self.screen = (self.dmin, self.folded,
+                                                     self.block)
 
     def add(self, c: int) -> None:
         """Make point c a center."""
@@ -498,47 +601,106 @@ class Cover:
             self.block(b)
         return self.dmin[points]
 
+    def screen(self, b: int) -> np.ndarray:
+        """Kernel block b of ``near``, brought up to date, as a view.
+
+        A block lacking fewer than :data:`SCREEN_MIN_CENTERS` centers in
+        ``dmin`` is folded instead, and its screen is then exact. With
+        ``delta`` 0 this is :meth:`block`."""
+        if self.near is None:
+            self.near, self.screened = self.dmin.copy(), self.folded.copy()
+        m, lo = len(self.centers), b * self.step
+        s = self.near[lo:lo + self.step]
+        if self.screened[b] < m:
+            if m - self.folded[b] < SCREEN_MIN_CENTERS:
+                s[:] = self.block(b)
+            else:
+                _screen_rows(self.emb, self.metric, lo, lo + s.size,
+                             *_product_form(self.emb, self.metric,
+                                            self.centers[self.screened[b]:]),
+                             s)
+            self.screened[b] = m
+        return s
+
+    def exact(self, b: int, points: np.ndarray,
+              near: np.ndarray) -> np.ndarray:
+        """The fold's nearest-center distances of ``points``, in block b,
+        given ``near``, their screened distances to every center.
+
+        Of the centers the block lacks in ``dmin``, only those whose
+        screened distance to some point is within ``2 delta`` of its
+        ``near`` are read: the nearest center's is within ``delta`` of the
+        exact distance, which is within ``delta`` of ``near``. Every other
+        center is farther, so the minimum is the same float. If that is
+        every center the block lacks, the block is brought up to date
+        instead, as that reads no more."""
+        lacking = self.centers[self.folded[b]:]
+        if not lacking:
+            return self.dmin[points]
+        cols, shift = _product_form(self.emb, self.metric, lacking)
+        hits = _screen_hits(self.emb, self.metric, points, cols, shift,
+                            near + 2.0 * self.delta)
+        if hits.all():
+            return self.block(b)[points - b * self.step]
+        d = self.dmin[points]
+        lo = b * self.step
+        if hits.any():
+            fold_block(self.emb, self.metric, np.asarray(lacking)[hits], lo,
+                       min(lo + self.step, self.emb.n), d, points - lo)
+        return d
+
     def radius(self) -> float:
         """Distance from the farthest point to its nearest center, bit for
         bit ``np.minimum`` folded over every center's :func:`metric_row`
         followed by ``.max()``.
 
-        A block that lacks at least :data:`SCREEN_MIN_CENTERS` centers is
-        screened (:func:`_screen_rows`) for those alone, from the distances
-        it holds, so its largest nearest-center distance is known within
-        :func:`_screen_delta`; every other block is brought up to date and
-        its largest is exact. A screened block is folded only when it could
-        hold the maximum: its largest plus ``delta`` reaches the largest
-        finite one minus ``delta``, or its largest is not finite. Every other
-        block's maximum is below another block's, so the result comes from
-        the row kernel alone. Manhattan, which has no screen, folds every
-        block.
+        Blocks go in order. A block lacking fewer than
+        :data:`SCREEN_MIN_CENTERS` centers is brought up to date. Any other
+        is screened (:func:`_screen_rows`) :data:`_RADIUS_GROUP` centers at a
+        time from the distances it holds, and after each group a point
+        whose screened distance plus ``delta`` falls below ``lower``, the
+        largest distance some point is known to reach, is dropped: it
+        cannot hold the maximum. The points left, from every block, are
+        dropped the same way as ``lower`` rises, and the exact distances of
+        the survivors (:meth:`exact`) give the maximum. With ``delta`` 0
+        every block is brought up to date.
         """
-        m, step, n = len(self.centers), self.step, self.emb.n
-        screened = m - self.folded >= SCREEN_MIN_CENTERS
-        delta = _screen_delta(self.emb, self.metric) if screened.any() else 0.0
-        screened &= np.isfinite(delta)
-        if screened.any():
-            base = int(self.folded[screened].min())
-            cols, shift = _product_form(self.emb, self.metric,
-                                        self.centers[base:])
-        tops = np.empty(self.folded.size)
-        for b in range(tops.size):
-            if not screened[b]:
-                tops[b] = self.block(b).max()
-                continue
+        m, step, n, delta = len(self.centers), self.step, self.emb.n, self.delta
+        if not delta:
+            return float(np.max([self.block(b).max()
+                                 for b in range(self.folded.size)]))
+        lower = -np.inf
+        kept_points, kept_near = np.empty(0, dtype=np.int64), np.empty(0)
+        for b in range(self.folded.size):
             lo, hi = b * step, min(b * step + step, n)
-            near = self.dmin[lo:hi].copy()
-            # centers go a group at a time, no more than rows in a block
-            for g in range(self.folded[b] - base, m - base, step):
-                _screen_rows(self.emb, self.metric, lo, hi, cols[g:g + step],
-                             shift[g:g + step], near)
-            tops[b] = near.max()
-        keep = ~np.isfinite(tops)
-        if not keep.all():
-            keep |= tops + delta >= tops[~keep].max() - delta
-        return float(np.max([self.block(b).max()
-                             for b in np.flatnonzero(keep)]))
+            points = np.arange(lo, hi)
+            if m - self.folded[b] < SCREEN_MIN_CENTERS:
+                near = self.block(b).copy()
+            else:
+                cols, shift = _product_form(self.emb, self.metric,
+                                            self.centers[self.folded[b]:])
+                near = self.dmin[lo:hi].copy()
+                for g in range(0, len(cols), _RADIUS_GROUP):
+                    group = cols[g:g + _RADIUS_GROUP], shift[g:g + _RADIUS_GROUP]
+                    if points.size == hi - lo:  # none dropped: read in place
+                        _screen_rows(self.emb, self.metric, lo, hi, *group,
+                                     near)
+                    else:
+                        _screen_rows(self.emb, self.metric, 0, points.size,
+                                     *group, near, points)
+                    keep = near + delta >= lower
+                    points, near = points[keep], near[keep]
+            lower = max(lower, float(near.max(initial=-np.inf)) - delta)
+            kept_points = np.concatenate([kept_points, points])
+            kept_near = np.concatenate([kept_near, near])
+            keep = kept_near + delta >= lower
+            kept_points, kept_near = kept_points[keep], kept_near[keep]
+        # the survivors are in index order; np.unique would import numpy.ma
+        blocks = kept_points // step
+        ends = np.r_[np.flatnonzero(np.diff(blocks)) + 1, blocks.size]
+        return float(max(self.exact(blocks[a], kept_points[a:z],
+                                    kept_near[a:z]).max()
+                         for a, z in zip(np.r_[0, ends[:-1]], ends)))
 
 
 def distance_matrix(emb: EmbeddingSet, metric: str) -> np.ndarray:

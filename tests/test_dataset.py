@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -259,6 +260,24 @@ def test_fold_block_bitwise_equals_the_row_fold(case, pick, use_out):
     assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("centers,dim", [(1, 3), (2, 64), (99, 64),
+                                         (400, 32), (5000, 8), (3, 40000)])
+def test_screen_products_stay_within_screen_bytes(centers, dim):
+    # the screen, the radius passes and the candidate checks all take their
+    # chunks here: each product (centers x rows) and each gathered block of
+    # rows stays within SCREEN_BYTES unless one row alone is larger, and
+    # the chunks tile every center and row once
+    emb = types.SimpleNamespace(dim=dim)
+    rows = 10000
+    seen = np.zeros((centers, rows), dtype=np.int64)
+    for g0, g1, a, b in dataset._screen_chunks(emb, np.empty((centers, 0)),
+                                               0, rows):
+        assert 8 * (g1 - g0) * (b - a) <= dataset.SCREEN_BYTES
+        assert 8 * dim * (b - a) <= max(dataset.SCREEN_BYTES, 8 * dim)
+        seen[g0:g1, a:b] += 1
+    assert (seen == 1).all()
+
+
 def test_fold_block_keeps_the_nan_a_row_holds_at_a_center():
     # the squared norms overflow, so y.x / (|y| |x|) is NaN between the two
     # centers: each center's own row holds 0 at the center, the other's NaN,
@@ -293,11 +312,12 @@ def test_covering_radius_overflowed_screen_takes_the_exact_path(monkeypatch):
     assert got == np.inf and 12 in blocks
 
 
-def test_covering_radius_rechecks_one_block_when_separated(monkeypatch):
-    # 40 tight clusters and a center in each but the last: only the block
-    # holding that cluster can hold the radius, so after the first center's
-    # row the exact fold runs there alone; a fallback to the fold of every
-    # block fails here
+def test_covering_radius_reads_one_row_when_separated(monkeypatch):
+    # 40 tight clusters and a center in each but the last: only points of
+    # the last cluster can hold the radius, and only the center of the
+    # nearest cluster can be their nearest, so after the first center's row
+    # the radius reads one row, in the last cluster's block; a fold of that
+    # block, or of every block, fails here
     rng = np.random.default_rng(4)
     dim, per = 8, 64
     centers_at = 100.0 * rng.normal(size=(40, dim))
@@ -317,7 +337,7 @@ def test_covering_radius_rechecks_one_block_when_separated(monkeypatch):
     for metric in ("euclidean", "cosine-distance"):
         blocks.clear()
         got = _cover_radius(emb, metric, centers)
-        assert blocks == [0] + [39 * step] * (len(centers) - 1)
+        assert blocks == [0, 39 * step]
         monkeypatch.setattr(dataset, "_raw_block", rows)
         assert _bits(got) == _bits(_fold_radius(emb, metric, centers))
         monkeypatch.setattr(dataset, "_raw_block", counted)

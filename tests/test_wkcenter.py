@@ -10,6 +10,7 @@ from duke.dataset import (
     EmbeddingSet,
     WeightVector,
     distance_matrix,
+    metric_row,
 )
 from duke import dataset, wkcenter
 from duke.errors import (
@@ -78,9 +79,10 @@ def test_evaluated_radius_checks_cosine_zero_row_once_before_any_distance(
     zero[17] = 0.0
     # the first center's row is one call; blocks lacking two centers fold
     # all 8 blocks; blocks lacking eight are screened first, and only the
-    # one block that can hold the radius is folded
+    # row of the one center that can be nearest to the farthest point is
+    # read, in its block
     for centers, folded in (([1, 9, 20], 1 + 8 * 2),
-                            ([1, 9, 20, 3, 5, 12, 27, 29, 0], 1 + 1 * 8)):
+                            ([1, 9, 20, 3, 5, 12, 27, 29, 0], 1 + 1)):
         calls.update(check=0, rows=0)
         assert _radius(EmbeddingSet(pts), "cosine-distance", centers) > 0.0
         assert calls == {"check": 1, "rows": folded}
@@ -179,59 +181,153 @@ def test_greedy_equals_the_full_row_traversal(case):
         (np.isnan(sol.radius_term) and np.isnan(radius))
 
 
-def test_greedy_defers_centers_to_the_blocks_it_reads(monkeypatch):
-    # three separated clusters, a block each: a round brings up to date only
-    # the blocks whose stale maximum reaches the top, so a block skips some
-    # centers and takes others several at a time
-    rng = np.random.default_rng(3)
-    pts = np.concatenate([rng.normal(size=(8, 2)),
-                          100.0 + rng.normal(size=(8, 2)),
-                          [-50.0, 0.0] + rng.normal(size=(8, 2))])
+@st.composite
+def _screened_cases(draw):
+    """Point sets and settings that send the traversal and the covering
+    radius through the screen and the exact reads of a few points: small
+    blocks, few centers before a block is screened, a wide screen band,
+    small products and radius groups. Random floats, lattices with tied
+    distances, duplicated rows, points far from the origin, and cosine norms
+    inside and outside [2^-450, 2^450]; k runs from 1 to n."""
+    metric = draw(st.sampled_from(dataset.METRICS))
+    n = draw(st.integers(1, 120))
+    dim = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["normal", "lattice", "offset", "scaled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "normal":
+        pts = rng.normal(size=(n, dim))
+    elif kind == "lattice":
+        pts = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    elif kind == "offset":
+        pts = 1e4 + rng.normal(size=(n, dim))
+    else:
+        scale = draw(st.sampled_from([-460, -445, 445, 460]))
+        pts = 2.0 ** scale * rng.normal(size=(n, dim))
+    dup = rng.integers(0, n, size=n // 3)
+    pts[n - 1 - dup] = pts[dup]           # duplicated rows, across blocks
+    if metric == "cosine-distance":
+        pts[~np.abs(pts).any(axis=1)] = 1.0
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    centers = draw(st.one_of(
+        st.just(list(range(n))),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=40)))
+    knobs = {"BLOCK_BYTES": 8 * dim * draw(st.integers(1, 24)),
+             "SCREEN_MIN_CENTERS": draw(st.integers(1, 9)),
+             "SCREEN_SPREAD": draw(st.sampled_from([1, 8, 512])),
+             "SCREEN_BYTES": draw(st.sampled_from([8, 8 * 64 * 3, 1 << 18])),
+             "_RADIUS_GROUP": draw(st.integers(1, 20))}
+    return metric, pts, k, centers, knobs
+
+
+@given(_screened_cases())
+@settings(max_examples=150, deadline=None)
+def test_screened_traversal_equals_the_full_row_traversal(case):
+    metric, pts, k, _, knobs = case
     emb = EmbeddingSet(pts)
-    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 2 * 8)
-    visits = _count_folds(monkeypatch)
-    sol = greedy_kcenter(emb, "euclidean", WeightVector(np.zeros(24)), 12)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
+                                                         invalid="ignore"):
+        for name, value in knobs.items():
+            mp.setattr(dataset, name, value)
+        sol = greedy_kcenter(emb, metric, WeightVector(np.zeros(emb.n)), k)
+        indices, radius = farthest_point_traversal(emb, metric, k)
+    assert sol.indices == indices
+    assert _bits(sol.radius_term) == _bits(radius) or \
+        (np.isnan(sol.radius_term) and np.isnan(radius))
+
+
+@given(_screened_cases())
+@settings(max_examples=150, deadline=None)
+def test_screened_covering_radius_equals_the_row_fold(case):
+    metric, pts, _, centers, knobs = case
+    emb = EmbeddingSet(pts)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
+                                                         invalid="ignore"):
+        for name, value in knobs.items():
+            mp.setattr(dataset, name, value)
+        got = dataset.Cover(emb, metric, centers).radius()
+        rows = [metric_row(emb, metric, c) for c in centers]
+        want = np.minimum.reduce(rows).max()
+    assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
+
+
+def _count_reads(monkeypatch):
+    """The block start of each exact row-kernel read, as a list."""
+    reads = []
+    raw = dataset._raw_block
+
+    def counted(emb_, metric, i, lo, hi):
+        reads.append(lo)
+        return raw(emb_, metric, i, lo, hi)
+
+    monkeypatch.setattr(dataset, "_raw_block", counted)
+    return reads
+
+
+def test_greedy_reads_one_row_per_pick_on_separated_clusters(monkeypatch):
+    # 24 tight clusters far apart, a block each, and every stale block
+    # screened: each round's farthest point is the only candidate, and only
+    # its nearest center can be nearest, so after point 0's row the
+    # traversal reads at most one row per round, in the pick's block. The
+    # full-row traversal reads 11 rows into each of the 24 blocks.
+    rng = np.random.default_rng(3)
+    dim, per = 4, 8
+    pts = (np.repeat(100.0 * rng.normal(size=(24, dim)), per, axis=0)
+           + rng.normal(size=(24 * per, dim)))
+    emb = EmbeddingSet(pts)
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * dim * per)
+    monkeypatch.setattr(dataset, "SCREEN_MIN_CENTERS", 1)
     indices, radius = farthest_point_traversal(emb, "euclidean", 12)
+    dmin = np.min([metric_row(emb, "euclidean", c) for c in indices], axis=0)
+    farthest = [*indices[1:], *np.flatnonzero(dmin == radius)]
+    reads = _count_reads(monkeypatch)
+    sol = greedy_kcenter(emb, "euclidean", WeightVector(np.zeros(emb.n)), 12)
     assert sol.indices == indices and _bits(sol.radius_term) == _bits(radius)
-    folds = sum(len(c) for _, c in visits)
-    # after the first center's row, the full-row traversal folds 11 rows
-    # into each of 3 blocks
-    assert folds < 11 * 3 and len(visits) < folds
-
-
-def _count_folds(monkeypatch):
-    """The (block start, centers) of each fold_block call, as a list."""
-    visits = []
-    fold = dataset.fold_block
-
-    def counted(emb_, metric, centers, lo, hi, out):
-        visits.append((lo, [int(c) for c in centers]))
-        fold(emb_, metric, centers, lo, hi, out)
-
-    monkeypatch.setattr(dataset, "fold_block", counted)
-    return visits
+    assert reads[0] == 0 and 0 < len(reads) - 1 <= 12
+    assert set(reads[1:]) <= {c // per * per for c in farthest}
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan",
                                     "cosine-distance"])
-def test_each_center_is_folded_into_a_block_at_most_once(monkeypatch, metric):
+def test_each_center_is_screened_and_folded_into_a_block_at_most_once(
+        monkeypatch, metric):
     # the traversal with its radius, and a fixed-gamma run with its exact
     # fallback and its radius, each keep one Cover: no block takes a center
-    # twice, and no block takes the first center, whose row starts the Cover
+    # twice into its screen or into its fold, and none takes the first
+    # center, whose row starts the Cover. The exact reads of a few points
+    # (fold_block with offsets) may repeat, and there are fewer of them
+    # than folds a block at a time would make.
     rng = np.random.default_rng(8)
     emb = EmbeddingSet(rng.normal(size=(300, 4))
                        + 8.0 * rng.integers(0, 3, size=(300, 1)))
     w = WeightVector(rng.uniform(size=300))
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 4 * 16)
-    visits = _count_folds(monkeypatch)
+    folds, screens = [], []
+    fold, screen = dataset.fold_block, dataset._screen_rows
+
+    def counted_fold(emb_, metric_, centers, lo, hi, out, at=None):
+        if at is None:
+            folds.extend((lo, int(c)) for c in centers)
+        fold(emb_, metric_, centers, lo, hi, out, at)
+
+    def counted_screen(emb_, metric_, lo, hi, cols, shift, out, points=None):
+        if points is None:
+            screens.extend((lo, tuple(c)) for c in cols)
+        screen(emb_, metric_, lo, hi, cols, shift, out, points)
+
+    monkeypatch.setattr(dataset, "fold_block", counted_fold)
+    monkeypatch.setattr(dataset, "_screen_rows", counted_screen)
     for run in (lambda: greedy_kcenter(emb, metric, w, 40),
                 lambda: weighted_kcenter(emb, metric, w, 40, 0.1, 0.3)):
-        visits.clear()
+        folds.clear()
+        screens.clear()
         sol = run()
-        pairs = [(lo, c) for lo, centers in visits for c in centers]
-        assert len(pairs) == len(set(pairs))
-        assert sol.indices[0] not in {c for _, c in pairs}
-        assert len(visits) > 0
+        assert len(folds) == len(set(folds))
+        assert sol.indices[0] not in {c for _, c in folds}
+        assert len(screens) == len(set(screens))
+        first = tuple(dataset._product_form(emb, metric, sol.indices[:1])[0][0])
+        assert first not in {c for _, c in screens}
+        assert (len(screens) > 0) == (metric != "manhattan")
+        assert len(folds) > 0 or metric != "manhattan"
 
 
 def test_selector_seeds_global_min_weight(line_points):
