@@ -1,34 +1,33 @@
 """Ground-set containers, file ingestion, distance metrics, margin weights.
 
 All distance computation funnels through one row kernel, which computes the
-distances from one point to a contiguous block of points. :func:`metric_row`
-is its full-range call, so every part of the package (graph construction,
-selection, oracle, cost evaluation) sees bitwise-identical values for the
-same point pair. :func:`fold_block` folds many centers' rows over one block
-(or a few of its points) while it sits in cache, applying the kernel's
-monotone finish once, and gives the ``np.minimum`` fold of those rows bit
-for bit.
+distances from one point to a range of points or to gathered ones. Each
+entry comes from its own row alone, so every part of the package (graph
+construction, selection, oracle, cost evaluation) sees bitwise-identical
+values for the same point pair, wherever its rows sit. :func:`metric_row`
+is the kernel's full-range call. :func:`fold_block` folds many centers'
+rows over one block while it sits in cache, applying the kernel's monotone
+finish once, and gives the ``np.minimum`` fold of those rows bit for bit.
 
-:class:`Cover` is the one nearest-center state: each point's exact
-distance to its nearest center, with per kernel block the number of centers
-folded in, and beside it a screened distance within a proven bound delta
-(:func:`_screen_rows`, :func:`_screen_delta`). A block takes the centers it
-lacks only when it is read, in the screen with one matrix product. Exact
-values are computed only where a pick or the radius is decided, and only
-from the centers the screen leaves able to be nearest, so they are the full
-fold's floats. The farthest-point traversal, the fixed-gamma selector and
-the scoring of any selection all keep their distances there. On the
-benchmark's 100k x 64 cosine cube (seed 7) with k = 100 the traversal reads
-539 exact block rows where a fold of every center a visited block lacks
-reads 4221, and the covering radius of the 100 lightest points reads one
-where a fold of the block that can hold it reads 99.
+:class:`Cover` is the one nearest-center state: each point's distance to
+its nearest center, screened within a proven bound delta
+(:func:`_screen_rows`, :func:`_screen_delta`), with per 1 MiB kernel block
+the number of centers it holds. A block takes the centers it lacks only
+when it is read, with one matrix product. Exact values are computed only
+where a pick or the radius is decided, at the gathered points in question
+and from the centers the screen leaves able to be nearest to each, so they
+are the full fold's floats. The farthest-point traversal, the fixed-gamma
+selector and the scoring of any selection all keep their distances there.
+Where delta cannot separate distances (manhattan, one block, points far
+from the origin) the screen is the exact fold.
 
-Cosine and euclidean distances both rest on one matrix-vector product per
-block. Euclidean takes ``d^2 = (|y|^2 + |x|^2) - 2 y.x`` from the cached
-squared row norms; an entry where that form cancels (``d^2`` at most
-:data:`NEAR` times ``|y|^2 + |x|^2``) is recomputed exactly from the
-difference ``y - x``, so identical rows are at distance exactly 0 and every
-other distance is within a relative ``(dim + 2) * eps / NEAR`` of the true one.
+Cosine and euclidean distances both rest on one row product
+(``np.einsum``) per point pair. Euclidean takes
+``d^2 = (|y|^2 + |x|^2) - 2 y.x`` from the cached squared row norms; an
+entry where that form cancels (``d^2`` at most :data:`NEAR` times
+``|y|^2 + |x|^2``) is recomputed exactly from the difference ``y - x``, so
+identical rows are at distance exactly 0 and every other distance is within
+a relative ``(dim + 2) * eps / NEAR`` of the true one.
 """
 
 from __future__ import annotations
@@ -201,10 +200,10 @@ def _cosine_norm_check(norms: np.ndarray) -> None:
 
 
 # The row kernel reads the feature matrix in blocks of about this many bytes,
-# counted from row 0. A block stays in a core's L2 cache while the blocked
-# minimum applies every center to it, and a fixed block grid makes each
-# distance the same float wherever it is computed, whatever BLAS threading does
-# with a long matrix-vector product.
+# counted from row 0, so that the temporaries of a read stay small. Each entry
+# is computed from its own row alone, so a pair's distance is the same float
+# at any row position; the grid is the unit of lazy reads, the blocks whose
+# nearest-center distances :class:`Cover` brings up to date one at a time.
 BLOCK_BYTES = 1 << 20
 
 
@@ -224,20 +223,23 @@ def block_rows(emb: EmbeddingSet) -> int:
 NEAR = 2.0 ** -10
 
 
-def _raw_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
-               hi: int) -> np.ndarray:
-    """Point i's distances to points lo..hi-1 before their monotone finish.
+def _raw_block(emb: EmbeddingSet, metric: str, i: int, lo: int, hi: int,
+               points: np.ndarray | None = None) -> np.ndarray:
+    """Point i's distances to points lo..hi-1 (or ``points[lo:hi]``)
+    before their monotone finish.
 
-    The products (cosine and euclidean matvec, manhattan abs-sums) are taken
-    block by block from ``lo``; the rest is elementwise. Cosine gives the
-    scaled product ``y.x / (|y| |x|)``, which :func:`_finish` turns into
+    Every entry comes from its own row alone, and its product
+    (``np.einsum``, unlike a BLAS matrix-vector product, rounds a row the
+    same at any place and alignment) in one fixed order, so a pair gets the
+    same bits at any row position and in a gathered read. Rows are read a
+    kernel block at a time. Cosine gives the scaled product
+    ``y.x / (|y| |x|)``, which :func:`_finish` turns into
     ``1 - clip(...)``, a non-increasing map. Euclidean forms the squared
-    distance ``(|y|^2 + |x|^2) - 2 y.x`` per block and recomputes every entry
-    in the :data:`NEAR` band (and any that overflowed) as the exact sum of
-    squared differences; :func:`_finish` takes its square root, a
-    non-decreasing map. Manhattan needs no finish. It does not validate the
-    metric or the cosine norms; its callers do that once per call of their
-    own.
+    distance ``(|y|^2 + |x|^2) - 2 y.x`` and recomputes every entry in the
+    :data:`NEAR` band (and any that overflowed) as the exact sum of squared
+    differences; :func:`_finish` takes its square root, a non-decreasing
+    map. Manhattan needs no finish. It does not validate the metric or the
+    cosine norms; its callers do that once per call of their own.
     """
     f = emb.features
     x = f[i]
@@ -246,13 +248,14 @@ def _raw_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
     sq = emb.sq_norms() if metric == "euclidean" else None
     for a in range(lo, hi, step):
         b = min(a + step, hi)
-        part, block = d[a - lo:b - lo], f[a:b]
+        rows = slice(a, b) if points is None else points[a:b]
+        part, block = d[a - lo:b - lo], f[rows]
         if metric == "manhattan":
             np.abs(block - x).sum(axis=1, out=part)
             continue
-        np.matmul(block, x, out=part)
+        np.einsum("ij,j->i", block, x, out=part)
         if metric == "euclidean":
-            s = sq[a:b] + sq[i]
+            s = sq[rows] + sq[i]
             part *= -2.0
             part += s
             # "not above" also routes an overflowed (inf or nan) entry here
@@ -260,9 +263,9 @@ def _raw_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
             if near.size:
                 diff = block[near] - x
                 part[near] = np.einsum("ij,ij->i", diff, diff)
-    if metric == "cosine-distance":
-        norms = emb.norms()
-        d /= norms[lo:hi] * norms[i]
+        else:
+            norms = emb.norms()
+            part /= norms[rows] * norms[i]
     return d
 
 
@@ -276,25 +279,27 @@ def _finish(metric: str, d: np.ndarray) -> None:
         np.sqrt(d, out=d)
 
 
-def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int,
-               hi: int) -> np.ndarray:
-    """Distances from point i to points lo..hi-1, d(i, i) forced to exactly 0.
+def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int, hi: int,
+               points: np.ndarray | None = None) -> np.ndarray:
+    """Distances from point i to points lo..hi-1 (or ``points[lo:hi]``),
+    d(i, i) forced to exactly 0.
 
     The shared row kernel: :func:`_raw_block` and its finish. Identical rows
     come out at exactly 0 for euclidean, since the difference form is exact.
     """
-    d = _raw_block(emb, metric, i, lo, hi)
+    d = _raw_block(emb, metric, i, lo, hi, points)
     _finish(metric, d)
-    if lo <= i < hi:
+    if points is not None:
+        d[points[lo:hi] == i] = 0.0
+    elif lo <= i < hi:
         d[i - lo] = 0.0
     return d
 
 
 def fold_block(emb: EmbeddingSet, metric: str, centers, lo: int, hi: int,
-               out: np.ndarray, at: np.ndarray | None = None) -> None:
+               out: np.ndarray) -> None:
     """Fold into ``out``, in place, each point of lo..hi-1's distance to its
-    nearest center; with ``at``, only the points at those offsets from
-    ``lo``, which ``out`` then holds in that order.
+    nearest center.
 
     Bit for bit ``np.minimum`` folded over ``out`` and the :func:`_row_block`
     rows of ``centers``. Rounding is monotone and the finish of
@@ -309,24 +314,16 @@ def fold_block(emb: EmbeddingSet, metric: str, centers, lo: int, hi: int,
     idx = np.asarray(centers, dtype=np.int64).reshape(-1)
     extreme = np.maximum if metric == "cosine-distance" else np.minimum
     acc = _raw_block(emb, metric, int(idx[0]), lo, hi)
-    acc = acc if at is None else acc[at]
     for c in idx[1:]:
-        row = _raw_block(emb, metric, int(c), lo, hi)
-        extreme(acc, row if at is None else row[at], out=acc)
+        extreme(acc, _raw_block(emb, metric, int(c), lo, hi), out=acc)
     if np.isnan(acc).any():
-        pick = slice(None) if at is None else at
-        rows = (_row_block(emb, metric, int(c), lo, hi)[pick] for c in idx)
+        rows = (_row_block(emb, metric, int(c), lo, hi) for c in idx)
         acc = next(rows)
         for row in rows:
             np.minimum(acc, row, out=acc)
     else:
         _finish(metric, acc)
-        own = idx[(lo <= idx) & (idx < hi)] - lo
-        if at is not None:
-            center = np.zeros(hi - lo, dtype=bool)
-            center[own] = True
-            own = center[at]
-        acc[own] = 0.0
+        acc[idx[(lo <= idx) & (idx < hi)] - lo] = 0.0
     np.minimum(out, acc, out=out)
 
 
@@ -369,13 +366,6 @@ def metric_row(emb: EmbeddingSet, metric: str, i: int) -> np.ndarray:
 # with 399 centers and from 85 to 71 ms on a 100k x 64 cosine cube with 99
 # (one BLAS thread, same radius bits), for about 0.2 MiB more resident memory.
 SCREEN_BYTES = 1 << 18
-
-# A block lacking fewer centers is folded rather than screened: the screen
-# costs as much as the exact fold it would save (100k x 64 with one BLAS
-# thread: about 20 ms either way at 8 centers, 2x the fold's time at 2). The
-# traversal took 0.19 s on that cube at 8 or 16, against 0.21-0.24 s at 1, 2
-# or 4 and when every visit folds (medians of 5).
-SCREEN_MIN_CENTERS = 8
 
 # A screen whose delta is more than this fraction of the first center's
 # farthest distance is off (delta 0): it cannot tell the distances near the
@@ -519,46 +509,27 @@ def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
         np.minimum(part, near, out=part)
 
 
-def _screen_hits(emb: EmbeddingSet, metric: str, points: np.ndarray,
-                 cols: np.ndarray, shift: np.ndarray,
-                 limit: np.ndarray) -> np.ndarray:
-    """For each center of ``cols`` (:func:`_product_form`), whether its
-    screened distance to some point of ``points`` is at most that point's
-    ``limit``; the screened distances are those of :func:`_screen_rows`,
-    pair by pair."""
-    hits = np.zeros(len(cols), dtype=bool)
-    for g0, g1, a, b in _screen_chunks(emb, cols, 0, points.size):
-        rows = points[a:b]
-        s = cols[g0:g1] @ emb.features[rows].T
-        if metric != "cosine-distance":
-            s += shift[g0:g1, None]
-        _screen_finish(emb, metric, s, rows)
-        hits[g0:g1] |= (s <= limit[a:b]).any(axis=1)
-    return hits
-
-
 class Cover:
-    """Each point's distance to its nearest center, exact and screened,
-    brought up to date a kernel block at a time when the block is read.
+    """Each point's distance to its nearest center, brought up to date a
+    kernel block at a time when the block is read.
 
-    ``dmin`` starts as the first center's :func:`metric_row`, which
+    ``near`` starts as the first center's :func:`metric_row`, which
     validates the metric and the cosine norms once, before any other
-    distance. ``folded[b]`` counts the leading ``centers`` that block b of
-    ``dmin`` holds. The constructor's other centers and :meth:`add` read
-    nothing; :meth:`block` and :meth:`at` fold in the centers a block lacks
-    with one :func:`fold_block`. A block brought up to date holds
-    ``np.minimum`` folded over every center's :func:`metric_row` bit for
-    bit, whatever reads came between the adds.
+    distance, and ``screened[b]`` counts the leading ``centers`` that block b
+    of it holds. The constructor's other centers and :meth:`add` read
+    nothing; :meth:`screen` brings a block up to date with one matrix
+    product for the centers it lacks (:func:`_screen_rows`), taken from
+    ``cols`` and ``shift``, every center in product form
+    (:func:`_product_form`; rows past the last center are room to grow).
+    Each value of ``near`` is then within ``delta`` (:func:`_screen_delta`)
+    of ``np.minimum`` folded over every center's :func:`metric_row`, and
+    :meth:`exact` gives that fold's floats at any points.
 
-    ``near`` is the screened distance, within ``delta``
-    (:func:`_screen_delta`) of that fold, and ``screened[b]`` counts the
-    centers block b of it holds: :meth:`screen` brings a block up to date
-    with one product for the centers it lacks. :meth:`exact` then gives the
-    fold's value at a few points from only the centers the screen leaves
-    able to be nearest. Where the screen cannot tell distances apart (a
-    ``delta`` of more than 1/:data:`SCREEN_SPREAD` of the first center's
-    farthest distance, or none at all), ``delta`` is 0 and ``near`` is
-    ``dmin``: the exact fold is the screen.
+    Where the screen cannot tell distances apart (a ``delta`` of more than
+    1/:data:`SCREEN_SPREAD` of the first center's farthest distance, a
+    single block, or no screen at all), ``delta`` is 0 and :meth:`screen`
+    folds exactly (:func:`fold_block`): a block brought up to date then
+    holds the fold bit for bit, whatever reads came between the adds.
     """
 
     def __init__(self, emb: EmbeddingSet, metric: str, centers):
@@ -566,87 +537,78 @@ class Cover:
         self.centers = [int(c) for c in centers]
         if not self.centers:
             raise EmptyCenters()
-        self.dmin = metric_row(emb, metric, self.centers[0])
+        self.near = metric_row(emb, metric, self.centers[0])
         self.step = block_rows(emb)
-        self.folded = np.ones(-(-emb.n // self.step), dtype=np.int64)
+        self.screened = np.ones(-(-emb.n // self.step), dtype=np.int64)
         # one block holds every maximum, so a screen cannot spare its reads
-        delta = _screen_delta(emb, metric) if self.folded.size > 1 else np.inf
+        delta = (_screen_delta(emb, metric) if self.screened.size > 1
+                 else np.inf)
         # written so that a NaN row turns the screen off
-        on = delta < np.inf and SCREEN_SPREAD * delta <= self.dmin.max()
+        on = delta < np.inf and SCREEN_SPREAD * delta <= self.near.max()
         self.delta = delta if on else 0.0
-        if on:      # allocated by the first read of the screen
-            self.near = self.screened = None
-        else:       # the exact fold is the screen
-            self.near, self.screened, self.screen = (self.dmin, self.folded,
-                                                     self.block)
+        if on:
+            self.cols, self.shift = _product_form(emb, metric, self.centers)
 
     def add(self, c: int) -> None:
         """Make point c a center."""
         self.centers.append(int(c))
-
-    def block(self, b: int) -> np.ndarray:
-        """Kernel block b of ``dmin``, brought up to date, as a view."""
-        lo = b * self.step
-        d = self.dmin[lo:lo + self.step]
-        if self.folded[b] < len(self.centers):
-            fold_block(self.emb, self.metric, self.centers[self.folded[b]:],
-                       lo, lo + d.size, d)
-            self.folded[b] = len(self.centers)
-        return d
-
-    def at(self, points: np.ndarray) -> np.ndarray:
-        """Nearest-center distances of ``points``, their blocks brought up
-        to date."""
-        for b in np.unique(points // self.step):
-            self.block(b)
-        return self.dmin[points]
+        if not self.delta:
+            return
+        m = len(self.centers)
+        if m > len(self.cols):      # double the room
+            self.cols = np.concatenate([self.cols, self.cols])
+            self.shift = np.concatenate([self.shift, self.shift])
+        col, shift = _product_form(self.emb, self.metric, [c])
+        self.cols[m - 1], self.shift[m - 1] = col[0], shift[0]
 
     def screen(self, b: int) -> np.ndarray:
-        """Kernel block b of ``near``, brought up to date, as a view.
-
-        A block lacking fewer than :data:`SCREEN_MIN_CENTERS` centers in
-        ``dmin`` is folded instead, and its screen is then exact. With
-        ``delta`` 0 this is :meth:`block`."""
-        if self.near is None:
-            self.near, self.screened = self.dmin.copy(), self.folded.copy()
-        m, lo = len(self.centers), b * self.step
+        """Kernel block b of ``near``, brought up to date, as a view."""
+        m, lo, first = len(self.centers), b * self.step, self.screened[b]
         s = self.near[lo:lo + self.step]
-        if self.screened[b] < m:
-            if m - self.folded[b] < SCREEN_MIN_CENTERS:
-                s[:] = self.block(b)
-            else:
+        if first < m:
+            if self.delta:
                 _screen_rows(self.emb, self.metric, lo, lo + s.size,
-                             *_product_form(self.emb, self.metric,
-                                            self.centers[self.screened[b]:]),
-                             s)
+                             self.cols[first:m], self.shift[first:m], s)
+            else:
+                fold_block(self.emb, self.metric, self.centers[first:], lo,
+                           lo + s.size, s)
             self.screened[b] = m
         return s
 
-    def exact(self, b: int, points: np.ndarray,
-              near: np.ndarray) -> np.ndarray:
-        """The fold's nearest-center distances of ``points``, in block b,
-        given ``near``, their screened distances to every center.
+    def exact(self, points: np.ndarray,
+              near: np.ndarray | None) -> np.ndarray:
+        """The nearest-center distances of ``points``, bit for bit
+        ``np.minimum`` folded over every center's :func:`metric_row` there.
 
-        Of the centers the block lacks in ``dmin``, only those whose
-        screened distance to some point is within ``2 delta`` of its
-        ``near`` are read: the nearest center's is within ``delta`` of the
-        exact distance, which is within ``delta`` of ``near``. Every other
-        center is farther, so the minimum is the same float. If that is
-        every center the block lacks, the block is brought up to date
-        instead, as that reads no more."""
-        lacking = self.centers[self.folded[b]:]
-        if not lacking:
-            return self.dmin[points]
-        cols, shift = _product_form(self.emb, self.metric, lacking)
-        hits = _screen_hits(self.emb, self.metric, points, cols, shift,
-                            near + 2.0 * self.delta)
-        if hits.all():
-            return self.block(b)[points - b * self.step]
-        d = self.dmin[points]
-        lo = b * self.step
-        if hits.any():
-            fold_block(self.emb, self.metric, np.asarray(lacking)[hits], lo,
-                       min(lo + self.step, self.emb.n), d, points - lo)
+        With ``delta`` 0 the points' blocks are brought up to date. Otherwise
+        ``near`` holds the points' screened distances to every center, and
+        of each point's centers only those screened within ``2 delta`` of its
+        ``near`` are read, from the gathered rows: the nearest center's is
+        within ``delta`` of the exact distance, which is within ``delta`` of
+        ``near``. Every other center is farther, so the minimum is the same
+        float.
+        """
+        if not self.delta:
+            read = np.zeros(self.screened.size, dtype=bool)
+            read[points // self.step] = True
+            for b in np.flatnonzero(read):
+                self.screen(b)
+            return self.near[points]
+        emb, metric, m = self.emb, self.metric, len(self.centers)
+        cols, limit = self.cols[:m], near + 2.0 * self.delta
+        d = np.full(points.size, np.inf)
+        for g0, g1, a, b in _screen_chunks(emb, cols, 0, points.size):
+            rows = points[a:b]
+            s = cols[g0:g1] @ emb.features[rows].T
+            if metric != "cosine-distance":
+                s += self.shift[g0:g1, None]
+            _screen_finish(emb, metric, s, rows)
+            hits = s <= limit[a:b]
+            for g in np.flatnonzero(hits.any(axis=1)):
+                at = a + np.flatnonzero(hits[g])
+                row = _row_block(emb, metric, self.centers[g0 + g], 0, at.size,
+                                 points[at])
+                d[at] = np.minimum(d[at], row)
         return d
 
     def radius(self) -> float:
@@ -654,53 +616,41 @@ class Cover:
         bit ``np.minimum`` folded over every center's :func:`metric_row`
         followed by ``.max()``.
 
-        Blocks go in order. A block lacking fewer than
-        :data:`SCREEN_MIN_CENTERS` centers is brought up to date. Any other
-        is screened (:func:`_screen_rows`) :data:`_RADIUS_GROUP` centers at a
-        time from the distances it holds, and after each group a point
-        whose screened distance plus ``delta`` falls below ``lower``, the
-        largest distance some point is known to reach, is dropped: it
-        cannot hold the maximum. The points left, from every block, are
-        dropped the same way as ``lower`` rises, and the exact distances of
-        the survivors (:meth:`exact`) give the maximum. With ``delta`` 0
-        every block is brought up to date.
+        With ``delta`` 0 every block is brought up to date. Otherwise blocks
+        go in order, each screened :data:`_RADIUS_GROUP` centers at a time
+        from the distances it holds, and after each group a point whose
+        screened distance plus ``delta`` falls below ``lower``, the largest
+        distance some point is known to reach, is dropped: it cannot hold
+        the maximum. The points left, from every block, are dropped the same
+        way as ``lower`` rises, and the exact distances of the survivors
+        (:meth:`exact`) give the maximum.
         """
         m, step, n, delta = len(self.centers), self.step, self.emb.n, self.delta
         if not delta:
-            return float(np.max([self.block(b).max()
-                                 for b in range(self.folded.size)]))
+            return float(np.max([self.screen(b).max()
+                                 for b in range(self.screened.size)]))
         lower = -np.inf
         kept_points, kept_near = np.empty(0, dtype=np.int64), np.empty(0)
-        for b in range(self.folded.size):
+        for b in range(self.screened.size):
             lo, hi = b * step, min(b * step + step, n)
-            points = np.arange(lo, hi)
-            if m - self.folded[b] < SCREEN_MIN_CENTERS:
-                near = self.block(b).copy()
-            else:
-                cols, shift = _product_form(self.emb, self.metric,
-                                            self.centers[self.folded[b]:])
-                near = self.dmin[lo:hi].copy()
-                for g in range(0, len(cols), _RADIUS_GROUP):
-                    group = cols[g:g + _RADIUS_GROUP], shift[g:g + _RADIUS_GROUP]
-                    if points.size == hi - lo:  # none dropped: read in place
-                        _screen_rows(self.emb, self.metric, lo, hi, *group,
-                                     near)
-                    else:
-                        _screen_rows(self.emb, self.metric, 0, points.size,
-                                     *group, near, points)
-                    keep = near + delta >= lower
-                    points, near = points[keep], near[keep]
+            points, near = np.arange(lo, hi), self.near[lo:hi].copy()
+            cols = self.cols[self.screened[b]:m]
+            shift = self.shift[self.screened[b]:m]
+            for g in range(0, len(cols), _RADIUS_GROUP):
+                group = cols[g:g + _RADIUS_GROUP], shift[g:g + _RADIUS_GROUP]
+                if points.size == hi - lo:  # none dropped: read in place
+                    _screen_rows(self.emb, self.metric, lo, hi, *group, near)
+                else:
+                    _screen_rows(self.emb, self.metric, 0, points.size,
+                                 *group, near, points)
+                keep = near + delta >= lower
+                points, near = points[keep], near[keep]
             lower = max(lower, float(near.max(initial=-np.inf)) - delta)
             kept_points = np.concatenate([kept_points, points])
             kept_near = np.concatenate([kept_near, near])
             keep = kept_near + delta >= lower
             kept_points, kept_near = kept_points[keep], kept_near[keep]
-        # the survivors are in index order; np.unique would import numpy.ma
-        blocks = kept_points // step
-        ends = np.r_[np.flatnonzero(np.diff(blocks)) + 1, blocks.size]
-        return float(max(self.exact(blocks[a], kept_points[a:z],
-                                    kept_near[a:z]).max()
-                         for a, z in zip(np.r_[0, ends[:-1]], ends)))
+        return float(self.exact(kept_points, kept_near).max())
 
 
 def distance_matrix(emb: EmbeddingSet, metric: str) -> np.ndarray:

@@ -23,12 +23,13 @@ quarter of the set is ahead of it in a ball test. Both of its tests compare a
 distance with a threshold, so each is settled from screened point-to-center
 distances, kept per point and brought up to date only when the far scan
 reads the point, and the row kernel is asked only where a screened value
-lies within its proven error bound of the threshold (the bound-based
-skipping of Elkan, "Using the triangle inequality to accelerate k-means",
-2003). The picks are those of full rows. Distances to the centers never
-grow, so once no point is farther than 3*gamma the run is in its fill regime
-for good: the rest of the budget is the lightest unselected points, taken in
-one slice, and one covering radius over all the picks scores the run.
+lies within its proven error bound of the threshold, for those points alone
+(the bound-based skipping of Elkan, "Using the triangle inequality to
+accelerate k-means", 2003). The picks are those of full rows. Distances to
+the centers never grow, so once no point is farther than 3*gamma the run is
+in its fill regime for good: the rest of the budget is the lightest
+unselected points, taken in one slice, and one covering radius over all the
+picks scores the run.
 
 The bracket's farthest-point traversal computes one full row, its first
 center's. It keeps a stale maximum of screened distances per kernel block
@@ -36,13 +37,12 @@ that bounds the block from above, and brings a block up to date, with one
 matrix product for every center it lacks, only when that block could hold
 the next pick (lazy evaluation as in Minoux's accelerated greedy, 1978).
 Only points screened within twice the screen's error bound of the top can
-be the pick, and only their exact distances are computed, from the centers
-that can be nearest to them (Elkan 2003 again), so the picks and radius are
-those of the full-row traversal bit for bit. On the benchmark's 100k x 64
-cosine cube (seed 7) with k = 100 that is 539 exact block rows where
-folding every center into every visited block reads 4221, and a median of
-0.21 against 0.27 s in process (one BLAS thread on a shared 2-core Xeon;
-``BENCH_nearest.json``).
+be the pick, and only their exact distances are computed, from their
+gathered rows and the centers that can be nearest to them (Elkan 2003
+again), so the picks and radius are those of the full-row traversal bit for
+bit. On the benchmark's 100k x 64 cosine cube (seed 7) with k = 100 that is
+100 exact pair distances, one a round, where folding every center into every
+visited 1 MiB block reads 4221 block rows (``BENCH_kernel.json``).
 
 The traversal, the fixed-gamma run and :func:`evaluate_solution` keep their
 distances in one :class:`~duke.dataset.Cover`, which brings a kernel block
@@ -84,7 +84,6 @@ from .dataset import (
     WeightVector,
     _product_form,
     _row_block,
-    _screen_delta,
     _screen_rows,
     metric_row,
     numeric_distances,
@@ -223,11 +222,11 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     that block is up to date; its largest, ``top``, is then the largest
     screened distance of all. The farthest point's exact distance is at
     least ``top - delta``, so only points screened at ``top - 2 delta`` or
-    more can be it: their blocks are brought up to date, and
-    :meth:`~duke.dataset.Cover.exact` gives those points' exact distances
-    from the few centers that can be nearest. A block that never comes near
-    the top is not read again. The last round's farthest distance is the
-    radius. Where a distance can be NaN
+    more can be it: their blocks are brought up to date, and one
+    :meth:`~duke.dataset.Cover.exact` call gives those points' exact
+    distances from the few centers that can be nearest. A block that never
+    comes near the top is not read again. The last round's farthest
+    distance is the radius. Where a distance can be NaN
     (:func:`~duke.dataset.numeric_distances`) no stale maximum is a bound,
     and every block is brought up to date every round. Indices and radius
     are those of folding every center's full row into every point, bit for
@@ -241,7 +240,7 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     selected, step, delta = cover.centers, cover.step, cover.delta
     held = np.zeros(n, dtype=bool)      # selected points, out of the maxima
     held[0] = True
-    top = np.empty(cover.folded.size)
+    top = np.empty(cover.screened.size)
     far = np.empty(top.size, dtype=np.int64)
 
     def refresh(b: int) -> None:
@@ -256,16 +255,13 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         for b in np.flatnonzero((top >= low)
                                 & (cover.screened < len(selected))):
             refresh(b)
-        pick, best = 0, -np.inf
-        for b in np.flatnonzero(top >= low):
-            lo = b * step
-            s = cover.near[lo:lo + step]
-            cand = np.flatnonzero((s >= low) & ~held[lo:lo + s.size])
-            e = cover.exact(b, cand + lo, s[cand])
-            j = int(e.argmax())
-            if e[j] > best:
-                pick, best = lo + int(cand[j]), e[j]
-        return pick, best
+        cand = np.concatenate([
+            lo + np.flatnonzero((cover.near[lo:lo + step] >= low)
+                                & ~held[lo:lo + step])
+            for lo in np.flatnonzero(top >= low) * step])
+        e = cover.exact(cand, cover.near[cand])
+        j = int(e.argmax())
+        return int(cand[j]), e[j]
 
     for b in range(top.size):
         refresh(b)
@@ -289,8 +285,8 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
             top[:] = np.nan
     # A selected point is at distance 0 from itself, so the radius is the
     # largest unselected distance, or 0. Where a NaN can arise the loop has
-    # brought every block up to date or stopped at a NaN that dmin holds.
-    radius = max(float(radius), 0.0) if bounded else float(cover.dmin.max())
+    # brought every block up to date or stopped at a NaN that near holds.
+    radius = max(float(radius), 0.0) if bounded else float(cover.near.max())
     return _scored(weights, lambda_, selected, radius, "greedy-kcenter")
 
 
@@ -299,9 +295,11 @@ _SCAN = 1024
 
 # A ball test screens the unselected points ahead of its anchor while they
 # are at most 1/_BALL_SHARE of the set; past that the anchor's row costs
-# less. Screening a quarter of the set, gathered in weight order, took about
-# as long as one row at 50k x 32 and 0.4-0.6 of one at 100k x 64 (one BLAS
-# thread); at a third it took 1.3 rows at 50k x 32.
+# less, and when the anchor is its own pick the row also brings every
+# screened distance up to date. Against the einsum row (one BLAS thread),
+# screening a quarter of the set, gathered in weight order, took 0.64-0.72
+# of a row at 50k x 32 and 0.32-0.39 at 100k x 64; a third took 0.84-0.94
+# and 0.52-0.62, and a half 1.2-1.4 rows at 50k x 32.
 _BALL_SHARE = 4
 
 
@@ -312,47 +310,42 @@ class _Nearest:
     from the point at position p of the (weight, index) ``order`` to its
     nearest center, within ``delta`` of the row kernel's. It starts as the
     seed's exact row and is brought up to date lazily: a range of positions
-    gets the screened centers it lacks only when a far scan reads it. The
-    counts folded are non-increasing in position past the scan's start, so
-    they are kept as ``segs``, (end, count) runs with ends increasing.
+    gets the centers it lacks, from the ``cover``'s product form, only when
+    a far scan reads it. The counts of leading centers held are
+    non-increasing in position past the scan's start, so they are kept as
+    ``segs``, (end, count) runs with ends increasing, and ``base``, the
+    count past the last run.
 
     ``cover`` (:class:`~duke.dataset.Cover`, from the seed's row) holds the
-    exact distances. A decision the screen leaves open, a value within
-    ``delta`` of its threshold, is settled there. Where ``delta`` is inf
-    (manhattan, cosine norms outside [2^-450, 2^450]) no screen is kept and
-    every decision is settled exactly.
+    centers and gives exact distances. A decision the screen leaves open, a
+    value within ``delta`` of its threshold, is settled there. Where the
+    cover's ``delta`` is 0 no screen is kept and every decision is settled
+    exactly.
     """
 
     def __init__(self, emb: EmbeddingSet, metric: str, order: np.ndarray):
         self.emb, self.metric, self.order = emb, metric, order
         self.cover = Cover(emb, metric, order[:1])
-        self.delta = _screen_delta(emb, metric)
-        self.screen = (self.cover.dmin[order] if np.isfinite(self.delta)
-                       else None)
-        # the screened centers in product form, with room to grow
-        self.cols, self.shift = np.empty((8, emb.dim)), np.empty(8)
-        self.m = 0
+        self.delta = self.cover.delta
+        self.screen = self.cover.near[order] if self.delta else None
         self.segs: list[tuple[int, int]] = []
+        self.base = 1
 
     def add(self, c: int, row: np.ndarray | None) -> None:
         """Make point c a center; ``row``, its exact row when known, is
-        folded into every screened distance at once."""
+        folded into every screened distance at once, and every run that
+        lacked only c then holds it."""
         self.cover.add(c)
-        if self.screen is None:
+        if self.screen is None or row is None:
             return
-        if row is not None:
-            np.minimum(self.screen, row[self.order], out=self.screen)
-            return
-        cols, shift = _product_form(self.emb, self.metric, [c])
-        if self.m == len(self.cols):
-            self.cols = np.concatenate([self.cols, self.cols])
-            self.shift = np.concatenate([self.shift, self.shift])
-        self.cols[self.m] = cols[0]
-        self.shift[self.m] = shift[0]
-        self.m += 1
+        np.minimum(self.screen, row[self.order], out=self.screen)
+        m = len(self.cover.centers)
+        self.segs = [(end, m if count == m - 1 else count)
+                     for end, count in self.segs]
+        self.base = m if self.base == m - 1 else self.base
 
     def _bring(self, lo: int, hi: int) -> None:
-        """Fold into positions lo..hi-1 the screened centers they lack."""
+        """Fold into positions lo..hi-1 the centers they lack."""
         a = lo
         for end, count in self.segs:
             if end <= a:
@@ -363,27 +356,16 @@ class _Nearest:
             if a == hi:
                 break
         if a < hi:
-            self._fold(a, hi, 0)
-        self.segs = [(hi, self.m)] + [s for s in self.segs if s[0] > hi]
+            self._fold(a, hi, self.base)
+        m = len(self.cover.centers)
+        self.segs = [(hi, m)] + [s for s in self.segs if s[0] > hi]
 
     def _fold(self, a: int, b: int, count: int) -> None:
-        if count < self.m:
+        m = len(self.cover.centers)
+        if count < m:
             _screen_rows(self.emb, self.metric, a, b,
-                         self.cols[count:self.m], self.shift[count:self.m],
+                         self.cover.cols[count:m], self.cover.shift[count:m],
                          self.screen[a:b], self.order)
-
-    def _row_at(self, c: int, points: np.ndarray) -> np.ndarray:
-        """Point c's row kernel distances to ``points``, block by block."""
-        out = np.empty(points.size)
-        step = self.cover.step
-        blocks = points // step
-        for b in np.unique(blocks):
-            lo = b * step
-            hi = min(lo + step, self.emb.n)
-            sel = blocks == b
-            row = _row_block(self.emb, self.metric, c, lo, hi)
-            out[sel] = row[points[sel] - lo]
-        return out
 
     def next_far(self, start: int, t: float) -> tuple[int, float]:
         """The first position from ``start`` on whose point is farther than
@@ -405,11 +387,12 @@ class _Nearest:
                 end = int(far[0]) if far.size else hi - lo
                 # NaN, and a value within delta of t, are open
                 band = np.flatnonzero(~(s[:end] + delta <= t))
+                near = s[band]
             else:
                 far, end = (), hi - lo
-                band = np.arange(end)
+                band, near = np.arange(end), None
             if band.size:
-                e = self.cover.at(self.order[lo + band])
+                e = self.cover.exact(self.order[lo + band], near)
                 j = np.flatnonzero(e > t)
                 if j.size:
                     return lo + int(band[j[0]]), float(e[j[0]])
@@ -428,8 +411,8 @@ class _Nearest:
         The anchor is at distance 0 from itself, so the ball holds a point
         no later than ``a``. A point ahead is out when its screened distance
         minus ``delta`` exceeds ``gamma``, in when plus ``delta`` it does
-        not; the row kernel decides the rest, block by block. When the
-        points ahead are many the anchor's whole row decides instead."""
+        not; the row kernel decides the rest, from their gathered rows. When
+        the points ahead are many the anchor's whole row decides instead."""
         c = int(self.order[a])
         ahead = np.flatnonzero(~taken[:a + 1])
         points = self.order[ahead]
@@ -452,7 +435,8 @@ class _Nearest:
             p = int(np.argmax(within))
             band = np.flatnonzero(~(lower[:p] > gamma))
             if band.size:
-                lower[band] = e = self._row_at(c, points[band])
+                lower[band] = e = _row_block(self.emb, self.metric, c, 0,
+                                             band.size, points[band])
                 inside = np.flatnonzero(e <= gamma)
                 if inside.size:
                     p = int(band[inside[0]])
@@ -479,18 +463,17 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     point farther than 3*gamma every later round is a fill round too. The run
     takes all of them at once: the next unselected entries of the (weight,
     index) order. The selection is scored by the covering radius of the
-    run's :class:`~duke.dataset.Cover`, in which each block already holds
-    the centers the row kernel folded into it; it is the same float as a
-    pick-by-pick fold. For the same reason the points
-    ahead of an anchor in that order stay within 3*gamma, so each far scan
-    resumes after the last anchor, and a ball is read only up to its
-    anchor, which it always holds.
+    run's :class:`~duke.dataset.Cover`, the same float as a pick-by-pick
+    fold. For the same reason the points ahead of an anchor in that order
+    stay within 3*gamma, so each far scan resumes after the last anchor,
+    and a ball is read only up to its anchor, which it always holds.
 
-    The run records its :class:`GammaSpan`. A far round needs
-    ``dmin[c] > 3*gamma'`` and ``dmin <= 3*gamma'`` for every point ahead of c
-    in the (weight, index) order; its pick needs ``row[pick] <= gamma'`` and
-    ``row > gamma'`` for every unselected point ahead of the pick; entering
-    the fill regime needs ``max(dmin) <= 3*gamma'``. The "at most" tests hold
+    The run records its :class:`GammaSpan`. With ``d`` the distance to the
+    nearest center, a far round needs ``d[c] > 3*gamma'`` and
+    ``d <= 3*gamma'`` for every point ahead of c in the (weight, index)
+    order; its pick needs ``row[pick] <= gamma'`` and ``row > gamma'`` for
+    every unselected point ahead of the pick; entering the fill regime needs
+    ``max(d) <= 3*gamma'``. The "at most" tests hold
     at every ``gamma' >= gamma``, so only the "greater" ones bound the span,
     each by a certified lower bound on the distance it compared. The fill
     picks do not depend on gamma.
@@ -558,7 +541,7 @@ def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
     lo = greedy_kcenter(emb, metric, weights, k).radius_term / 2.0
     lightest = np.lexsort((np.arange(emb.n), weights.values))[:k]
     cover = Cover(emb, metric, lightest)
-    t0 = float(cover.dmin.max())        # no block read yet: the first's row
+    t0 = float(cover.near.max())        # no block read yet: the first's row
     return GammaBracket(lo, cover.radius(), t0, lightest)
 
 

@@ -141,8 +141,8 @@ def test_cover_radius_bitwise_equals_row_minimum(rng, monkeypatch, metric,
     emb = EmbeddingSet(pts)
     step = dataset.block_rows(emb)
     assert n % step != 0 and n > 2 * step
-    # blocks lacking five or six centers take the fold, eleven or twelve
-    # the screen
+    # six and twelve centers, the first of them from its row; with delta 0
+    # (manhattan) every block is folded, otherwise screened
     for centers in ([0, 3, step + 1, n - 1, n - 4, 2],
                     [0, 3, step + 1, n - 1, n - 4, 2, 7, 8, 9, 30, 31, n - 2]):
         ref = metric_row(emb, metric, centers[0]).copy()
@@ -202,8 +202,9 @@ def _radius_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_covering_radius_bitwise_equals_the_row_fold(case, data):
     # reads of blocks and points between the adds leave each block holding
-    # a different leading run of the centers; the radius, and every read,
-    # is still the row fold's
+    # a different leading run of the centers; the radius, and every exact
+    # read, is still the row fold's, and every screened block within delta
+    # of it (equal to it where delta is 0)
     metric, pts, centers, rows_per_block = case
     emb = EmbeddingSet(pts)
     reads = st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 16)),
@@ -218,13 +219,20 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
             cover.add(c)
             for whole, pick in data.draw(reads):
                 if whole:
-                    b = pick % cover.folded.size
+                    b = pick % cover.screened.size
                     lo = b * cover.step
                     points = np.arange(lo, min(lo + cover.step, emb.n))
-                    got = cover.block(b)
+                    near = cover.screen(b).copy()
                 else:
+                    # points whose blocks may lack centers, screened here
                     points = np.unique((pick + np.r_[0, 7, 13, 31]) % emb.n)
-                    got = cover.at(points)
+                    near = None
+                    if cover.delta:
+                        near = np.full(points.size, np.inf)
+                        dataset._screen_rows(emb, metric, 0, points.size,
+                                             cover.cols[:m], cover.shift[:m],
+                                             near, points)
+                got = cover.exact(points, near)
                 rows = [metric_row(emb, metric, c)[points]
                         for c in centers[:m]]
                 want_at = np.minimum.reduce(rows)
@@ -232,6 +240,10 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
                 nan = np.isnan(want_at)
                 assert np.array_equal(np.isnan(got), nan)
                 assert got[~nan].tobytes() == want_at[~nan].tobytes()
+                if whole and cover.delta:
+                    assert np.all(np.abs(near - want_at) <= cover.delta)
+                elif whole:
+                    assert near[~nan].tobytes() == want_at[~nan].tobytes()
         got = cover.radius()
     assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
 
@@ -295,49 +307,60 @@ def test_fold_block_keeps_the_nan_a_row_holds_at_a_center():
 def test_covering_radius_overflowed_screen_takes_the_exact_path(monkeypatch):
     # 1-d points at +-0.9e154: the squared norms are finite, but the screen's
     # |c|^2 - 2 y.c + |y|^2 across the origin overflows, as does the kernel's
-    # squared distance; the overflowed block is folded and holds the radius
+    # squared distance; the screen is off, and every block, the overflowed
+    # one that holds the radius included, is folded exactly
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 4)
     pts = np.r_[np.full(12, 0.9e154), np.full(4, -0.9e154)][:, None]
     emb = EmbeddingSet(pts)
-    blocks = []
-    rows = dataset._raw_block
+    folds, screens = [], []
+    fold, screen = dataset.fold_block, dataset._screen_rows
 
-    def counted(emb_, metric, i, lo, hi):
-        blocks.append(lo)
-        return rows(emb_, metric, i, lo, hi)
+    def counted_fold(emb_, metric, centers, lo, hi, out):
+        folds.append(lo)
+        return fold(emb_, metric, centers, lo, hi, out)
 
-    monkeypatch.setattr(dataset, "_raw_block", counted)
+    def counted_screen(*args):
+        screens.append(args)
+        return screen(*args)
+
+    monkeypatch.setattr(dataset, "fold_block", counted_fold)
+    monkeypatch.setattr(dataset, "_screen_rows", counted_screen)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _cover_radius(emb, "euclidean", list(range(8)))
-    assert got == np.inf and 12 in blocks
+        cover = Cover(emb, "euclidean", list(range(8)))
+        got = cover.radius()
+    assert got == np.inf and cover.delta == 0.0
+    assert folds == [0, 4, 8, 12] and screens == []
 
 
 def test_covering_radius_reads_one_row_when_separated(monkeypatch):
     # 40 tight clusters and a center in each but the last: only points of
     # the last cluster can hold the radius, and only the center of the
     # nearest cluster can be their nearest, so after the first center's row
-    # the radius reads one row, in the last cluster's block; a fold of that
-    # block, or of every block, fails here
+    # the radius reads one gathered row, from that center to the few points
+    # of the last cluster that can hold the radius; a fold of that block,
+    # or of every block, fails here
     rng = np.random.default_rng(4)
     dim, per = 8, 64
     centers_at = 100.0 * rng.normal(size=(40, dim))
     pts = np.repeat(centers_at, per, axis=0) + rng.normal(size=(40 * per, dim))
     emb = EmbeddingSet(pts)
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * dim * per)
-    step = dataset.block_rows(emb)
     centers = list(range(0, 39 * per, per))
-    blocks = []
+    reads = []
     rows = dataset._raw_block
 
-    def counted(emb_, metric, i, lo, hi):
-        blocks.append(lo)
-        return rows(emb_, metric, i, lo, hi)
+    def counted(emb_, metric, i, lo, hi, points=None):
+        reads.append((i, range(lo, hi) if points is None else points[lo:hi]))
+        return rows(emb_, metric, i, lo, hi, points)
 
     monkeypatch.setattr(dataset, "_raw_block", counted)
     for metric in ("euclidean", "cosine-distance"):
-        blocks.clear()
+        reads.clear()
         got = _cover_radius(emb, metric, centers)
-        assert blocks == [0, 39 * step]
+        assert len(reads) == 2 and reads[0] == (0, range(emb.n))
+        center, points = reads[1]
+        assert center in centers and 0 < len(points) < per // 4
+        assert np.all(points >= 39 * per)
         monkeypatch.setattr(dataset, "_raw_block", rows)
         assert _bits(got) == _bits(_fold_radius(emb, metric, centers))
         monkeypatch.setattr(dataset, "_raw_block", counted)
@@ -441,8 +464,8 @@ import numpy as np
 from duke.dataset import Cover, EmbeddingSet, metric_row
 h = hashlib.sha256()
 rng = np.random.default_rng(3)
-# 10 and 2 blocks with a short last one; a single matrix-vector product over
-# all 20001 rows gives different bits under 1 and 2 threads
+# 10 and 2 blocks with a short last one; the screen's matrix products run
+# under 1 and 2 threads, and only the exact values they leave open are read
 for n, dim in ((20001, 64), (9001, 16)):
     pts = 5.0 + rng.normal(size=(n, dim))
     pts[n - 9:] = pts[:9]
@@ -451,7 +474,7 @@ for n, dim in ((20001, 64), (9001, 16)):
         for i in (0, 1, n - 1):
             h.update(metric_row(emb, metric, i).tobytes())
         for centers in (range(0, n, n // 12), range(0, n, n // 4)):
-            # blocks lacking 12 centers take the screen, 4 the fold
+            # the euclidean and cosine radii are screened, then read exactly
             radius = Cover(emb, metric, list(centers)).radius()
             h.update(np.float64(radius).tobytes())
 print(h.hexdigest())
@@ -470,6 +493,81 @@ def test_kernel_bits_do_not_depend_on_blas_threads():
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+_MA_PROBE = """
+import sys
+import numpy as np
+from duke import dataset
+from duke.dataset import EmbeddingSet, WeightVector
+from duke.wkcenter import evaluate_solution, gamma_search, weighted_kcenter
+# the band-decision instance, in blocks of two rows: far and ball tests sit
+# exactly on their thresholds and go to the row kernel, with the screen
+# (euclidean) and without (manhattan, whose exact reads take whole blocks)
+dataset.BLOCK_BYTES = 8 * 2 * 2
+pts = EmbeddingSet(np.array([[0.0, 0.0], [100.0, 0.0], [115.0, 0.0],
+                             [120.0, 0.0]] + [[0.0, 1.0]] * 10))
+w = WeightVector(np.array([0.0, 0.1, 0.2, 0.3] + [0.9] * 10))
+for metric in ("euclidean", "manhattan"):
+    assert weighted_kcenter(pts, metric, w, 3, 1.0, 5.0).indices == [0, 1, 2]
+    gamma_search(pts, metric, w, 4, 0.1)
+    evaluate_solution(pts, metric, w, 0.1, [0, 4, 13], "t")
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+"""
+
+
+def test_select_paths_do_not_import_numpy_ma():
+    # np.unique's first call in a process imports numpy.ma (10-17 ms); the
+    # exact reads group points by block without it
+    src = os.path.dirname(os.path.dirname(duke.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _MA_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_pair_gets_the_same_bits_at_any_row_position(monkeypatch, metric):
+    # Each of 12 points, at dims 1 to 130, is moved behind 1 to 5 other rows,
+    # into a permuted order, in a matrix whose base is one float off its
+    # allocation. Its distances must keep their bits in a full row, in block
+    # folds of 3 rows, in a gathered read of the other points in a shuffled
+    # order and in Cover.exact. A BLAS matrix-vector product fails this at
+    # most dims.
+    rng = np.random.default_rng(12)
+    n = 12
+    for dim in range(1, 131):
+        scale = 10.0 ** rng.integers(-3, 4)
+        pts = scale * rng.normal(size=(n, dim)) + rng.choice([0.0, scale])
+        pts[1] = pts[0]                                 # a duplicate
+        pts[2] = pts[0] + 1e-7 * scale * rng.normal(size=dim)  # NEAR band
+        ref = distance_matrix(EmbeddingSet(pts), metric)
+        front = dim % 5 + 1
+        perm = rng.permutation(n)
+        moved = np.vstack([scale * rng.normal(size=(front, dim)), pts[perm]])
+        buf = np.empty(moved.size + 1)
+        view = buf[1:].reshape(moved.shape)
+        view[:] = moved
+        view.setflags(write=False)
+        emb = EmbeddingSet(view)
+        assert emb.features is view and emb.features.ctypes.data % 16 == 8
+        at = front + np.argsort(perm)          # where each point now sits
+        with monkeypatch.context() as mp:
+            mp.setattr(dataset, "BLOCK_BYTES", 8 * dim * 3)
+            for i in range(n):
+                want = ref[i].tobytes()
+                assert metric_row(emb, metric, at[i])[at].tobytes() == want
+                folded = np.full(emb.n, np.inf)
+                for lo in range(0, emb.n, 3):
+                    fold_block(emb, metric, [at[i]], lo, min(lo + 3, emb.n),
+                               folded[lo:lo + 3])
+                assert folded[at].tobytes() == want
+                order = rng.permutation(n)
+                got = dataset._row_block(emb, metric, at[i], 0, n, at[order])
+                assert got.tobytes() == ref[i][order].tobytes()
+                cover = Cover(emb, metric, [at[i]])
+                got = cover.exact(at[order], cover.near[at[order]])
+                assert got.tobytes() == ref[i][order].tobytes()
 
 
 def test_embedding_validation():

@@ -60,36 +60,38 @@ def test_evaluated_radius_center_order_irrelevant(rng):
 
 def test_evaluated_radius_checks_cosine_zero_row_once_before_any_distance(
         rng, monkeypatch):
-    calls = {"check": 0, "rows": 0}
-    check, rows = dataset._cosine_norm_check, dataset._raw_block
+    calls = {"check": 0}
+    check = dataset._cosine_norm_check
 
     def counted_check(norms):
         calls["check"] += 1
         return check(norms)
 
-    def counted_rows(*args):
-        calls["rows"] += 1
-        return rows(*args)
-
     monkeypatch.setattr(dataset, "_cosine_norm_check", counted_check)
-    monkeypatch.setattr(dataset, "_raw_block", counted_rows)
+    reads = _count_reads(monkeypatch)
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 3 * 4)   # 4 rows a block
     pts = rng.normal(size=(30, 3)) + 2.0
     zero = pts.copy()
     zero[17] = 0.0
-    # the first center's row is one call; blocks lacking two centers fold
-    # all 8 blocks; blocks lacking eight are screened first, and only the
-    # row of the one center that can be nearest to the farthest point is
-    # read, in its block
-    for centers, folded in (([1, 9, 20], 1 + 8 * 2),
-                            ([1, 9, 20, 3, 5, 12, 27, 29, 0], 1 + 1)):
-        calls.update(check=0, rows=0)
-        assert _radius(EmbeddingSet(pts), "cosine-distance", centers) > 0.0
-        assert calls == {"check": 1, "rows": folded}
-        calls.update(check=0, rows=0)
+    # the first center's row is one read of all 30 points; every block is
+    # screened for the other centers, and only the one pair of the farthest
+    # point and the center that can be nearest to it is read exactly
+    for centers in ([1, 9, 20], [1, 9, 20, 3, 5, 12, 27, 29, 0]):
+        calls.update(check=0)
+        reads.clear()
+        got = _radius(EmbeddingSet(pts), "cosine-distance", centers)
+        assert got > 0.0 and calls == {"check": 1}
+        assert [len(r) for _, r in reads] == [30, 1]
+        assert reads[0] == (centers[0], list(range(30)))
+        farthest = np.flatnonzero(
+            np.min([metric_row(EmbeddingSet(pts), "cosine-distance", c)
+                    for c in centers], axis=0) == got)
+        assert reads[1][1][0] in farthest
+        calls.update(check=0)
+        reads.clear()
         with pytest.raises(ZeroVectorCosine):
             _radius(EmbeddingSet(zero), "cosine-distance", centers)
-        assert calls == {"check": 1, "rows": 0}
+        assert calls == {"check": 1} and reads == []
 
 
 def test_weighted_objective_identity(line_points):
@@ -185,10 +187,10 @@ def test_greedy_equals_the_full_row_traversal(case):
 def _screened_cases(draw):
     """Point sets and settings that send the traversal and the covering
     radius through the screen and the exact reads of a few points: small
-    blocks, few centers before a block is screened, a wide screen band,
-    small products and radius groups. Random floats, lattices with tied
-    distances, duplicated rows, points far from the origin, and cosine norms
-    inside and outside [2^-450, 2^450]; k runs from 1 to n."""
+    blocks, a wide screen band, small products and radius groups. Random
+    floats, lattices with tied distances, duplicated rows, points far from
+    the origin, and cosine norms inside and outside [2^-450, 2^450]; k runs
+    from 1 to n."""
     metric = draw(st.sampled_from(dataset.METRICS))
     n = draw(st.integers(1, 120))
     dim = draw(st.integers(1, 8))
@@ -212,7 +214,6 @@ def _screened_cases(draw):
         st.just(list(range(n))),
         st.lists(st.integers(0, n - 1), min_size=1, max_size=40)))
     knobs = {"BLOCK_BYTES": 8 * dim * draw(st.integers(1, 24)),
-             "SCREEN_MIN_CENTERS": draw(st.integers(1, 9)),
              "SCREEN_SPREAD": draw(st.sampled_from([1, 8, 512])),
              "SCREEN_BYTES": draw(st.sampled_from([8, 8 * 64 * 3, 1 << 18])),
              "_RADIUS_GROUP": draw(st.integers(1, 20))}
@@ -251,39 +252,43 @@ def test_screened_covering_radius_equals_the_row_fold(case):
 
 
 def _count_reads(monkeypatch):
-    """The block start of each exact row-kernel read, as a list."""
+    """Each exact row-kernel read, as a list of (point, the points it reads
+    the distances to)."""
     reads = []
     raw = dataset._raw_block
 
-    def counted(emb_, metric, i, lo, hi):
-        reads.append(lo)
-        return raw(emb_, metric, i, lo, hi)
+    def counted(emb_, metric, i, lo, hi, points=None):
+        read = range(lo, hi) if points is None else points[lo:hi]
+        reads.append((int(i), [int(p) for p in read]))
+        return raw(emb_, metric, i, lo, hi, points)
 
     monkeypatch.setattr(dataset, "_raw_block", counted)
     return reads
 
 
 def test_greedy_reads_one_row_per_pick_on_separated_clusters(monkeypatch):
-    # 24 tight clusters far apart, a block each, and every stale block
-    # screened: each round's farthest point is the only candidate, and only
-    # its nearest center can be nearest, so after point 0's row the
-    # traversal reads at most one row per round, in the pick's block. The
-    # full-row traversal reads 11 rows into each of the 24 blocks.
+    # 24 tight clusters far apart, a block each: each round's farthest point
+    # is the only candidate, and only its nearest center can be nearest, so
+    # after point 0's row the traversal reads one exact pair distance per
+    # round, the pick's (or the radius's) to that center. The full-row
+    # traversal reads 11 rows into each of the 24 blocks.
     rng = np.random.default_rng(3)
     dim, per = 4, 8
     pts = (np.repeat(100.0 * rng.normal(size=(24, dim)), per, axis=0)
            + rng.normal(size=(24 * per, dim)))
     emb = EmbeddingSet(pts)
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * dim * per)
-    monkeypatch.setattr(dataset, "SCREEN_MIN_CENTERS", 1)
     indices, radius = farthest_point_traversal(emb, "euclidean", 12)
     dmin = np.min([metric_row(emb, "euclidean", c) for c in indices], axis=0)
-    farthest = [*indices[1:], *np.flatnonzero(dmin == radius)]
     reads = _count_reads(monkeypatch)
     sol = greedy_kcenter(emb, "euclidean", WeightVector(np.zeros(emb.n)), 12)
     assert sol.indices == indices and _bits(sol.radius_term) == _bits(radius)
-    assert reads[0] == 0 and 0 < len(reads) - 1 <= 12
-    assert set(reads[1:]) <= {c // per * per for c in farthest}
+    assert reads[0] == (0, list(range(emb.n))) and len(reads) == 13
+    # round i reads its farthest point's distance to one of its centers
+    assert all(c in indices[:i + 1] and len(points) == 1
+               for i, (c, points) in enumerate(reads[1:]))
+    farthest = [points[0] for _, points in reads[1:]]
+    assert farthest[:11] == indices[1:] and dmin[farthest[11]] == radius
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan",
@@ -293,9 +298,8 @@ def test_each_center_is_screened_and_folded_into_a_block_at_most_once(
     # the traversal with its radius, and a fixed-gamma run with its exact
     # fallback and its radius, each keep one Cover: no block takes a center
     # twice into its screen or into its fold, and none takes the first
-    # center, whose row starts the Cover. The exact reads of a few points
-    # (fold_block with offsets) may repeat, and there are fewer of them
-    # than folds a block at a time would make.
+    # center, whose row starts the Cover. The exact reads of gathered
+    # points are neither, and may read a center again.
     rng = np.random.default_rng(8)
     emb = EmbeddingSet(rng.normal(size=(300, 4))
                        + 8.0 * rng.integers(0, 3, size=(300, 1)))
@@ -304,10 +308,9 @@ def test_each_center_is_screened_and_folded_into_a_block_at_most_once(
     folds, screens = [], []
     fold, screen = dataset.fold_block, dataset._screen_rows
 
-    def counted_fold(emb_, metric_, centers, lo, hi, out, at=None):
-        if at is None:
-            folds.extend((lo, int(c)) for c in centers)
-        fold(emb_, metric_, centers, lo, hi, out, at)
+    def counted_fold(emb_, metric_, centers, lo, hi, out):
+        folds.extend((lo, int(c)) for c in centers)
+        fold(emb_, metric_, centers, lo, hi, out)
 
     def counted_screen(emb_, metric_, lo, hi, cols, shift, out, points=None):
         if points is None:
@@ -394,6 +397,8 @@ def _count_rows(monkeypatch):
 
 def test_far_round_reuses_the_anchor_row_when_it_is_the_pick(monkeypatch):
     rows = _count_rows(monkeypatch)
+    # blocks of two rows keep the selector's screen on
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 2)
 
     def run(pts, w, k, gamma):
         emb = EmbeddingSet(np.array(pts)[:, None])
@@ -552,15 +557,29 @@ _TIED = (_TIED_RNG.normal(size=(300, 2)), _TIED_RNG.integers(0, 3, size=300) / 2
          "euclidean")
 
 
-@given(_small_instances())
-@example((*_TIED, 0.05, 40))
-@example((*_TIED, 0.4, 40))
-@example((*_TIED, 100.0, 40))
+# None keeps one kernel block, where the selector keeps no screen; blocks of
+# a few rows turn the screen on
+_ROWS_PER_BLOCK = st.sampled_from([None, 1, 2, 3, 5])
+
+
+def _blocks(mp, pts, rows_per_block):
+    if rows_per_block is not None:
+        mp.setattr(dataset, "BLOCK_BYTES",
+                   8 * np.shape(pts)[1] * rows_per_block)
+
+
+@given(_small_instances(), _ROWS_PER_BLOCK)
+@example((*_TIED, 0.05, 40), None)
+@example((*_TIED, 0.4, 40), 16)
+@example((*_TIED, 100.0, 40), 16)
 @settings(max_examples=300, deadline=None)
-def test_selector_matches_per_round_definition(inst):
+def test_selector_matches_per_round_definition(inst, rows_per_block):
     pts, w, metric, gamma, k = inst
     emb = EmbeddingSet(pts)
-    sol = weighted_kcenter(emb, metric, WeightVector(np.array(w)), k, 0.5, gamma)
+    with pytest.MonkeyPatch.context() as mp:
+        _blocks(mp, pts, rows_per_block)
+        sol = weighted_kcenter(emb, metric, WeightVector(np.array(w)), k, 0.5,
+                               gamma)
     want, radius, far_rounds = per_round_selection(emb, metric, w, k, gamma)
     assert sol.indices == want
     assert _bits(sol.radius_term) == _bits(radius)
@@ -572,7 +591,8 @@ def _threshold_instances(draw):
     """Integer-grid selections whose gamma is a pairwise distance or a third
     of one, so that screened values fall within their error bound of a
     threshold; with duplicate rows, cosine norms near 2^500 and 2^-500 (no
-    screen there), and the ball test screened always, by default or never."""
+    screen there), and the ball test screened always, by default or never.
+    The screen is on only with blocks of a few rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(2, 40))
     pts = rng.integers(-3, 4, size=(n, draw(st.integers(1, 4)))).astype(float)
@@ -587,16 +607,18 @@ def _threshold_instances(draw):
     d = float(dataset.metric_row(EmbeddingSet(pts), metric, int(i))[j])
     gamma = draw(st.sampled_from([d, d / 3.0]))
     share = draw(st.sampled_from([0, wkcenter._BALL_SHARE, 10 ** 9]))
-    return pts, w, metric, gamma, draw(st.integers(1, n)), share
+    return (pts, w, metric, gamma, draw(st.integers(1, n)), share,
+            draw(_ROWS_PER_BLOCK))
 
 
 @given(_threshold_instances())
 @settings(max_examples=300, deadline=None)
 def test_selector_on_thresholds_matches_per_round_definition(inst):
-    pts, w, metric, gamma, k, share = inst
+    pts, w, metric, gamma, k, share, rows_per_block = inst
     emb = EmbeddingSet(pts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wkcenter, "_BALL_SHARE", share)
+        _blocks(mp, pts, rows_per_block)
         sol = weighted_kcenter(emb, metric, WeightVector(w), k, 0.5, gamma)
     want, radius, far_rounds = per_round_selection(emb, metric, w, k, gamma)
     assert sol.indices == want
@@ -607,31 +629,42 @@ def test_selector_on_thresholds_matches_per_round_definition(inst):
 def test_band_decisions_go_to_the_row_kernel(monkeypatch):
     # after the first far round takes (100, 0), (115, 0) is exactly 3*gamma
     # from it and exactly gamma from the next far anchor (120, 0); ten heavy
-    # points by the seed keep the ball screened. Manhattan gives the same
-    # distances and has no screen at all.
+    # points by the seed keep the ball screened, and blocks of two rows keep
+    # the screen on. Manhattan gives the same distances and has no screen at
+    # all.
     pts = np.array([[0.0, 0.0], [100.0, 0.0], [115.0, 0.0], [120.0, 0.0]]
                    + [[0.0, 1.0]] * 10)
     w = WeightVector(np.array([0.0, 0.1, 0.2, 0.3] + [0.9] * 10))
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 2 * 2)
     calls = []
-    # rows are counted wherever computed; fold_block only comes from the
-    # Cover, which also folds for the radius, so the far band's folds are
-    # the ones made before the radius. _row_block in wkcenter is the ball
-    # band's and _screen_rows there the selector's screen.
-    hooks = [(dataset, "metric_row"), (wkcenter, "metric_row"),
-             (dataset, "fold_block"), (wkcenter, "_row_block"),
-             (wkcenter, "_screen_rows"), (dataset.Cover, "radius")]
-    for mod, name in hooks:
-        def counted(*args, _f=getattr(mod, name), _name=name):
-            calls.append(_name)
+    # rows are counted wherever computed. The far band's exact values come
+    # from the Cover, which also reads for the radius, so they are the reads
+    # made before the radius: gathered pairs (dataset's _row_block with
+    # points) where there is a screen, block folds where there is none.
+    # _row_block in wkcenter is the ball band's and _screen_rows there the
+    # selector's screen.
+    hooks = [(dataset, "metric_row", "metric_row"),
+             (wkcenter, "metric_row", "metric_row"),
+             (dataset, "fold_block", "fold_block"),
+             (dataset, "_row_block", "gathered"),
+             (wkcenter, "_row_block", "ball"),
+             (wkcenter, "_screen_rows", "_screen_rows"),
+             (dataset.Cover, "radius", "radius")]
+    for mod, name, label in hooks:
+        def counted(*args, _f=getattr(mod, name), _label=label):
+            # metric_row's own call of the kernel reads no gathered points
+            if _label != "gathered" or len(args) > 5:
+                calls.append(_label)
             return _f(*args)
         monkeypatch.setattr(mod, name, counted)
-    for metric in ("euclidean", "manhattan"):
+    for metric, far_band in (("euclidean", "gathered"),
+                             ("manhattan", "fold_block")):
         calls.clear()
         sol = weighted_kcenter(EmbeddingSet(pts), metric, w, 3, 1.0, 5.0)
         assert sol.indices == [0, 1, 2]
         assert calls.count("metric_row") == 1
-        assert "fold_block" in calls[:calls.index("radius")]
-        assert "_row_block" in calls
+        assert far_band in calls[:calls.index("radius")]
+        assert "ball" in calls
         assert ("_screen_rows" in calls) == (metric == "euclidean")
         # the far test was settled by a lower bound on the anchor's 20
         assert sol.span.t_hi <= 20.0 and sol.span.g_hi == np.inf
@@ -656,31 +689,47 @@ def test_clustered_far_rounds_compute_only_the_seed_row(monkeypatch):
 
 
 @st.composite
-def _untied_permuted_instances(draw):
-    """Small selections with distinct weights, plus a permutation of rows."""
-    pts, _, _, gamma, k = draw(_small_instances())
-    n = len(pts)
-    w = np.array(draw(st.permutations(range(n)))) / 16.0
-    metric = draw(st.sampled_from(["euclidean", "manhattan"]))
-    perm = np.array(draw(st.permutations(range(n))))
-    return pts, w, metric, gamma, k, perm
+def _permuted_instances(draw):
+    """Selections with distinct weights on random floats or on a small
+    grid, in every metric, with gamma at a pairwise distance, a third of
+    one, or drawn; a permutation of the rows; and kernel blocks of 1 to 8
+    rows, so that the screen and the exact reads of gathered points are
+    on."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 40))
+    dim = draw(st.integers(1, 48))
+    metric = draw(st.sampled_from(dataset.METRICS))
+    if draw(st.booleans()):
+        pts = rng.normal(size=(n, dim))
+    else:
+        pts = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        pts[~pts.any(axis=1)] = 1.0
+    w = rng.permutation(n) / n
+    i, j = rng.integers(0, n, size=2)
+    d = float(metric_row(EmbeddingSet(pts), metric, int(i))[j])
+    gamma = draw(st.sampled_from([d, d / 3.0, float(rng.uniform(0.0, 2.0))]))
+    k = draw(st.integers(1, n))
+    rows_per_block = draw(st.integers(1, 8))
+    return pts, w, metric, gamma, k, rng.permutation(n), rows_per_block
 
 
-# Permuting rows moves each row to another place in its kernel block, and a
-# BLAS matrix-vector product may round a row's entry differently there: on
-# random float data a permutation moved some euclidean and cosine distances
-# by an ulp, which can flip a comparison with gamma or 3*gamma. On a small
-# dyadic grid every euclidean and manhattan distance is computed exactly (or
-# is one correctly rounded square root), so it cannot move; cosine divides
-# by row norms and is left out.
-@given(_untied_permuted_instances())
+# Every distance a selection compares with gamma or 3*gamma is a pair's
+# row-kernel value, which keeps its bits wherever the pair's rows sit
+# (test_dataset's test_a_pair_gets_the_same_bits_at_any_row_position), and
+# distinct weights leave no tie to the index order. So permuting the rows
+# permutes the selection and keeps the radius bits, on random floats and in
+# cosine too, with gamma exactly on a distance or a third of one.
+@given(_permuted_instances())
 @settings(max_examples=200, deadline=None)
 def test_selection_follows_a_permutation_of_the_input(inst):
-    pts, w, metric, gamma, k, perm = inst
+    pts, w, metric, gamma, k, perm, rows_per_block = inst
     cfg = (k, 0.5, gamma)
-    sol = weighted_kcenter(EmbeddingSet(pts), metric, WeightVector(w), *cfg)
-    moved = weighted_kcenter(EmbeddingSet(pts[perm]), metric,
-                             WeightVector(w[perm]), *cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "BLOCK_BYTES", 8 * pts.shape[1] * rows_per_block)
+        sol = weighted_kcenter(EmbeddingSet(pts), metric, WeightVector(w),
+                               *cfg)
+        moved = weighted_kcenter(EmbeddingSet(pts[perm]), metric,
+                                 WeightVector(w[perm]), *cfg)
     assert [int(perm[i]) for i in moved.indices] == sol.indices
     assert _bits(moved.radius_term) == _bits(sol.radius_term)
 
