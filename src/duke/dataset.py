@@ -13,7 +13,8 @@ finish once, and gives the ``np.minimum`` fold of those rows bit for bit.
 its nearest center, screened within a proven bound delta
 (:func:`_screen_rows`, :func:`_screen_delta`), with per 1 MiB kernel block
 the number of centers it holds. A block takes the centers it lacks only
-when it is read, with one matrix product. Exact values are computed only
+when it is read, with one matrix product, and gathered points can be
+brought up to date ahead of their block. Exact values are computed only
 where a pick or the radius is decided, at the gathered points in question
 and from the centers the screen leaves able to be nearest to each, so they
 are the full fold's floats. The farthest-point traversal, the fixed-gamma
@@ -463,7 +464,8 @@ def _screen_finish(emb: EmbeddingSet, metric: str, s: np.ndarray,
     place: ``1 - clip(. / |y|)`` or ``sqrt(max(. + |y|^2, 0))``."""
     if metric == "cosine-distance":
         s /= emb.norms()[rows]
-        np.clip(s, -1.0, 1.0, out=s)
+        # np.clip's bits, without its Python layers on short screens
+        np.minimum(np.maximum(s, -1.0, out=s), 1.0, out=s)
         np.subtract(1.0, s, out=s)
     else:
         s += emb.sq_norms()[rows]
@@ -515,15 +517,20 @@ class Cover:
 
     ``near`` starts as the first center's :func:`metric_row`, which
     validates the metric and the cosine norms once, before any other
-    distance, and ``screened[b]`` counts the leading ``centers`` that block b
-    of it holds. The constructor's other centers and :meth:`add` read
+    distance, or as a copy of that row that the caller hands over as
+    ``row``. ``screened[b]`` counts the leading ``centers`` that block b of
+    it holds. The constructor's other centers and :meth:`add` read
     nothing; :meth:`screen` brings a block up to date with one matrix
     product for the centers it lacks (:func:`_screen_rows`), taken from
     ``cols`` and ``shift``, every center in product form
     (:func:`_product_form`; rows past the last center are room to grow).
     Each value of ``near`` is then within ``delta`` (:func:`_screen_delta`)
     of ``np.minimum`` folded over every center's :func:`metric_row`, and
-    :meth:`exact` gives that fold's floats at any points.
+    :meth:`exact` gives that fold's floats at any points. :meth:`gather`
+    brings gathered points up to date the same way, from a center count the
+    caller keeps for them, so those points can run ahead of
+    ``screened[b]``; a later :meth:`screen` of their block folds their
+    centers again, which leaves them as they were.
 
     Where the screen cannot tell distances apart (a ``delta`` of more than
     1/:data:`SCREEN_SPREAD` of the first center's farthest distance, a
@@ -532,12 +539,14 @@ class Cover:
     holds the fold bit for bit, whatever reads came between the adds.
     """
 
-    def __init__(self, emb: EmbeddingSet, metric: str, centers):
+    def __init__(self, emb: EmbeddingSet, metric: str, centers,
+                 row: np.ndarray | None = None):
         self.emb, self.metric = emb, metric
         self.centers = [int(c) for c in centers]
         if not self.centers:
             raise EmptyCenters()
-        self.near = metric_row(emb, metric, self.centers[0])
+        self.near = (metric_row(emb, metric, self.centers[0]) if row is None
+                     else row)
         self.step = block_rows(emb)
         self.screened = np.ones(-(-emb.n // self.step), dtype=np.int64)
         # one block holds every maximum, so a screen cannot spare its reads
@@ -573,6 +582,30 @@ class Cover:
                 fold_block(self.emb, self.metric, self.centers[first:], lo,
                            lo + s.size, s)
             self.screened[b] = m
+        return s
+
+    def gather(self, points: np.ndarray, first: int) -> np.ndarray:
+        """``near`` at ``points``, which hold the leading ``first`` centers,
+        brought up to date and returned as a copy.
+
+        The same fold as :meth:`screen`, over the gathered points: one
+        :func:`_screen_rows` product where ``delta`` is set, and otherwise
+        the gathered row kernel of each center they lack, folded with
+        ``np.minimum``. Each entry comes from its own row alone, so the
+        latter is :func:`fold_block`'s floats bit for bit.
+        """
+        s = self.near[points]
+        m = len(self.centers)
+        if first < m and points.size:
+            if self.delta:
+                _screen_rows(self.emb, self.metric, 0, points.size,
+                             self.cols[first:m], self.shift[first:m], s,
+                             points)
+            else:
+                for c in self.centers[first:]:
+                    np.minimum(s, _row_block(self.emb, self.metric, c, 0,
+                                             points.size, points), out=s)
+            self.near[points] = s
         return s
 
     def exact(self, points: np.ndarray,

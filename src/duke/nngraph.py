@@ -3,7 +3,9 @@
 Construction is a straight all-pairs scan per node. Neighbor lists are sorted
 by (distance, index), self excluded, and clamped to n-1 entries. Stored
 distances are entries of ``metric_row``: the edge (i, j) holds
-``metric_row(emb, metric, i)[j]`` exactly.
+``metric_row(emb, metric, i)[j]`` exactly. Each row is partitioned to its
+kk-th distance in linear time, and only the points at or below it are
+sorted.
 """
 
 from __future__ import annotations
@@ -43,13 +45,16 @@ def build_knn_graph(emb: EmbeddingSet, k_nn: int, metric: str) -> NeighborGraph:
     kk = min(k_nn, n - 1)
     idx_out = np.empty((n, kk), dtype=np.int64)
     dist_out = np.empty((n, kk), dtype=np.float64)
-    ordinal = np.arange(n)
-    for i in range(n):
-        d = metric_row(emb, metric, i)
-        order = np.lexsort((ordinal, d))
-        order = order[order != i][:kk]
-        idx_out[i] = order
-        dist_out[i] = d[order]
+    for i in range(n if kk else 0):
+        # position j of the others stands for point j, or j + 1 from i on
+        others = np.delete(metric_row(emb, metric, i), i)
+        kth = np.partition(others, kk - 1)[kk - 1]
+        # np.partition, like np.lexsort, orders NaN last: a NaN kth admits all
+        near = (np.flatnonzero(others <= kth) if kth == kth
+                else np.arange(others.size))
+        near = near[np.lexsort((near, others[near]))][:kk]
+        idx_out[i] = near + (near >= i)
+        dist_out[i] = others[near]
     return NeighborGraph(idx_out, dist_out)
 
 

@@ -18,8 +18,9 @@ solution, the result is within 3x of the optimal objective and never carries
 more weight than the optimum. A gamma grid search runs it over a bracket of
 guesses.
 
-A run computes one full row, the seed's, and an anchor's only when a
-quarter of the set is ahead of it in a ball test. Both of its tests compare a
+A run computes one full row, the seed's, which the grid search takes from
+the bracket instead, and an anchor's only when a quarter of the set is
+ahead of it in a ball test. Both of its tests compare a
 distance with a threshold, so each is settled from screened point-to-center
 distances, kept per point and brought up to date only when the far scan
 reads the point, and the row kernel is asked only where a screened value
@@ -33,16 +34,20 @@ picks scores the run.
 
 The bracket's farthest-point traversal computes one full row, its first
 center's. It keeps a stale maximum of screened distances per kernel block
-that bounds the block from above, and brings a block up to date, with one
-matrix product for every center it lacks, only when that block could hold
-the next pick (lazy evaluation as in Minoux's accelerated greedy, 1978).
-Only points screened within twice the screen's error bound of the top can
-be the pick, and only their exact distances are computed, from their
-gathered rows and the centers that can be nearest to them (Elkan 2003
-again), so the picks and radius are those of the full-row traversal bit for
-bit. On the benchmark's 100k x 64 cosine cube (seed 7) with k = 100 that is
-100 exact pair distances, one a round, where folding every center into every
-visited 1 MiB block reads 4221 block rows (``BENCH_kernel.json``).
+that bounds the block from above, and visits a block only when that block
+could hold the next pick (lazy evaluation as in Minoux's accelerated
+greedy, 1978). Each block keeps a head, its points with the largest
+screened distances, whose values a visit brings up to date ahead of the
+rest; the whole block is read, with one matrix product for every center it
+lacks, only when the head no longer holds its maximum (per-point laziness
+as in the CELF of Leskovec et al., 2007). Only points screened within
+twice the screen's error bound of the top can be the pick, and only their
+exact distances are computed, from their gathered rows and the centers
+that can be nearest to them (Elkan 2003 again), so the picks and radius are
+those of the full-row traversal bit for bit. On the benchmark's 100k x 64
+cosine cube (seed 7) with k = 100 that is 100 exact pair distances, one a
+round, and 49 whole-block screens, one per block, where screening each
+block whole at every visit took 520 (``BENCH_head.json``).
 
 The traversal, the fixed-gamma run and :func:`evaluate_solution` keep their
 distances in one :class:`~duke.dataset.Cover`, which brings a kernel block
@@ -203,6 +208,17 @@ def evaluate_solution(emb: EmbeddingSet, metric: str, weights: WeightVector,
                    Cover(emb, metric, indices).radius(), algorithm, **fields)
 
 
+# Rows per kernel block whose screened distances the traversal keeps up to
+# date ahead of the rest of the block (the block's head). Traversal time,
+# best of 7, one BLAS thread, k = 100, seed 7 of the benchmark's inputs: on
+# the 100k x 64 cosine cube 0.119 s with no head (520 whole-block screens),
+# 0.071 s at 16, 0.065 s at 32, 0.059 s at 64, 0.046 s at 128 (49 screens)
+# and 0.057 s at 256; on 50k x 32 euclidean clusters 0.060 s with none
+# and 0.036 s at each of 32, 64 and 128. Picks and radius bits are the same
+# at every size, none included.
+_HEAD = 128
+
+
 def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
                    k: int, lambda_: float = 0.0) -> SubsetSolution:
     """Farthest-point traversal from point 0. 2-approximation for the
@@ -214,23 +230,30 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
 
     The distances are a :class:`~duke.dataset.Cover` from point 0's row.
     Each kernel block (the 1 MiB grid of :func:`~duke.dataset.block_rows`)
-    keeps the largest screened distance of an unselected point when its
-    screen was last brought up to date. Distances to the centers never
-    grow, so that stale maximum bounds the block's current one. A round
-    brings the block with the largest stale maximum (the lowest block on
-    ties) up to date, with one product for every center it lacks, until
-    that block is up to date; its largest, ``top``, is then the largest
-    screened distance of all. The farthest point's exact distance is at
-    least ``top - delta``, so only points screened at ``top - 2 delta`` or
-    more can be it: their blocks are brought up to date, and one
-    :meth:`~duke.dataset.Cover.exact` call gives those points' exact
-    distances from the few centers that can be nearest. A block that never
-    comes near the top is not read again. The last round's farthest
-    distance is the radius. Where a distance can be NaN
-    (:func:`~duke.dataset.numeric_distances`) no stale maximum is a bound,
-    and every block is brought up to date every round. Indices and radius
-    are those of folding every center's full row into every point, bit for
-    bit (a NaN radius as NaN).
+    keeps a head: its :data:`_HEAD` unselected points with the largest
+    screened distances when the whole block was last brought up to date,
+    and ``rest``, the next largest of them, which bounds every other point
+    of the block, since distances to the centers never grow. The head runs
+    ahead of the block: a visit brings only the head up to date
+    (:meth:`~duke.dataset.Cover.gather`), and reads the whole block, with
+    one product for every center it lacks, only when the head's largest
+    value no longer exceeds ``rest``; the block's new head is then its
+    largest values again. ``top``, a block's largest screened distance when
+    it was last visited, is a stale bound on its current one. A round
+    visits the block with the largest ``top`` (the lowest block on ties)
+    until that block's ``top`` is current; it is then the largest screened
+    distance of all (lazy evaluation as in Minoux's accelerated greedy,
+    1978, and per point as in the CELF of Leskovec et al., 2007). The
+    farthest point's exact distance is at least ``top - delta``, so only
+    points screened at ``top - 2 delta`` or more can be it: each block that
+    can hold one brings its head up to date, and the whole block where
+    ``rest`` reaches that low, and one :meth:`~duke.dataset.Cover.exact`
+    call gives those points' exact distances from the few centers that can
+    be nearest. The last round's farthest distance is the radius. Where a
+    distance can be NaN (:func:`~duke.dataset.numeric_distances`) no stale
+    value is a bound, and every block is read whole every round. Indices
+    and radius are those of folding every center's full row into every
+    point, bit for bit (a NaN radius as NaN).
     """
     n = emb.n
     check_selection(n, k, lambda_, 0.0)
@@ -238,41 +261,77 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         raise SizeMismatch(expected=n, got=weights.n)
     cover = Cover(emb, metric, [0])
     selected, step, delta = cover.centers, cover.step, cover.delta
-    held = np.zeros(n, dtype=bool)      # selected points, out of the maxima
+    held = np.zeros(n, dtype=bool)      # selected points, out of the heads
     held[0] = True
-    top = np.empty(cover.screened.size)
-    far = np.empty(top.size, dtype=np.int64)
+    # per block, each set by its first read: the largest screened distance
+    # at its last visit, its point and the center count then; the head, the
+    # center count it holds, and the bound on the rest of the block
+    blocks = cover.screened.size
+    top, rest = np.empty(blocks), np.empty(blocks)
+    far, current, head_holds = (np.empty(blocks, dtype=np.int64)
+                                for _ in range(3))
+    heads = [None] * blocks
+    # a head as large as its block would gather what a whole read reads
+    # in place
+    size = min(_HEAD, step // 2)
+    # NaN is np.argmax's largest value and a fold can turn a number into
+    # one, so where a distance can be NaN no stale value bounds a block:
+    # every pick leaves every block unknown, and no head stands for one
+    bounded = numeric_distances(emb, metric)
 
-    def refresh(b: int) -> None:
+    def read_whole(b: int) -> None:
         lo = b * step
         s = np.where(held[lo:lo + step], -np.inf, cover.screen(b))
         far[b] = lo + int(s.argmax())
         top[b] = s[far[b] - lo]
+        current[b] = head_holds[b] = len(selected)
+        if s.size > size:
+            part = np.argpartition(s, s.size - 1 - size)
+            rest[b] = s[part[s.size - 1 - size]]
+            head = lo + np.sort(part[s.size - size:])
+        else:
+            rest[b], head = -np.inf, lo + np.arange(s.size)
+        heads[b] = head[~held[head]]
+
+    def bring_head(b: int) -> np.ndarray:
+        s = cover.gather(heads[b], head_holds[b])
+        head_holds[b] = len(selected)
+        return s
+
+    def visit(b: int) -> None:
+        if bounded:
+            s = bring_head(b)
+            if s.size and s.max() > rest[b]:
+                j = int(s.argmax())
+                far[b], top[b], current[b] = heads[b][j], s[j], len(selected)
+                return
+        read_whole(b)
 
     def exact_farthest(low: float) -> tuple[int, float]:
         """The unselected point farthest from the centers and its exact
         distance, given that every other is screened below ``low``."""
-        for b in np.flatnonzero((top >= low)
-                                & (cover.screened < len(selected))):
-            refresh(b)
-        cand = np.concatenate([
-            lo + np.flatnonzero((cover.near[lo:lo + step] >= low)
-                                & ~held[lo:lo + step])
-            for lo in np.flatnonzero(top >= low) * step])
+        m, cand = len(selected), []
+        for b in np.flatnonzero(top >= low):
+            bring_head(b)
+            if rest[b] >= low and cover.screened[b] < m:
+                read_whole(b)
+            if cover.screened[b] == m:
+                lo = b * step
+                rows = lo + np.flatnonzero(~held[lo:lo + step])
+            else:
+                rows = heads[b]
+            cand.append(rows[cover.near[rows] >= low])
+        cand = np.concatenate(cand)
         e = cover.exact(cand, cover.near[cand])
         j = int(e.argmax())
         return int(cand[j]), e[j]
 
-    for b in range(top.size):
-        refresh(b)
-    # NaN is np.argmax's largest value and a fold can turn a number into
-    # one, so where a distance can be NaN no stale maximum bounds a block:
-    # every pick leaves every block unknown
-    bounded = numeric_distances(emb, metric)
+    for b in range(blocks):
+        read_whole(b)
     while True:
         b = int(top.argmax())
-        while cover.screened[b] < len(selected):
-            refresh(b)
+        while current[b] < len(selected):
+            visit(b)
             b = int(top.argmax())
         pick, radius = far[b], top[b]
         if delta and radius > -np.inf:
@@ -281,6 +340,8 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
             break
         cover.add(pick)
         held[pick] = True
+        b = pick // step
+        heads[b] = heads[b][heads[b] != pick]
         if not bounded:
             top[:] = np.nan
     # A selected point is at distance 0 from itself, so the radius is the
@@ -323,9 +384,10 @@ class _Nearest:
     exactly.
     """
 
-    def __init__(self, emb: EmbeddingSet, metric: str, order: np.ndarray):
+    def __init__(self, emb: EmbeddingSet, metric: str, order: np.ndarray,
+                 row: np.ndarray | None = None):
         self.emb, self.metric, self.order = emb, metric, order
-        self.cover = Cover(emb, metric, order[:1])
+        self.cover = Cover(emb, metric, order[:1], row)
         self.delta = self.cover.delta
         self.screen = self.cover.near[order] if self.delta else None
         self.segs: list[tuple[int, int]] = []
@@ -444,7 +506,8 @@ class _Nearest:
 
 
 def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
-                     k: int, lambda_: float, gamma: float) -> SubsetSolution:
+                     k: int, lambda_: float, gamma: float,
+                     bracket: GammaBracket | None = None) -> SubsetSolution:
     """The selector at a fixed gamma.
 
     Seeds with the globally lightest point. Per round: if some point is still
@@ -477,6 +540,10 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     at every ``gamma' >= gamma``, so only the "greater" ones bound the span,
     each by a certified lower bound on the distance it compared. The fill
     picks do not depend on gamma.
+
+    ``bracket``, the :func:`gamma_bounds` of the same points, metric and
+    weights, hands over the (weight, index) order and the seed's row, so
+    the run computes neither; it folds into its own copy of the row.
     """
     n = emb.n
     check_selection(n, k, lambda_, gamma)
@@ -484,10 +551,13 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         raise SizeMismatch(expected=n, got=weights.n)
     three_gamma = 3.0 * gamma
 
-    order = np.lexsort((np.arange(n), weights.values))
+    if bracket is None:
+        order, row = np.lexsort((np.arange(n), weights.values)), None
+    else:
+        order, row = bracket.order, bracket.row.copy()
     taken = np.zeros(n, dtype=bool)     # indexed by position in ``order``
     taken[0] = True
-    near = _Nearest(emb, metric, order)
+    near = _Nearest(emb, metric, order, row)
     selected = near.cover.centers
     t_hi = g_hi = np.inf
 
@@ -515,17 +585,20 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
 class GammaBracket(NamedTuple):
     """The bracket ``[lo, hi]`` of :func:`gamma_bounds`, and the all-fill run.
 
-    ``lightest`` is the k lightest points in (weight, index) order, ``hi``
-    their covering radius, folded from the first one's row, and ``t0`` the
-    largest entry of that row. A fixed-gamma run finds no far point in its
-    first round iff ``3.0 * gamma >= t0``, and then selects ``lightest``
-    with radius ``hi``.
+    ``order`` is every point in (weight, index) order, ``row`` the
+    :func:`~duke.dataset.metric_row` of the lightest, ``order[0]``, and
+    ``t0`` its largest entry. ``hi`` is the covering radius of the k
+    lightest, ``order[:k]``, folded from that row. A fixed-gamma run seeds
+    with ``order[0]`` and finds no far point in its first round iff
+    ``3.0 * gamma >= t0``; it then selects ``order[:k]`` with radius
+    ``hi``. Both arrays are read-only, for every run to start from.
     """
 
     lo: float
     hi: float
     t0: float
-    lightest: np.ndarray
+    order: np.ndarray
+    row: np.ndarray
 
 
 def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
@@ -539,10 +612,12 @@ def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
     The greedy run checks k and the weights first.
     """
     lo = greedy_kcenter(emb, metric, weights, k).radius_term / 2.0
-    lightest = np.lexsort((np.arange(emb.n), weights.values))[:k]
-    cover = Cover(emb, metric, lightest)
-    t0 = float(cover.near.max())        # no block read yet: the first's row
-    return GammaBracket(lo, cover.radius(), t0, lightest)
+    order = np.lexsort((np.arange(emb.n), weights.values))
+    cover = Cover(emb, metric, order[:k])
+    row = cover.near.copy()     # no block read yet: the first's row
+    for a in (order, row):
+        a.setflags(write=False)
+    return GammaBracket(lo, cover.radius(), float(row.max()), order, row)
 
 
 _GRID_FLOOR = 1e-12
@@ -569,8 +644,9 @@ def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
     """Run a fixed-gamma selector across a geometric gamma grid, keep the best.
 
     ``runner(gamma)`` returns the selection at one gamma; the default is
-    :func:`weighted_kcenter` with ``k`` and ``lambda_``, except at a gamma
-    with ``3.0 * gamma >= t0`` (see :class:`GammaBracket`). There the run
+    :func:`weighted_kcenter` with ``k`` and ``lambda_``, started from the
+    bracket's order and seed row, except at a gamma with
+    ``3.0 * gamma >= t0`` (see :class:`GammaBracket`). There the run
     would fill with the k lightest points, so their score from the bracket
     is returned instead, bit for bit the run's. The grid is walked upward. A
     grid gamma that lies in the :class:`GammaSpan` of the last run is not
@@ -584,13 +660,15 @@ def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
     per grid gamma."""
     # the bracket's top is scored without a selector run that would check
     check_selection(emb.n, k, lambda_, 0.0)
-    lo, hi, t0, lightest = gamma_bounds(emb, metric, weights, k)
+    bracket = gamma_bounds(emb, metric, weights, k)
+    lo, hi, t0 = bracket[:3]
     if runner is None:
         def runner(gamma: float) -> SubsetSolution:
             if 3.0 * gamma >= t0:
-                return _scored(weights, lambda_, lightest, hi, "duke", gamma,
-                               far_rounds=0, span=GammaSpan(gamma))
-            return weighted_kcenter(emb, metric, weights, k, lambda_, gamma)
+                return _scored(weights, lambda_, bracket.order[:k], hi, "duke",
+                               gamma, far_rounds=0, span=GammaSpan(gamma))
+            return weighted_kcenter(emb, metric, weights, k, lambda_, gamma,
+                                    bracket)
     best: SubsetSolution | None = None
     last: SubsetSolution | None = None
     trace: list[tuple[float, float]] = []

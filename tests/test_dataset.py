@@ -290,6 +290,22 @@ def test_screen_products_stay_within_screen_bytes(centers, dim):
     assert (seen == 1).all()
 
 
+def test_cosine_screen_finish_clamps_with_np_clips_bits():
+    # the finish clamps with np.minimum(np.maximum(...)) rather than
+    # np.clip, for the latter's Python layers; the bits are np.clip's on
+    # every special value, along the last axis of 1-d and 2-d products
+    x = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, -0.5, 1.0, -1.0,
+                  np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+                  np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0)])
+    emb = EmbeddingSet(np.eye(x.size))      # unit norms: exact divisions
+    rows = np.arange(x.size)
+    want = np.subtract(1.0, np.clip(x / emb.norms(), -1.0, 1.0))
+    for prod in (x.copy(), np.stack([x, x[::-1]])):
+        dataset._screen_finish(emb, "cosine-distance", prod, rows)
+        assert prod.reshape(-1, x.size)[0].tobytes() == want.tobytes()
+    assert prod[1].tobytes() == want[::-1].tobytes()
+
+
 def test_fold_block_keeps_the_nan_a_row_holds_at_a_center():
     # the squared norms overflow, so y.x / (|y| |x|) is NaN between the two
     # centers: each center's own row holds 0 at the center, the other's NaN,

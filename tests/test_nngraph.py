@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duke.dataset import EmbeddingSet, metric_row
 from duke.errors import InvalidArgument, ZeroVectorCosine
@@ -72,3 +74,45 @@ def test_neighbors_accessor():
     assert list(idx) == [1, 0]
     assert list(d) == [4.0, 5.0]
     assert isinstance(g, NeighborGraph)
+
+
+def _lexsort_graph(emb, k_nn, metric):
+    """The graph by a full (distance, index) lexsort of every row."""
+    kk = min(k_nn, emb.n - 1)
+    idx, dist = [], []
+    for i in range(emb.n):
+        d = metric_row(emb, metric, i)
+        order = np.lexsort((np.arange(emb.n), d))
+        order = order[order != i][:kk]
+        idx.append(order)
+        dist.append(d[order])
+    return np.array(idx).reshape(emb.n, kk), np.array(dist).reshape(emb.n, kk)
+
+
+@given(st.sampled_from(["euclidean", "manhattan", "cosine-distance"]),
+       st.sampled_from(["lattice", "duplicates", "normal", "huge"]),
+       st.integers(1, 60), st.integers(1, 5), st.integers(1, 70),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_partitioned_rows_equal_the_full_lexsort(metric, kind, n, dim, k_nn,
+                                                 seed):
+    # ties at the kk-th distance (lattices, duplicated rows), kk = n - 1
+    # (k_nn up to 70) and NaN cosine distances (norms that overflow)
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        pts = rng.integers(-1, 2, size=(n, dim)).astype(float)
+    elif kind == "duplicates":
+        few = max(1, n // 4)
+        pts = rng.normal(size=(few, dim))[rng.integers(0, few, n)]
+    elif kind == "normal":
+        pts = rng.normal(size=(n, dim))
+    else:
+        pts = 1e200 * rng.normal(size=(n, dim))
+    if metric == "cosine-distance":
+        pts[~np.abs(pts).any(axis=1)] = 1.0
+    emb = EmbeddingSet(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = build_knn_graph(emb, k_nn, metric)
+        idx, dist = _lexsort_graph(emb, k_nn, metric)
+    assert g.neighbor_indices.tolist() == idx.tolist()
+    assert g.neighbor_dists.tobytes() == dist.tobytes()

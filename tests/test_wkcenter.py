@@ -147,8 +147,9 @@ def test_greedy_farthest_tie_lowest_index():
 @st.composite
 def _traversal_cases(draw):
     """Point sets on which a deferred traversal could go astray: maxima
-    tied within and across blocks, duplicate rows, and cosine norms that
-    overflow to NaN distances."""
+    tied within and across blocks, duplicate rows, cosine norms that
+    overflow to NaN distances, and heads of 1 to 3 rows, which run out and
+    send blocks to be read whole again and again."""
     metric = draw(st.sampled_from(dataset.METRICS))
     n = draw(st.integers(1, 90))
     dim = draw(st.integers(1, 6))
@@ -165,17 +166,19 @@ def _traversal_cases(draw):
     pts[n - 1 - dup] = pts[dup]           # duplicated rows, across blocks
     if metric == "cosine-distance":
         pts[~np.abs(pts).any(axis=1)] = 1.0
-    return metric, pts, draw(st.integers(1, n)), draw(st.integers(1, 40))
+    return (metric, pts, draw(st.integers(1, n)), draw(st.integers(1, 40)),
+            draw(st.integers(1, 3)))
 
 
 @given(_traversal_cases())
 @settings(max_examples=300, deadline=None)
 def test_greedy_equals_the_full_row_traversal(case):
-    metric, pts, k, rows_per_block = case
+    metric, pts, k, rows_per_block, head = case
     emb = EmbeddingSet(pts)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
                                                          invalid="ignore"):
         mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
+        mp.setattr(wkcenter, "_HEAD", head)
         sol = greedy_kcenter(emb, metric, WeightVector(np.zeros(emb.n)), k)
         indices, radius = farthest_point_traversal(emb, metric, k)
     assert sol.indices == indices
@@ -190,7 +193,8 @@ def _screened_cases(draw):
     blocks, a wide screen band, small products and radius groups. Random
     floats, lattices with tied distances, duplicated rows, points far from
     the origin, and cosine norms inside and outside [2^-450, 2^450]; k runs
-    from 1 to n."""
+    from 1 to n. The traversal's heads run from none to larger than a
+    block."""
     metric = draw(st.sampled_from(dataset.METRICS))
     n = draw(st.integers(1, 120))
     dim = draw(st.integers(1, 8))
@@ -213,10 +217,12 @@ def _screened_cases(draw):
     centers = draw(st.one_of(
         st.just(list(range(n))),
         st.lists(st.integers(0, n - 1), min_size=1, max_size=40)))
-    knobs = {"BLOCK_BYTES": 8 * dim * draw(st.integers(1, 24)),
-             "SCREEN_SPREAD": draw(st.sampled_from([1, 8, 512])),
-             "SCREEN_BYTES": draw(st.sampled_from([8, 8 * 64 * 3, 1 << 18])),
-             "_RADIUS_GROUP": draw(st.integers(1, 20))}
+    knobs = {(dataset, "BLOCK_BYTES"): 8 * dim * draw(st.integers(1, 24)),
+             (dataset, "SCREEN_SPREAD"): draw(st.sampled_from([1, 8, 512])),
+             (dataset, "SCREEN_BYTES"): draw(st.sampled_from(
+                 [8, 8 * 64 * 3, 1 << 18])),
+             (dataset, "_RADIUS_GROUP"): draw(st.integers(1, 20)),
+             (wkcenter, "_HEAD"): draw(st.sampled_from([0, 1, 2, 3, 128]))}
     return metric, pts, k, centers, knobs
 
 
@@ -227,8 +233,8 @@ def test_screened_traversal_equals_the_full_row_traversal(case):
     emb = EmbeddingSet(pts)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
                                                          invalid="ignore"):
-        for name, value in knobs.items():
-            mp.setattr(dataset, name, value)
+        for (module, name), value in knobs.items():
+            mp.setattr(module, name, value)
         sol = greedy_kcenter(emb, metric, WeightVector(np.zeros(emb.n)), k)
         indices, radius = farthest_point_traversal(emb, metric, k)
     assert sol.indices == indices
@@ -243,8 +249,8 @@ def test_screened_covering_radius_equals_the_row_fold(case):
     emb = EmbeddingSet(pts)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
                                                          invalid="ignore"):
-        for name, value in knobs.items():
-            mp.setattr(dataset, name, value)
+        for (module, name), value in knobs.items():
+            mp.setattr(module, name, value)
         got = dataset.Cover(emb, metric, centers).radius()
         rows = [metric_row(emb, metric, c) for c in centers]
         want = np.minimum.reduce(rows).max()
@@ -289,6 +295,35 @@ def test_greedy_reads_one_row_per_pick_on_separated_clusters(monkeypatch):
                for i, (c, points) in enumerate(reads[1:]))
     farthest = [points[0] for _, points in reads[1:]]
     assert farthest[:11] == indices[1:] and dmin[farthest[11]] == radius
+
+
+def test_heads_spare_whole_block_screens_on_a_uniform_cube(monkeypatch):
+    # a uniform cosine cube of 24 blocks, like the benchmark's: with heads
+    # the traversal screens whole blocks less than half as often as with
+    # none, where every visit reads its block whole, and the picks and
+    # radius stay those of the full-row traversal
+    rng = np.random.default_rng(7)
+    emb = EmbeddingSet(rng.random((12000, 16)))
+    w = WeightVector(np.zeros(emb.n))
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 16 * 500)
+    indices, radius = farthest_point_traversal(emb, "cosine-distance", 60)
+    whole = []
+    screen = dataset._screen_rows
+
+    def counted(emb_, metric_, lo, hi, cols, shift, out, points=None):
+        whole.append(points is None)
+        screen(emb_, metric_, lo, hi, cols, shift, out, points)
+
+    monkeypatch.setattr(dataset, "_screen_rows", counted)
+    screens = []
+    for head in (0, wkcenter._HEAD):
+        monkeypatch.setattr(wkcenter, "_HEAD", head)
+        whole.clear()
+        sol = greedy_kcenter(emb, "cosine-distance", w, 60)
+        assert sol.indices == indices
+        assert _bits(sol.radius_term) == _bits(radius)
+        screens.append(sum(whole))
+    assert 0 < 2 * screens[1] < screens[0], screens
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan",
@@ -471,14 +506,16 @@ def test_stored_terms_match_recomputation(rng):
 
 def test_gamma_bounds_line(line_points):
     w = wv(0.1, 0.2, 0.3, 0.4, 0.5)
-    lo, hi, t0, lightest = gamma_bounds(line_points, "euclidean", w, 2)
+    lo, hi, t0, order, row = gamma_bounds(line_points, "euclidean", w, 2)
     # upper bound: cover radius of the two lightest points {0,1}
     assert hi == 9.0
     # lower bound: half the greedy radius
     assert lo == 1.5
     assert lo <= hi
-    # the lightest point's row reaches the outlier at 10
-    assert (t0, lightest.tolist()) == (10.0, [0, 1])
+    # the lightest point's row, unfolded, reaches the outlier at 10
+    assert (t0, order.tolist()) == (10.0, [0, 1, 2, 3, 4])
+    assert row.tolist() == [0.0, 1.0, 2.0, 3.0, 10.0]
+    assert not (order.flags.writeable or row.flags.writeable)
 
 
 def test_gamma_bounds_k_equals_n(line_points):
@@ -792,6 +829,33 @@ def test_clustered_search_runs_the_selector_once(monkeypatch):
         full = selector(emb, "euclidean", w, 100, 0.001, float(g))
         assert full.indices == sol.indices
         assert (traced_g, objective) == (float(g), full.objective)
+
+
+def test_search_computes_the_seed_row_once(monkeypatch):
+    # the grid runs start from the bracket's order and its copy of the
+    # lightest point's row: that row is computed once, and the run gives
+    # what a run that computes its own gives
+    rng = np.random.default_rng([1, 0])
+    centers = rng.normal(0.0, 10.0, size=(20, 32))
+    pts = centers[np.arange(2000) % 20] + rng.normal(0.0, 1.0, size=(2000, 32))
+    emb, w = EmbeddingSet(pts), WeightVector(rng.uniform(0.0, 1.0, size=2000))
+    runs = []
+    selector = wkcenter.weighted_kcenter
+
+    def counted(*args):
+        runs.append(args[6:])
+        return selector(*args)
+
+    monkeypatch.setattr(wkcenter, "weighted_kcenter", counted)
+    rows = _count_rows(monkeypatch)
+    sol, _ = gamma_search(emb, "euclidean", w, 100, 0.001)
+    seed = int(np.argmin(w.values))
+    assert len(runs) == 1 and len(runs[0]) == 1 and sol.far_rounds > 0
+    assert rows.count(seed) == 1
+    alone = selector(emb, "euclidean", w, 100, 0.001, sol.gamma_used)
+    assert (sol.indices, sol.far_rounds, _bits(sol.objective)) == \
+        (alone.indices, alone.far_rounds, _bits(alone.objective))
+    assert rows.count(seed) == 2
 
 
 def test_gamma_search_equals_selector_at_every_grid_gamma(rng, monkeypatch):
