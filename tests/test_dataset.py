@@ -1,7 +1,12 @@
+import io
 import os
 import subprocess
 import sys
+import threading
 import types
+from decimal import Decimal
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -512,7 +517,9 @@ def test_kernel_bits_do_not_depend_on_blas_threads():
 
 
 _MA_PROBE = """
+import os
 import sys
+import tempfile
 import numpy as np
 from duke import dataset
 from duke.dataset import EmbeddingSet, WeightVector
@@ -528,13 +535,22 @@ for metric in ("euclidean", "manhattan"):
     assert weighted_kcenter(pts, metric, w, 3, 1.0, 5.0).indices == [0, 1, 2]
     gamma_search(pts, metric, w, 4, 0.1)
     evaluate_solution(pts, metric, w, 0.1, [0, 4, 13], "t")
+# a CSV read in chunks: decimal ones, one with a re-read midpoint, and one
+# that only np.loadtxt reads
+dataset.CSV_CHUNK_BYTES = 8
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "e.csv")
+    with open(path, "w") as fh:
+        fh.write("0.5,-0\\n9007199254740993,1\\n1e-7,2\\n")
+    dataset.load_matrix(path)
 assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 """
 
 
 def test_select_paths_do_not_import_numpy_ma():
     # np.unique's first call in a process imports numpy.ma (10-17 ms); the
-    # exact reads group points by block without it
+    # exact reads group points by block without it, and the CSV reader
+    # gathers its re-reads without it
     src = os.path.dirname(os.path.dirname(duke.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _MA_PROBE], env=env,
@@ -584,6 +600,48 @@ def test_a_pair_gets_the_same_bits_at_any_row_position(monkeypatch, metric):
                 cover = Cover(emb, metric, [at[i]])
                 got = cover.exact(at[order], cover.near[at[order]])
                 assert got.tobytes() == ref[i][order].tobytes()
+
+
+def test_manhattan_kernel_bits_equal_the_plain_form(monkeypatch):
+    # the kernel's reused block buffer gives np.abs(block - x).sum(axis=1)'s
+    # bits, in full and in gathered reads, across blocks of 3 rows
+    rng = np.random.default_rng(11)
+    for dim in range(1, 131):
+        monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * dim * 3)
+        f = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(11, dim))
+        emb = EmbeddingSet(f)
+        i = int(rng.integers(11))
+        got = dataset._raw_block(emb, "manhattan", i, 1, 11)
+        assert got.tobytes() == np.abs(f[1:11] - f[i]).sum(axis=1).tobytes()
+        points = rng.permutation(11)
+        got = dataset._raw_block(emb, "manhattan", i, 2, 9, points)
+        want = np.abs(f[points[2:9]] - f[i]).sum(axis=1)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_nonfinite_value_names_the_first_bad_row_of_a_later_block(
+        monkeypatch):
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 3 * 4)  # 4 rows a block
+    pts = np.ones((20, 3))
+    pts[13, 1], pts[17, 0], pts[14, 2] = np.nan, np.inf, -np.inf
+    with pytest.raises(NonFiniteValue) as exc:
+        EmbeddingSet(pts)
+    assert exc.value.details == {"row": 13}
+    probs = np.full((20, 3), 1 / 3)
+    probs[9, 0] = np.nan
+    probs[2, 0] = 2.0       # out of range, but finiteness is checked first
+    with pytest.raises(NonFiniteValue) as exc:
+        ProbabilityMatrix(probs)
+    assert exc.value.details == {"row": 9}
+
+
+def test_margin_weights_bits_equal_the_whole_matrix_partition(monkeypatch):
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 5 * 7)  # 7 rows a block
+    vals = np.random.default_rng(5).dirichlet(np.ones(5), size=45)
+    vals[3] = [0.2, 0.2, 0.2, 0.2, 0.2]
+    part = np.partition(vals, 3, axis=1)
+    got = margin_weights(ProbabilityMatrix(vals)).values
+    assert got.tobytes() == (part[:, -1] - part[:, -2]).tobytes()
 
 
 def test_embedding_validation():
@@ -683,14 +741,33 @@ def _csv_outcome(parse, path, header):
     return arr.dtype, arr.shape, arr.tobytes()
 
 
+@st.composite
+def _long_decimals(draw):
+    """Plain decimals of 17-20 digits or 26-29 fraction digits, signed."""
+    if draw(st.booleans()):
+        digits = str(draw(st.integers(10 ** 16, 10 ** 20 - 1)))
+        dot = draw(st.integers(0, len(digits)))
+        body = digits[:dot] + "." + digits[dot:]
+    else:
+        places = draw(st.integers(26, 29))
+        body = "%d.%0*d" % (draw(st.integers(0, 9)), places,
+                            draw(st.integers(0, 10 ** places - 1)))
+    return draw(st.sampled_from(["", "-", "+"])) + body
+
+
 _NUMBER_TOKENS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.17g" % x),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.floats(-1e6, 1e6).map(lambda x: "%.17g" % x),
+    _long_decimals(),
+    st.sampled_from(["+1.5", ".5", "5.", "-0", "-0.0", "+0", "-.5", "+.25",
+                     "0.", "-0."]),
 )
 _ODD_TOKENS = st.sampled_from([
     "nan", "-nan", "inf", "-inf", "Infinity", "1e500", "-1e500", "1e-500",
     "1_0", "", " ", "#", "1 # c", "x", "\u0661", "\u00a01", "0x10", '"1"',
+    ".", "-", "+", "-.", "+-1", "1-", "1.2.3", "1\r2",
 ])
 
 
@@ -708,26 +785,184 @@ def _csv_texts(draw):
         for _ in range(width):
             tok = draw(_ODD_TOKENS if draw(st.integers(0, 15)) == 0
                        else _NUMBER_TOKENS)
-            pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
+            pad = draw(st.sampled_from(["", "", "", "", "", " ", "\t"]))
             tokens.append(pad + tok + pad)
         lines.append(",".join(tokens))
     header = draw(st.booleans())
     if header:
-        lines.insert(0, draw(st.sampled_from(["x,y", "a", "", "1,2", "# h"])))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+        lines.insert(0, draw(st.sampled_from(["x,y", "a", "", "1,2", "# h",
+                                              "x\ry", "1\r2,3"])))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    # the last line may end without a newline
     text = eol.join(lines) + (eol if lines and draw(st.booleans()) else "")
     return text, header
 
 
-@given(case=_csv_texts())
+@given(case=_csv_texts(), chunk=st.sampled_from([None, 8, 24, 48]))
 @settings(max_examples=400, deadline=None)
-def test_csv_fast_path_matches_the_reference(tmp_path_factory, case):
-    # the C reader must give the reference parser's bits, or its error
+def test_csv_fast_path_matches_the_reference(tmp_path_factory, case, chunk):
+    # every tier must give the reference parser's bits, or its error; small
+    # chunks make a file span many, decimal and refused ones mixed
     text, header = case
     path = tmp_path_factory.mktemp("csv") / "e.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert (_csv_outcome(dataset._parse_csv, path, header)
-            == _csv_outcome(dataset._parse_csv_reference, path, header))
+    with mock.patch.object(dataset, "CSV_CHUNK_BYTES",
+                           chunk or dataset.CSV_CHUNK_BYTES):
+        got = _csv_outcome(dataset._parse_csv, path, header)
+    assert got == _csv_outcome(dataset._parse_csv_reference, path, header)
+
+
+_PLAIN_DECIMALS = [
+    "-0", "-0.0", "+0", "-.0", "0.", "-0.", ".5", "5.", "+.25", "+1.5", "-.5",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+    "99999999999999999999", "0.1234567890123456789",
+    "-0.0123456789012345678", "1234567890123456789", "12345678901234567890.5",
+    "0.00000000000000000000000000123", "1." + "0" * 28 + "1",
+    "9007199254740993", "0.30000000000000004",
+]
+_NOT_PLAIN = [
+    ".", "-", "+", "-.", "+.", "", "1.2.3", "+-1", "--1", "1-", "1+2", "1.-2",
+    "1e5", "1E5", " 1", "1 ", "1\r", "\t1", "nan", "inf", "1_0", "0x1", "1,2",
+    "\u0661",
+]
+
+
+@pytest.mark.parametrize("token", _PLAIN_DECIMALS)
+def test_decimal_chunk_reads_plain_decimals_as_float(token):
+    out = np.empty((2, 2))
+    assert dataset._decimal_chunk(("1.5,%s\n-2,3" % token).encode(), out)
+    want = np.array([[1.5, float(token)], [-2.0, 3.0]])
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("token", _NOT_PLAIN)
+def test_decimal_chunk_refuses_all_but_plain_decimals(tmp_path, token):
+    text = "1.5,%s\n-2,3\n" % token
+    assert not dataset._decimal_chunk(text.encode(), np.empty((2, 2)))
+    p = tmp_path / "e.csv"
+    p.write_bytes(text.encode())
+    assert (_csv_outcome(dataset._parse_csv, p, False)
+            == _csv_outcome(dataset._parse_csv_reference, p, False))
+
+
+@pytest.mark.parametrize("text", ["1,2\n\n3,4\n", "1,2\n3\n", "1,2,3\n4,5\n",
+                                  "\n1,2\n", "1,2,3\n4\n", "1\n2,3,4\n"])
+def test_decimal_chunk_refuses_blank_and_ragged_lines(text):
+    rows = text.count("\n")
+    assert not dataset._decimal_chunk(text.encode(), np.empty((rows, 2)))
+
+
+@st.composite
+def _near_midpoints(draw):
+    """A plain decimal at or next to the midpoint m of two adjacent doubles.
+
+    Near ones are N / 10**f with at most 18 digits, a distance r / (5**f
+    2**p) from m = q / 2**p (q odd, 2**53 <= q < 2**54) for a small odd r.
+    With 5**f > 2**11 |r| that is under half a 64-bit ulp of m, so the
+    reader's 64-bit rounding lands on m itself, which rounds to double the
+    wrong way half of the time. The ones at m are odd integers between
+    2**53 and 2**54."""
+    q = draw(st.integers(2 ** 52, 2 ** 53 - 1)) * 2 + 1
+    sign = draw(st.sampled_from(["", "-"]))
+    if draw(st.integers(0, 4)) == 0:
+        return sign + str(q)
+    f = draw(st.integers(6, 17))
+    r = draw(st.sampled_from([-3, -1, 1, 3]))
+    # N = (q 5**f + r) / 2**s must be an integer below 10**18
+    s = max(1, (2 ** 54 * 5 ** f // 10 ** 18).bit_length())
+    s += draw(st.integers(0, 12))
+    five = 5 ** f
+    want = (-r * pow(five, -1, 2 ** s)) % 2 ** s
+    q += (want - q) % 2 ** s
+    q -= 2 ** s if q >= 2 ** 54 else 0
+    n = (q * five + r) >> s
+    text = format(Decimal(n).scaleb(-f), "f")
+    assert Fraction(text) - Fraction(q, 2 ** (f + s)) == Fraction(
+        r, five * 2 ** (f + s))
+    return sign + text
+
+
+@given(tokens=st.lists(_near_midpoints(), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_csv_decimals_near_double_midpoints_read_as_float(tmp_path_factory,
+                                                          tokens):
+    # a rounding in extended precision that lands on a midpoint is redone
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_text("\n".join(tokens) + "\n")
+    want = np.array([[float(t)] for t in tokens])
+    assert dataset._parse_csv(path, False).tobytes() == want.tobytes()
+
+
+def test_csv_exponent_chunk_alone_goes_to_loadtxt(tmp_path, monkeypatch):
+    values = np.random.default_rng(3).normal(size=(40, 3))
+    lines = [",".join("%.17g" % v for v in row) for row in values]
+    lines[25] = "1.5e-07,2,3"
+    p = tmp_path / "e.csv"
+    p.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 256)
+    chunks = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        chunks.append(fname.read())
+        return loadtxt(io.StringIO(chunks[-1]), *args, **kwargs)
+
+    def no_reference(*args):
+        raise AssertionError("the reference ran")
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    monkeypatch.setattr(dataset, "_parse_csv_reference", no_reference)
+    arr = dataset._parse_csv(p, False)
+    want = values.copy()
+    want[25] = [1.5e-07, 2, 3]
+    assert arr.tobytes() == want.tobytes()
+    assert len(chunks) == 1 and "1.5e-07" in chunks[0]
+    assert chunks[0].count("\n") < 25
+
+
+def test_csv_decimal_reader_is_checked_on_first_use_only(tmp_path):
+    code = ("import duke.cli, duke.dataset as d;"
+            "print(d._pow10.cache_info().currsize == 0);"
+            "d.load_matrix(%r); print(d._pow10.cache_info().currsize == 1)"
+            % str(tmp_path / "e.csv"))
+    (tmp_path / "e.csv").write_text("1.5,2\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(duke.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "True"]
+
+
+def test_csv_from_a_pipe_is_read_once(tmp_path):
+    # the chunked reader reads a file twice, so a pipe goes to np.loadtxt
+    fifo = tmp_path / "e.csv"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write("0.5,-1.25\n2,3\n")
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    arr = dataset._parse_csv(fifo, False)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert arr.tolist() == [[0.5, -1.25], [2.0, 3.0]]
+
+
+def test_csv_without_extended_precision_reads_with_loadtxt(tmp_path,
+                                                           monkeypatch):
+    p = tmp_path / "e.csv"
+    p.write_text("0.1,-0\n2.5,3\n")
+    monkeypatch.setattr(dataset, "_pow10", lambda: None)
+
+    def refuse(*args):
+        raise AssertionError("the chunked reader ran")
+
+    monkeypatch.setattr(dataset, "_parse_csv_chunked", refuse)
+    arr = dataset._parse_csv(p, False)
+    assert arr.tobytes() == np.array([[0.1, -0.0], [2.5, 3.0]]).tobytes()
 
 
 @pytest.mark.parametrize("text,header", [("", False), ("x,y\n", True),
