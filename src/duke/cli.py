@@ -13,9 +13,10 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from . import baselines, verify
+# these compile before .dataset loads numpy; numpy first adds 0.5 MiB of RSS
+from .errors import (DukeError, InvalidArgument, MissingFile, SizeMismatch,
+                     TooManyWorkers, UsageError)
+from .report import Report, fmt_float
 from .dataset import (
     EmbeddingSet,
     WeightVector,
@@ -25,13 +26,8 @@ from .dataset import (
     margin_weights,
     METRICS,
 )
-from .errors import (DukeError, InvalidArgument, MissingFile, SizeMismatch,
-                     TooManyWorkers, UsageError)
 from .instances import KINDS, SyntheticSpec, gen_clusters
-from .nngraph import build_knn_graph, export_graph
-from .oracle import brute_force_kcenter, brute_force_weighted
 from .parallel import STRATEGIES, make_partition, parallel_weighted_kcenter
-from .report import Report, fmt_float
 from .wkcenter import (
     SubsetSolution,
     check_lambda,
@@ -42,6 +38,8 @@ from .wkcenter import (
     greedy_kcenter,
     weighted_kcenter,
 )
+
+import numpy as np
 
 METHODS = ("duke", "parallel", "greedy-kcenter", "random", "margin",
            "submodular")
@@ -177,12 +175,14 @@ def cmd_select(args) -> tuple[Report, int]:
     elif method == "greedy-kcenter":
         sol = greedy_kcenter(emb, metric, weights, k, lam)
     else:
+        from . import baselines
         extra = {}
         if method == "random":
             picks = baselines.random_select(emb.n, k, args.seed)
         elif method == "margin":
             picks = baselines.margin_select(weights, k)
         else:
+            from .nngraph import build_knn_graph
             g0 = _now_ms()
             graph = build_knn_graph(emb, args.knn, metric)
             graph_ms = _now_ms() - g0
@@ -200,6 +200,7 @@ def cmd_select(args) -> tuple[Report, int]:
 
 
 def cmd_oracle(args) -> tuple[Report, int]:
+    from .oracle import brute_force_kcenter, brute_force_weighted
     t0 = _now_ms()
     emb, weights = _load_inputs(args)
     k = args.k
@@ -225,6 +226,7 @@ def cmd_oracle(args) -> tuple[Report, int]:
 
 
 def cmd_verify(args) -> tuple[Report, int]:
+    from . import verify
     t0 = _now_ms()
     summary = verify.run_full(trials=args.trials,
                               parallel_trials=args.parallel_trials,
@@ -273,6 +275,7 @@ def cmd_gen(args) -> tuple[Report, int]:
 
 
 def cmd_graph(args) -> tuple[Report, int]:
+    from .nngraph import build_knn_graph, export_graph
     t0 = _now_ms()
     emb, _ = _load_inputs(args)
     graph = build_knn_graph(emb, args.knn, args.metric)

@@ -405,10 +405,6 @@ SCREEN_BYTES = 1 << 18
 # against 0.60 s at 1e4 (ratio 277).
 SCREEN_SPREAD = 512
 
-# Up to this many centers a screen takes a matrix-vector product each, which
-# beats a matrix product there (40 against 63 us at 2 centers).
-_MATVEC_CENTERS = 2
-
 # Centers per screen pass of the covering radius, after each of which the
 # points that cannot hold the radius drop out: 16 took 25 ms on the cube's
 # 100 lightest points and 19 ms on 400 picks of 50k x 32 clusters, against
@@ -510,30 +506,20 @@ def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
 
     One product per chunk (:func:`_screen_chunks`), ``cols @ rows.T``, whose
     columns reduce faster than the rows of ``rows @ cols.T`` (44 against
-    58 ms for 99 centers over 100k x 64); up to :data:`_MATVEC_CENTERS`
-    centers take a matrix-vector product each instead. Cosine keeps each
-    point's largest product and euclidean its smallest before
-    :func:`_screen_finish`; both finishes are monotone, so each result is
-    within :func:`_screen_delta` of the row kernel's fold.
+    58 ms for 99 centers over 100k x 64). Cosine keeps each point's largest
+    product and euclidean its smallest before :func:`_screen_finish`; both
+    finishes are monotone, so each result is within :func:`_screen_delta`
+    of the row kernel's fold.
     """
     f = emb.features
     cosine = metric == "cosine-distance"
     extreme = np.maximum if cosine else np.minimum
     for g0, g1, a, b in _screen_chunks(emb, cols, lo, hi):
         rows = slice(a, b) if points is None else points[a:b]
-        block = f[rows]
-        if g1 - g0 > _MATVEC_CENTERS:
-            prod = cols[g0:g1] @ block.T
-            if not cosine:
-                prod += shift[g0:g1, None]
-            near = extreme.reduce(prod, axis=0)
-        else:
-            near = None
-            for g in range(g0, g1):
-                v = block @ cols[g]
-                if not cosine:
-                    v += shift[g]
-                near = v if near is None else extreme(near, v, out=near)
+        prod = cols[g0:g1] @ f[rows].T
+        if not cosine:
+            prod += shift[g0:g1, None]
+        near = extreme.reduce(prod, axis=0)
         _screen_finish(emb, metric, near, rows)
         part = out[a - lo:b - lo]
         np.minimum(part, near, out=part)

@@ -90,8 +90,8 @@ class TooManyWorkers(DukeError):
 
 
 class InstanceTooLarge(DukeError):
-    """C(n, k) exceeds the enumeration cap, or the oracle's distance matrix
-    exceeds its memory budget."""
+    """C(n, k) exceeds the enumeration cap, the oracle's distance matrix
+    exceeds its memory budget, or a kNN graph exceeds its work budget."""
 
 
 class InvalidArgument(DukeError):

@@ -280,6 +280,28 @@ def test_graph_subcommand(capsys, tmp_path, example_files):
     assert lines[0].startswith("0: ")
 
 
+@pytest.mark.parametrize("argv", [("graph", "--graph-out", "g.txt"),
+                                  ("select", "--method", "submodular",
+                                   "--k", "1")])
+def test_knn_graph_over_budget_is_a_data_error(capsys, monkeypatch, tmp_path,
+                                               argv):
+    # 70000 x 1 exceeds the graph's work budget: exit 2 with one stderr
+    # line, and no distance row computed
+    from duke import nngraph
+    n = 70000
+    assert n * n > nngraph.WORK_BUDGET
+    pts = tmp_path / "line.f32"
+    np.arange(n, dtype=np.float32).tofile(pts)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(nngraph, "metric_row", None)
+    code, out, err = run_cli(capsys, *argv, "--embeddings", str(pts),
+                             "--format", "raw-float32", "--dim", "1",
+                             "--metric", "euclidean")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: InstanceTooLarge{")
+
+
 def test_verify_zero_trials_pass(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--trials", "0", "--parallel-trials", "0",
@@ -450,7 +472,7 @@ def test_out_flag_writes_report(capsys, tmp_path, example_files):
     assert rep.get("solution", "objective") == "6"
 
 
-def _run_module(*argv):
+def _run_python(*argv):
     # the child imports the same duke as this process, installed or not, and
     # prints warnings as an interpreter does by default
     src = str(Path(duke.__file__).resolve().parent.parent)
@@ -458,9 +480,13 @@ def _run_module(*argv):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-W", "default", "-m", "duke", *argv],
+        [sys.executable, "-W", "default", *argv],
         capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+def _run_module(*argv):
+    return _run_python("-m", "duke", *argv)
 
 
 def test_module_entrypoint_subprocess(example_files):
@@ -470,6 +496,25 @@ def test_module_entrypoint_subprocess(example_files):
         "euclidean", "--k", "8", "--lambda", "1", "--gamma", "2")
     assert proc.returncode == 0
     assert "objective = 6" in proc.stdout
+
+
+def test_select_loads_only_the_select_path(tmp_path, example_files):
+    # a select in a fresh interpreter imports none of the modules that only
+    # other subcommands or methods use
+    pts, w = example_files
+    argv = ["select", "--embeddings", pts, "--weights", w, "--metric",
+            "euclidean", "--k", "8", "--lambda", "1",
+            "--out", str(tmp_path / "report.txt")]
+    proc = _run_python("-c", f"""import sys
+from duke import cli
+assert cli.main({argv!r}) == 0
+print(*sorted(m for m in sys.modules if m.startswith("duke")))
+""")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"duke.cli", "duke.dataset", "duke.wkcenter"} <= loaded
+    assert not loaded & {"duke.verify", "duke.oracle", "duke.nngraph",
+                         "duke.baselines"}
 
 
 @pytest.mark.parametrize("data,error", [

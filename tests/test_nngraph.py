@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duke import nngraph
 from duke.dataset import EmbeddingSet, metric_row
-from duke.errors import InvalidArgument, ZeroVectorCosine
+from duke.errors import InstanceTooLarge, InvalidArgument, ZeroVectorCosine
 from duke.nngraph import NeighborGraph, build_knn_graph, export_graph
 
 
@@ -54,6 +55,25 @@ def test_build_rejects_bad_args():
         build_knn_graph(emb, 0, "euclidean")
     with pytest.raises(ZeroVectorCosine):
         build_knn_graph(EmbeddingSet(np.array([[0.0, 0.0], [1.0, 0.0]])), 1, "cosine-distance")
+
+
+def test_graph_over_the_work_budget_is_refused_before_any_row(monkeypatch):
+    # 8000 x 32 is within the budget, 50k x 32 is not, and its refusal
+    # comes before the first distance row
+    assert 8000 * 8000 * 32 <= nngraph.WORK_BUDGET < 50000 * 50000 * 32
+    rows = []
+
+    def spy(*args):
+        rows.append(args)
+        return metric_row(*args)
+
+    monkeypatch.setattr(nngraph, "metric_row", spy)
+    emb = EmbeddingSet(np.zeros((50000, 32)))
+    with pytest.raises(InstanceTooLarge):
+        build_knn_graph(emb, 10, "euclidean")
+    assert rows == []
+    build_knn_graph(EmbeddingSet(np.eye(3)), 1, "euclidean")
+    assert len(rows) == 3
 
 
 def test_export_format():
