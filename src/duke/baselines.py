@@ -8,12 +8,15 @@ the picks and the rest of the ground set. The CLI scores their picks with
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import WeightVector
 from .errors import BudgetExceedsGroundSet, InvalidArgument, SizeMismatch
-from .nngraph import NeighborGraph
+
+if TYPE_CHECKING:
+    from .nngraph import NeighborGraph
 
 __all__ = [
     "random_select",

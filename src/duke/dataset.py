@@ -29,6 +29,10 @@ entry where that form cancels (``d^2`` at most :data:`NEAR` times
 ``|y|^2 + |x|^2``) is recomputed exactly from the difference ``y - x``, so
 identical rows are at distance exactly 0 and every other distance is within
 a relative ``(dim + 2) * eps / NEAR`` of the true one.
+
+Every distance is a finite number by construction: :func:`_check_rows`,
+which every caller of the kernel passes first, refuses rows whose squared
+norms lie above 2^900, or for cosine below 2^-900.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .errors import (
     EmptyInput,
     MalformedValue,
     NonFiniteValue,
+    NormOutOfRange,
     ProbabilityOutOfRange,
     RaggedRow,
     RowSumError,
@@ -216,12 +221,6 @@ def margin_weights(probs: ProbabilityMatrix) -> WeightVector:
     return WeightVector(w)
 
 
-def _cosine_norm_check(norms: np.ndarray) -> None:
-    zero = norms == 0.0
-    if zero.any():
-        raise ZeroVectorCosine(index=int(np.argmax(zero)))
-
-
 # The row kernel reads the feature matrix in blocks of about this many bytes,
 # counted from row 0, so that the temporaries of a read stay small. Each entry
 # is computed from its own row alone, so a pair's distance is the same float
@@ -259,10 +258,10 @@ def _raw_block(emb: EmbeddingSet, metric: str, i: int, lo: int, hi: int,
     ``y.x / (|y| |x|)``, which :func:`_finish` turns into
     ``1 - clip(...)``, a non-increasing map. Euclidean forms the squared
     distance ``(|y|^2 + |x|^2) - 2 y.x`` and recomputes every entry in the
-    :data:`NEAR` band (and any that overflowed) as the exact sum of squared
-    differences; :func:`_finish` takes its square root, a non-decreasing
-    map. Manhattan needs no finish. It does not validate the metric or the
-    cosine norms; its callers do that once per call of their own.
+    :data:`NEAR` band as the exact sum of squared differences;
+    :func:`_finish` takes its square root, a non-decreasing map. Manhattan
+    needs no finish. It does not validate the metric or the row norms
+    (:func:`_check_rows`); its callers do that once per call of their own.
     """
     f = emb.features
     x = f[i]
@@ -287,8 +286,7 @@ def _raw_block(emb: EmbeddingSet, metric: str, i: int, lo: int, hi: int,
             s = sq[rows] + sq[i]
             part *= -2.0
             part += s
-            # "not above" also routes an overflowed (inf or nan) entry here
-            near = np.flatnonzero(~(part > NEAR * s))
+            near = np.flatnonzero(part <= NEAR * s)
             if near.size:
                 diff = block[near] - x
                 part[near] = np.einsum("ij,ij->i", diff, diff)
@@ -336,54 +334,61 @@ def fold_block(emb: EmbeddingSet, metric: str, centers, lo: int, hi: int,
     finish of the extreme raw value (the largest scaled product for cosine,
     the smallest squared distance for euclidean): the fold applies the
     finish and the ``d(c, c) = 0`` of each center in the range once, not
-    once per center. A NaN breaks that order; only cosine rows whose norms
-    overflow or underflow give one, and a block that holds one is folded
-    from rows. It does not validate the metric or the cosine norms.
+    once per center. It does not validate the metric or the row norms.
     """
     idx = np.asarray(centers, dtype=np.int64).reshape(-1)
     extreme = np.maximum if metric == "cosine-distance" else np.minimum
     acc = _raw_block(emb, metric, int(idx[0]), lo, hi)
     for c in idx[1:]:
         extreme(acc, _raw_block(emb, metric, int(c), lo, hi), out=acc)
-    if np.isnan(acc).any():
-        rows = (_row_block(emb, metric, int(c), lo, hi) for c in idx)
-        acc = next(rows)
-        for row in rows:
-            np.minimum(acc, row, out=acc)
-    else:
-        _finish(metric, acc)
-        acc[idx[(lo <= idx) & (idx < hi)] - lo] = 0.0
+    _finish(metric, acc)
+    acc[idx[(lo <= idx) & (idx < hi)] - lo] = 0.0
     np.minimum(out, acc, out=out)
 
 
 def _check_rows(emb: EmbeddingSet, metric: str) -> None:
+    """Refuse an unknown metric, and rows on which a distance could fail to
+    be a finite number: at the first row whose cached squared norm lies
+    above ``2^900``, or for cosine below ``2^-900``, raise ZeroVectorCosine
+    if the row is all zero and NormOutOfRange otherwise.
+
+    The range keeps every value the row kernel and the screen form far
+    below the largest double, about ``2^1024``. With ``|y|, |x| <= 2^450``
+    (rounding moves each bound by a factor of about ``1 + dim * eps``):
+
+    - a product ``y.x`` and each of its partial sums is at most
+      ``|y| |x| <= 2^900`` in size;
+    - euclidean: the norm form is at most ``2^902``, as is the exact sum of
+      squared differences, ``|y - x|^2 <= (|y| + |x|)^2``; the screen's
+      ``s_max = 2 max |y|^2`` is at most ``2^901`` and its intermediates at
+      most ``2 s_max``;
+    - manhattan: ``sum |y_j - x_j| <= sqrt(dim) |y - x| <= sqrt(dim) 2^451``;
+    - cosine: the norms and their products are normal floats, at least
+      ``2^-450`` and ``2^-900``, so every division is of a finite number by
+      a nonzero one. A product term that underflows is off by at most
+      ``2^-1074``, under ``2^-174`` of ``|y| |x|``, inside the rounding
+      model of :func:`_screen_delta`.
+    """
     if metric not in METRICS:
         raise UnknownMetric(metric=metric)
-    if metric == "cosine-distance":
-        _cosine_norm_check(emb.norms())
-
-
-def numeric_distances(emb: EmbeddingSet, metric: str) -> bool:
-    """False where a kernel distance can be NaN: cosine with a squared row
-    norm outside [2^-900, 2^900].
-
-    Inside that range a product ``y.x`` and its partial sums stay below
-    about ``|y| |x|`` and a norm product is normal, so every cosine distance
-    is a number. Euclidean and manhattan overflow only to inf, and an
-    overflowed squared distance is recomputed as a sum of squares.
-    """
-    if metric != "cosine-distance":
-        return True
     sq = emb.sq_norms()
-    return bool(sq.min() >= 2.0 ** -900 and sq.max() <= 2.0 ** 900)
+    hi = 2.0 ** 900
+    lo = 2.0 ** -900 if metric == "cosine-distance" else 0.0
+    if sq.max() <= hi and sq.min() >= lo:
+        return
+    row = int(np.argmax((sq > hi) | (sq < lo)))
+    if metric == "cosine-distance" and not emb.features[row].any():
+        raise ZeroVectorCosine(index=row)
+    raise NormOutOfRange(row=row)
 
 
 def metric_row(emb: EmbeddingSet, metric: str, i: int) -> np.ndarray:
     """Distances from point i to every point, d[i] forced to exactly 0.
 
-    The full-range call of the row kernel. Cosine mode validates that no row
-    of the set is the zero vector, so any operation built on this kernel is
-    total or raises ZeroVectorCosine.
+    The full-range call of the row kernel. It checks the metric and the
+    row norms first (:func:`_check_rows`), so any operation built on this
+    kernel returns finite distances or raises before any distance is
+    computed.
     """
     _check_rows(emb, metric)
     return _row_block(emb, metric, int(i), 0, emb.n)
@@ -414,14 +419,13 @@ _RADIUS_GROUP = 16
 
 def _screen_delta(emb: EmbeddingSet, metric: str) -> float:
     """A bound on how far a screened distance (:func:`_screen_rows`) lies
-    from the row kernel's value for the same pair; inf where there is no
-    screen.
+    from the row kernel's value for the same pair; inf for manhattan, which
+    has no product form.
 
-    Manhattan has no product form, and cosine norms outside [2^-450, 2^450]
-    leave the rounding model. Euclidean pairs are bounded through
-    ``s_max = 2 max |y|^2`` over the set. Every intermediate of the
-    euclidean screen is at most ``2 s_max`` in size, so where ``4 s_max``
-    overflows the screen is off too.
+    The rows must have passed :func:`_check_rows`: their squared norms lie
+    within its range, where no value below overflows and cosine norm
+    products are normal floats. The euclidean bound rests on
+    ``s_max = 2 max |y|^2`` over the set.
 
     The bound, first order in the unit roundoff u = eps/2. A dot product of
     ``dim`` terms, in any summation order, is within ``dim * u * |y| |x|``
@@ -448,13 +452,12 @@ def _screen_delta(emb: EmbeddingSet, metric: str) -> float:
     """
     eps = np.finfo(np.float64).eps
     dim = emb.dim
-    if metric == "cosine-distance" and numeric_distances(emb, metric):
+    if metric == "cosine-distance":
         return 8.0 * (dim + 4) * eps
     if metric == "euclidean":
         s_max = 2.0 * float(emb.sq_norms().max())
-        if np.isfinite(4.0 * s_max):
-            return float(4.0 * np.sqrt((2 * dim + 5)
-                                       * (eps * s_max + 2.0 ** -1074)))
+        return float(4.0 * np.sqrt((2 * dim + 5)
+                                   * (eps * s_max + 2.0 ** -1074)))
     return np.inf
 
 
@@ -530,9 +533,9 @@ class Cover:
     kernel block at a time when the block is read.
 
     ``near`` starts as the first center's :func:`metric_row`, which
-    validates the metric and the cosine norms once, before any other
-    distance, or as a copy of that row that the caller hands over as
-    ``row``. ``screened[b]`` counts the leading ``centers`` that block b of
+    checks the metric and the row norms (:func:`_check_rows`) once, before
+    any other distance, or as a copy of that row that the caller hands over
+    as ``row``. ``screened[b]`` counts the leading ``centers`` that block b of
     it holds. The constructor's other centers and :meth:`add` read
     nothing; :meth:`screen` brings a block up to date with one matrix
     product for the centers it lacks (:func:`_screen_rows`), taken from
@@ -548,9 +551,10 @@ class Cover:
 
     Where the screen cannot tell distances apart (a ``delta`` of more than
     1/:data:`SCREEN_SPREAD` of the first center's farthest distance, a
-    single block, or no screen at all), ``delta`` is 0 and :meth:`screen`
-    folds exactly (:func:`fold_block`): a block brought up to date then
-    holds the fold bit for bit, whatever reads came between the adds.
+    single block, or manhattan, which has no screen), ``delta`` is 0 and
+    :meth:`screen` folds exactly (:func:`fold_block`): a block brought up
+    to date then holds the fold bit for bit, whatever reads came between
+    the adds.
     """
 
     def __init__(self, emb: EmbeddingSet, metric: str, centers,
@@ -566,8 +570,7 @@ class Cover:
         # one block holds every maximum, so a screen cannot spare its reads
         delta = (_screen_delta(emb, metric) if self.screened.size > 1
                  else np.inf)
-        # written so that a NaN row turns the screen off
-        on = delta < np.inf and SCREEN_SPREAD * delta <= self.near.max()
+        on = SCREEN_SPREAD * delta <= self.near.max()
         self.delta = delta if on else 0.0
         if on:
             self.cols, self.shift = _product_form(emb, metric, self.centers)

@@ -72,6 +72,10 @@ class ZeroVectorCosine(DukeError):
     """Cosine distance is undefined for an all-zero row."""
 
 
+class NormOutOfRange(DukeError):
+    """A row norm outside the range where every distance is finite."""
+
+
 class UnknownMetric(DukeError):
     """Metric name not in the supported set."""
 

@@ -58,9 +58,7 @@ def build_knn_graph(emb: EmbeddingSet, k_nn: int, metric: str) -> NeighborGraph:
         # position j of the others stands for point j, or j + 1 from i on
         others = np.delete(metric_row(emb, metric, i), i)
         kth = np.partition(others, kk - 1)[kk - 1]
-        # np.partition, like np.lexsort, orders NaN last: a NaN kth admits all
-        near = (np.flatnonzero(others <= kth) if kth == kth
-                else np.arange(others.size))
+        near = np.flatnonzero(others <= kth)
         near = near[np.lexsort((near, others[near]))][:kk]
         idx_out[i] = near + (near >= i)
         dist_out[i] = others[near]

@@ -58,7 +58,7 @@ The selection at a guess changes only when the guess crosses one of the
 thresholds the run compared it with (the guess-the-radius structure of
 Hochbaum & Shmoys 1985). A fixed-gamma run therefore records a span of
 larger guesses at which every one of its comparisons comes out the same,
-bounded by certified lower bounds on the distances it compared; a run at
+ending at certified lower bounds on the distances it compared; a run at
 any guess in that span repeats it pick for pick. The grid search
 walks upward, runs the selector only at grid gammas outside the span of its
 last run and copies the objective into the trace for the rest. A guess at
@@ -91,7 +91,6 @@ from .dataset import (
     _row_block,
     _screen_rows,
     metric_row,
-    numeric_distances,
 )
 from .errors import BudgetExceedsGroundSet, InvalidArgument, SizeMismatch
 
@@ -249,11 +248,9 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     can hold one brings its head up to date, and the whole block where
     ``rest`` reaches that low, and one :meth:`~duke.dataset.Cover.exact`
     call gives those points' exact distances from the few centers that can
-    be nearest. The last round's farthest distance is the radius. Where a
-    distance can be NaN (:func:`~duke.dataset.numeric_distances`) no stale
-    value is a bound, and every block is read whole every round. Indices
+    be nearest. The last round's farthest distance is the radius. Indices
     and radius are those of folding every center's full row into every
-    point, bit for bit (a NaN radius as NaN).
+    point, bit for bit.
     """
     n = emb.n
     check_selection(n, k, lambda_, 0.0)
@@ -274,10 +271,6 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     # a head as large as its block would gather what a whole read reads
     # in place
     size = min(_HEAD, step // 2)
-    # NaN is np.argmax's largest value and a fold can turn a number into
-    # one, so where a distance can be NaN no stale value bounds a block:
-    # every pick leaves every block unknown, and no head stands for one
-    bounded = numeric_distances(emb, metric)
 
     def read_whole(b: int) -> None:
         lo = b * step
@@ -299,13 +292,12 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         return s
 
     def visit(b: int) -> None:
-        if bounded:
-            s = bring_head(b)
-            if s.size and s.max() > rest[b]:
-                j = int(s.argmax())
-                far[b], top[b], current[b] = heads[b][j], s[j], len(selected)
-                return
-        read_whole(b)
+        s = bring_head(b)
+        if s.size and s.max() > rest[b]:
+            j = int(s.argmax())
+            far[b], top[b], current[b] = heads[b][j], s[j], len(selected)
+        else:
+            read_whole(b)
 
     def exact_farthest(low: float) -> tuple[int, float]:
         """The unselected point farthest from the centers and its exact
@@ -342,13 +334,10 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         held[pick] = True
         b = pick // step
         heads[b] = heads[b][heads[b] != pick]
-        if not bounded:
-            top[:] = np.nan
-    # A selected point is at distance 0 from itself, so the radius is the
-    # largest unselected distance, or 0. Where a NaN can arise the loop has
-    # brought every block up to date or stopped at a NaN that near holds.
-    radius = max(float(radius), 0.0) if bounded else float(cover.near.max())
-    return _scored(weights, lambda_, selected, radius, "greedy-kcenter")
+    # a selected point is at distance 0 from itself, so the radius is the
+    # largest unselected distance, or 0
+    return _scored(weights, lambda_, selected, max(float(radius), 0.0),
+                   "greedy-kcenter")
 
 
 # positions of the (weight, index) order a far scan reads at most at a time
@@ -447,8 +436,8 @@ class _Nearest:
                 s = self.screen[lo:hi]
                 far = np.flatnonzero(s - delta > t)
                 end = int(far[0]) if far.size else hi - lo
-                # NaN, and a value within delta of t, are open
-                band = np.flatnonzero(~(s[:end] + delta <= t))
+                # a value within delta of t is open
+                band = np.flatnonzero(s[:end] + delta > t)
                 near = s[band]
             else:
                 far, end = (), hi - lo
@@ -495,7 +484,7 @@ class _Nearest:
                 within = s + self.delta <= gamma
             within[-1] = True
             p = int(np.argmax(within))
-            band = np.flatnonzero(~(lower[:p] > gamma))
+            band = np.flatnonzero(lower[:p] <= gamma)
             if band.size:
                 lower[band] = e = _row_block(self.emb, self.metric, c, 0,
                                              band.size, points[band])

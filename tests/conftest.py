@@ -24,6 +24,7 @@ from duke.instances import (
     EXAMPLE_OPT_WEIGHT,
     gen_worked_example,
 )
+from duke.errors import NormOutOfRange
 from duke.oracle import brute_force_kcenter, brute_force_weighted
 from duke.report import Report
 
@@ -100,8 +101,7 @@ def farthest_point_traversal(emb, metric, k):
     """The farthest-point traversal by its definition, for tests to compare
     ``greedy_kcenter`` against: from point 0, every round folds the last
     pick's full distance row into every point and picks the unselected point
-    farthest from the centers, the lowest index among ties (np.argmax, which
-    also takes the first NaN).
+    farthest from the centers, the lowest index among ties (np.argmax).
 
     Returns (indices, radius)."""
     from duke.dataset import metric_row
@@ -114,6 +114,22 @@ def farthest_point_traversal(emb, metric, k):
         selected.append(int(np.argmax(masked)))
         np.minimum(dmin, metric_row(emb, metric, selected[-1]), out=dmin)
     return selected, float(dmin.max())
+
+
+def refused(emb, metric, call) -> bool:
+    """Whether a row of ``emb`` lies outside the squared-norm range on which
+    every ``metric`` distance is finite (at most 2^900, and for cosine at
+    least 2^-900); if one does, ``call()`` must raise NormOutOfRange at the
+    first such row."""
+    sq = np.einsum("ij,ij->i", emb.features, emb.features)
+    low = 2.0 ** -900 if metric == "cosine-distance" else 0.0
+    out = np.flatnonzero((sq > 2.0 ** 900) | (sq < low))
+    if not out.size:
+        return False
+    with pytest.raises(NormOutOfRange) as exc:
+        call()
+    assert exc.value.details == {"row": int(out[0])}
+    return True
 
 
 class ParsedReport(Report):

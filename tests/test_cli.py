@@ -498,12 +498,13 @@ def test_module_entrypoint_subprocess(example_files):
     assert "objective = 6" in proc.stdout
 
 
-def test_select_loads_only_the_select_path(tmp_path, example_files):
+@pytest.mark.parametrize("method", ["duke", "margin", "random"])
+def test_select_loads_only_the_select_path(tmp_path, example_files, method):
     # a select in a fresh interpreter imports none of the modules that only
     # other subcommands or methods use
     pts, w = example_files
     argv = ["select", "--embeddings", pts, "--weights", w, "--metric",
-            "euclidean", "--k", "8", "--lambda", "1",
+            "euclidean", "--k", "8", "--lambda", "1", "--method", method,
             "--out", str(tmp_path / "report.txt")]
     proc = _run_python("-c", f"""import sys
 from duke import cli
@@ -513,18 +514,48 @@ print(*sorted(m for m in sys.modules if m.startswith("duke")))
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert {"duke.cli", "duke.dataset", "duke.wkcenter"} <= loaded
-    assert not loaded & {"duke.verify", "duke.oracle", "duke.nngraph",
-                         "duke.baselines"}
+    unused = {"duke.verify", "duke.oracle", "duke.nngraph"}
+    if method == "duke":
+        unused.add("duke.baselines")
+    assert not loaded & unused
 
 
-@pytest.mark.parametrize("data,error", [
-    (b"", "EmptyInput"),
-    (b"1,2\n3,\xff\n", "MalformedValue{row=1,token=\\xff}"),
+def _select_case(data, error):
+    """``select --k 1`` on ``data``, under the id pytest gives the pair
+    (data, error)."""
+    return pytest.param(data, ("select", "--k", "1"), error,
+                        id=f"{data.decode('latin-1')}-{error}")
+
+
+def _refused_cases():
+    """Every command on rows whose squared norms overflow: cosine rows at
+    1e200, and +-1e308 rows as euclidean and as manhattan."""
+    commands = {
+        "search": ("select", "--k", "2"),
+        "greedy": ("select", "--k", "2", "--method", "greedy-kcenter"),
+        "margin": ("select", "--k", "2", "--method", "margin"),
+        "oracle": ("oracle", "--k", "2"),
+        "graph": ("graph", "--graph-out", os.devnull),
+    }
+    cos = b"1e200,1e200\n1e200,-1e200\n1,2\n"
+    big = b"1e308,1e308\n-1e308,-1e308\n1,2\n"
+    for data, metric in ((cos, "cosine-distance"), (big, "euclidean"),
+                         (big, "manhattan")):
+        for command, argv in commands.items():
+            yield pytest.param(data, (*argv, "--metric", metric),
+                               "NormOutOfRange{row=0}",
+                               id=f"{metric}-{command}")
+
+
+@pytest.mark.parametrize("data,argv,error", [
+    _select_case(b"", "EmptyInput"),
+    _select_case(b"1,2\n3,\xff\n", "MalformedValue{row=1,token=\\xff}"),
+    *_refused_cases(),
 ])
-def test_data_error_is_one_stderr_line(tmp_path, data, error):
+def test_data_error_is_one_stderr_line(tmp_path, data, argv, error):
     pts = tmp_path / "e.csv"
     pts.write_bytes(data)
-    proc = _run_module("select", "--embeddings", str(pts), "--k", "1")
+    proc = _run_module(*argv, "--embeddings", str(pts))
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: " + error)

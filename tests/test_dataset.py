@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import refused
 
 import duke
 from duke import dataset
@@ -34,6 +35,7 @@ from duke.errors import (
     EmptyInput,
     MalformedValue,
     NonFiniteValue,
+    NormOutOfRange,
     ProbabilityOutOfRange,
     RaggedRow,
     RowSumError,
@@ -42,7 +44,7 @@ from duke.errors import (
     UnknownMetric,
     ZeroVectorCosine,
 )
-from duke.wkcenter import weighted_kcenter
+from duke.wkcenter import greedy_kcenter, weighted_kcenter
 
 
 def test_margin_exact_rows():
@@ -124,6 +126,29 @@ def test_cosine_zero_vector_rejected():
     assert metric_row(emb, "euclidean", 0)[1] == 1.0
 
 
+@pytest.mark.parametrize("metric", METRICS)
+def test_row_norm_range_holds_at_its_ends(metric, monkeypatch):
+    # rows whose squared norms are exactly 2^900 (and 2^-900, cosine's other
+    # end) give finite distances, folded and screened a row a block with no
+    # overflow warning; a row one ulp past an end is refused
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 4)
+    turn = np.array([1.0, -1.0, 1.0, -1.0])
+    for a in [2.0 ** 449] + [2.0 ** -451] * (metric == "cosine-distance"):
+        y = np.full(4, a)                   # |y|^2 = 4 a^2
+        emb = EmbeddingSet(np.array([y, -y, y, turn * y]))
+        rows = [metric_row(emb, metric, c) for c in range(4)]
+        assert np.isfinite(rows).all()
+        want = np.minimum(rows[0], rows[1]).max()
+        assert _bits(_cover_radius(emb, metric, [0, 1])) == _bits(want)
+        sol = greedy_kcenter(emb, metric, WeightVector(np.zeros(4)), 2)
+        assert sol.indices == [0, 1] and _bits(sol.radius_term) == _bits(want)
+        past = np.full(4, np.nextafter(a, np.inf if a > 1.0 else 0.0))
+        out = EmbeddingSet(np.array([y, -y, past, turn * y]))
+        with pytest.raises(NormOutOfRange) as exc:
+            metric_row(out, metric, 0)
+        assert exc.value.details == {"row": 2}
+
+
 def test_unknown_metric():
     emb = EmbeddingSet(np.array([[0.0], [1.0]]))
     with pytest.raises(UnknownMetric):
@@ -192,7 +217,7 @@ def _radius_cases(draw):
         # far from the origin: most euclidean entries are in the NEAR band
         pts = 1e6 + rng.normal(size=(n, dim))
     else:
-        # squared norms and products near or past the largest float
+        # squared norms near or past the largest float: refused
         pts = draw(st.sampled_from([0.6e154, 1e154])) * rng.normal(size=(n, dim))
     dup = rng.integers(0, n, size=n // 4)
     pts[n - 1 - dup] = pts[dup]           # duplicated rows, across blocks
@@ -215,10 +240,11 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
     emb = EmbeddingSet(pts)
     reads = st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 16)),
                      max_size=3)
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
-                                                         invalid="ignore"):
+    with pytest.MonkeyPatch.context() as mp:
         # a tiny block puts centers inside and outside most blocks
         mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
+        if refused(emb, metric, lambda: Cover(emb, metric, centers[:1])):
+            return
         want = _fold_radius(emb, metric, centers)
         cover = Cover(emb, metric, centers[:1])
         for m, c in enumerate(centers, 1):
@@ -243,16 +269,13 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
                 rows = [metric_row(emb, metric, c)[points]
                         for c in centers[:m]]
                 want_at = np.minimum.reduce(rows)
-                # bit for bit, but a NaN's sign may differ
-                nan = np.isnan(want_at)
-                assert np.array_equal(np.isnan(got), nan)
-                assert got[~nan].tobytes() == want_at[~nan].tobytes()
+                assert got.tobytes() == want_at.tobytes()
                 if cover.delta:
                     assert np.all(np.abs(near - want_at) <= cover.delta)
                 elif whole:
-                    assert near[~nan].tobytes() == want_at[~nan].tobytes()
+                    assert near.tobytes() == want_at.tobytes()
         got = cover.radius()
-    assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
+    assert _bits(got) == _bits(want)
 
 
 @given(_radius_cases(), st.integers(0, 2 ** 16), st.booleans())
@@ -260,8 +283,9 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
 def test_fold_block_bitwise_equals_the_row_fold(case, pick, use_out):
     metric, pts, centers, rows_per_block = case
     emb = EmbeddingSet(pts)
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
-                                                         invalid="ignore"):
+    if refused(emb, metric, lambda: metric_row(emb, metric, centers[0])):
+        return
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
         step = dataset.block_rows(emb)
         lo = step * (pick % -(-emb.n // step))
@@ -313,25 +337,12 @@ def test_cosine_screen_finish_clamps_with_np_clips_bits():
     assert prod[1].tobytes() == want[::-1].tobytes()
 
 
-def test_fold_block_keeps_the_nan_a_row_holds_at_a_center():
-    # the squared norms overflow, so y.x / (|y| |x|) is NaN between the two
-    # centers: each center's own row holds 0 at the center, the other's NaN,
-    # and the fold keeps the NaN where a fold of the largest products would
-    # force 0
-    emb = EmbeddingSet(np.array([[1e200, 1e200], [1e200, -1e200], [1.0, 2.0]]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = np.full(3, np.inf)
-        fold_block(emb, "cosine-distance", [0, 1], 0, 3, got)
-        rows = [metric_row(emb, "cosine-distance", c) for c in (0, 1)]
-    assert np.isnan(got[:2]).all() and got[2] == 1.0
-    assert got.tobytes() == np.minimum(*rows).tobytes()
-
-
-def test_covering_radius_overflowed_screen_takes_the_exact_path(monkeypatch):
+def test_covering_radius_refuses_rows_whose_screen_would_overflow(
+        monkeypatch):
     # 1-d points at +-0.9e154: the squared norms are finite, but the screen's
-    # |c|^2 - 2 y.c + |y|^2 across the origin overflows, as does the kernel's
-    # squared distance; the screen is off, and every block, the overflowed
-    # one that holds the radius included, is folded exactly
+    # |c|^2 - 2 y.c + |y|^2 across the origin would overflow, as would the
+    # kernel's squared distance; the rows are refused before any block is
+    # screened or folded
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 4)
     pts = np.r_[np.full(12, 0.9e154), np.full(4, -0.9e154)][:, None]
     emb = EmbeddingSet(pts)
@@ -348,11 +359,10 @@ def test_covering_radius_overflowed_screen_takes_the_exact_path(monkeypatch):
 
     monkeypatch.setattr(dataset, "fold_block", counted_fold)
     monkeypatch.setattr(dataset, "_screen_rows", counted_screen)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cover = Cover(emb, "euclidean", list(range(8)))
-        got = cover.radius()
-    assert got == np.inf and cover.delta == 0.0
-    assert folds == [0, 4, 8, 12] and screens == []
+    with pytest.raises(NormOutOfRange) as exc:
+        Cover(emb, "euclidean", list(range(8)))
+    assert exc.value.details == {"row": 0}
+    assert folds == [] and screens == []
 
 
 def test_covering_radius_reads_one_row_when_separated(monkeypatch):
@@ -459,14 +469,6 @@ def test_euclidean_block_mixes_near_and_far_entries():
     diff = f[2:5] - f[0]
     assert np.array_equal(row[2:5], np.sqrt(np.einsum("ij,ij->i", diff, diff)))
     _assert_euclid_close(row, _euclid_reference(f, 0), dim)
-
-    # squared norms that overflow take the exact path as well
-    big = np.array([[1e160, 1e160], [1e160, 1e160 * (1 + 2.0 ** -40)],
-                    [1e160, 1e160]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = metric_row(EmbeddingSet(big), "euclidean", 0)
-    assert row[2] == 0.0
-    assert row[1] == big[1, 1] - big[0, 1]
 
 
 def test_far_offset_duplicates_reach_radius_zero_at_gamma_zero():

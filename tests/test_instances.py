@@ -25,7 +25,7 @@ def test_worked_example_layout(worked_example):
 
 def test_worked_example_selector_trace(worked_example):
     # run at the certified optimal radius: the selector must land on
-    # the known 3x-bounded objective of 6 exactly
+    # the known objective of 6 exactly, within the 3x guarantee
     emb, w = worked_example
     sol = weighted_kcenter(emb, "euclidean", w, EXAMPLE_K, EXAMPLE_LAMBDA, 2.0)
     assert sol.objective == EXAMPLE_OPT_OBJECTIVE

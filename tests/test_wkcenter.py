@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from conftest import farthest_point_traversal, per_round_selection
+from conftest import farthest_point_traversal, per_round_selection, refused
 
 from duke.dataset import (
     EmbeddingSet,
@@ -17,6 +17,7 @@ from duke.errors import (
     BudgetExceedsGroundSet,
     EmptyCenters,
     InvalidArgument,
+    NormOutOfRange,
     SizeMismatch,
     ZeroVectorCosine,
 )
@@ -61,13 +62,13 @@ def test_evaluated_radius_center_order_irrelevant(rng):
 def test_evaluated_radius_checks_cosine_zero_row_once_before_any_distance(
         rng, monkeypatch):
     calls = {"check": 0}
-    check = dataset._cosine_norm_check
+    check = dataset._check_rows
 
-    def counted_check(norms):
+    def counted_check(emb_, metric):
         calls["check"] += 1
-        return check(norms)
+        return check(emb_, metric)
 
-    monkeypatch.setattr(dataset, "_cosine_norm_check", counted_check)
+    monkeypatch.setattr(dataset, "_check_rows", counted_check)
     reads = _count_reads(monkeypatch)
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 3 * 4)   # 4 rows a block
     pts = rng.normal(size=(30, 3)) + 2.0
@@ -147,9 +148,9 @@ def test_greedy_farthest_tie_lowest_index():
 @st.composite
 def _traversal_cases(draw):
     """Point sets on which a deferred traversal could go astray: maxima
-    tied within and across blocks, duplicate rows, cosine norms that
-    overflow to NaN distances, and heads of 1 to 3 rows, which run out and
-    send blocks to be read whole again and again."""
+    tied within and across blocks, duplicate rows, and heads of 1 to 3
+    rows, which run out and send blocks to be read whole again and again;
+    and rows at 1e200, whose squared norms overflow, to be refused."""
     metric = draw(st.sampled_from(dataset.METRICS))
     n = draw(st.integers(1, 90))
     dim = draw(st.integers(1, 6))
@@ -175,15 +176,16 @@ def _traversal_cases(draw):
 def test_greedy_equals_the_full_row_traversal(case):
     metric, pts, k, rows_per_block, head = case
     emb = EmbeddingSet(pts)
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
-                                                         invalid="ignore"):
+    w = WeightVector(np.zeros(emb.n))
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
         mp.setattr(wkcenter, "_HEAD", head)
-        sol = greedy_kcenter(emb, metric, WeightVector(np.zeros(emb.n)), k)
+        if refused(emb, metric, lambda: greedy_kcenter(emb, metric, w, k)):
+            return
+        sol = greedy_kcenter(emb, metric, w, k)
         indices, radius = farthest_point_traversal(emb, metric, k)
     assert sol.indices == indices
-    assert _bits(sol.radius_term) == _bits(radius) or \
-        (np.isnan(sol.radius_term) and np.isnan(radius))
+    assert _bits(sol.radius_term) == _bits(radius)
 
 
 @st.composite
@@ -192,9 +194,9 @@ def _screened_cases(draw):
     radius through the screen and the exact reads of a few points: small
     blocks, a wide screen band, small products and radius groups. Random
     floats, lattices with tied distances, duplicated rows, points far from
-    the origin, and cosine norms inside and outside [2^-450, 2^450]; k runs
-    from 1 to n. The traversal's heads run from none to larger than a
-    block."""
+    the origin, and norms near 2^+-445 and 2^+-460, inside and outside the
+    accepted range (outside, the rows are refused); k runs from 1 to n.
+    The traversal's heads run from none to larger than a block."""
     metric = draw(st.sampled_from(dataset.METRICS))
     n = draw(st.integers(1, 120))
     dim = draw(st.integers(1, 8))
@@ -231,15 +233,16 @@ def _screened_cases(draw):
 def test_screened_traversal_equals_the_full_row_traversal(case):
     metric, pts, k, _, knobs = case
     emb = EmbeddingSet(pts)
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
-                                                         invalid="ignore"):
+    w = WeightVector(np.zeros(emb.n))
+    with pytest.MonkeyPatch.context() as mp:
         for (module, name), value in knobs.items():
             mp.setattr(module, name, value)
-        sol = greedy_kcenter(emb, metric, WeightVector(np.zeros(emb.n)), k)
+        if refused(emb, metric, lambda: greedy_kcenter(emb, metric, w, k)):
+            return
+        sol = greedy_kcenter(emb, metric, w, k)
         indices, radius = farthest_point_traversal(emb, metric, k)
     assert sol.indices == indices
-    assert _bits(sol.radius_term) == _bits(radius) or \
-        (np.isnan(sol.radius_term) and np.isnan(radius))
+    assert _bits(sol.radius_term) == _bits(radius)
 
 
 @given(_screened_cases())
@@ -247,14 +250,15 @@ def test_screened_traversal_equals_the_full_row_traversal(case):
 def test_screened_covering_radius_equals_the_row_fold(case):
     metric, pts, _, centers, knobs = case
     emb = EmbeddingSet(pts)
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
-                                                         invalid="ignore"):
+    with pytest.MonkeyPatch.context() as mp:
         for (module, name), value in knobs.items():
             mp.setattr(module, name, value)
+        if refused(emb, metric, lambda: dataset.Cover(emb, metric, centers)):
+            return
         got = dataset.Cover(emb, metric, centers).radius()
         rows = [metric_row(emb, metric, c) for c in centers]
         want = np.minimum.reduce(rows).max()
-    assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
+    assert _bits(got) == _bits(want)
 
 
 def _count_reads(monkeypatch):
@@ -627,9 +631,10 @@ def test_selector_matches_per_round_definition(inst, rows_per_block):
 def _threshold_instances(draw):
     """Integer-grid selections whose gamma is a pairwise distance or a third
     of one, so that screened values fall within their error bound of a
-    threshold; with duplicate rows, cosine norms near 2^500 and 2^-500 (no
-    screen there), and the ball test screened always, by default or never.
-    The screen is on only with blocks of a few rows."""
+    threshold; with duplicate rows, cosine norms near 2^500 and 2^-500
+    (refused: there is no distance, and gamma is 1), and the ball test
+    screened always, by default or never. The screen is on only with blocks
+    of a few rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(2, 40))
     pts = rng.integers(-3, 4, size=(n, draw(st.integers(1, 4)))).astype(float)
@@ -641,7 +646,10 @@ def _threshold_instances(draw):
         pts *= draw(st.sampled_from([1.0, 2.0 ** 500, 2.0 ** -500]))
     w = rng.integers(0, 4, size=n) / 4.0
     i, j = rng.integers(0, n, size=2)
-    d = float(dataset.metric_row(EmbeddingSet(pts), metric, int(i))[j])
+    try:
+        d = float(dataset.metric_row(EmbeddingSet(pts), metric, int(i))[j])
+    except NormOutOfRange:
+        d = 1.0
     gamma = draw(st.sampled_from([d, d / 3.0]))
     share = draw(st.sampled_from([0, wkcenter._BALL_SHARE, 10 ** 9]))
     return (pts, w, metric, gamma, draw(st.integers(1, n)), share,
@@ -653,10 +661,16 @@ def _threshold_instances(draw):
 def test_selector_on_thresholds_matches_per_round_definition(inst):
     pts, w, metric, gamma, k, share, rows_per_block = inst
     emb = EmbeddingSet(pts)
+
+    def run():
+        return weighted_kcenter(emb, metric, WeightVector(w), k, 0.5, gamma)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wkcenter, "_BALL_SHARE", share)
         _blocks(mp, pts, rows_per_block)
-        sol = weighted_kcenter(emb, metric, WeightVector(w), k, 0.5, gamma)
+        if refused(emb, metric, run):
+            return
+        sol = run()
     want, radius, far_rounds = per_round_selection(emb, metric, w, k, gamma)
     assert sol.indices == want
     assert _bits(sol.radius_term) == _bits(radius)
