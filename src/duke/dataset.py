@@ -11,10 +11,10 @@ finish once, and gives the ``np.minimum`` fold of those rows bit for bit.
 
 :class:`Cover` is the one nearest-center state: each point's distance to
 its nearest center, screened within a proven bound delta
-(:func:`_screen_rows`, :func:`_screen_delta`), with per 1 MiB kernel block
-the number of centers it holds. A block takes the centers it lacks only
-when it is read, with one matrix product, and gathered points can be
-brought up to date ahead of their block. Exact values are computed only
+(:func:`_screen_rows`, :func:`_screen_delta`), and per point the number of
+leading centers that distance holds. A point takes the centers it lacks
+only when it is read, in a 1 MiB kernel block or gathered with other
+points, with one matrix product per read. Exact values are computed only
 where a pick or the radius is decided, at the gathered points in question
 and from the centers the screen leaves able to be nearest to each, so they
 are the full fold's floats. The farthest-point traversal, the fixed-gamma
@@ -224,8 +224,8 @@ def margin_weights(probs: ProbabilityMatrix) -> WeightVector:
 # The row kernel reads the feature matrix in blocks of about this many bytes,
 # counted from row 0, so that the temporaries of a read stay small. Each entry
 # is computed from its own row alone, so a pair's distance is the same float
-# at any row position; the grid is the unit of lazy reads, the blocks whose
-# nearest-center distances :class:`Cover` brings up to date one at a time.
+# at any row position; the grid is the unit of :meth:`Cover.screen`, which
+# brings one block's nearest-center distances up to date.
 BLOCK_BYTES = 1 << 20
 
 
@@ -529,32 +529,32 @@ def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
 
 
 class Cover:
-    """Each point's distance to its nearest center, brought up to date a
-    kernel block at a time when the block is read.
+    """Each point's distance to its nearest center, brought up to date only
+    where it is read.
 
     ``near`` starts as the first center's :func:`metric_row`, which
     checks the metric and the row norms (:func:`_check_rows`) once, before
     any other distance, or as a copy of that row that the caller hands over
-    as ``row``. ``screened[b]`` counts the leading ``centers`` that block b of
-    it holds. The constructor's other centers and :meth:`add` read
-    nothing; :meth:`screen` brings a block up to date with one matrix
-    product for the centers it lacks (:func:`_screen_rows`), taken from
-    ``cols`` and ``shift``, every center in product form
-    (:func:`_product_form`; rows past the last center are room to grow).
-    Each value of ``near`` is then within ``delta`` (:func:`_screen_delta`)
-    of ``np.minimum`` folded over every center's :func:`metric_row`, and
-    :meth:`exact` gives that fold's floats at any points. :meth:`gather`
-    brings gathered points up to date the same way, from a center count the
-    caller keeps for them, so those points can run ahead of
-    ``screened[b]``; a later :meth:`screen` of their block folds their
-    centers again, which leaves them as they were.
+    as ``row``. ``held[i]`` counts the leading ``centers`` that ``near[i]``
+    holds. The constructor's other centers and :meth:`add` read nothing
+    (an add given the new center's row folds it in). A read folds in the
+    centers that the least current of its points lacks: :meth:`screen`
+    over a kernel block, :meth:`gather` over any points. A point already
+    ahead of that count takes some of its centers again, which leaves it
+    within the same bound (a minimum taken twice). Where ``delta`` is set the
+    fold is one matrix product (:func:`_screen_rows`) from ``cols`` and
+    ``shift``, every center in product form (:func:`_product_form`; rows
+    past the last center are room to grow), and each value of ``near`` is
+    then within ``delta`` (:func:`_screen_delta`) of ``np.minimum`` folded
+    over every center's :func:`metric_row`; :meth:`exact` gives that fold's
+    floats at any points.
 
     Where the screen cannot tell distances apart (a ``delta`` of more than
     1/:data:`SCREEN_SPREAD` of the first center's farthest distance, a
     single block, or manhattan, which has no screen), ``delta`` is 0 and
-    :meth:`screen` folds exactly (:func:`fold_block`): a block brought up
-    to date then holds the fold bit for bit, whatever reads came between
-    the adds.
+    the reads fold exactly (:func:`fold_block`, or the gathered row
+    kernel): a point brought up to date then holds the fold bit for bit,
+    whatever reads came between the adds.
     """
 
     def __init__(self, emb: EmbeddingSet, metric: str, centers,
@@ -565,22 +565,27 @@ class Cover:
             raise EmptyCenters()
         self.near = (metric_row(emb, metric, self.centers[0]) if row is None
                      else row)
+        self.held = np.ones(emb.n, dtype=np.int32)
         self.step = block_rows(emb)
-        self.screened = np.ones(-(-emb.n // self.step), dtype=np.int64)
+        self.blocks = -(-emb.n // self.step)
         # one block holds every maximum, so a screen cannot spare its reads
-        delta = (_screen_delta(emb, metric) if self.screened.size > 1
-                 else np.inf)
+        delta = _screen_delta(emb, metric) if self.blocks > 1 else np.inf
         on = SCREEN_SPREAD * delta <= self.near.max()
         self.delta = delta if on else 0.0
         if on:
             self.cols, self.shift = _product_form(emb, metric, self.centers)
 
-    def add(self, c: int) -> None:
-        """Make point c a center."""
+    def add(self, c: int, row: np.ndarray | None = None) -> None:
+        """Make point c a center. ``row``, c's :func:`metric_row` where the
+        caller has it, is folded into ``near`` at once, and every point
+        that lacked only c then holds it."""
         self.centers.append(int(c))
+        m = len(self.centers)
+        if row is not None:
+            np.minimum(self.near, row, out=self.near)
+            self.held[self.held == m - 1] = m
         if not self.delta:
             return
-        m = len(self.centers)
         if m > len(self.cols):      # double the room
             self.cols = np.concatenate([self.cols, self.cols])
             self.shift = np.concatenate([self.shift, self.shift])
@@ -589,8 +594,9 @@ class Cover:
 
     def screen(self, b: int) -> np.ndarray:
         """Kernel block b of ``near``, brought up to date, as a view."""
-        m, lo, first = len(self.centers), b * self.step, self.screened[b]
-        s = self.near[lo:lo + self.step]
+        m, lo = len(self.centers), b * self.step
+        s, held = self.near[lo:lo + self.step], self.held[lo:lo + self.step]
+        first = held.min()
         if first < m:
             if self.delta:
                 _screen_rows(self.emb, self.metric, lo, lo + s.size,
@@ -598,12 +604,12 @@ class Cover:
             else:
                 fold_block(self.emb, self.metric, self.centers[first:], lo,
                            lo + s.size, s)
-            self.screened[b] = m
+            held[:] = m
         return s
 
-    def gather(self, points: np.ndarray, first: int) -> np.ndarray:
-        """``near`` at ``points``, which hold the leading ``first`` centers,
-        brought up to date and returned as a copy.
+    def gather(self, points: np.ndarray) -> np.ndarray:
+        """``near`` at ``points``, brought up to date and returned as a
+        copy.
 
         The same fold as :meth:`screen`, over the gathered points: one
         :func:`_screen_rows` product where ``delta`` is set, and otherwise
@@ -613,7 +619,8 @@ class Cover:
         """
         s = self.near[points]
         m = len(self.centers)
-        if first < m and points.size:
+        first = self.held[points].min(initial=m)
+        if first < m:
             if self.delta:
                 _screen_rows(self.emb, self.metric, 0, points.size,
                              self.cols[first:m], self.shift[first:m], s,
@@ -623,6 +630,7 @@ class Cover:
                     np.minimum(s, _row_block(self.emb, self.metric, c, 0,
                                              points.size, points), out=s)
             self.near[points] = s
+            self.held[points] = m
         return s
 
     def exact(self, points: np.ndarray,
@@ -639,7 +647,7 @@ class Cover:
         float.
         """
         if not self.delta:
-            read = np.zeros(self.screened.size, dtype=bool)
+            read = np.zeros(self.blocks, dtype=bool)
             read[points // self.step] = True
             for b in np.flatnonzero(read):
                 self.screen(b)
@@ -667,25 +675,25 @@ class Cover:
         followed by ``.max()``.
 
         With ``delta`` 0 every block is brought up to date. Otherwise blocks
-        go in order, each screened :data:`_RADIUS_GROUP` centers at a time
-        from the distances it holds, and after each group a point whose
-        screened distance plus ``delta`` falls below ``lower``, the largest
-        distance some point is known to reach, is dropped: it cannot hold
-        the maximum. The points left, from every block, are dropped the same
-        way as ``lower`` rises, and the exact distances of the survivors
+        go in order, each screened with the centers its least current point
+        lacks, :data:`_RADIUS_GROUP` at a time, and after each group a point
+        whose screened distance plus ``delta`` falls below ``lower``, the
+        largest distance some point is known to reach, is dropped: it cannot
+        hold the maximum. The points left, from every block, are dropped the
+        same way as ``lower`` rises, and the exact distances of the survivors
         (:meth:`exact`) give the maximum.
         """
         m, step, n, delta = len(self.centers), self.step, self.emb.n, self.delta
         if not delta:
             return float(np.max([self.screen(b).max()
-                                 for b in range(self.screened.size)]))
+                                 for b in range(self.blocks)]))
         lower = -np.inf
         kept_points, kept_near = np.empty(0, dtype=np.int64), np.empty(0)
-        for b in range(self.screened.size):
+        for b in range(self.blocks):
             lo, hi = b * step, min(b * step + step, n)
             points, near = np.arange(lo, hi), self.near[lo:hi].copy()
-            cols = self.cols[self.screened[b]:m]
-            shift = self.shift[self.screened[b]:m]
+            first = self.held[lo:hi].min()
+            cols, shift = self.cols[first:m], self.shift[first:m]
             for g in range(0, len(cols), _RADIUS_GROUP):
                 group = cols[g:g + _RADIUS_GROUP], shift[g:g + _RADIUS_GROUP]
                 if points.size == hi - lo:  # none dropped: read in place
@@ -953,14 +961,15 @@ def _parse_csv(path: Path, header: bool) -> np.ndarray:
 _RAW_CHUNK = BLOCK_BYTES // 4
 
 
-def _parse_raw_float32(path: Path, dim: int) -> np.ndarray:
+def _parse_raw_float32(path: Path, dim: int, width: str) -> np.ndarray:
     """Little-endian float32 rows of ``dim`` values, widened to float64.
 
     The row count comes from the file size, and the float64 matrix is filled
     one chunk of about 1 MiB at a time, so no whole float32 copy is held.
+    Errors about the row width name it ``width``.
     """
     if dim is None or dim < 1:
-        raise MalformedValue(dim=dim)
+        raise MalformedValue(**{width: dim})
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size % 4 != 0:
@@ -969,7 +978,7 @@ def _parse_raw_float32(path: Path, dim: int) -> np.ndarray:
         if values == 0:
             raise EmptyInput(path=str(path))
         if values % dim != 0:
-            raise TruncatedInput(values=values, dim=dim)
+            raise TruncatedInput(values=values, **{width: dim})
         arr = np.empty((values // dim, dim), dtype=np.float64)
         flat = arr.reshape(-1)
         for a in range(0, values, _RAW_CHUNK):
@@ -982,17 +991,18 @@ def _parse_raw_float32(path: Path, dim: int) -> np.ndarray:
 
 
 def load_matrix(path, fmt: str = "csv", dim: int | None = None,
-                header: bool = False) -> np.ndarray:
+                header: bool = False, width: str = "dim") -> np.ndarray:
     """Shared loader for embeddings, probabilities and weight columns.
 
     The parsed array is returned read-only, so the containers take it without
     a copy. Non-finite values pass through: each container raises
-    NonFiniteValue at the first row that holds one."""
+    NonFiniteValue at the first row that holds one. ``width`` names the raw
+    row width ``dim`` in errors, after the flag that gives it."""
     p = Path(path)
     if fmt == "csv":
         arr = _parse_csv(p, header)
     elif fmt == "raw-float32":
-        arr = _parse_raw_float32(p, dim)
+        arr = _parse_raw_float32(p, dim, width)
     else:
         raise MalformedValue(format=fmt)
     arr.setflags(write=False)
@@ -1006,7 +1016,8 @@ def load_embeddings(path, fmt: str = "csv", dim: int | None = None,
 
 def load_probabilities(path, fmt: str = "csv", classes: int | None = None,
                        header: bool = False) -> ProbabilityMatrix:
-    return ProbabilityMatrix(load_matrix(path, fmt, classes, header))
+    return ProbabilityMatrix(load_matrix(path, fmt, classes, header,
+                                         "classes"))
 
 
 def load_weights(path, fmt: str = "csv", header: bool = False) -> WeightVector:

@@ -20,17 +20,17 @@ guesses.
 
 A run computes one full row, the seed's, which the grid search takes from
 the bracket instead, and an anchor's only when a quarter of the set is
-ahead of it in a ball test. Both of its tests compare a
-distance with a threshold, so each is settled from screened point-to-center
-distances, kept per point and brought up to date only when the far scan
-reads the point, and the row kernel is asked only where a screened value
-lies within its proven error bound of the threshold, for those points alone
-(the bound-based skipping of Elkan, "Using the triangle inequality to
-accelerate k-means", 2003). The picks are those of full rows. Distances to
-the centers never grow, so once no point is farther than 3*gamma the run is
-in its fill regime for good: the rest of the budget is the lightest
-unselected points, taken in one slice, and one covering radius over all the
-picks scores the run.
+ahead of it in a ball test; an anchor's row is folded into every point's
+distance at once. Both of its tests compare a distance with a threshold,
+so each is settled from screened point-to-center distances, brought up to
+date only when the far scan reads the point, and the row kernel is asked
+only where a screened value lies within its proven error bound of the
+threshold, for those points alone (the bound-based skipping of Elkan,
+"Using the triangle inequality to accelerate k-means", 2003). The picks
+are those of full rows. Distances to the centers never grow, so once no
+point is farther than 3*gamma the run is in its fill regime for good: the
+rest of the budget is the lightest unselected points, taken in one slice,
+and one covering radius over all the picks scores the run.
 
 The bracket's farthest-point traversal computes one full row, its first
 center's. It keeps a stale maximum of screened distances per kernel block
@@ -50,9 +50,11 @@ round, and 49 whole-block screens, one per block, where screening each
 block whole at every visit took 520 (``BENCH_head.json``).
 
 The traversal, the fixed-gamma run and :func:`evaluate_solution` keep their
-distances in one :class:`~duke.dataset.Cover`, which brings a kernel block
-up to date only when the block is read, and whose covering radius takes
-exact distances only for the points that can hold it.
+distances in one :class:`~duke.dataset.Cover`, which counts per point the
+centers its distance holds, so that a read, of a kernel block or of
+gathered points, takes only the centers its points lack (Elkan's per-point
+bounds and the CELF heads both rest on those counts), and whose covering
+radius takes exact distances only for the points that can hold it.
 
 The selection at a guess changes only when the guess crosses one of the
 thresholds the run compared it with (the guess-the-radius structure of
@@ -234,10 +236,10 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     and ``rest``, the next largest of them, which bounds every other point
     of the block, since distances to the centers never grow. The head runs
     ahead of the block: a visit brings only the head up to date
-    (:meth:`~duke.dataset.Cover.gather`), and reads the whole block, with
-    one product for every center it lacks, only when the head's largest
-    value no longer exceeds ``rest``; the block's new head is then its
-    largest values again. ``top``, a block's largest screened distance when
+    (:meth:`~duke.dataset.Cover.gather`, from the cover's per-point center
+    counts), and reads the whole block, with one product for the centers
+    it lacks, only when the head's largest value no longer exceeds
+    ``rest``; the block's new head is then its largest values again. ``top``, a block's largest screened distance when
     it was last visited, is a stale bound on its current one. A round
     visits the block with the largest ``top`` (the lowest block on ties)
     until that block's ``top`` is current; it is then the largest screened
@@ -246,7 +248,8 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     farthest point's exact distance is at least ``top - delta``, so only
     points screened at ``top - 2 delta`` or more can be it: each block that
     can hold one brings its head up to date, and the whole block where
-    ``rest`` reaches that low, and one :meth:`~duke.dataset.Cover.exact`
+    ``rest`` reaches that low unless every point of the block already
+    holds every center, and one :meth:`~duke.dataset.Cover.exact`
     call gives those points' exact distances from the few centers that can
     be nearest. The last round's farthest distance is the radius. Indices
     and radius are those of folding every center's full row into every
@@ -258,15 +261,14 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         raise SizeMismatch(expected=n, got=weights.n)
     cover = Cover(emb, metric, [0])
     selected, step, delta = cover.centers, cover.step, cover.delta
-    held = np.zeros(n, dtype=bool)      # selected points, out of the heads
-    held[0] = True
+    chosen = np.zeros(n, dtype=bool)    # selected points, out of the heads
+    chosen[0] = True
     # per block, each set by its first read: the largest screened distance
-    # at its last visit, its point and the center count then; the head, the
-    # center count it holds, and the bound on the rest of the block
-    blocks = cover.screened.size
+    # at its last visit, its point and the center count then; the head and
+    # the bound on the rest of the block
+    blocks = cover.blocks
     top, rest = np.empty(blocks), np.empty(blocks)
-    far, current, head_holds = (np.empty(blocks, dtype=np.int64)
-                                for _ in range(3))
+    far, current = (np.empty(blocks, dtype=np.int64) for _ in range(2))
     heads = [None] * blocks
     # a head as large as its block would gather what a whole read reads
     # in place
@@ -274,25 +276,20 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
 
     def read_whole(b: int) -> None:
         lo = b * step
-        s = np.where(held[lo:lo + step], -np.inf, cover.screen(b))
+        s = np.where(chosen[lo:lo + step], -np.inf, cover.screen(b))
         far[b] = lo + int(s.argmax())
         top[b] = s[far[b] - lo]
-        current[b] = head_holds[b] = len(selected)
+        current[b] = len(selected)
         if s.size > size:
             part = np.argpartition(s, s.size - 1 - size)
             rest[b] = s[part[s.size - 1 - size]]
             head = lo + np.sort(part[s.size - size:])
         else:
             rest[b], head = -np.inf, lo + np.arange(s.size)
-        heads[b] = head[~held[head]]
-
-    def bring_head(b: int) -> np.ndarray:
-        s = cover.gather(heads[b], head_holds[b])
-        head_holds[b] = len(selected)
-        return s
+        heads[b] = head[~chosen[head]]
 
     def visit(b: int) -> None:
-        s = bring_head(b)
+        s = cover.gather(heads[b])
         if s.size and s.max() > rest[b]:
             j = int(s.argmax())
             far[b], top[b], current[b] = heads[b][j], s[j], len(selected)
@@ -304,14 +301,14 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         distance, given that every other is screened below ``low``."""
         m, cand = len(selected), []
         for b in np.flatnonzero(top >= low):
-            bring_head(b)
-            if rest[b] >= low and cover.screened[b] < m:
-                read_whole(b)
-            if cover.screened[b] == m:
-                lo = b * step
-                rows = lo + np.flatnonzero(~held[lo:lo + step])
-            else:
+            cover.gather(heads[b])
+            if rest[b] < low:       # the rest of the block is screened lower
                 rows = heads[b]
+            else:
+                lo = b * step
+                if cover.held[lo:lo + step].min() < m:
+                    read_whole(b)
+                rows = lo + np.flatnonzero(~chosen[lo:lo + step])
             cand.append(rows[cover.near[rows] >= low])
         cand = np.concatenate(cand)
         e = cover.exact(cand, cover.near[cand])
@@ -331,7 +328,7 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         if len(selected) == k:
             break
         cover.add(pick)
-        held[pick] = True
+        chosen[pick] = True
         b = pick // step
         heads[b] = heads[b][heads[b] != pick]
     # a selected point is at distance 0 from itself, so the radius is the
@@ -354,23 +351,15 @@ _BALL_SHARE = 4
 
 
 class _Nearest:
-    """Each point's distance to its nearest center, screened and exact.
-
-    ``screen[p]`` is a screened distance (:func:`~duke.dataset._screen_rows`)
-    from the point at position p of the (weight, index) ``order`` to its
-    nearest center, within ``delta`` of the row kernel's. It starts as the
-    seed's exact row and is brought up to date lazily: a range of positions
-    gets the centers it lacks, from the ``cover``'s product form, only when
-    a far scan reads it. The counts of leading centers held are
-    non-increasing in position past the scan's start, so they are kept as
-    ``segs``, (end, count) runs with ends increasing, and ``base``, the
-    count past the last run.
+    """The fixed-gamma run's two tests, settled on one nearest-center state.
 
     ``cover`` (:class:`~duke.dataset.Cover`, from the seed's row) holds the
-    centers and gives exact distances. A decision the screen leaves open, a
-    value within ``delta`` of its threshold, is settled there. Where the
-    cover's ``delta`` is 0 no screen is kept and every decision is settled
-    exactly.
+    centers and each point's screened distance to its nearest one, within
+    ``delta`` of the row kernel's, brought up to date only when a far scan
+    reads the point (:meth:`~duke.dataset.Cover.gather`). A decision the
+    screen leaves open, a value within ``delta`` of its threshold, is
+    settled by exact distances. Where the cover's ``delta`` is 0 every
+    decision is settled exactly.
     """
 
     def __init__(self, emb: EmbeddingSet, metric: str, order: np.ndarray,
@@ -378,45 +367,6 @@ class _Nearest:
         self.emb, self.metric, self.order = emb, metric, order
         self.cover = Cover(emb, metric, order[:1], row)
         self.delta = self.cover.delta
-        self.screen = self.cover.near[order] if self.delta else None
-        self.segs: list[tuple[int, int]] = []
-        self.base = 1
-
-    def add(self, c: int, row: np.ndarray | None) -> None:
-        """Make point c a center; ``row``, its exact row when known, is
-        folded into every screened distance at once, and every run that
-        lacked only c then holds it."""
-        self.cover.add(c)
-        if self.screen is None or row is None:
-            return
-        np.minimum(self.screen, row[self.order], out=self.screen)
-        m = len(self.cover.centers)
-        self.segs = [(end, m if count == m - 1 else count)
-                     for end, count in self.segs]
-        self.base = m if self.base == m - 1 else self.base
-
-    def _bring(self, lo: int, hi: int) -> None:
-        """Fold into positions lo..hi-1 the centers they lack."""
-        a = lo
-        for end, count in self.segs:
-            if end <= a:
-                continue
-            b = min(end, hi)
-            self._fold(a, b, count)
-            a = b
-            if a == hi:
-                break
-        if a < hi:
-            self._fold(a, hi, self.base)
-        m = len(self.cover.centers)
-        self.segs = [(hi, m)] + [s for s in self.segs if s[0] > hi]
-
-    def _fold(self, a: int, b: int, count: int) -> None:
-        m = len(self.cover.centers)
-        if count < m:
-            _screen_rows(self.emb, self.metric, a, b,
-                         self.cover.cols[count:m], self.cover.shift[count:m],
-                         self.screen[a:b], self.order)
 
     def next_far(self, start: int, t: float) -> tuple[int, float]:
         """The first position from ``start`` on whose point is farther than
@@ -431,9 +381,8 @@ class _Nearest:
         while lo < n:
             hi = min(lo + width, n)
             width = min(2 * width, _SCAN)
-            if self.screen is not None:
-                self._bring(lo, hi)
-                s = self.screen[lo:hi]
+            if delta:
+                s = self.cover.gather(self.order[lo:hi])
                 far = np.flatnonzero(s - delta > t)
                 end = int(far[0]) if far.size else hi - lo
                 # a value within delta of t is open
@@ -475,7 +424,7 @@ class _Nearest:
         else:
             lower = np.full(ahead.size, -np.inf)
             within = np.zeros(ahead.size, dtype=bool)
-            if self.screen is not None:
+            if self.delta:
                 s = np.full(ahead.size, np.inf)
                 _screen_rows(self.emb, self.metric, 0, ahead.size - 1,
                              *_product_form(self.emb, self.metric, [c]), s,
@@ -559,10 +508,9 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         p, bound, row = near.ball(a, taken, gamma)
         g_hi = min(g_hi, bound)
         taken[p] = True
-        near.add(int(order[p]), row if p == a else None)
+        near.cover.add(int(order[p]), row if p == a else None)
     far_rounds = len(selected) - 1
 
-    near.screen = None      # free before the radius screen allocates its own
     for c in order[~taken][:k - len(selected)]:
         near.cover.add(c)
     radius = near.cover.radius()

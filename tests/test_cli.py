@@ -550,6 +550,11 @@ def _refused_cases():
 @pytest.mark.parametrize("data,argv,error", [
     _select_case(b"", "EmptyInput"),
     _select_case(b"1,2\n3,\xff\n", "MalformedValue{row=1,token=\\xff}"),
+    # raw probabilities with no --classes: the error names the flag
+    pytest.param(np.arange(4, dtype="<f4").tobytes(),
+                 ("select", "--k", "1", "--format", "raw-float32", "--dim",
+                  "2", "--probs", os.devnull),
+                 "MalformedValue{classes=None}", id="raw-probs-no-classes"),
     *_refused_cases(),
 ])
 def test_data_error_is_one_stderr_line(tmp_path, data, argv, error):

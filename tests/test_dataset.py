@@ -231,15 +231,16 @@ def _radius_cases(draw):
 @given(_radius_cases(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_covering_radius_bitwise_equals_the_row_fold(case, data):
-    # reads of blocks and points between the adds leave each block holding
-    # a different leading run of the centers; the radius, and every exact
-    # read, is still the row fold's, and every screened block, and every
-    # screen of the first 1, 2, 3, ... centers at gathered points, within
-    # delta of it (a screened block equal to it where delta is 0)
+    # reads of blocks and points between the adds leave the points holding
+    # different leading runs of the centers; the radius, and every exact
+    # read, is still the row fold's, and every screened block, every gather
+    # and every screen of the first 1, 2, 3, ... centers at gathered points
+    # within delta of it (a screened block or a gather equal to it where
+    # delta is 0)
     metric, pts, centers, rows_per_block = case
     emb = EmbeddingSet(pts)
-    reads = st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 16)),
-                     max_size=3)
+    reads = st.lists(st.tuples(st.sampled_from(["block", "points", "gather"]),
+                               st.integers(0, 2 ** 16)), max_size=3)
     with pytest.MonkeyPatch.context() as mp:
         # a tiny block puts centers inside and outside most blocks
         mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
@@ -247,16 +248,17 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
             return
         want = _fold_radius(emb, metric, centers)
         cover = Cover(emb, metric, centers[:1])
+        last = np.empty(0, dtype=np.int64)
         for m, c in enumerate(centers, 1):
             if m > 1:
                 cover.add(c)
-            for whole, pick in data.draw(reads):
-                if whole:
-                    b = pick % cover.screened.size
+            for kind, pick in data.draw(reads):
+                if kind == "block":
+                    b = pick % cover.blocks
                     lo = b * cover.step
                     points = np.arange(lo, min(lo + cover.step, emb.n))
                     near = cover.screen(b).copy()
-                else:
+                elif kind == "points":
                     # points whose blocks may lack centers, screened here
                     points = np.unique((pick + np.r_[0, 7, 13, 31]) % emb.n)
                     near = None
@@ -265,6 +267,12 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
                         dataset._screen_rows(emb, metric, 0, points.size,
                                              cover.cols[:m], cover.shift[:m],
                                              near, points)
+                else:
+                    # the last read's points, which it may have brought up
+                    # to date, and points that may not have been read
+                    points = np.union1d(last, (pick + np.r_[0, 7]) % emb.n)
+                    near = cover.gather(points)
+                    assert (cover.held[points] == m).all()
                 got = cover.exact(points, near)
                 rows = [metric_row(emb, metric, c)[points]
                         for c in centers[:m]]
@@ -272,8 +280,9 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
                 assert got.tobytes() == want_at.tobytes()
                 if cover.delta:
                     assert np.all(np.abs(near - want_at) <= cover.delta)
-                elif whole:
+                elif kind != "points":
                     assert near.tobytes() == want_at.tobytes()
+                last = points
         got = cover.radius()
     assert _bits(got) == _bits(want)
 
@@ -1021,6 +1030,21 @@ def test_load_raw_float32_trailing_bytes(tmp_path):
     with pytest.raises(TruncatedInput) as exc:
         load_embeddings(str(p), fmt="raw-float32", dim=3)
     assert exc.value.details == {"bytes": 26}
+
+
+def test_load_raw_float32_errors_name_the_width_flag(tmp_path):
+    # the probabilities' row width is --classes, the embeddings' --dim
+    p = tmp_path / "p.bin"
+    np.arange(8, dtype="<f4").tofile(p)
+    with pytest.raises(MalformedValue) as exc:
+        load_probabilities(str(p), fmt="raw-float32")
+    assert exc.value.details == {"classes": None}
+    with pytest.raises(TruncatedInput) as exc:
+        load_probabilities(str(p), fmt="raw-float32", classes=7)
+    assert exc.value.details == {"values": 8, "classes": 7}
+    with pytest.raises(TruncatedInput) as exc:
+        load_embeddings(str(p), fmt="raw-float32", dim=7)
+    assert exc.value.details == {"values": 8, "dim": 7}
 
 
 def test_load_raw_float32_reads_in_chunks(tmp_path, monkeypatch):

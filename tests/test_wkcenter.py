@@ -466,6 +466,30 @@ def test_far_round_reuses_the_anchor_row_when_it_is_the_pick(monkeypatch):
     assert rows == [0, 2]
 
 
+def test_an_anchor_whose_row_was_folded_is_never_screened(monkeypatch):
+    # anchor 10 is its own pick and its row decides the ball, so the row is
+    # folded into every point at once: no block screen, the radius's
+    # included, takes its product column, and each of the two blocks takes
+    # only the fill pick 0.5's
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 2)
+    emb = EmbeddingSet(np.array([[0.0], [0.5], [1.0], [10.0]]))
+    screens = []
+    screen = dataset._screen_rows
+
+    def counted_screen(emb_, metric_, lo, hi, cols, shift, out, points=None):
+        if points is None:
+            screens.extend((lo, tuple(c)) for c in cols)
+        screen(emb_, metric_, lo, hi, cols, shift, out, points)
+
+    monkeypatch.setattr(dataset, "_screen_rows", counted_screen)
+    sol = weighted_kcenter(emb, "euclidean", wv(0.0, 0.1, 0.2, 0.3), 3, 1.0,
+                           1.0)
+    assert sol.indices == [0, 3, 1]
+    column = {i: tuple(dataset._product_form(emb, "euclidean", [i])[0][0])
+              for i in (1, 3)}
+    assert screens == [(0, column[1]), (2, column[1])]
+
+
 def test_selector_deterministic(rng):
     emb = EmbeddingSet(rng.normal(size=(40, 3)))
     w = WeightVector(rng.random(40))
