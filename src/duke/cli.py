@@ -57,8 +57,8 @@ def _now_ms() -> float:
 
 def _load_inputs(args) -> tuple[EmbeddingSet, WeightVector]:
     try:
-        emb = load_embeddings(args.embeddings, fmt=args.format, dim=args.dim,
-                              header=args.header)
+        emb = load_embeddings(args.embeddings, args.metric, fmt=args.format,
+                              dim=args.dim, header=args.header)
     except (FileNotFoundError, IsADirectoryError, PermissionError):
         raise MissingFile(path=args.embeddings) from None
     try:
@@ -124,11 +124,10 @@ def cmd_select(args) -> tuple[Report, int]:
 
     k = args.k
     lam = args.lambda_ if args.lambda_ is not None else default_lambda(k)
-    metric = args.metric
     rep = Report()
     _config_echo(rep, [
         ("command", "select"), ("method", args.method), ("k", k),
-        ("lambda", lam), ("metric", metric), ("seed", args.seed),
+        ("lambda", lam), ("metric", emb.metric), ("seed", args.seed),
         ("n", emb.n), ("dim", emb.dim),
         ("gamma", "search" if args.gamma is None else fmt_float(args.gamma)),
         ("gamma_grid", args.gamma_grid), ("machines", args.machines),
@@ -138,7 +137,7 @@ def cmd_select(args) -> tuple[Report, int]:
 
     # every method echoes every flag, so each is checked first, as the
     # method that reads it would check it
-    check_selection(emb.n, k, lam, 0.0 if args.gamma is None else args.gamma)
+    check_selection(emb, weights, k, lam, args.gamma or 0.0)
     if args.gamma_grid < 1:
         raise InvalidArgument(grid_size=args.gamma_grid)
     if not 1 <= args.machines <= emb.n:
@@ -158,9 +157,8 @@ def cmd_select(args) -> tuple[Report, int]:
 
     def run_fixed(gamma: float) -> SubsetSolution:
         if method == "duke":
-            return weighted_kcenter(emb, metric, weights, k, lam, gamma)
-        return parallel_weighted_kcenter(emb, metric, weights, k, lam, gamma,
-                                         parts)
+            return weighted_kcenter(emb, weights, k, lam, gamma)
+        return parallel_weighted_kcenter(emb, weights, k, lam, gamma, parts)
 
     if method in ("duke", "parallel"):
         if args.gamma is not None:
@@ -168,12 +166,12 @@ def cmd_select(args) -> tuple[Report, int]:
         else:
             # duke searches with the default runner, which skips all-fill runs
             sol, trace = gamma_search(
-                emb, metric, weights, k, lam, args.gamma_grid,
+                emb, weights, k, lam, args.gamma_grid,
                 runner=None if method == "duke" else run_fixed)
             for g, objective in trace:
                 rep.add("trace", f"gamma_{fmt_float(g)}", objective)
     elif method == "greedy-kcenter":
-        sol = greedy_kcenter(emb, metric, weights, k, lam)
+        sol = greedy_kcenter(emb, weights, k, lam)
     else:
         from . import baselines
         extra = {}
@@ -184,12 +182,11 @@ def cmd_select(args) -> tuple[Report, int]:
         else:
             from .nngraph import build_knn_graph
             g0 = _now_ms()
-            graph = build_knn_graph(emb, args.knn, metric)
+            graph = build_knn_graph(emb, args.knn)
             graph_ms = _now_ms() - g0
             picks, extra = baselines.submodular_greedy(graph, weights,
                                                        args.lambda_s, k)
-        sol = evaluate_solution(emb, metric, weights, lam, picks, method,
-                                extra=extra)
+        sol = evaluate_solution(emb, weights, lam, picks, method, extra=extra)
     select_ms = _now_ms() - t1
     _solution_block(rep, sol)
     rep.add("timing", "load_ms", t_load)
@@ -213,9 +210,9 @@ def cmd_oracle(args) -> tuple[Report, int]:
         ("n", emb.n), ("dim", emb.dim),
     ])
     if args.kcenter:
-        res = brute_force_kcenter(emb, args.metric, k, weights=weights)
+        res = brute_force_kcenter(emb, k, weights=weights)
     else:
-        res = brute_force_weighted(emb, args.metric, weights, k, lam)
+        res = brute_force_weighted(emb, weights, k, lam)
     rep.add("oracle", "best_subset", list(res.best_subset))
     rep.add("oracle", "radius_term", res.radius_term)
     rep.add("oracle", "weight_term", res.weight_term)
@@ -244,6 +241,8 @@ def cmd_verify(args) -> tuple[Report, int]:
         rep.add("verify", stat.name,
                 f"{status} checks={stat.checks} violations={len(stat.violations)} worst={worst}")
     rep.add("verify", "overall", "pass" if summary.passed else "FAIL")
+    for name, ms in summary.ms.items():
+        rep.add("timing", f"{name}_ms", ms)
     rep.add("timing", "total_ms", _now_ms() - t0)
     if not summary.passed:
         rep.add("verify", "replay_out", args.replay_out)
@@ -258,14 +257,14 @@ def cmd_gen(args) -> tuple[Report, int]:
     spec = SyntheticSpec(kind=args.kind, n=args.n, dim=args.gen_dim,
                          clusters=args.clusters, spread=args.spread,
                          seed=args.seed, weight_scheme=args.weight_scheme)
-    emb, weights = gen_clusters(spec)
-    np.savetxt(args.points_out, emb.features, delimiter=",", fmt="%.17g")
+    points, weights = gen_clusters(spec)
+    np.savetxt(args.points_out, points, delimiter=",", fmt="%.17g")
     if args.weights_out:
         np.savetxt(args.weights_out, weights.values, fmt="%.17g")
     rep = Report()
     _config_echo(rep, [
-        ("command", "gen"), ("kind", args.kind), ("n", emb.n),
-        ("dim", emb.dim), ("clusters", args.clusters),
+        ("command", "gen"), ("kind", args.kind), ("n", points.shape[0]),
+        ("dim", points.shape[1]), ("clusters", args.clusters),
         ("spread", args.spread), ("seed", args.seed),
         ("weight_scheme", args.weight_scheme),
         ("points_out", args.points_out),
@@ -278,7 +277,7 @@ def cmd_graph(args) -> tuple[Report, int]:
     from .nngraph import build_knn_graph, export_graph
     t0 = _now_ms()
     emb, _ = _load_inputs(args)
-    graph = build_knn_graph(emb, args.knn, args.metric)
+    graph = build_knn_graph(emb, args.knn)
     with open(args.graph_out, "w", encoding="utf-8") as fh:
         export_graph(graph, fh)
     rep = Report()

@@ -30,9 +30,10 @@ entry where that form cancels (``d^2`` at most :data:`NEAR` times
 identical rows are at distance exactly 0 and every other distance is within
 a relative ``(dim + 2) * eps / NEAR`` of the true one.
 
-Every distance is a finite number by construction: :func:`_check_rows`,
-which every caller of the kernel passes first, refuses rows whose squared
-norms lie above 2^900, or for cosine below 2^-900.
+A ground set carries its metric. Every distance is a finite number by
+construction: an :class:`EmbeddingSet` refuses, when it is made
+(:func:`_check_rows`), rows whose squared norms lie above 2^900, or for
+cosine below 2^-900.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .errors import (
     ZeroVectorCosine,
 )
 
-# DistanceMetric values accepted everywhere a metric is passed.
+# The metrics an EmbeddingSet may carry.
 METRICS = ("cosine-distance", "euclidean", "manhattan")
 
 # Largest |row sum - 1| a probability row may show.
@@ -106,9 +107,11 @@ def _check_finite_rows(arr: np.ndarray) -> None:
 
 @dataclass
 class EmbeddingSet:
-    """Feature matrix of shape (n, dim), float64, read-only after init."""
+    """Feature matrix of shape (n, dim), float64, read-only after init, and
+    the metric of its distances; its rows are checked once, here."""
 
     features: np.ndarray
+    metric: str
 
     def __post_init__(self):
         feats = _as_readonly_f64(self.features, 2)
@@ -118,6 +121,7 @@ class EmbeddingSet:
         self.features = feats
         self._sq_norms = None
         self._norms = None
+        _check_rows(self)
 
     @property
     def n(self) -> int:
@@ -145,7 +149,8 @@ class EmbeddingSet:
         return self._norms
 
     def subset(self, indices) -> "EmbeddingSet":
-        return EmbeddingSet(self.features[np.asarray(indices, dtype=np.int64)])
+        return EmbeddingSet(self.features[np.asarray(indices, dtype=np.int64)],
+                            self.metric)
 
 
 @dataclass
@@ -245,7 +250,7 @@ def block_rows(emb: EmbeddingSet) -> int:
 NEAR = 2.0 ** -10
 
 
-def _raw_block(emb: EmbeddingSet, metric: str, i: int, lo: int, hi: int,
+def _raw_block(emb: EmbeddingSet, i: int, lo: int, hi: int,
                points: np.ndarray | None = None) -> np.ndarray:
     """Point i's distances to points lo..hi-1 (or ``points[lo:hi]``)
     before their monotone finish.
@@ -260,10 +265,9 @@ def _raw_block(emb: EmbeddingSet, metric: str, i: int, lo: int, hi: int,
     distance ``(|y|^2 + |x|^2) - 2 y.x`` and recomputes every entry in the
     :data:`NEAR` band as the exact sum of squared differences;
     :func:`_finish` takes its square root, a non-decreasing map. Manhattan
-    needs no finish. It does not validate the metric or the row norms
-    (:func:`_check_rows`); its callers do that once per call of their own.
+    needs no finish.
     """
-    f = emb.features
+    f, metric = emb.features, emb.metric
     x = f[i]
     d = np.empty(hi - lo, dtype=np.float64)
     step = block_rows(emb)
@@ -306,7 +310,7 @@ def _finish(metric: str, d: np.ndarray) -> None:
         np.sqrt(d, out=d)
 
 
-def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int, hi: int,
+def _row_block(emb: EmbeddingSet, i: int, lo: int, hi: int,
                points: np.ndarray | None = None) -> np.ndarray:
     """Distances from point i to points lo..hi-1 (or ``points[lo:hi]``),
     d(i, i) forced to exactly 0.
@@ -314,8 +318,8 @@ def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int, hi: int,
     The shared row kernel: :func:`_raw_block` and its finish. Identical rows
     come out at exactly 0 for euclidean, since the difference form is exact.
     """
-    d = _raw_block(emb, metric, i, lo, hi, points)
-    _finish(metric, d)
+    d = _raw_block(emb, i, lo, hi, points)
+    _finish(emb.metric, d)
     if points is not None:
         d[points[lo:hi] == i] = 0.0
     elif lo <= i < hi:
@@ -323,30 +327,35 @@ def _row_block(emb: EmbeddingSet, metric: str, i: int, lo: int, hi: int,
     return d
 
 
-def fold_block(emb: EmbeddingSet, metric: str, centers, lo: int, hi: int,
-               out: np.ndarray) -> None:
-    """Fold into ``out``, in place, each point of lo..hi-1's distance to its
-    nearest center.
+def fold_block(emb: EmbeddingSet, centers, lo: int, hi: int,
+               out: np.ndarray, points: np.ndarray | None = None) -> None:
+    """Fold into ``out``, in place, each point of lo..hi-1's (or
+    ``points[lo:hi]``'s) distance to its nearest center.
 
     Bit for bit ``np.minimum`` folded over ``out`` and the :func:`_row_block`
     rows of ``centers``. Rounding is monotone and the finish of
     :func:`_raw_block` is monotone, so the minimum of finished rows is the
     finish of the extreme raw value (the largest scaled product for cosine,
     the smallest squared distance for euclidean): the fold applies the
-    finish and the ``d(c, c) = 0`` of each center in the range once, not
-    once per center. It does not validate the metric or the row norms.
+    finish and the ``d(c, c) = 0`` of each center among its points once,
+    not once per center.
     """
     idx = np.asarray(centers, dtype=np.int64).reshape(-1)
-    extreme = np.maximum if metric == "cosine-distance" else np.minimum
-    acc = _raw_block(emb, metric, int(idx[0]), lo, hi)
+    extreme = np.maximum if emb.metric == "cosine-distance" else np.minimum
+    acc = _raw_block(emb, int(idx[0]), lo, hi, points)
     for c in idx[1:]:
-        extreme(acc, _raw_block(emb, metric, int(c), lo, hi), out=acc)
-    _finish(metric, acc)
-    acc[idx[(lo <= idx) & (idx < hi)] - lo] = 0.0
+        extreme(acc, _raw_block(emb, int(c), lo, hi, points), out=acc)
+    _finish(emb.metric, acc)
+    if points is None:
+        acc[idx[(lo <= idx) & (idx < hi)] - lo] = 0.0
+    else:
+        # the points that are centers; np.isin costs 30 us a call
+        rows, at = points[lo:hi], np.sort(idx)
+        acc[at[np.searchsorted(at, rows) % at.size] == rows] = 0.0
     np.minimum(out, acc, out=out)
 
 
-def _check_rows(emb: EmbeddingSet, metric: str) -> None:
+def _check_rows(emb: EmbeddingSet) -> None:
     """Refuse an unknown metric, and rows on which a distance could fail to
     be a finite number: at the first row whose cached squared norm lies
     above ``2^900``, or for cosine below ``2^-900``, raise ZeroVectorCosine
@@ -369,29 +378,25 @@ def _check_rows(emb: EmbeddingSet, metric: str) -> None:
       ``2^-1074``, under ``2^-174`` of ``|y| |x|``, inside the rounding
       model of :func:`_screen_delta`.
     """
-    if metric not in METRICS:
-        raise UnknownMetric(metric=metric)
+    if emb.metric not in METRICS:
+        raise UnknownMetric(metric=emb.metric)
     sq = emb.sq_norms()
     hi = 2.0 ** 900
-    lo = 2.0 ** -900 if metric == "cosine-distance" else 0.0
+    cosine = emb.metric == "cosine-distance"
+    lo = 2.0 ** -900 if cosine else 0.0
     if sq.max() <= hi and sq.min() >= lo:
         return
     row = int(np.argmax((sq > hi) | (sq < lo)))
-    if metric == "cosine-distance" and not emb.features[row].any():
+    if cosine and not emb.features[row].any():
         raise ZeroVectorCosine(index=row)
     raise NormOutOfRange(row=row)
 
 
-def metric_row(emb: EmbeddingSet, metric: str, i: int) -> np.ndarray:
+def metric_row(emb: EmbeddingSet, i: int) -> np.ndarray:
     """Distances from point i to every point, d[i] forced to exactly 0.
 
-    The full-range call of the row kernel. It checks the metric and the
-    row norms first (:func:`_check_rows`), so any operation built on this
-    kernel returns finite distances or raises before any distance is
-    computed.
-    """
-    _check_rows(emb, metric)
-    return _row_block(emb, metric, int(i), 0, emb.n)
+    The full-range call of the row kernel."""
+    return _row_block(emb, int(i), 0, emb.n)
 
 
 # The screen forms its matrix products about this many bytes at a time.
@@ -417,14 +422,14 @@ SCREEN_SPREAD = 512
 _RADIUS_GROUP = 16
 
 
-def _screen_delta(emb: EmbeddingSet, metric: str) -> float:
+def _screen_delta(emb: EmbeddingSet) -> float:
     """A bound on how far a screened distance (:func:`_screen_rows`) lies
     from the row kernel's value for the same pair; inf for manhattan, which
     has no product form.
 
-    The rows must have passed :func:`_check_rows`: their squared norms lie
-    within its range, where no value below overflows and cosine norm
-    products are normal floats. The euclidean bound rests on
+    The rows' squared norms lie within the range of :func:`_check_rows`,
+    where no value below overflows and cosine norm products are normal
+    floats. The euclidean bound rests on
     ``s_max = 2 max |y|^2`` over the set.
 
     The bound, first order in the unit roundoff u = eps/2. A dot product of
@@ -451,7 +456,7 @@ def _screen_delta(emb: EmbeddingSet, metric: str) -> float:
     the callers make with ``screened -+ delta``.
     """
     eps = np.finfo(np.float64).eps
-    dim = emb.dim
+    dim, metric = emb.dim, emb.metric
     if metric == "cosine-distance":
         return 8.0 * (dim + 4) * eps
     if metric == "euclidean":
@@ -461,13 +466,12 @@ def _screen_delta(emb: EmbeddingSet, metric: str) -> float:
     return np.inf
 
 
-def _product_form(emb: EmbeddingSet, metric: str,
-                  idx) -> tuple[np.ndarray, np.ndarray]:
+def _product_form(emb: EmbeddingSet, idx) -> tuple[np.ndarray, np.ndarray]:
     """Centers ``idx`` as the screen's matrix-product columns and shifts:
     normalised centers and zeros for cosine, ``-2 C`` and ``|c|^2`` for
     euclidean."""
     f = emb.features
-    if metric == "cosine-distance":
+    if emb.metric == "cosine-distance":
         return f[idx] / emb.norms()[idx, None], np.zeros(len(idx))
     return -2.0 * f[idx], emb.sq_norms()[idx]
 
@@ -484,12 +488,11 @@ def _screen_chunks(emb: EmbeddingSet, cols: np.ndarray, lo: int, hi: int):
             yield g, g + m, a, min(a + step, hi)
 
 
-def _screen_finish(emb: EmbeddingSet, metric: str, s: np.ndarray,
-                   rows) -> None:
+def _screen_finish(emb: EmbeddingSet, s: np.ndarray, rows) -> None:
     """Turn products ``y.c/|c|`` (cosine) or ``|c|^2 - 2 y.c`` (euclidean)
     of points ``rows``, along the last axis, into screened distances, in
     place: ``1 - clip(. / |y|)`` or ``sqrt(max(. + |y|^2, 0))``."""
-    if metric == "cosine-distance":
+    if emb.metric == "cosine-distance":
         s /= emb.norms()[rows]
         # np.clip's bits, without its Python layers on short screens
         np.minimum(np.maximum(s, -1.0, out=s), 1.0, out=s)
@@ -500,8 +503,8 @@ def _screen_finish(emb: EmbeddingSet, metric: str, s: np.ndarray,
         np.sqrt(s, out=s)
 
 
-def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
-                 cols: np.ndarray, shift: np.ndarray, out: np.ndarray,
+def _screen_rows(emb: EmbeddingSet, lo: int, hi: int, cols: np.ndarray,
+                 shift: np.ndarray, out: np.ndarray,
                  points: np.ndarray | None = None) -> None:
     """Fold into ``out`` the screened distance from each point lo..hi-1
     (or ``points[lo:hi]``) to its nearest center, given in
@@ -515,7 +518,7 @@ def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
     of the row kernel's fold.
     """
     f = emb.features
-    cosine = metric == "cosine-distance"
+    cosine = emb.metric == "cosine-distance"
     extreme = np.maximum if cosine else np.minimum
     for g0, g1, a, b in _screen_chunks(emb, cols, lo, hi):
         rows = slice(a, b) if points is None else points[a:b]
@@ -523,7 +526,7 @@ def _screen_rows(emb: EmbeddingSet, metric: str, lo: int, hi: int,
         if not cosine:
             prod += shift[g0:g1, None]
         near = extreme.reduce(prod, axis=0)
-        _screen_finish(emb, metric, near, rows)
+        _screen_finish(emb, near, rows)
         part = out[a - lo:b - lo]
         np.minimum(part, near, out=part)
 
@@ -532,48 +535,46 @@ class Cover:
     """Each point's distance to its nearest center, brought up to date only
     where it is read.
 
-    ``near`` starts as the first center's :func:`metric_row`, which
-    checks the metric and the row norms (:func:`_check_rows`) once, before
-    any other distance, or as a copy of that row that the caller hands over
-    as ``row``. ``held[i]`` counts the leading ``centers`` that ``near[i]``
-    holds. The constructor's other centers and :meth:`add` read nothing
-    (an add given the new center's row folds it in). A read folds in the
-    centers that the least current of its points lacks: :meth:`screen`
-    over a kernel block, :meth:`gather` over any points. A point already
-    ahead of that count takes some of its centers again, which leaves it
-    within the same bound (a minimum taken twice). Where ``delta`` is set the
-    fold is one matrix product (:func:`_screen_rows`) from ``cols`` and
-    ``shift``, every center in product form (:func:`_product_form`; rows
-    past the last center are room to grow), and each value of ``near`` is
-    then within ``delta`` (:func:`_screen_delta`) of ``np.minimum`` folded
-    over every center's :func:`metric_row`; :meth:`exact` gives that fold's
-    floats at any points.
+    ``near`` starts as the first center's :func:`metric_row`, or as a copy
+    of that row that the caller hands over as ``row``. ``held[i]`` counts
+    the leading ``centers`` that ``near[i]`` holds. The constructor's other
+    centers and :meth:`add` read nothing (an add given the new center's row
+    folds it in). A read folds in the centers that the least current of its
+    points lacks: :meth:`screen` over a kernel block, :meth:`gather` over
+    any points. A point already ahead of that count takes some of its
+    centers again, which leaves it within the same bound (a minimum taken
+    twice). Where ``delta`` is set the fold is one matrix product
+    (:func:`_screen_rows`) from ``cols`` and ``shift``, every center in
+    product form (:func:`_product_form`; rows past the last center are room
+    to grow), and each value of ``near`` is then within ``delta``
+    (:func:`_screen_delta`) of ``np.minimum`` folded over every center's
+    :func:`metric_row`; :meth:`exact` gives that fold's floats at any
+    points.
 
     Where the screen cannot tell distances apart (a ``delta`` of more than
     1/:data:`SCREEN_SPREAD` of the first center's farthest distance, a
     single block, or manhattan, which has no screen), ``delta`` is 0 and
-    the reads fold exactly (:func:`fold_block`, or the gathered row
-    kernel): a point brought up to date then holds the fold bit for bit,
+    the reads fold exactly (:func:`fold_block`, over a block or gathered
+    points): a point brought up to date then holds the fold bit for bit,
     whatever reads came between the adds.
     """
 
-    def __init__(self, emb: EmbeddingSet, metric: str, centers,
+    def __init__(self, emb: EmbeddingSet, centers,
                  row: np.ndarray | None = None):
-        self.emb, self.metric = emb, metric
+        self.emb = emb
         self.centers = [int(c) for c in centers]
         if not self.centers:
             raise EmptyCenters()
-        self.near = (metric_row(emb, metric, self.centers[0]) if row is None
-                     else row)
+        self.near = metric_row(emb, self.centers[0]) if row is None else row
         self.held = np.ones(emb.n, dtype=np.int32)
         self.step = block_rows(emb)
         self.blocks = -(-emb.n // self.step)
         # one block holds every maximum, so a screen cannot spare its reads
-        delta = _screen_delta(emb, metric) if self.blocks > 1 else np.inf
+        delta = _screen_delta(emb) if self.blocks > 1 else np.inf
         on = SCREEN_SPREAD * delta <= self.near.max()
         self.delta = delta if on else 0.0
         if on:
-            self.cols, self.shift = _product_form(emb, metric, self.centers)
+            self.cols, self.shift = _product_form(emb, self.centers)
 
     def add(self, c: int, row: np.ndarray | None = None) -> None:
         """Make point c a center. ``row``, c's :func:`metric_row` where the
@@ -589,7 +590,7 @@ class Cover:
         if m > len(self.cols):      # double the room
             self.cols = np.concatenate([self.cols, self.cols])
             self.shift = np.concatenate([self.shift, self.shift])
-        col, shift = _product_form(self.emb, self.metric, [c])
+        col, shift = _product_form(self.emb, [c])
         self.cols[m - 1], self.shift[m - 1] = col[0], shift[0]
 
     def screen(self, b: int) -> np.ndarray:
@@ -599,11 +600,10 @@ class Cover:
         first = held.min()
         if first < m:
             if self.delta:
-                _screen_rows(self.emb, self.metric, lo, lo + s.size,
-                             self.cols[first:m], self.shift[first:m], s)
+                _screen_rows(self.emb, lo, lo + s.size, self.cols[first:m],
+                             self.shift[first:m], s)
             else:
-                fold_block(self.emb, self.metric, self.centers[first:], lo,
-                           lo + s.size, s)
+                fold_block(self.emb, self.centers[first:], lo, lo + s.size, s)
             held[:] = m
         return s
 
@@ -613,22 +613,19 @@ class Cover:
 
         The same fold as :meth:`screen`, over the gathered points: one
         :func:`_screen_rows` product where ``delta`` is set, and otherwise
-        the gathered row kernel of each center they lack, folded with
-        ``np.minimum``. Each entry comes from its own row alone, so the
-        latter is :func:`fold_block`'s floats bit for bit.
+        :func:`fold_block`. Each entry comes from its own row alone, so the
+        latter gives the floats of a block's fold bit for bit.
         """
         s = self.near[points]
         m = len(self.centers)
         first = self.held[points].min(initial=m)
         if first < m:
             if self.delta:
-                _screen_rows(self.emb, self.metric, 0, points.size,
-                             self.cols[first:m], self.shift[first:m], s,
-                             points)
+                _screen_rows(self.emb, 0, points.size, self.cols[first:m],
+                             self.shift[first:m], s, points)
             else:
-                for c in self.centers[first:]:
-                    np.minimum(s, _row_block(self.emb, self.metric, c, 0,
-                                             points.size, points), out=s)
+                fold_block(self.emb, self.centers[first:], 0, points.size, s,
+                           points)
             self.near[points] = s
             self.held[points] = m
         return s
@@ -652,19 +649,19 @@ class Cover:
             for b in np.flatnonzero(read):
                 self.screen(b)
             return self.near[points]
-        emb, metric, m = self.emb, self.metric, len(self.centers)
+        emb, m = self.emb, len(self.centers)
         cols, limit = self.cols[:m], near + 2.0 * self.delta
         d = np.full(points.size, np.inf)
         for g0, g1, a, b in _screen_chunks(emb, cols, 0, points.size):
             rows = points[a:b]
             s = cols[g0:g1] @ emb.features[rows].T
-            if metric != "cosine-distance":
+            if emb.metric != "cosine-distance":
                 s += self.shift[g0:g1, None]
-            _screen_finish(emb, metric, s, rows)
+            _screen_finish(emb, s, rows)
             hits = s <= limit[a:b]
             for g in np.flatnonzero(hits.any(axis=1)):
                 at = a + np.flatnonzero(hits[g])
-                row = _row_block(emb, metric, self.centers[g0 + g], 0, at.size,
+                row = _row_block(emb, self.centers[g0 + g], 0, at.size,
                                  points[at])
                 d[at] = np.minimum(d[at], row)
         return d
@@ -697,10 +694,10 @@ class Cover:
             for g in range(0, len(cols), _RADIUS_GROUP):
                 group = cols[g:g + _RADIUS_GROUP], shift[g:g + _RADIUS_GROUP]
                 if points.size == hi - lo:  # none dropped: read in place
-                    _screen_rows(self.emb, self.metric, lo, hi, *group, near)
+                    _screen_rows(self.emb, lo, hi, *group, near)
                 else:
-                    _screen_rows(self.emb, self.metric, 0, points.size,
-                                 *group, near, points)
+                    _screen_rows(self.emb, 0, points.size, *group, near,
+                                 points)
                 keep = near + delta >= lower
                 points, near = points[keep], near[keep]
             lower = max(lower, float(near.max(initial=-np.inf)) - delta)
@@ -711,9 +708,9 @@ class Cover:
         return float(self.exact(kept_points, kept_near).max())
 
 
-def distance_matrix(emb: EmbeddingSet, metric: str) -> np.ndarray:
+def distance_matrix(emb: EmbeddingSet) -> np.ndarray:
     """Full (n, n) matrix assembled from metric_row. Small instances only."""
-    return np.stack([metric_row(emb, metric, i) for i in range(emb.n)])
+    return np.stack([metric_row(emb, i) for i in range(emb.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -1009,9 +1006,10 @@ def load_matrix(path, fmt: str = "csv", dim: int | None = None,
     return arr
 
 
-def load_embeddings(path, fmt: str = "csv", dim: int | None = None,
+def load_embeddings(path, metric: str, fmt: str = "csv",
+                    dim: int | None = None,
                     header: bool = False) -> EmbeddingSet:
-    return EmbeddingSet(load_matrix(path, fmt, dim, header))
+    return EmbeddingSet(load_matrix(path, fmt, dim, header), metric)
 
 
 def load_probabilities(path, fmt: str = "csv", classes: int | None = None,

@@ -50,7 +50,8 @@ EXAMPLE_OPT_SUBSET = tuple(range(8))
 
 
 def gen_worked_example() -> tuple[EmbeddingSet, WeightVector]:
-    return EmbeddingSet(_EXAMPLE_POINTS), WeightVector(_EXAMPLE_WEIGHTS)
+    return (EmbeddingSet(_EXAMPLE_POINTS, EXAMPLE_METRIC),
+            WeightVector(_EXAMPLE_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,8 @@ class SyntheticSpec:
     weight_scheme: str = "uniform"
 
 
-def gen_clusters(spec: SyntheticSpec) -> tuple[EmbeddingSet, WeightVector]:
-    """Draw an instance per the spec. Same spec, same instance.
+def gen_clusters(spec: SyntheticSpec) -> tuple[np.ndarray, WeightVector]:
+    """Draw points and weights per the spec. Same spec, same instance.
 
     Weight schemes: "uniform" draws iid U[0,1); "per-cluster" shares one
     U[0,1) draw across a cluster; "distance-proxy" maps distance to the own
@@ -74,10 +75,10 @@ def gen_clusters(spec: SyntheticSpec) -> tuple[EmbeddingSet, WeightVector]:
     if spec.kind not in KINDS:
         raise InvalidArgument(kind=spec.kind)
     if spec.kind == "worked-example":
-        return gen_worked_example()
+        return _EXAMPLE_POINTS.copy(), WeightVector(_EXAMPLE_WEIGHTS)
     if spec.n < 1 or spec.dim < 1:
         raise InvalidArgument(n=spec.n, dim=spec.dim)
-    if spec.spread < 0.0:
+    if not 0.0 <= spec.spread < np.inf:
         raise InvalidArgument(spread=spec.spread)
     rng = np.random.default_rng(spec.seed)
 
@@ -112,6 +113,6 @@ def gen_clusters(spec: SyntheticSpec) -> tuple[EmbeddingSet, WeightVector]:
     else:
         raise InvalidArgument(weight_scheme=spec.weight_scheme)
 
-    # handed over read-only, so the container takes it without a copy
+    # read-only, so that a set made from it takes it without a copy
     points.setflags(write=False)
-    return EmbeddingSet(points), WeightVector(w)
+    return points, WeightVector(w)

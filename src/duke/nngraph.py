@@ -3,7 +3,7 @@
 Construction is a straight all-pairs scan per node. Neighbor lists are sorted
 by (distance, index), self excluded, and clamped to n-1 entries. Stored
 distances are entries of ``metric_row``: the edge (i, j) holds
-``metric_row(emb, metric, i)[j]`` exactly. Each row is partitioned to its
+``metric_row(emb, i)[j]`` exactly. Each row is partitioned to its
 kk-th distance in linear time, and only the points at or below it are
 sorted. A graph whose scan would take more than :data:`WORK_BUDGET`
 multiply-adds is refused before the first row.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EmbeddingSet, metric_row, _check_rows
+from .dataset import EmbeddingSet, metric_row
 from .errors import InstanceTooLarge, InvalidArgument
 
 __all__ = ["NeighborGraph", "build_knn_graph", "export_graph", "WORK_BUDGET"]
@@ -43,20 +43,19 @@ class NeighborGraph:
         return self.neighbor_indices[i], self.neighbor_dists[i]
 
 
-def build_knn_graph(emb: EmbeddingSet, k_nn: int, metric: str) -> NeighborGraph:
+def build_knn_graph(emb: EmbeddingSet, k_nn: int) -> NeighborGraph:
     if k_nn < 1:
         raise InvalidArgument(k_nn=k_nn)
     n = emb.n
     work = n * n * emb.dim
     if work > WORK_BUDGET:
         raise InstanceTooLarge(work=work, budget=WORK_BUDGET)
-    _check_rows(emb, metric)
     kk = min(k_nn, n - 1)
     idx_out = np.empty((n, kk), dtype=np.int64)
     dist_out = np.empty((n, kk), dtype=np.float64)
     for i in range(n if kk else 0):
         # position j of the others stands for point j, or j + 1 from i on
-        others = np.delete(metric_row(emb, metric, i), i)
+        others = np.delete(metric_row(emb, i), i)
         kth = np.partition(others, kk - 1)[kk - 1]
         near = np.flatnonzero(others <= kth)
         near = near[np.lexsort((near, others[near]))][:kk]

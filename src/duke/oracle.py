@@ -62,8 +62,8 @@ def _chunk_size(n: int, k: int) -> int:
     return MEMORY_BUDGET // (8 * n * k)
 
 
-def brute_force_weighted(emb: EmbeddingSet, metric: str, weights: WeightVector,
-                         k: int, lambda_: float,
+def brute_force_weighted(emb: EmbeddingSet, weights: WeightVector, k: int,
+                         lambda_: float,
                          cap: int = ENUMERATION_CAP) -> OracleResult:
     n = emb.n
     if weights.n != n:
@@ -71,7 +71,7 @@ def brute_force_weighted(emb: EmbeddingSet, metric: str, weights: WeightVector,
     check_lambda(lambda_)
     total = _check_budget(n, k, cap)
     chunk = _chunk_size(n, k)
-    dist = distance_matrix(emb, metric)
+    dist = distance_matrix(emb)
     w = weights.values
 
     best_obj = np.inf
@@ -106,13 +106,13 @@ def brute_force_weighted(emb: EmbeddingSet, metric: str, weights: WeightVector,
                         enumerated=total)
 
 
-def brute_force_kcenter(emb: EmbeddingSet, metric: str, k: int,
+def brute_force_kcenter(emb: EmbeddingSet, k: int,
                         weights: WeightVector | None = None,
                         cap: int = ENUMERATION_CAP) -> OracleResult:
     """Optimal covering radius (lambda = 0). When ``weights`` is given the
     winning subset's weight sum is reported, but plays no role in selection."""
     zero = WeightVector(np.zeros(emb.n))
-    res = brute_force_weighted(emb, metric, zero, k, 0.0, cap=cap)
+    res = brute_force_weighted(emb, zero, k, 0.0, cap=cap)
     wsum = 0.0
     if weights is not None:
         if weights.n != emb.n:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import EmbeddingSet, WeightVector
-from .errors import InvalidArgument, SizeMismatch, TooManyWorkers
+from .errors import InvalidArgument, TooManyWorkers
 from .wkcenter import (GammaSpan, SubsetSolution, check_selection,
                        evaluate_solution, weighted_kcenter)
 
@@ -40,17 +40,14 @@ def make_partition(n: int, m: int, seed: int = 0,
     return [np.sort(perm[w::m]) for w in range(m)]
 
 
-def parallel_weighted_kcenter(emb: EmbeddingSet, metric: str,
-                              weights: WeightVector, k: int, lambda_: float,
-                              gamma: float,
+def parallel_weighted_kcenter(emb: EmbeddingSet, weights: WeightVector,
+                              k: int, lambda_: float, gamma: float,
                               parts: list[np.ndarray]) -> SubsetSolution:
     """Select on each part, then reselect on the union of the picks.
 
     ``parts`` must hold every index in ``range(n)`` exactly once."""
     n = emb.n
-    check_selection(n, k, lambda_, gamma)
-    if weights.n != n:
-        raise SizeMismatch(expected=n, got=weights.n)
+    check_selection(emb, weights, k, lambda_, gamma)
     if not 1 <= len(parts) <= n:
         raise TooManyWorkers(m=len(parts), n=n)
     if not np.array_equal(np.sort(np.concatenate(parts)), np.arange(n)):
@@ -60,20 +57,18 @@ def parallel_weighted_kcenter(emb: EmbeddingSet, metric: str,
     for part in parts:
         if part.size == 0:
             continue
-        sub_sol = weighted_kcenter(emb.subset(part), metric,
-                                   weights.subset(part),
+        sub_sol = weighted_kcenter(emb.subset(part), weights.subset(part),
                                    min(k, int(part.size)), lambda_, gamma)
         candidate_lists.append(part[np.asarray(sub_sol.indices)])
         spans.append(sub_sol.span)
 
     union = np.sort(np.concatenate(candidate_lists))
-    red_sol = weighted_kcenter(emb.subset(union), metric,
-                               weights.subset(union), min(k, int(union.size)),
-                               lambda_, gamma)
+    red_sol = weighted_kcenter(emb.subset(union), weights.subset(union),
+                               min(k, int(union.size)), lambda_, gamma)
     spans.append(red_sol.span)
 
     return evaluate_solution(
-        emb, metric, weights, lambda_, union[red_sol.indices], "parallel",
+        emb, weights, lambda_, union[red_sol.indices], "parallel",
         gamma_used=gamma,
         extra={"machines": len(parts), "union_size": int(union.size),
                "worker_candidates": [sorted(map(int, c))

@@ -10,6 +10,7 @@ offending instance.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,7 @@ class PropertyStat:
 @dataclass
 class VerifySummary:
     stats: list[PropertyStat] = field(default_factory=list)
+    ms: dict[str, float] = field(default_factory=dict)  # wall ms per suite
 
     def stat(self, name: str) -> PropertyStat:
         for s in self.stats:
@@ -81,21 +83,25 @@ class VerifySummary:
 
 
 def _serialize(emb: EmbeddingSet, weights: WeightVector, k: int, lam: float,
-               metric: str, note: str) -> str:
+               note: str) -> str:
     coords = [[repr(v) for v in row] for row in emb.features.tolist()]
     ws = [repr(v) for v in weights.values.tolist()]
     return (f"{note}\n  n={emb.n} dim={emb.dim} k={k} lambda={lam!r} "
-            f"metric={metric}\n  coords={coords}\n  weights={ws}")
+            f"metric={emb.metric}\n  coords={coords}\n  weights={ws}")
 
 
-def _rand_instance(rng: np.random.Generator, n_lo: int, n_hi: int,
-                   k_max: int) -> tuple[EmbeddingSet, WeightVector, int]:
+def _rand_instance(rng: np.random.Generator, t: int, n_lo: int, n_hi: int,
+                   k_max: int
+                   ) -> tuple[EmbeddingSet, WeightVector, int, float]:
+    """Trial t's instance and lambda; lambda and metric cycle with t."""
+    lam = _LAMBDAS[t % len(_LAMBDAS)]
+    metric = _METRICS[(t // len(_LAMBDAS)) % len(_METRICS)]
     n = int(rng.integers(n_lo, n_hi + 1))
     dim = int(rng.integers(2, 4))
     pts = rng.normal(0.0, 1.0, size=(n, dim))
     w = rng.uniform(0.0, 1.0, size=n)
     k = int(rng.integers(1, max(2, min(k_max, n - 1)) + 1))
-    return EmbeddingSet(pts), WeightVector(w), k
+    return EmbeddingSet(pts, metric), WeightVector(w), k, lam
 
 
 def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
@@ -118,48 +124,46 @@ def bounds_suite(trials: int = 200, seed: int = 0, n_max: int = 14,
     s_greedy_cos = summary.stat("greedy_within_4x_kcenter_opt_cosine")
 
     for t in range(trials):
-        lam = _LAMBDAS[t % len(_LAMBDAS)]
-        metric = _METRICS[(t // len(_LAMBDAS)) % len(_METRICS)]
-        emb, weights, k = _rand_instance(rng, 5, n_max, k_max)
+        emb, weights, k, lam = _rand_instance(rng, t, 5, n_max, k_max)
 
-        opt = brute_force_weighted(emb, metric, weights, k, lam)
+        opt = brute_force_weighted(emb, weights, k, lam)
         gamma_star = opt.radius_term
-        sol = weighted_kcenter(emb, metric, weights, k, lam, gamma_star)
+        sol = weighted_kcenter(emb, weights, k, lam, gamma_star)
 
         ratio = sol.objective / opt.objective
         s_ratio.record(sol.objective <= 3.0 * opt.objective, ratio,
-                       _serialize(emb, weights, k, lam, metric,
+                       _serialize(emb, weights, k, lam,
                                   f"objective {sol.objective!r} > 3x opt {opt.objective!r}"))
         s_weight.record(sol.weight_term <= opt.weight_term, None,
-                        _serialize(emb, weights, k, lam, metric,
+                        _serialize(emb, weights, k, lam,
                                    f"weight {sol.weight_term!r} > opt weight {opt.weight_term!r}"))
         s_radius.record(sol.radius_term <= 3.0 * gamma_star,
                         sol.radius_term / gamma_star if gamma_star > 0 else None,
-                        _serialize(emb, weights, k, lam, metric,
+                        _serialize(emb, weights, k, lam,
                                    f"radius {sol.radius_term!r} > 3x gamma* {gamma_star!r}"))
 
         for alpha in _ALPHAS:
-            sol_a = weighted_kcenter(emb, metric, weights, k, lam,
+            sol_a = weighted_kcenter(emb, weights, k, lam,
                                      alpha * gamma_star)
             bound = 3.0 * alpha * opt.objective
             s_alpha.record(sol_a.objective <= bound,
                            sol_a.objective / opt.objective,
-                           _serialize(emb, weights, k, lam, metric,
+                           _serialize(emb, weights, k, lam,
                                       f"alpha={alpha} objective {sol_a.objective!r} > {bound!r}"))
 
-        kc = brute_force_kcenter(emb, metric, k)
+        kc = brute_force_kcenter(emb, k)
         gamma1 = kc.radius_term
-        gamma2 = gamma_bounds(emb, metric, weights, k).hi
+        gamma2 = gamma_bounds(emb, weights, k).hi
         s_bracket.record(gamma1 <= gamma_star <= gamma2, None,
-                         _serialize(emb, weights, k, lam, metric,
+                         _serialize(emb, weights, k, lam,
                                     f"bracket failed: {gamma1!r} <= {gamma_star!r} <= {gamma2!r}"))
 
-        grd = greedy_kcenter(emb, metric, weights, k)
-        factor = 4.0 if metric == "cosine-distance" else 2.0
-        stat = s_greedy_cos if metric == "cosine-distance" else s_greedy
+        grd = greedy_kcenter(emb, weights, k)
+        factor = 4.0 if emb.metric == "cosine-distance" else 2.0
+        stat = s_greedy_cos if emb.metric == "cosine-distance" else s_greedy
         stat.record(grd.radius_term <= factor * gamma1,
                     grd.radius_term / gamma1 if gamma1 > 0 else None,
-                    _serialize(emb, weights, k, lam, metric,
+                    _serialize(emb, weights, k, lam,
                                f"greedy radius {grd.radius_term!r} > {factor}x opt {gamma1!r}"))
     return summary
 
@@ -173,27 +177,25 @@ def parallel_suite(trials: int = 60, seed: int = 2) -> VerifySummary:
     s_one = summary.stat("single_machine_matches_sequential")
 
     for t in range(trials):
-        lam = _LAMBDAS[t % len(_LAMBDAS)]
-        metric = _METRICS[(t // len(_LAMBDAS)) % len(_METRICS)]
-        emb, weights, k = _rand_instance(rng, 6, 12, 4)
+        emb, weights, k, lam = _rand_instance(rng, t, 6, 12, 4)
 
-        opt = brute_force_weighted(emb, metric, weights, k, lam)
+        opt = brute_force_weighted(emb, weights, k, lam)
         gamma = opt.radius_term
-        seq = weighted_kcenter(emb, metric, weights, k, lam, gamma)
+        seq = weighted_kcenter(emb, weights, k, lam, gamma)
         strategy = "round-robin" if t % 2 == 0 else "random"
         for m in _MACHINES:
             if m > emb.n:
                 continue
             parts = make_partition(emb.n, m, seed=t, strategy=strategy)
-            par = parallel_weighted_kcenter(emb, metric, weights, k, lam,
+            par = parallel_weighted_kcenter(emb, weights, k, lam,
                                             gamma, parts)
             s_qual.record(par.objective <= 14.0 * opt.objective,
                           par.objective / opt.objective,
-                          _serialize(emb, weights, k, lam, metric,
+                          _serialize(emb, weights, k, lam,
                                      f"m={m} objective {par.objective!r} > 14x opt {opt.objective!r}"))
             if m == 1:
                 s_one.record(sorted(par.indices) == sorted(seq.indices), None,
-                             _serialize(emb, weights, k, lam, metric,
+                             _serialize(emb, weights, k, lam,
                                         f"m=1 {sorted(par.indices)} != {sorted(seq.indices)}"))
     return summary
 
@@ -229,12 +231,12 @@ def early_stop_suite(instances: int = 200, seed: int = 3) -> VerifySummary:
             w = np.round(w, 1)
         lam = _LAMBDAS[t % len(_LAMBDAS)]
         k = int(rng.integers(1, min(n, 20) + 1))
-        emb, weights = EmbeddingSet(pts), WeightVector(w)
+        emb, weights = EmbeddingSet(pts, metric), WeightVector(w)
 
-        sol, trace = gamma_search(emb, metric, weights, k, lam, _GRID_SIZE)
-        grid = make_gamma_grid(*gamma_bounds(emb, metric, weights, k)[:2],
+        sol, trace = gamma_search(emb, weights, k, lam, _GRID_SIZE)
+        grid = make_gamma_grid(*gamma_bounds(emb, weights, k)[:2],
                                _GRID_SIZE)
-        runs = [weighted_kcenter(emb, metric, weights, k, lam, float(g))
+        runs = [weighted_kcenter(emb, weights, k, lam, float(g))
                 for g in grid]
         best = min(runs, key=lambda r: r.objective)   # first of equals
         same = (trace == [(float(g), r.objective) for g, r in zip(grid, runs)]
@@ -243,7 +245,7 @@ def early_stop_suite(instances: int = 200, seed: int = 3) -> VerifySummary:
                 and sol.gamma_used == best.gamma_used)
         s_eq.record(same,
                     sol.objective / best.objective if best.objective > 0 else None,
-                    _serialize(emb, weights, k, lam, metric,
+                    _serialize(emb, weights, k, lam,
                                f"search {sol.indices} at gamma={sol.gamma_used!r} "
                                f"!= full grid {best.indices} at gamma={best.gamma_used!r}"))
     return summary
@@ -253,8 +255,12 @@ def run_full(trials: int = 200, parallel_trials: int = 60, seed: int = 0,
              n_max: int = 14, k_max: int = 6) -> VerifySummary:
     """Every suite: the bounds and early-stop suites run ``trials`` instances
     each, the parallel suite ``parallel_trials``."""
-    summary = bounds_suite(trials=trials, seed=seed, n_max=n_max,
-                           k_max=k_max)
-    summary.merge(parallel_suite(trials=parallel_trials, seed=seed + 2))
-    summary.merge(early_stop_suite(instances=trials, seed=seed + 3))
+    summary = VerifySummary()
+    for name, suite, *args in (
+            ("bounds", bounds_suite, trials, seed, n_max, k_max),
+            ("parallel", parallel_suite, parallel_trials, seed + 2),
+            ("early_stop", early_stop_suite, trials, seed + 3)):
+        t0 = time.perf_counter()
+        summary.merge(suite(*args))
+        summary.ms[name] = 1e3 * (time.perf_counter() - t0)
     return summary

@@ -118,9 +118,13 @@ def check_lambda(lambda_: float) -> None:
         raise InvalidArgument(lambda_=lambda_)
 
 
-def check_selection(n: int, k: int, lambda_: float, gamma: float) -> None:
-    """Reject a budget outside [1, n], a bad lambda or a negative or NaN
-    gamma; gamma = inf is a legal all-fill run."""
+def check_selection(emb: EmbeddingSet, weights: WeightVector, k: int,
+                    lambda_: float, gamma: float) -> None:
+    """Reject weights not one per point, a budget outside [1, n], a bad
+    lambda or a negative or NaN gamma; gamma = inf is a legal all-fill run."""
+    n = emb.n
+    if weights.n != n:
+        raise SizeMismatch(expected=n, got=weights.n)
     if k < 1 or k > n:
         raise BudgetExceedsGroundSet(k=k, n=n)
     check_lambda(lambda_)
@@ -195,7 +199,7 @@ def _scored(weights: WeightVector, lambda_: float, indices, radius: float,
                           algorithm=algorithm, gamma_used=gamma_used, **fields)
 
 
-def evaluate_solution(emb: EmbeddingSet, metric: str, weights: WeightVector,
+def evaluate_solution(emb: EmbeddingSet, weights: WeightVector,
                       lambda_: float, indices, algorithm: str,
                       **fields) -> SubsetSolution:
     """Score a selection by the covering radius of a
@@ -206,7 +210,7 @@ def evaluate_solution(emb: EmbeddingSet, metric: str, weights: WeightVector,
     if weights.n != emb.n:
         raise SizeMismatch(expected=emb.n, got=weights.n)
     return _scored(weights, lambda_, indices,
-                   Cover(emb, metric, indices).radius(), algorithm, **fields)
+                   Cover(emb, indices).radius(), algorithm, **fields)
 
 
 # Rows per kernel block whose screened distances the traversal keeps up to
@@ -220,8 +224,8 @@ def evaluate_solution(emb: EmbeddingSet, metric: str, weights: WeightVector,
 _HEAD = 128
 
 
-def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
-                   k: int, lambda_: float = 0.0) -> SubsetSolution:
+def greedy_kcenter(emb: EmbeddingSet, weights: WeightVector, k: int,
+                   lambda_: float = 0.0) -> SubsetSolution:
     """Farthest-point traversal from point 0. 2-approximation for the
     k-center radius.
 
@@ -256,10 +260,8 @@ def greedy_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     point, bit for bit.
     """
     n = emb.n
-    check_selection(n, k, lambda_, 0.0)
-    if weights.n != n:
-        raise SizeMismatch(expected=n, got=weights.n)
-    cover = Cover(emb, metric, [0])
+    check_selection(emb, weights, k, lambda_, 0.0)
+    cover = Cover(emb, [0])
     selected, step, delta = cover.centers, cover.step, cover.delta
     chosen = np.zeros(n, dtype=bool)    # selected points, out of the heads
     chosen[0] = True
@@ -362,10 +364,10 @@ class _Nearest:
     decision is settled exactly.
     """
 
-    def __init__(self, emb: EmbeddingSet, metric: str, order: np.ndarray,
+    def __init__(self, emb: EmbeddingSet, order: np.ndarray,
                  row: np.ndarray | None = None):
-        self.emb, self.metric, self.order = emb, metric, order
-        self.cover = Cover(emb, metric, order[:1], row)
+        self.emb, self.order = emb, order
+        self.cover = Cover(emb, order[:1], row)
         self.delta = self.cover.delta
 
     def next_far(self, start: int, t: float) -> tuple[int, float]:
@@ -418,7 +420,7 @@ class _Nearest:
         points = self.order[ahead]
         row = None
         if ahead.size * _BALL_SHARE > self.emb.n:
-            row = metric_row(self.emb, self.metric, c)
+            row = metric_row(self.emb, c)
             lower = row[points]
             p = int(np.argmax(lower <= gamma))
         else:
@@ -426,25 +428,24 @@ class _Nearest:
             within = np.zeros(ahead.size, dtype=bool)
             if self.delta:
                 s = np.full(ahead.size, np.inf)
-                _screen_rows(self.emb, self.metric, 0, ahead.size - 1,
-                             *_product_form(self.emb, self.metric, [c]), s,
-                             points)
+                _screen_rows(self.emb, 0, ahead.size - 1,
+                             *_product_form(self.emb, [c]), s, points)
                 lower = s - self.delta
                 within = s + self.delta <= gamma
             within[-1] = True
             p = int(np.argmax(within))
             band = np.flatnonzero(lower[:p] <= gamma)
             if band.size:
-                lower[band] = e = _row_block(self.emb, self.metric, c, 0,
-                                             band.size, points[band])
+                lower[band] = e = _row_block(self.emb, c, 0, band.size,
+                                             points[band])
                 inside = np.flatnonzero(e <= gamma)
                 if inside.size:
                     p = int(band[inside[0]])
         return int(ahead[p]), float(lower[:p].min(initial=np.inf)), row
 
 
-def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
-                     k: int, lambda_: float, gamma: float,
+def weighted_kcenter(emb: EmbeddingSet, weights: WeightVector, k: int,
+                     lambda_: float, gamma: float,
                      bracket: GammaBracket | None = None) -> SubsetSolution:
     """The selector at a fixed gamma.
 
@@ -479,14 +480,12 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
     each by a certified lower bound on the distance it compared. The fill
     picks do not depend on gamma.
 
-    ``bracket``, the :func:`gamma_bounds` of the same points, metric and
-    weights, hands over the (weight, index) order and the seed's row, so
-    the run computes neither; it folds into its own copy of the row.
+    ``bracket``, the :func:`gamma_bounds` of the same set and weights,
+    hands over the (weight, index) order and the seed's row, so the run
+    computes neither; it folds into its own copy of the row.
     """
     n = emb.n
-    check_selection(n, k, lambda_, gamma)
-    if weights.n != n:
-        raise SizeMismatch(expected=n, got=weights.n)
+    check_selection(emb, weights, k, lambda_, gamma)
     three_gamma = 3.0 * gamma
 
     if bracket is None:
@@ -495,7 +494,7 @@ def weighted_kcenter(emb: EmbeddingSet, metric: str, weights: WeightVector,
         order, row = bracket.order, bracket.row.copy()
     taken = np.zeros(n, dtype=bool)     # indexed by position in ``order``
     taken[0] = True
-    near = _Nearest(emb, metric, order, row)
+    near = _Nearest(emb, order, row)
     selected = near.cover.centers
     t_hi = g_hi = np.inf
 
@@ -538,7 +537,7 @@ class GammaBracket(NamedTuple):
     row: np.ndarray
 
 
-def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
+def gamma_bounds(emb: EmbeddingSet, weights: WeightVector,
                  k: int) -> GammaBracket:
     """Bracket for the radius of the optimal weighted solution.
 
@@ -548,9 +547,9 @@ def gamma_bounds(emb: EmbeddingSet, metric: str, weights: WeightVector,
     best achievable radius and no weighted solution can beat that radius.
     The greedy run checks k and the weights first.
     """
-    lo = greedy_kcenter(emb, metric, weights, k).radius_term / 2.0
+    lo = greedy_kcenter(emb, weights, k).radius_term / 2.0
     order = np.lexsort((np.arange(emb.n), weights.values))
-    cover = Cover(emb, metric, order[:k])
+    cover = Cover(emb, order[:k])
     row = cover.near.copy()     # no block read yet: the first's row
     for a in (order, row):
         a.setflags(write=False)
@@ -574,7 +573,7 @@ def make_gamma_grid(gamma_lo: float, gamma_hi: float,
     return np.geomspace(lo, hi, grid_size)
 
 
-def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
+def gamma_search(emb: EmbeddingSet, weights: WeightVector, k: int,
                  lambda_: float, grid_size: int = 8,
                  runner: Callable[[float], SubsetSolution] | None = None,
                  ) -> tuple[SubsetSolution, list[tuple[float, float]]]:
@@ -596,16 +595,15 @@ def gamma_search(emb: EmbeddingSet, metric: str, weights: WeightVector, k: int,
     Returns the winning solution and the (gamma, objective) trace, one entry
     per grid gamma."""
     # the bracket's top is scored without a selector run that would check
-    check_selection(emb.n, k, lambda_, 0.0)
-    bracket = gamma_bounds(emb, metric, weights, k)
+    check_selection(emb, weights, k, lambda_, 0.0)
+    bracket = gamma_bounds(emb, weights, k)
     lo, hi, t0 = bracket[:3]
     if runner is None:
         def runner(gamma: float) -> SubsetSolution:
             if 3.0 * gamma >= t0:
                 return _scored(weights, lambda_, bracket.order[:k], hi, "duke",
                                gamma, far_rounds=0, span=GammaSpan(gamma))
-            return weighted_kcenter(emb, metric, weights, k, lambda_, gamma,
-                                    bracket)
+            return weighted_kcenter(emb, weights, k, lambda_, gamma, bracket)
     best: SubsetSolution | None = None
     last: SubsetSolution | None = None
     trace: list[tuple[float, float]] = []

@@ -38,11 +38,12 @@ def worked_example():
     """
     emb, weights = gen_worked_example()
 
-    plain = brute_force_kcenter(emb, EXAMPLE_METRIC, EXAMPLE_K, weights=weights)
+    assert emb.metric == EXAMPLE_METRIC
+    plain = brute_force_kcenter(emb, EXAMPLE_K, weights=weights)
     assert plain.radius_term == EXAMPLE_KCENTER_RADIUS
     assert plain.weight_term == EXAMPLE_KCENTER_WEIGHT
 
-    joint = brute_force_weighted(emb, EXAMPLE_METRIC, weights, EXAMPLE_K, EXAMPLE_LAMBDA)
+    joint = brute_force_weighted(emb, weights, EXAMPLE_K, EXAMPLE_LAMBDA)
     assert joint.objective == EXAMPLE_OPT_OBJECTIVE
     assert joint.radius_term == EXAMPLE_OPT_RADIUS
     assert joint.weight_term == EXAMPLE_OPT_WEIGHT
@@ -57,7 +58,8 @@ def line_points():
     reason about by hand."""
     from duke.dataset import EmbeddingSet
 
-    return EmbeddingSet(np.array([[0.0], [1.0], [2.0], [3.0], [10.0]]))
+    return EmbeddingSet(np.array([[0.0], [1.0], [2.0], [3.0], [10.0]]),
+                        "euclidean")
 
 
 @pytest.fixture()
@@ -65,7 +67,7 @@ def rng():
     return np.random.default_rng(0)
 
 
-def per_round_selection(emb, metric, w, k, gamma):
+def per_round_selection(emb, w, k, gamma):
     """The fixed-gamma selector by its definition, for tests to compare
     ``weighted_kcenter`` against: every round takes the minimum over every
     center's full distance row again, with no fill shortcut, row reuse or
@@ -80,7 +82,7 @@ def per_round_selection(emb, metric, w, k, gamma):
         return min(pool, key=lambda i: (w[i], i))
 
     def to_centers(centers):
-        return np.min([metric_row(emb, metric, c) for c in centers], axis=0)
+        return np.min([metric_row(emb, c) for c in centers], axis=0)
 
     selected = [lightest(range(emb.n))]
     far_rounds = 0
@@ -88,7 +90,7 @@ def per_round_selection(emb, metric, w, k, gamma):
         far = np.flatnonzero(to_centers(selected) > 3.0 * gamma).tolist()
         if far:
             far_rounds += 1
-            row = metric_row(emb, metric, lightest(far))
+            row = metric_row(emb, lightest(far))
             pool = np.flatnonzero(row <= gamma).tolist()
         else:
             pool = range(emb.n)
@@ -97,7 +99,7 @@ def per_round_selection(emb, metric, w, k, gamma):
     return selected, float(to_centers(selected).max()), far_rounds
 
 
-def farthest_point_traversal(emb, metric, k):
+def farthest_point_traversal(emb, k):
     """The farthest-point traversal by its definition, for tests to compare
     ``greedy_kcenter`` against: from point 0, every round folds the last
     pick's full distance row into every point and picks the unselected point
@@ -107,27 +109,29 @@ def farthest_point_traversal(emb, metric, k):
     from duke.dataset import metric_row
 
     selected = [0]
-    dmin = metric_row(emb, metric, 0).copy()
+    dmin = metric_row(emb, 0).copy()
     while len(selected) < k:
         masked = dmin.copy()
         masked[selected] = -np.inf
         selected.append(int(np.argmax(masked)))
-        np.minimum(dmin, metric_row(emb, metric, selected[-1]), out=dmin)
+        np.minimum(dmin, metric_row(emb, selected[-1]), out=dmin)
     return selected, float(dmin.max())
 
 
-def refused(emb, metric, call) -> bool:
-    """Whether a row of ``emb`` lies outside the squared-norm range on which
+def refused(pts, metric) -> bool:
+    """Whether a row of ``pts`` lies outside the squared-norm range on which
     every ``metric`` distance is finite (at most 2^900, and for cosine at
-    least 2^-900); if one does, ``call()`` must raise NormOutOfRange at the
-    first such row."""
-    sq = np.einsum("ij,ij->i", emb.features, emb.features)
+    least 2^-900); if one does, ``EmbeddingSet(pts, metric)`` must raise
+    NormOutOfRange at the first such row."""
+    from duke.dataset import EmbeddingSet
+
+    sq = np.einsum("ij,ij->i", pts, pts)
     low = 2.0 ** -900 if metric == "cosine-distance" else 0.0
     out = np.flatnonzero((sq > 2.0 ** 900) | (sq < low))
     if not out.size:
         return False
     with pytest.raises(NormOutOfRange) as exc:
-        call()
+        EmbeddingSet(pts, metric)
     assert exc.value.details == {"row": int(out[0])}
     return True
 

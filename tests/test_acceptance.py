@@ -54,9 +54,9 @@ def theorem_run():
 def test_criterion_01_worked_example_golden():
     t0 = time.perf_counter()
     emb, w = gen_worked_example()
-    plain = brute_force_kcenter(emb, "euclidean", 8, weights=w)
-    weighted = brute_force_weighted(emb, "euclidean", w, 8, 1.0)
-    sol = weighted_kcenter(emb, "euclidean", w, 8, 1.0, 2.0)
+    plain = brute_force_kcenter(emb, 8, weights=w)
+    weighted = brute_force_weighted(emb, w, 8, 1.0)
+    sol = weighted_kcenter(emb, w, 8, 1.0, 2.0)
     elapsed = time.perf_counter() - t0
     ok = (
         plain.radius_term == 1.0
@@ -103,14 +103,12 @@ def _cosine_lo_above_gamma_star(trials=200, seed=0):
     rng = np.random.default_rng(seed)
     above = total = 0
     for t in range(trials):
-        lam = verify._LAMBDAS[t % len(verify._LAMBDAS)]
-        metric = verify._METRICS[(t // len(verify._LAMBDAS)) % len(verify._METRICS)]
-        emb, weights, k = verify._rand_instance(rng, 5, 14, 6)
-        if metric != "cosine-distance":
+        emb, weights, k, lam = verify._rand_instance(rng, t, 5, 14, 6)
+        if emb.metric != "cosine-distance":
             continue
-        gamma_star = brute_force_weighted(emb, metric, weights, k, lam).radius_term
+        gamma_star = brute_force_weighted(emb, weights, k, lam).radius_term
         total += 1
-        above += gamma_bounds(emb, metric, weights, k).lo > gamma_star
+        above += gamma_bounds(emb, weights, k).lo > gamma_star
     return above, total
 
 
@@ -181,24 +179,23 @@ def _selector_instances(count, seed):
         lam = float(rng.uniform(0.0, 1.0))
         k = int(rng.integers(1, min(n, 50) + 1))
         a, b = rng.integers(0, n, size=2)
-        emb = EmbeddingSet(pts)
+        emb = EmbeddingSet(pts, metric)
         if t % 50 == 10:
             gamma = 0.0
         elif t % 50 == 20:
             gamma = 1e9
         else:
-            gamma = metric_row(emb, metric, int(a))[int(b)] * \
+            gamma = metric_row(emb, int(a))[int(b)] * \
                 float(rng.uniform(0.2, 1.5))
-        yield emb, WeightVector(w), metric, k, lam, gamma
+        yield emb, WeightVector(w), k, lam, gamma
 
 
 def test_criterion_07_selector_matches_definition():
     t0 = time.perf_counter()
     checks = violations = 0
-    for emb, w, metric, k, lam, gamma in _selector_instances(500, seed=1):
-        sol = weighted_kcenter(emb, metric, w, k, lam, gamma)
-        want, radius, far_rounds = per_round_selection(
-            emb, metric, w.values, k, gamma)
+    for emb, w, k, lam, gamma in _selector_instances(500, seed=1):
+        sol = weighted_kcenter(emb, w, k, lam, gamma)
+        want, radius, far_rounds = per_round_selection(emb, w.values, k, gamma)
         checks += 1
         violations += (sol.indices != want or sol.far_rounds != far_rounds
                        or struct.pack("<d", sol.radius_term) != struct.pack("<d", radius))
@@ -216,8 +213,9 @@ def test_criterion_08_near_linear_scaling():
     t0 = time.perf_counter()
 
     def build(n):
-        emb, w = gen_clusters(SyntheticSpec(kind="uniform-cube", n=n, dim=dim, seed=0))
-        lo, hi = gamma_bounds(emb, metric, w, k)[:2]
+        pts, w = gen_clusters(SyntheticSpec(kind="uniform-cube", n=n, dim=dim, seed=0))
+        emb = EmbeddingSet(pts, metric)
+        lo, hi = gamma_bounds(emb, w, k)[:2]
         gamma = float(np.sqrt(max(lo, 1e-12) * max(hi, lo, 1e-12)))
         return emb, w, gamma
 
@@ -230,7 +228,7 @@ def test_criterion_08_near_linear_scaling():
         for n in sizes:
             emb, w, gamma = prepared[n]
             t = time.perf_counter()
-            weighted_kcenter(emb, metric, w, k, default_lambda(k), gamma)
+            weighted_kcenter(emb, w, k, default_lambda(k), gamma)
             dt = time.perf_counter() - t
             if rnd > 0:
                 times[n] = min(times[n], dt)
@@ -264,13 +262,13 @@ def test_criterion_10_training_curves_out_of_scope():
     for trial in range(50):
         n = int(rng.integers(24, 80))
         k = int(rng.integers(3, 9))
-        emb = EmbeddingSet(rng.normal(size=(n, 3)))
+        emb = EmbeddingSet(rng.normal(size=(n, 3)), "euclidean")
         w = WeightVector(rng.random(n))
-        lo, hi = gamma_bounds(emb, "euclidean", w, k)[:2]
+        lo, hi = gamma_bounds(emb, w, k)[:2]
         gamma = float(np.sqrt(max(lo, 1e-12) * max(hi, lo, 1e-12)))
-        seq = weighted_kcenter(emb, "euclidean", w, k, 0.5, gamma)
+        seq = weighted_kcenter(emb, w, k, 0.5, gamma)
         for m in machines:
-            par = parallel_weighted_kcenter(emb, "euclidean", w, k, 0.5, gamma,
+            par = parallel_weighted_kcenter(emb, w, k, 0.5, gamma,
                                             make_partition(n, m, seed=trial))
             ratios[m].append(par.objective / seq.objective)
     shown = ", ".join(

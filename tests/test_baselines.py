@@ -70,12 +70,12 @@ def test_margin_minimizes_weight_sum(rng):
 
 
 def test_baseline_score_equals_the_definition(rng):
-    emb = EmbeddingSet(rng.normal(size=(20, 2)))
+    emb = EmbeddingSet(rng.normal(size=(20, 2)), "euclidean")
     w = WeightVector(rng.random(20))
     picks = random_select(20, 4, seed=0)
-    sol = evaluate_solution(emb, "euclidean", w, 0.5, picks, "random")
+    sol = evaluate_solution(emb, w, 0.5, picks, "random")
     # farthest point from its nearest pick, by full rows
-    radius = max(min(metric_row(emb, "euclidean", c)[i] for c in picks)
+    radius = max(min(metric_row(emb, c)[i] for c in picks)
                  for i in range(20))
     wsum = float(w.values[sorted(picks)].sum())
     assert (sol.radius_term, sol.weight_term) == (radius, wsum)
@@ -85,8 +85,8 @@ def test_baseline_score_equals_the_definition(rng):
 
 def test_utility_from_weights():
     # with no penalty the gains are the utilities 1 - weight, largest first
-    emb = EmbeddingSet(np.arange(6.0).reshape(3, 2) + 1.0)
-    graph = build_knn_graph(emb, 2, "euclidean")
+    emb = EmbeddingSet(np.arange(6.0).reshape(3, 2) + 1.0, "euclidean")
+    graph = build_knn_graph(emb, 2)
     picks, extra = submodular_greedy(
         graph, WeightVector(np.array([0.0, 0.25, 1.0])), lambda_s=0.0, k=3)
     assert picks == [0, 1, 2]
@@ -94,8 +94,8 @@ def test_utility_from_weights():
 
 
 def test_submodular_checks_its_arguments():
-    emb = EmbeddingSet(np.arange(6.0).reshape(3, 2) + 1.0)
-    graph = build_knn_graph(emb, 2, "euclidean")
+    emb = EmbeddingSet(np.arange(6.0).reshape(3, 2) + 1.0, "euclidean")
+    graph = build_knn_graph(emb, 2)
     w = WeightVector(np.array([0.0, 0.25, 1.0]))
     for lam in (-0.5, float("nan"), float("inf")):
         with pytest.raises(InvalidArgument):
@@ -110,8 +110,9 @@ def test_submodular_checks_its_arguments():
 def test_submodular_redundant_twin_is_skipped():
     # two coincident points and one orthogonal: after taking the first
     # twin, the second is heavily penalized and the novel direction wins
-    emb = EmbeddingSet(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    graph = build_knn_graph(emb, 1, "cosine-distance")
+    emb = EmbeddingSet(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                       "cosine-distance")
+    graph = build_knn_graph(emb, 1)
     # utilities 0.9, 0.9, 0.5
     w = WeightVector(np.array([0.1, 0.1, 0.5]))
     picks, _ = submodular_greedy(graph, w, lambda_s=10.0, k=2)
@@ -119,8 +120,8 @@ def test_submodular_redundant_twin_is_skipped():
 
 
 def test_submodular_zero_penalty_is_topk_utility():
-    emb = EmbeddingSet(np.arange(12.0).reshape(6, 2) + 1.0)
-    graph = build_knn_graph(emb, 2, "euclidean")
+    emb = EmbeddingSet(np.arange(12.0).reshape(6, 2) + 1.0, "euclidean")
+    graph = build_knn_graph(emb, 2)
     utils = np.array([0.1, 0.8, 0.3, 0.8, 0.9, 0.2])
     picks, extra = submodular_greedy(graph, WeightVector(1.0 - utils),
                                      lambda_s=0.0, k=3)
@@ -131,8 +132,8 @@ def test_submodular_zero_penalty_is_topk_utility():
 def test_submodular_marginal_gains_non_increasing(rng):
     # the penalty only accumulates, so the greedy pick sequence cannot
     # see gains rise between rounds
-    emb = EmbeddingSet(rng.normal(size=(25, 3)) + 5.0)
-    graph = build_knn_graph(emb, 4, "cosine-distance")
+    emb = EmbeddingSet(rng.normal(size=(25, 3)) + 5.0, "cosine-distance")
+    graph = build_knn_graph(emb, 4)
     _, extra = submodular_greedy(graph, WeightVector(rng.random(25)),
                                  lambda_s=0.7, k=10)
     gains = extra["marginal_gains"]
@@ -152,8 +153,8 @@ def test_submodular_greedy_near_optimal(rng):
         return total
 
     for trial in range(6):
-        emb = EmbeddingSet(rng.normal(size=(10, 2)) + 4.0)
-        graph = build_knn_graph(emb, 3, "cosine-distance")
+        emb = EmbeddingSet(rng.normal(size=(10, 2)) + 4.0, "cosine-distance")
+        graph = build_knn_graph(emb, 3)
         # weights in [0, 0.5): utilities above 0.5 keep the set function
         # monotone against the small penalty
         w = WeightVector(rng.random(10) * 0.5)
@@ -177,9 +178,9 @@ def test_submodular_gain_never_exceeds_the_picks_utility(metric, n, knn, scale,
     # lowers a gain; on spread-out euclidean or manhattan points a similarity
     # of 1 - d/2 would be negative and raise it
     rng = np.random.default_rng(seed)
-    emb = EmbeddingSet(scale * rng.normal(size=(n, 3)) + scale / 2)
+    emb = EmbeddingSet(scale * rng.normal(size=(n, 3)) + scale / 2, metric)
     w = WeightVector(rng.random(n))
-    graph = build_knn_graph(emb, knn, metric)
+    graph = build_knn_graph(emb, knn)
     k = int(rng.integers(1, n + 1))
     picks, extra = submodular_greedy(graph, w, lambda_s=lambda_s, k=k)
     for pick, gain in zip(picks, extra["marginal_gains"]):

@@ -116,7 +116,7 @@ def test_select_early_stop_keeps_the_report(capsys, monkeypatch, example_files):
     assert "far_rounds" not in early
     # the selector's own scoring stands in for the final evaluation
     inds = [int(t) for t in rep.get("solution", "indices").split(",")]
-    again = evaluate_solution(load_embeddings(pts), "euclidean",
+    again = evaluate_solution(load_embeddings(pts, "euclidean"),
                               load_weights(w), 1.0, inds, "duke")
     assert rep.get("solution", "radius_term") == fmt_float(again.radius_term)
     assert rep.get("solution", "weight_term") == fmt_float(again.weight_term)
@@ -169,9 +169,9 @@ def test_select_all_fill_grid_runs_no_selector(capsys, monkeypatch, tmp_path):
     from duke import wkcenter
     from duke.instances import SyntheticSpec, gen_clusters
 
-    emb, w = gen_clusters(SyntheticSpec("uniform-cube", n=40, dim=8, seed=0))
+    points, w = gen_clusters(SyntheticSpec("uniform-cube", n=40, dim=8, seed=0))
     pts, wfile = tmp_path / "p.csv", tmp_path / "w.csv"
-    np.savetxt(pts, emb.features, delimiter=",", fmt="%.17g")
+    np.savetxt(pts, points, delimiter=",", fmt="%.17g")
     np.savetxt(wfile, w.values, fmt="%.17g")
     runs = []
 
@@ -308,6 +308,17 @@ def test_verify_zero_trials_pass(capsys):
     )
     assert code == 0
     assert "overall = pass" in out
+
+
+def test_verify_reports_time_per_suite(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--trials", "2", "--parallel-trials", "1",
+    )
+    assert code == 0
+    timing = parse_report(out).section("timing")
+    assert [key for key, _ in timing] == ["bounds_ms", "parallel_ms",
+                                          "early_stop_ms", "total_ms"]
+    assert all(float(value) >= 0.0 for _, value in timing)
 
 
 def test_verify_small_pass(capsys):
@@ -556,6 +567,14 @@ def _refused_cases():
                   "2", "--probs", os.devnull),
                  "MalformedValue{classes=None}", id="raw-probs-no-classes"),
     *_refused_cases(),
+    # the rows are checked when the embeddings load, before the flags and
+    # the weights file
+    pytest.param(b"1,2\n0,0\n", ("select", "--k", "5", "--metric",
+                                  "cosine-distance"),
+                 "ZeroVectorCosine{index=1}", id="zero-row-before-k"),
+    pytest.param(b"1,2\n0,0\n", ("select", "--k", "1", "--metric",
+                                  "cosine-distance", "--weights", os.devnull),
+                 "ZeroVectorCosine{index=1}", id="zero-row-before-weights"),
 ])
 def test_data_error_is_one_stderr_line(tmp_path, data, argv, error):
     pts = tmp_path / "e.csv"

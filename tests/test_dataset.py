@@ -98,61 +98,81 @@ def test_weight_vector_range():
 
 
 def test_pairwise_euclidean_345():
-    emb = EmbeddingSet(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    assert metric_row(emb, "euclidean", 0)[1] == 5.0
+    emb = EmbeddingSet(np.array([[0.0, 0.0], [3.0, 4.0]]), "euclidean")
+    assert metric_row(emb, 0)[1] == 5.0
 
 
 def test_pairwise_manhattan():
-    emb = EmbeddingSet(np.array([[1.0, 2.0], [4.0, -2.0]]))
-    assert metric_row(emb, "manhattan", 0)[1] == 7.0
+    emb = EmbeddingSet(np.array([[1.0, 2.0], [4.0, -2.0]]), "manhattan")
+    assert metric_row(emb, 0)[1] == 7.0
 
 
 def test_pairwise_cosine_landmarks():
-    emb = EmbeddingSet(np.array([[1.0, 0.0], [0.0, 2.0], [-3.0, 0.0], [5.0, 0.0]]))
-    row = metric_row(emb, "cosine-distance", 0)
+    emb = EmbeddingSet(np.array([[1.0, 0.0], [0.0, 2.0], [-3.0, 0.0], [5.0, 0.0]]),
+                       "cosine-distance")
+    row = metric_row(emb, 0)
     assert row[1] == pytest.approx(1.0)
     assert row[2] == pytest.approx(2.0)
     # parallel vectors of different norm are at distance zero
     assert row[3] == 0.0
     # self distance is exactly zero by construction
-    assert metric_row(emb, "cosine-distance", 2)[2] == 0.0
+    assert metric_row(emb, 2)[2] == 0.0
 
 
-def test_cosine_zero_vector_rejected():
-    emb = EmbeddingSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(ZeroVectorCosine):
-        metric_row(emb, "cosine-distance", 1)
+def _csv(tmp_path, pts):
+    """``pts`` written as a CSV file whose floats read back bit for bit."""
+    p = tmp_path / "e.csv"
+    np.savetxt(p, pts, delimiter=",", fmt="%.17g")
+    return str(p)
+
+
+def test_cosine_zero_vector_rejected(tmp_path):
+    # the first all-zero row is named, whether the set is made or loaded
+    pts = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ZeroVectorCosine) as exc:
+        EmbeddingSet(pts, "cosine-distance")
+    assert exc.value.details == {"index": 1}
+    with pytest.raises(ZeroVectorCosine) as exc:
+        load_embeddings(_csv(tmp_path, pts), "cosine-distance")
+    assert exc.value.details == {"index": 1}
     # euclidean does not care about zero rows
-    assert metric_row(emb, "euclidean", 0)[1] == 1.0
+    assert metric_row(EmbeddingSet(pts, "euclidean"), 0)[1] == 1.0
 
 
 @pytest.mark.parametrize("metric", METRICS)
-def test_row_norm_range_holds_at_its_ends(metric, monkeypatch):
+def test_row_norm_range_holds_at_its_ends(metric, monkeypatch, tmp_path):
     # rows whose squared norms are exactly 2^900 (and 2^-900, cosine's other
     # end) give finite distances, folded and screened a row a block with no
-    # overflow warning; a row one ulp past an end is refused
+    # overflow warning; a set holding a row one ulp past an end is refused
+    # at that row, whether it is made or loaded
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 4)
     turn = np.array([1.0, -1.0, 1.0, -1.0])
     for a in [2.0 ** 449] + [2.0 ** -451] * (metric == "cosine-distance"):
         y = np.full(4, a)                   # |y|^2 = 4 a^2
-        emb = EmbeddingSet(np.array([y, -y, y, turn * y]))
-        rows = [metric_row(emb, metric, c) for c in range(4)]
+        emb = EmbeddingSet(np.array([y, -y, y, turn * y]), metric)
+        rows = [metric_row(emb, c) for c in range(4)]
         assert np.isfinite(rows).all()
         want = np.minimum(rows[0], rows[1]).max()
-        assert _bits(_cover_radius(emb, metric, [0, 1])) == _bits(want)
-        sol = greedy_kcenter(emb, metric, WeightVector(np.zeros(4)), 2)
+        assert _bits(_cover_radius(emb, [0, 1])) == _bits(want)
+        sol = greedy_kcenter(emb, WeightVector(np.zeros(4)), 2)
         assert sol.indices == [0, 1] and _bits(sol.radius_term) == _bits(want)
         past = np.full(4, np.nextafter(a, np.inf if a > 1.0 else 0.0))
-        out = EmbeddingSet(np.array([y, -y, past, turn * y]))
+        out = np.array([y, -y, past, turn * y, past])
         with pytest.raises(NormOutOfRange) as exc:
-            metric_row(out, metric, 0)
+            EmbeddingSet(out, metric)
+        assert exc.value.details == {"row": 2}
+        with pytest.raises(NormOutOfRange) as exc:
+            load_embeddings(_csv(tmp_path, out), metric)
         assert exc.value.details == {"row": 2}
 
 
-def test_unknown_metric():
-    emb = EmbeddingSet(np.array([[0.0], [1.0]]))
+def test_unknown_metric(tmp_path):
+    pts = np.array([[0.0], [1.0]])
+    with pytest.raises(UnknownMetric) as exc:
+        EmbeddingSet(pts, "chebyshev")
+    assert exc.value.details == {"metric": "chebyshev"}
     with pytest.raises(UnknownMetric):
-        metric_row(emb, "chebyshev", 0)
+        load_embeddings(_csv(tmp_path, pts), "chebyshev")
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine-distance"])
@@ -168,35 +188,35 @@ def test_cover_radius_bitwise_equals_row_minimum(rng, monkeypatch, metric,
         monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * dim * rows_per_block)
     pts = rng.normal(size=(n, dim)) + 2.0
     pts[n - 5:] = pts[:5]               # duplicated rows, across blocks
-    emb = EmbeddingSet(pts)
+    emb = EmbeddingSet(pts, metric)
     step = dataset.block_rows(emb)
     assert n % step != 0 and n > 2 * step
     # six and twelve centers, the first of them from its row; with delta 0
     # (manhattan) every block is folded, otherwise screened
     for centers in ([0, 3, step + 1, n - 1, n - 4, 2],
                     [0, 3, step + 1, n - 1, n - 4, 2, 7, 8, 9, 30, 31, n - 2]):
-        ref = metric_row(emb, metric, centers[0]).copy()
+        ref = metric_row(emb, centers[0]).copy()
         for c in centers[1:]:
-            np.minimum(ref, metric_row(emb, metric, c), out=ref)
-        assert _bits(_cover_radius(emb, metric, centers)) == _bits(ref.max())
-        first = metric_row(emb, metric, n // 2)
-        assert _bits(_cover_radius(emb, metric, [n // 2, *centers])) == \
+            np.minimum(ref, metric_row(emb, c), out=ref)
+        assert _bits(_cover_radius(emb, centers)) == _bits(ref.max())
+        first = metric_row(emb, n // 2)
+        assert _bits(_cover_radius(emb, [n // 2, *centers])) == \
             _bits(np.minimum(ref, first).max())
-        assert _bits(_cover_radius(emb, metric, [n // 2])) == \
+        assert _bits(_cover_radius(emb, [n // 2])) == \
             _bits(first.max())
 
 
-def _cover_radius(emb, metric, centers):
-    return Cover(emb, metric, centers).radius()
+def _cover_radius(emb, centers):
+    return Cover(emb, centers).radius()
 
 
 def _bits(x):
     return np.float64(x).tobytes()
 
 
-def _fold_radius(emb, metric, centers):
+def _fold_radius(emb, centers):
     """The covering radius by its definition: every center's row, folded."""
-    rows = [metric_row(emb, metric, int(c)) for c in centers]
+    rows = [metric_row(emb, int(c)) for c in centers]
     return np.minimum.reduce(rows).max()
 
 
@@ -238,16 +258,16 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
     # within delta of it (a screened block or a gather equal to it where
     # delta is 0)
     metric, pts, centers, rows_per_block = case
-    emb = EmbeddingSet(pts)
+    if refused(pts, metric):
+        return
+    emb = EmbeddingSet(pts, metric)
     reads = st.lists(st.tuples(st.sampled_from(["block", "points", "gather"]),
                                st.integers(0, 2 ** 16)), max_size=3)
     with pytest.MonkeyPatch.context() as mp:
         # a tiny block puts centers inside and outside most blocks
         mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
-        if refused(emb, metric, lambda: Cover(emb, metric, centers[:1])):
-            return
-        want = _fold_radius(emb, metric, centers)
-        cover = Cover(emb, metric, centers[:1])
+        want = _fold_radius(emb, centers)
+        cover = Cover(emb, centers[:1])
         last = np.empty(0, dtype=np.int64)
         for m, c in enumerate(centers, 1):
             if m > 1:
@@ -264,7 +284,7 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
                     near = None
                     if cover.delta:
                         near = np.full(points.size, np.inf)
-                        dataset._screen_rows(emb, metric, 0, points.size,
+                        dataset._screen_rows(emb, 0, points.size,
                                              cover.cols[:m], cover.shift[:m],
                                              near, points)
                 else:
@@ -274,8 +294,7 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
                     near = cover.gather(points)
                     assert (cover.held[points] == m).all()
                 got = cover.exact(points, near)
-                rows = [metric_row(emb, metric, c)[points]
-                        for c in centers[:m]]
+                rows = [metric_row(emb, c)[points] for c in centers[:m]]
                 want_at = np.minimum.reduce(rows)
                 assert got.tobytes() == want_at.tobytes()
                 if cover.delta:
@@ -287,28 +306,32 @@ def test_covering_radius_bitwise_equals_the_row_fold(case, data):
     assert _bits(got) == _bits(want)
 
 
-@given(_radius_cases(), st.integers(0, 2 ** 16), st.booleans())
+@given(_radius_cases(), st.integers(0, 2 ** 16), st.booleans(),
+       st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_fold_block_bitwise_equals_the_row_fold(case, pick, use_out):
+def test_fold_block_bitwise_equals_the_row_fold(case, pick, use_out, gather):
+    # over a block of rows, or over a range of gathered points: every point
+    # of the set, shuffled, so that the range holds centers too
     metric, pts, centers, rows_per_block = case
-    emb = EmbeddingSet(pts)
-    if refused(emb, metric, lambda: metric_row(emb, metric, centers[0])):
+    if refused(pts, metric):
         return
+    emb = EmbeddingSet(pts, metric)
+    points = np.random.default_rng(pick).permutation(emb.n) if gather else None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
         step = dataset.block_rows(emb)
         lo = step * (pick % -(-emb.n // step))
         hi = min(lo + step, emb.n)
         # with a tiny block, centers fall inside it as well as outside
-        rows = [dataset._row_block(emb, metric, c, lo, hi) for c in centers]
+        rows = [dataset._row_block(emb, c, lo, hi, points) for c in centers]
         out = np.full(hi - lo, np.inf)
         if use_out:
-            out = dataset._row_block(emb, metric, centers[-1] // 2, lo, hi)
+            out = dataset._row_block(emb, centers[-1] // 2, lo, hi, points)
             rows.insert(0, out.copy())
         want = rows[0]
         for row in rows[1:]:
             want = np.minimum(want, row)
-        fold_block(emb, metric, centers, lo, hi, out)
+        fold_block(emb, centers, lo, hi, out, points)
     assert out.tobytes() == want.tobytes()
 
 
@@ -337,41 +360,25 @@ def test_cosine_screen_finish_clamps_with_np_clips_bits():
     x = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, -0.5, 1.0, -1.0,
                   np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
                   np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0)])
-    emb = EmbeddingSet(np.eye(x.size))      # unit norms: exact divisions
+    # unit norms: exact divisions
+    emb = EmbeddingSet(np.eye(x.size), "cosine-distance")
     rows = np.arange(x.size)
     want = np.subtract(1.0, np.clip(x / emb.norms(), -1.0, 1.0))
     for prod in (x.copy(), np.stack([x, x[::-1]])):
-        dataset._screen_finish(emb, "cosine-distance", prod, rows)
+        dataset._screen_finish(emb, prod, rows)
         assert prod.reshape(-1, x.size)[0].tobytes() == want.tobytes()
     assert prod[1].tobytes() == want[::-1].tobytes()
 
 
-def test_covering_radius_refuses_rows_whose_screen_would_overflow(
-        monkeypatch):
+def test_covering_radius_refuses_rows_whose_screen_would_overflow():
     # 1-d points at +-0.9e154: the squared norms are finite, but the screen's
     # |c|^2 - 2 y.c + |y|^2 across the origin would overflow, as would the
-    # kernel's squared distance; the rows are refused before any block is
-    # screened or folded
-    monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 4)
+    # kernel's squared distance; the set is refused when it is made, so no
+    # block can be screened or folded
     pts = np.r_[np.full(12, 0.9e154), np.full(4, -0.9e154)][:, None]
-    emb = EmbeddingSet(pts)
-    folds, screens = [], []
-    fold, screen = dataset.fold_block, dataset._screen_rows
-
-    def counted_fold(emb_, metric, centers, lo, hi, out):
-        folds.append(lo)
-        return fold(emb_, metric, centers, lo, hi, out)
-
-    def counted_screen(*args):
-        screens.append(args)
-        return screen(*args)
-
-    monkeypatch.setattr(dataset, "fold_block", counted_fold)
-    monkeypatch.setattr(dataset, "_screen_rows", counted_screen)
     with pytest.raises(NormOutOfRange) as exc:
-        Cover(emb, "euclidean", list(range(8)))
+        EmbeddingSet(pts, "euclidean")
     assert exc.value.details == {"row": 0}
-    assert folds == [] and screens == []
 
 
 def test_covering_radius_reads_one_row_when_separated(monkeypatch):
@@ -385,33 +392,33 @@ def test_covering_radius_reads_one_row_when_separated(monkeypatch):
     dim, per = 8, 64
     centers_at = 100.0 * rng.normal(size=(40, dim))
     pts = np.repeat(centers_at, per, axis=0) + rng.normal(size=(40 * per, dim))
-    emb = EmbeddingSet(pts)
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * dim * per)
     centers = list(range(0, 39 * per, per))
     reads = []
     rows = dataset._raw_block
 
-    def counted(emb_, metric, i, lo, hi, points=None):
+    def counted(emb_, i, lo, hi, points=None):
         reads.append((i, range(lo, hi) if points is None else points[lo:hi]))
-        return rows(emb_, metric, i, lo, hi, points)
+        return rows(emb_, i, lo, hi, points)
 
     monkeypatch.setattr(dataset, "_raw_block", counted)
     for metric in ("euclidean", "cosine-distance"):
+        emb = EmbeddingSet(pts, metric)
         reads.clear()
-        got = _cover_radius(emb, metric, centers)
+        got = _cover_radius(emb, centers)
         assert len(reads) == 2 and reads[0] == (0, range(emb.n))
         center, points = reads[1]
         assert center in centers and 0 < len(points) < per // 4
         assert np.all(points >= 39 * per)
         monkeypatch.setattr(dataset, "_raw_block", rows)
-        assert _bits(got) == _bits(_fold_radius(emb, metric, centers))
+        assert _bits(got) == _bits(_fold_radius(emb, centers))
         monkeypatch.setattr(dataset, "_raw_block", counted)
 
 
 def test_distance_matrix_symmetric(rng):
-    emb = EmbeddingSet(rng.normal(size=(15, 4)))
+    pts = rng.normal(size=(15, 4))
     for metric in ("euclidean", "manhattan", "cosine-distance"):
-        dist = distance_matrix(emb, metric)
+        dist = distance_matrix(EmbeddingSet(pts, metric))
         assert dist.shape == (15, 15)
         assert np.all(np.diag(dist) == 0.0)
         np.testing.assert_allclose(dist, dist.T, atol=1e-12)
@@ -439,14 +446,14 @@ def test_euclidean_kernel_exact_on_duplicates_and_within_bound(
     pts = offset + scale * rng.normal(size=(n, dim))
     dup = rng.integers(0, n, size=n // 3 + 1)
     pts[dup] = pts[(dup + 1) % n]
-    emb = EmbeddingSet(pts)
+    emb = EmbeddingSet(pts, "euclidean")
     f = emb.features
     centers = sorted({0, n - 1, int(dup[0]), int(dup[0] + 1) % n,
                       *range(0, n, 7)})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "BLOCK_BYTES", 8 * dim * rows_per_block)
-        rows = {c: metric_row(emb, "euclidean", c) for c in centers}
-        radius = _cover_radius(emb, "euclidean", centers)
+        rows = {c: metric_row(emb, c) for c in centers}
+        radius = _cover_radius(emb, centers)
     for c, row in rows.items():
         ref = _euclid_reference(f, c)
         same = (f == f[c]).all(axis=1)
@@ -467,13 +474,13 @@ def test_euclidean_block_mixes_near_and_far_entries():
     x = 1e3 + rng.normal(size=dim)
     pts = np.vstack([x, x, x + 1e-6 * rng.normal(size=(3, dim)),
                      x + 1e3 * rng.normal(size=(3, dim)), x])
-    emb = EmbeddingSet(pts)
+    emb = EmbeddingSet(pts, "euclidean")
     f = emb.features
     s = emb.sq_norms() + emb.sq_norms()[0]
     near = s - 2.0 * (f @ f[0]) <= dataset.NEAR * s
     assert dataset.block_rows(emb) > len(pts)
     assert near[:5].all() and not near[5:8].any()
-    row = metric_row(emb, "euclidean", 0)
+    row = metric_row(emb, 0)
     assert row[[0, 1, 8]].tolist() == [0.0, 0.0, 0.0]
     diff = f[2:5] - f[0]
     assert np.array_equal(row[2:5], np.sqrt(np.einsum("ij,ij->i", diff, diff)))
@@ -485,9 +492,9 @@ def test_far_offset_duplicates_reach_radius_zero_at_gamma_zero():
     distinct = 1e6 + rng.normal(size=(12, 16))
     pts = distinct[rng.integers(0, 12, size=90)]
     pts[:12] = distinct
-    emb = EmbeddingSet(pts)
+    emb = EmbeddingSet(pts, "euclidean")
     weights = WeightVector(rng.uniform(size=90))
-    sol = weighted_kcenter(emb, "euclidean", weights, 12, 0.5, 0.0)
+    sol = weighted_kcenter(emb, weights, 12, 0.5, 0.0)
     assert sol.radius_term == 0.0
     assert sorted(map(tuple, pts[sol.indices])) == sorted(map(tuple, distinct))
 
@@ -503,13 +510,13 @@ rng = np.random.default_rng(3)
 for n, dim in ((20001, 64), (9001, 16)):
     pts = 5.0 + rng.normal(size=(n, dim))
     pts[n - 9:] = pts[:9]
-    emb = EmbeddingSet(pts)
     for metric in ("euclidean", "cosine-distance", "manhattan"):
+        emb = EmbeddingSet(pts, metric)
         for i in (0, 1, n - 1):
-            h.update(metric_row(emb, metric, i).tobytes())
+            h.update(metric_row(emb, i).tobytes())
         for centers in (range(0, n, n // 12), range(0, n, n // 4)):
             # the euclidean and cosine radii are screened, then read exactly
-            radius = Cover(emb, metric, list(centers)).radius()
+            radius = Cover(emb, list(centers)).radius()
             h.update(np.float64(radius).tobytes())
 print(h.hexdigest())
 """
@@ -541,13 +548,13 @@ from duke.wkcenter import evaluate_solution, gamma_search, weighted_kcenter
 # exactly on their thresholds and go to the row kernel, with the screen
 # (euclidean) and without (manhattan, whose exact reads take whole blocks)
 dataset.BLOCK_BYTES = 8 * 2 * 2
-pts = EmbeddingSet(np.array([[0.0, 0.0], [100.0, 0.0], [115.0, 0.0],
-                             [120.0, 0.0]] + [[0.0, 1.0]] * 10))
 w = WeightVector(np.array([0.0, 0.1, 0.2, 0.3] + [0.9] * 10))
 for metric in ("euclidean", "manhattan"):
-    assert weighted_kcenter(pts, metric, w, 3, 1.0, 5.0).indices == [0, 1, 2]
-    gamma_search(pts, metric, w, 4, 0.1)
-    evaluate_solution(pts, metric, w, 0.1, [0, 4, 13], "t")
+    pts = EmbeddingSet(np.array([[0.0, 0.0], [100.0, 0.0], [115.0, 0.0],
+                                 [120.0, 0.0]] + [[0.0, 1.0]] * 10), metric)
+    assert weighted_kcenter(pts, w, 3, 1.0, 5.0).indices == [0, 1, 2]
+    gamma_search(pts, w, 4, 0.1)
+    evaluate_solution(pts, w, 0.1, [0, 4, 13], "t")
 # a CSV read in chunks: decimal ones, one with a re-read midpoint, and one
 # that only np.loadtxt reads
 dataset.CSV_CHUNK_BYTES = 8
@@ -586,7 +593,7 @@ def test_a_pair_gets_the_same_bits_at_any_row_position(monkeypatch, metric):
         pts = scale * rng.normal(size=(n, dim)) + rng.choice([0.0, scale])
         pts[1] = pts[0]                                 # a duplicate
         pts[2] = pts[0] + 1e-7 * scale * rng.normal(size=dim)  # NEAR band
-        ref = distance_matrix(EmbeddingSet(pts), metric)
+        ref = distance_matrix(EmbeddingSet(pts, metric))
         front = dim % 5 + 1
         perm = rng.permutation(n)
         moved = np.vstack([scale * rng.normal(size=(front, dim)), pts[perm]])
@@ -594,23 +601,26 @@ def test_a_pair_gets_the_same_bits_at_any_row_position(monkeypatch, metric):
         view = buf[1:].reshape(moved.shape)
         view[:] = moved
         view.setflags(write=False)
-        emb = EmbeddingSet(view)
+        emb = EmbeddingSet(view, metric)
         assert emb.features is view and emb.features.ctypes.data % 16 == 8
         at = front + np.argsort(perm)          # where each point now sits
         with monkeypatch.context() as mp:
             mp.setattr(dataset, "BLOCK_BYTES", 8 * dim * 3)
             for i in range(n):
                 want = ref[i].tobytes()
-                assert metric_row(emb, metric, at[i])[at].tobytes() == want
+                assert metric_row(emb, at[i])[at].tobytes() == want
                 folded = np.full(emb.n, np.inf)
                 for lo in range(0, emb.n, 3):
-                    fold_block(emb, metric, [at[i]], lo, min(lo + 3, emb.n),
+                    fold_block(emb, [at[i]], lo, min(lo + 3, emb.n),
                                folded[lo:lo + 3])
                 assert folded[at].tobytes() == want
                 order = rng.permutation(n)
-                got = dataset._row_block(emb, metric, at[i], 0, n, at[order])
+                got = dataset._row_block(emb, at[i], 0, n, at[order])
                 assert got.tobytes() == ref[i][order].tobytes()
-                cover = Cover(emb, metric, [at[i]])
+                got = np.full(n, np.inf)
+                fold_block(emb, [at[i]], 0, n, got, at[order])
+                assert got.tobytes() == ref[i][order].tobytes()
+                cover = Cover(emb, [at[i]])
                 got = cover.exact(at[order], cover.near[at[order]])
                 assert got.tobytes() == ref[i][order].tobytes()
 
@@ -622,12 +632,12 @@ def test_manhattan_kernel_bits_equal_the_plain_form(monkeypatch):
     for dim in range(1, 131):
         monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * dim * 3)
         f = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(11, dim))
-        emb = EmbeddingSet(f)
+        emb = EmbeddingSet(f, "manhattan")
         i = int(rng.integers(11))
-        got = dataset._raw_block(emb, "manhattan", i, 1, 11)
+        got = dataset._raw_block(emb, i, 1, 11)
         assert got.tobytes() == np.abs(f[1:11] - f[i]).sum(axis=1).tobytes()
         points = rng.permutation(11)
-        got = dataset._raw_block(emb, "manhattan", i, 2, 9, points)
+        got = dataset._raw_block(emb, i, 2, 9, points)
         want = np.abs(f[points[2:9]] - f[i]).sum(axis=1)
         assert got.tobytes() == want.tobytes()
 
@@ -638,7 +648,7 @@ def test_nonfinite_value_names_the_first_bad_row_of_a_later_block(
     pts = np.ones((20, 3))
     pts[13, 1], pts[17, 0], pts[14, 2] = np.nan, np.inf, -np.inf
     with pytest.raises(NonFiniteValue) as exc:
-        EmbeddingSet(pts)
+        EmbeddingSet(pts, "euclidean")
     assert exc.value.details == {"row": 13}
     probs = np.full((20, 3), 1 / 3)
     probs[9, 0] = np.nan
@@ -659,15 +669,15 @@ def test_margin_weights_bits_equal_the_whole_matrix_partition(monkeypatch):
 
 def test_embedding_validation():
     with pytest.raises(NonFiniteValue):
-        EmbeddingSet(np.array([[1.0], [np.nan]]))
+        EmbeddingSet(np.array([[1.0], [np.nan]]), "euclidean")
     with pytest.raises(EmptyInput):
-        EmbeddingSet(np.zeros((0, 2)))
+        EmbeddingSet(np.zeros((0, 2)), "euclidean")
 
 
 def test_containers_leave_the_callers_array_writable():
     pts = np.arange(12.0).reshape(6, 2)
     w = np.full(6, 0.5)
-    emb = EmbeddingSet(pts)
+    emb = EmbeddingSet(pts, "euclidean")
     wv = WeightVector(w)
     pts[0, 0] = 1.0
     w[0] = 0.25
@@ -689,7 +699,7 @@ def test_loaders_hand_over_without_a_copy(tmp_path, monkeypatch):
         return parsed[-1]
 
     monkeypatch.setattr(dataset, "load_matrix", spy)
-    emb = load_embeddings(str(p), fmt="raw-float32", dim=2)
+    emb = load_embeddings(str(p), "euclidean", fmt="raw-float32", dim=2)
     assert not parsed[0].flags.writeable
     assert emb.features is parsed[0]
 
@@ -697,7 +707,7 @@ def test_loaders_hand_over_without_a_copy(tmp_path, monkeypatch):
 def test_load_csv(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-    emb = load_embeddings(str(p), fmt="csv")
+    emb = load_embeddings(str(p), "euclidean", fmt="csv")
     assert emb.features.shape == (3, 2)
     assert emb.features[2, 1] == 6.0
 
@@ -705,7 +715,7 @@ def test_load_csv(tmp_path):
 def test_load_csv_header_and_blank_lines(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("x,y\n1.0,2.0\n\n3.0,4.0\n")
-    emb = load_embeddings(str(p), fmt="csv", header=True)
+    emb = load_embeddings(str(p), "euclidean", fmt="csv", header=True)
     assert emb.features.shape == (2, 2)
 
 
@@ -714,7 +724,7 @@ def test_load_csv_ragged_row(tmp_path):
     # blank lines are skipped and not counted: the bad row is data row 2
     p.write_text("1,2\n3,4\n\n5,6,7\n8,9\n")
     with pytest.raises(RaggedRow) as exc:
-        load_embeddings(str(p), fmt="csv")
+        load_embeddings(str(p), "euclidean", fmt="csv")
     assert exc.value.details["row"] == 2
 
 
@@ -722,12 +732,12 @@ def test_load_csv_malformed_and_nonfinite(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n\n3,oops\n")
     with pytest.raises(MalformedValue) as exc:
-        load_embeddings(str(bad), fmt="csv")
+        load_embeddings(str(bad), "euclidean", fmt="csv")
     assert exc.value.details["row"] == 1
     nf = tmp_path / "nf.csv"
     nf.write_text("1,2\n\nnan,4\n")
     with pytest.raises(NonFiniteValue) as exc:
-        load_embeddings(str(nf), fmt="csv")
+        load_embeddings(str(nf), "euclidean", fmt="csv")
     assert exc.value.details["row"] == 1
 
 
@@ -735,14 +745,14 @@ def test_load_csv_empty(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("")
     with pytest.raises(EmptyInput):
-        load_embeddings(str(p), fmt="csv")
+        load_embeddings(str(p), "euclidean", fmt="csv")
 
 
 def test_load_csv_invalid_utf8_names_the_row(tmp_path):
     p = tmp_path / "e.csv"
     p.write_bytes(b"1,2\n\n3,4\n5,\xff6\n")
     with pytest.raises(MalformedValue) as exc:
-        load_embeddings(str(p), fmt="csv")
+        load_embeddings(str(p), "euclidean", fmt="csv")
     assert exc.value.details == {"row": 2, "token": "\\xff6"}
 
 
@@ -1011,7 +1021,7 @@ def test_csv_reference_runs_only_when_the_c_reader_fails(tmp_path,
 def test_load_raw_float32(tmp_path):
     p = tmp_path / "e.bin"
     np.arange(8, dtype="<f4").tofile(p)
-    emb = load_embeddings(str(p), fmt="raw-float32", dim=2)
+    emb = load_embeddings(str(p), "euclidean", fmt="raw-float32", dim=2)
     assert emb.features.shape == (4, 2)
     assert emb.features.dtype == np.float64
     assert emb.features[3, 0] == 6.0
@@ -1021,14 +1031,14 @@ def test_load_raw_float32_truncated(tmp_path):
     p = tmp_path / "e.bin"
     np.arange(7, dtype="<f4").tofile(p)
     with pytest.raises(TruncatedInput):
-        load_embeddings(str(p), fmt="raw-float32", dim=2)
+        load_embeddings(str(p), "euclidean", fmt="raw-float32", dim=2)
 
 
 def test_load_raw_float32_trailing_bytes(tmp_path):
     p = tmp_path / "e.bin"
     p.write_bytes(np.arange(6, dtype="<f4").tobytes() + b"\0\0")
     with pytest.raises(TruncatedInput) as exc:
-        load_embeddings(str(p), fmt="raw-float32", dim=3)
+        load_embeddings(str(p), "euclidean", fmt="raw-float32", dim=3)
     assert exc.value.details == {"bytes": 26}
 
 
@@ -1043,7 +1053,7 @@ def test_load_raw_float32_errors_name_the_width_flag(tmp_path):
         load_probabilities(str(p), fmt="raw-float32", classes=7)
     assert exc.value.details == {"values": 8, "classes": 7}
     with pytest.raises(TruncatedInput) as exc:
-        load_embeddings(str(p), fmt="raw-float32", dim=7)
+        load_embeddings(str(p), "euclidean", fmt="raw-float32", dim=7)
     assert exc.value.details == {"values": 8, "dim": 7}
 
 
@@ -1069,7 +1079,22 @@ def test_load_weights_and_probs(tmp_path):
 
 
 def test_subset_view():
-    emb = EmbeddingSet(np.arange(10.0).reshape(5, 2))
+    emb = EmbeddingSet(np.arange(10.0).reshape(5, 2), "euclidean")
     sub = emb.subset(np.array([0, 3]))
     assert sub.features.shape == (2, 2)
     assert sub.features[1, 0] == 6.0
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_subset_keeps_the_metric_and_the_rows_bits(metric):
+    # a partition-parallel run selects on subsets; with one worker its
+    # selection equals the sequential one only if every distance keeps its
+    # bits there
+    pts = 3.0 + np.random.default_rng(8).normal(size=(40, 7))
+    emb = EmbeddingSet(pts, metric)
+    idx = np.random.default_rng(9).permutation(40)[:25]
+    sub = emb.subset(idx)
+    assert sub.metric == metric
+    assert sub.features.tobytes() == pts[idx].tobytes()
+    for j, i in enumerate(idx[:5]):
+        assert metric_row(sub, j).tobytes() == metric_row(emb, i)[idx].tobytes()

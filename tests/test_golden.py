@@ -79,11 +79,11 @@ GOLDEN = {
 def clusters_files(tmp_path_factory):
     # eight gaussian clusters in 3-d: the gamma search takes far rounds,
     # and every method picks a different selection
-    emb, w = gen_clusters(SyntheticSpec("clusters", n=40, dim=3, clusters=8,
-                                        seed=3))
+    points, w = gen_clusters(SyntheticSpec("clusters", n=40, dim=3,
+                                           clusters=8, seed=3))
     root = tmp_path_factory.mktemp("golden")
     pts, wfile = root / "p.csv", root / "w.csv"
-    np.savetxt(pts, emb.features, delimiter=",", fmt="%.17g")
+    np.savetxt(pts, points, delimiter=",", fmt="%.17g")
     np.savetxt(wfile, w.values, fmt="%.17g")
     return str(pts), str(wfile)
 

@@ -19,15 +19,15 @@ def test_worked_example_layout(worked_example):
     assert emb.features.shape == (14, 2)
     assert list(w.values) == [0.5] * 8 + [1.0] * 6
     # the two tight groups sit 20 apart; sanity anchors for the geometry
-    assert metric_row(emb, "euclidean", 0)[4] == 20.0
-    assert metric_row(emb, "euclidean", 8)[0] == 3.0
+    assert metric_row(emb, 0)[4] == 20.0
+    assert metric_row(emb, 8)[0] == 3.0
 
 
 def test_worked_example_selector_trace(worked_example):
     # run at the certified optimal radius: the selector must land on
     # the known objective of 6 exactly, within the 3x guarantee
     emb, w = worked_example
-    sol = weighted_kcenter(emb, "euclidean", w, EXAMPLE_K, EXAMPLE_LAMBDA, 2.0)
+    sol = weighted_kcenter(emb, w, EXAMPLE_K, EXAMPLE_LAMBDA, 2.0)
     assert sol.objective == EXAMPLE_OPT_OBJECTIVE
     assert sol.indices == [0, 4, 1, 2, 3, 5, 6, 7]
     assert sorted(sol.indices) == list(range(8))
@@ -44,33 +44,33 @@ def test_gen_clusters_deterministic():
     spec = SyntheticSpec(kind="clusters", n=50, dim=3, clusters=4, seed=11)
     a, wa = gen_clusters(spec)
     b, wb = gen_clusters(spec)
-    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a, b)
     assert np.array_equal(wa.values, wb.values)
     c, _ = gen_clusters(SyntheticSpec(kind="clusters", n=50, dim=3, clusters=4, seed=12))
-    assert not np.array_equal(a.features, c.features)
+    assert not np.array_equal(a, c)
 
 
 def test_gen_clusters_spread_zero_collapses():
     spec = SyntheticSpec(kind="clusters", n=20, dim=2, clusters=4, spread=0.0, seed=3)
-    emb, _ = gen_clusters(spec)
+    pts, _ = gen_clusters(spec)
     # points of the same cluster coincide exactly
-    assert np.array_equal(emb.features[0], emb.features[4])
-    assert np.array_equal(emb.features[1], emb.features[5])
-    assert not np.array_equal(emb.features[0], emb.features[1])
+    assert np.array_equal(pts[0], pts[4])
+    assert np.array_equal(pts[1], pts[5])
+    assert not np.array_equal(pts[0], pts[1])
 
 
 def test_gen_line():
-    emb, w = gen_clusters(SyntheticSpec(kind="line", n=5, dim=3, spread=2.0, seed=0))
-    assert list(emb.features[:, 0]) == [0.0, 2.0, 4.0, 6.0, 8.0]
-    assert np.all(emb.features[:, 1:] == 0.0)
+    pts, w = gen_clusters(SyntheticSpec(kind="line", n=5, dim=3, spread=2.0, seed=0))
+    assert list(pts[:, 0]) == [0.0, 2.0, 4.0, 6.0, 8.0]
+    assert np.all(pts[:, 1:] == 0.0)
     assert len(w.values) == 5
 
 
 def test_uniform_cube_range():
-    emb, _ = gen_clusters(SyntheticSpec(kind="uniform-cube", n=200, dim=4, spread=3.0, seed=5))
-    assert emb.features.min() >= 0.0
-    assert emb.features.max() <= 3.0
-    assert emb.features.max() > 2.5
+    pts, _ = gen_clusters(SyntheticSpec(kind="uniform-cube", n=200, dim=4, spread=3.0, seed=5))
+    assert pts.min() >= 0.0
+    assert pts.max() <= 3.0
+    assert pts.max() > 2.5
 
 
 def test_weight_schemes():
@@ -91,3 +91,7 @@ def test_bad_kind_and_scheme():
         gen_clusters(SyntheticSpec(kind="spiral", n=10))
     with pytest.raises(InvalidArgument):
         gen_clusters(SyntheticSpec(kind="clusters", n=10, weight_scheme="entropy"))
+    # a spread that would put NaN or infinity in the points
+    for spread in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgument):
+            gen_clusters(SyntheticSpec(kind="clusters", n=10, spread=spread))

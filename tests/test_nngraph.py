@@ -13,8 +13,8 @@ from duke.nngraph import NeighborGraph, build_knn_graph, export_graph
 
 
 def test_three_collinear_points():
-    emb = EmbeddingSet(np.array([[0.0], [1.0], [5.0]]))
-    g = build_knn_graph(emb, 1, "euclidean")
+    emb = EmbeddingSet(np.array([[0.0], [1.0], [5.0]]), "euclidean")
+    g = build_knn_graph(emb, 1)
     assert g.neighbor_indices[0, 0] == 1
     assert g.neighbor_indices[1, 0] == 0
     assert g.neighbor_indices[2, 0] == 1
@@ -22,26 +22,26 @@ def test_three_collinear_points():
 
 
 def test_k_clamped_to_n_minus_one():
-    emb = EmbeddingSet(np.array([[0.0], [1.0], [2.0]]))
-    g = build_knn_graph(emb, 10, "euclidean")
+    emb = EmbeddingSet(np.array([[0.0], [1.0], [2.0]]), "euclidean")
+    g = build_knn_graph(emb, 10)
     assert g.k_effective == 2
     assert g.neighbor_indices.shape == (3, 2)
 
 
 def test_neighbors_sorted_and_tie_broken():
     # point 0 is equidistant from 1 and 2; the lower index must come first
-    emb = EmbeddingSet(np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]))
-    g = build_knn_graph(emb, 2, "euclidean")
+    emb = EmbeddingSet(np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]), "euclidean")
+    g = build_knn_graph(emb, 2)
     assert list(g.neighbor_indices[0]) == [1, 2]
 
 
 def test_matches_naive_scan(rng):
     pts = rng.normal(size=(120, 5))
-    emb = EmbeddingSet(pts)
     for metric in ("euclidean", "cosine-distance"):
-        g = build_knn_graph(emb, 7, metric)
+        emb = EmbeddingSet(pts, metric)
+        g = build_knn_graph(emb, 7)
         for i in range(0, 120, 17):
-            dists = metric_row(emb, metric, i)
+            dists = metric_row(emb, i)
             dists[i] = np.inf
             order = np.lexsort((np.arange(120), dists))[:7]
             assert list(g.neighbor_indices[i]) == list(order)
@@ -51,11 +51,12 @@ def test_matches_naive_scan(rng):
 
 
 def test_build_rejects_bad_args():
-    emb = EmbeddingSet(np.array([[0.0], [1.0]]))
+    emb = EmbeddingSet(np.array([[0.0], [1.0]]), "euclidean")
     with pytest.raises(InvalidArgument):
-        build_knn_graph(emb, 0, "euclidean")
+        build_knn_graph(emb, 0)
+    # a set with a zero row has no cosine graph: it cannot be made
     with pytest.raises(ZeroVectorCosine):
-        build_knn_graph(EmbeddingSet(np.array([[0.0, 0.0], [1.0, 0.0]])), 1, "cosine-distance")
+        EmbeddingSet(np.array([[0.0, 0.0], [1.0, 0.0]]), "cosine-distance")
 
 
 def test_graph_over_the_work_budget_is_refused_before_any_row(monkeypatch):
@@ -69,17 +70,17 @@ def test_graph_over_the_work_budget_is_refused_before_any_row(monkeypatch):
         return metric_row(*args)
 
     monkeypatch.setattr(nngraph, "metric_row", spy)
-    emb = EmbeddingSet(np.zeros((50000, 32)))
+    emb = EmbeddingSet(np.zeros((50000, 32)), "euclidean")
     with pytest.raises(InstanceTooLarge):
-        build_knn_graph(emb, 10, "euclidean")
+        build_knn_graph(emb, 10)
     assert rows == []
-    build_knn_graph(EmbeddingSet(np.eye(3)), 1, "euclidean")
+    build_knn_graph(EmbeddingSet(np.eye(3), "euclidean"), 1)
     assert len(rows) == 3
 
 
 def test_export_format():
-    emb = EmbeddingSet(np.array([[0.0], [1.0], [5.0]]))
-    g = build_knn_graph(emb, 1, "euclidean")
+    emb = EmbeddingSet(np.array([[0.0], [1.0], [5.0]]), "euclidean")
+    g = build_knn_graph(emb, 1)
     buf = io.StringIO()
     export_graph(g, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -89,20 +90,20 @@ def test_export_format():
 
 
 def test_neighbors_accessor():
-    emb = EmbeddingSet(np.array([[0.0], [1.0], [5.0]]))
-    g = build_knn_graph(emb, 2, "euclidean")
+    emb = EmbeddingSet(np.array([[0.0], [1.0], [5.0]]), "euclidean")
+    g = build_knn_graph(emb, 2)
     idx, d = g.neighbors(2)
     assert list(idx) == [1, 0]
     assert list(d) == [4.0, 5.0]
     assert isinstance(g, NeighborGraph)
 
 
-def _lexsort_graph(emb, k_nn, metric):
+def _lexsort_graph(emb, k_nn):
     """The graph by a full (distance, index) lexsort of every row."""
     kk = min(k_nn, emb.n - 1)
     idx, dist = [], []
     for i in range(emb.n):
-        d = metric_row(emb, metric, i)
+        d = metric_row(emb, i)
         order = np.lexsort((np.arange(emb.n), d))
         order = order[order != i][:kk]
         idx.append(order)
@@ -131,10 +132,10 @@ def test_partitioned_rows_equal_the_full_lexsort(metric, kind, n, dim, k_nn,
         pts = 1e200 * rng.normal(size=(n, dim))
     if metric == "cosine-distance":
         pts[~np.abs(pts).any(axis=1)] = 1.0
-    emb = EmbeddingSet(pts)
-    if refused(emb, metric, lambda: build_knn_graph(emb, k_nn, metric)):
+    if refused(pts, metric):
         return
-    g = build_knn_graph(emb, k_nn, metric)
-    idx, dist = _lexsort_graph(emb, k_nn, metric)
+    emb = EmbeddingSet(pts, metric)
+    g = build_knn_graph(emb, k_nn)
+    idx, dist = _lexsort_graph(emb, k_nn)
     assert g.neighbor_indices.tolist() == idx.tolist()
     assert g.neighbor_dists.tobytes() == dist.tobytes()

@@ -45,7 +45,7 @@ def test_cross_check_independent_enumerator(rng):
         metric = ("euclidean", "manhattan", "cosine-distance")[trial % 3]
         pts = rng.normal(size=(n, 2)) + (3.0 if metric == "cosine-distance" else 0.0)
         w = rng.random(n)
-        got = brute_force_weighted(EmbeddingSet(pts), metric, WeightVector(w), k, lam)
+        got = brute_force_weighted(EmbeddingSet(pts, metric), WeightVector(w), k, lam)
         want_subset, want_obj, want_radius, want_wsum = slow_enumerate(pts.tolist(), w.tolist(), k, lam, metric)
         assert got.best_subset == want_subset, (trial, metric)
         assert got.objective == pytest.approx(want_obj, abs=1e-12)
@@ -54,7 +54,7 @@ def test_cross_check_independent_enumerator(rng):
 
 
 def test_line_kcenter(line_points):
-    res = brute_force_kcenter(line_points, "euclidean", 2)
+    res = brute_force_kcenter(line_points, 2)
     assert res.radius_term == 2.0
     assert res.best_subset == (1, 4)
     assert res.enumerated == 10
@@ -62,7 +62,7 @@ def test_line_kcenter(line_points):
 
 def test_k_equals_n(line_points):
     w = WeightVector(np.array([0.1, 0.2, 0.3, 0.2, 0.2]))
-    res = brute_force_weighted(line_points, "euclidean", w, 5, 1.0)
+    res = brute_force_weighted(line_points, w, 5, 1.0)
     assert res.radius_term == 0.0
     assert res.weight_term == pytest.approx(1.0)
     assert res.best_subset == (0, 1, 2, 3, 4)
@@ -71,8 +71,8 @@ def test_k_equals_n(line_points):
 def test_lexicographic_tie_break():
     # two coincident points make {0,2} and {1,2} equally good; the
     # lexicographically smaller subset must win
-    emb = EmbeddingSet(np.array([[0.0], [0.0], [1.0]]))
-    res = brute_force_kcenter(emb, "euclidean", 2)
+    emb = EmbeddingSet(np.array([[0.0], [0.0], [1.0]]), "euclidean")
+    res = brute_force_kcenter(emb, 2)
     assert res.radius_term == 0.0
     assert res.best_subset == (0, 2)
 
@@ -80,20 +80,20 @@ def test_lexicographic_tie_break():
 def test_weight_dominated_regime(rng):
     # with a huge lambda the optimum is simply the k lightest points
     n = 9
-    emb = EmbeddingSet(rng.normal(size=(n, 2)))
+    emb = EmbeddingSet(rng.normal(size=(n, 2)), "euclidean")
     w = rng.random(n)
-    res = brute_force_weighted(emb, "euclidean", WeightVector(w), 3, 1e6)
+    res = brute_force_weighted(emb, WeightVector(w), 3, 1e6)
     assert res.best_subset == tuple(sorted(np.argsort(w, kind="stable")[:3]))
 
 
 def test_instance_too_large():
-    emb = EmbeddingSet(np.zeros((30, 1)) + np.arange(30)[:, None])
+    emb = EmbeddingSet(np.zeros((30, 1)) + np.arange(30)[:, None], "euclidean")
     w = WeightVector(np.full(30, 0.5))
     with pytest.raises(InstanceTooLarge):
-        brute_force_weighted(emb, "euclidean", w, 15, 1.0)
+        brute_force_weighted(emb, w, 15, 1.0)
     # the cap is a parameter, so tiny budgets trip it too
     with pytest.raises(InstanceTooLarge):
-        brute_force_kcenter(emb, "euclidean", 2, cap=10)
+        brute_force_kcenter(emb, 2, cap=10)
 
 
 @pytest.mark.parametrize("n, k", [(20000, 1), (2000, 2)])
@@ -107,9 +107,9 @@ def test_oracle_memory_budget_raises_before_allocating(monkeypatch, n, k):
         raise AssertionError("distance matrix allocated")
 
     monkeypatch.setattr(oracle, "distance_matrix", no_matrix)
-    emb = EmbeddingSet(np.arange(float(n))[:, None])
+    emb = EmbeddingSet(np.arange(float(n))[:, None], "euclidean")
     with pytest.raises(InstanceTooLarge):
-        brute_force_weighted(emb, "euclidean", WeightVector(np.zeros(n)), k, 1.0)
+        brute_force_weighted(emb, WeightVector(np.zeros(n)), k, 1.0)
 
 
 @pytest.mark.parametrize("n, k", [(3, 1), (14, 6), (200, 3), (1448, 2), (1448, 1448)])
@@ -121,14 +121,14 @@ def test_oracle_chunk_gather_within_budget(n, k):
 
 def test_kcenter_reports_weights(line_points):
     w = WeightVector(np.array([0.9, 0.1, 0.9, 0.9, 0.1]))
-    res = brute_force_kcenter(line_points, "euclidean", 2, weights=w)
+    res = brute_force_kcenter(line_points, 2, weights=w)
     assert res.best_subset == (1, 4)
     assert res.weight_term == pytest.approx(0.2)
 
 
 def test_optimal_gamma_is_radius_of_weighted_optimum(rng):
-    emb = EmbeddingSet(rng.normal(size=(8, 2)))
+    emb = EmbeddingSet(rng.normal(size=(8, 2)), "euclidean")
     w = WeightVector(rng.random(8))
     # at lambda zero the weighted optimum's radius is the unweighted one
-    res = brute_force_weighted(emb, "euclidean", w, 3, 0.0)
-    assert res.radius_term == brute_force_kcenter(emb, "euclidean", 3).radius_term
+    res = brute_force_weighted(emb, w, 3, 0.0)
+    assert res.radius_term == brute_force_kcenter(emb, 3).radius_term

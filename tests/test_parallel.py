@@ -35,14 +35,14 @@ def test_random_partition_deterministic():
 
 
 def test_parts_must_cover_every_point_once(rng):
-    emb = EmbeddingSet(rng.normal(size=(10, 2)))
+    emb = EmbeddingSet(rng.normal(size=(10, 2)), "euclidean")
     w = WeightVector(rng.random(10))
     # a point in no part, a point in two parts, an index outside the set
     for parts in ([np.arange(0, 9, 2), np.arange(1, 9, 2)],
                   [np.arange(0, 10, 2), np.arange(1, 10, 2), np.array([3])],
                   [np.arange(0, 10, 2), np.array([1, 3, 5, 7, 10])]):
         with pytest.raises(InvalidArgument):
-            parallel_weighted_kcenter(emb, "euclidean", w, 3, 0.1, 0.5, parts)
+            parallel_weighted_kcenter(emb, w, 3, 0.1, 0.5, parts)
 
 
 def test_partition_bounds():
@@ -57,11 +57,11 @@ def test_partition_bounds():
 def test_single_machine_equals_sequential(rng):
     for trial in range(20):
         n = int(rng.integers(4, 40))
-        emb = EmbeddingSet(rng.normal(size=(n, 2)))
+        emb = EmbeddingSet(rng.normal(size=(n, 2)), "euclidean")
         w = WeightVector(rng.random(n))
         k = int(rng.integers(1, min(6, n) + 1))
-        seq = weighted_kcenter(emb, "euclidean", w, k, 0.2, 1.0)
-        par = parallel_weighted_kcenter(emb, "euclidean", w, k, 0.2, 1.0,
+        seq = weighted_kcenter(emb, w, k, 0.2, 1.0)
+        par = parallel_weighted_kcenter(emb, w, k, 0.2, 1.0,
                                         make_partition(n, 1))
         assert sorted(par.indices) == sorted(seq.indices)
         assert par.objective == pytest.approx(seq.objective)
@@ -69,13 +69,13 @@ def test_single_machine_equals_sequential(rng):
 
 def test_worker_relabeling_does_not_change_result(rng):
     n = 24
-    emb = EmbeddingSet(rng.normal(size=(n, 2)))
+    emb = EmbeddingSet(rng.normal(size=(n, 2)), "euclidean")
     w = WeightVector(rng.random(n))
     cfg = (4, 0.3, 0.8)
     parts = make_partition(n, 3, seed=1, strategy="random")
     swapped = [parts[1], parts[2], parts[0]]
-    a = parallel_weighted_kcenter(emb, "euclidean", w, *cfg, parts)
-    b = parallel_weighted_kcenter(emb, "euclidean", w, *cfg, swapped)
+    a = parallel_weighted_kcenter(emb, w, *cfg, parts)
+    b = parallel_weighted_kcenter(emb, w, *cfg, swapped)
     assert a.indices == b.indices
     assert a.objective == b.objective
 
@@ -85,15 +85,15 @@ def test_parallel_stays_within_14x(rng):
     # solution inside the relaxed guarantee at the enumerated optimum
     for trial in range(20):
         n = int(rng.integers(8, 14))
-        emb = EmbeddingSet(rng.normal(size=(n, 2)))
+        emb = EmbeddingSet(rng.normal(size=(n, 2)), "euclidean")
         w = WeightVector(rng.random(n))
         k = int(rng.integers(2, 5))
         lam = float(rng.choice([0.0, 0.1, 1.0]))
-        opt = brute_force_weighted(emb, "euclidean", w, k, lam)
+        opt = brute_force_weighted(emb, w, k, lam)
         gamma = opt.radius_term
         for m in (1, 2, 3):
             parts = make_partition(n, m, seed=trial, strategy=("round-robin", "random")[trial % 2])
-            sol = parallel_weighted_kcenter(emb, "euclidean", w, k, lam, gamma,
+            sol = parallel_weighted_kcenter(emb, w, k, lam, gamma,
                                             parts)
             assert len(sol.indices) == k
             assert sol.objective <= 14.0 * opt.objective + 1e-9, (trial, m)
@@ -101,9 +101,9 @@ def test_parallel_stays_within_14x(rng):
 
 def test_solution_metadata(rng):
     n = 30
-    emb = EmbeddingSet(rng.normal(size=(n, 2)))
+    emb = EmbeddingSet(rng.normal(size=(n, 2)), "euclidean")
     w = WeightVector(rng.random(n))
-    sol = parallel_weighted_kcenter(emb, "euclidean", w, 5, 0.1, 1.0,
+    sol = parallel_weighted_kcenter(emb, w, 5, 0.1, 1.0,
                                     make_partition(n, 3))
     assert sol.algorithm == "parallel"
     assert sol.extra["machines"] == 3

@@ -3,8 +3,10 @@ derives per-layer metrics from the spans it records; a rename in duke, or a
 run shape whose metrics cannot be derived, must fail here rather than in a
 traced benchmark run."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -71,3 +73,45 @@ def test_layer_metrics_of_a_traced_select(tmp_path, metric, extra):
     measured, counts = tracing.layer_metrics(tracer.spans, 0, k, n, dim,
                                              input_bytes)
     assert all(np.isfinite(v) for v in measured.values())
+
+
+_BOUNDARY = ("dataset", "wkcenter", "parallel", "oracle", "nngraph")
+
+
+def _public_callables(module):
+    """Every public function and class a duke module defines, and the public
+    methods of those classes, by qualified name."""
+    for name, value in vars(module).items():
+        if name.startswith("_") or not callable(value):
+            continue
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        yield name, value
+        if isinstance(value, type):
+            for attr, member in vars(value).items():
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_only_a_ground_set_takes_a_metric():
+    # a set carries its metric: no selector, kernel or oracle is handed one
+    # apart, which could differ from the set's
+    taking = set()
+    for short in _BOUNDARY:
+        module = importlib.import_module(f"duke.{short}")
+        for name, fn in _public_callables(module):
+            if "metric" in inspect.signature(fn).parameters:
+                taking.add(f"{short}.{name}")
+    assert taking == {"dataset.EmbeddingSet", "dataset.load_embeddings"}
+
+
+def test_only_wkcenter_imports_private_names_of_dataset():
+    src = Path(__file__).resolve().parent.parent / "src" / "duke"
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("dataset", "duke.dataset")
+                    and any(a.name.startswith("_") for a in node.names)):
+                importers.add(path.stem)
+    assert importers == {"wkcenter"}

@@ -39,23 +39,23 @@ def wv(*vals):
     return WeightVector(np.array(vals, dtype=float))
 
 
-def _radius(emb, metric, centers):
+def _radius(emb, centers):
     # the k-center cost: distance from the farthest point to its center
     zero = WeightVector(np.zeros(emb.n))
-    return evaluate_solution(emb, metric, zero, 0.0, centers, "t").radius_term
+    return evaluate_solution(emb, zero, 0.0, centers, "t").radius_term
 
 
 def test_evaluated_radius_line(line_points):
-    assert _radius(line_points, "euclidean", [1, 4]) == 2.0
-    assert _radius(line_points, "euclidean", [0, 1, 2, 3, 4]) == 0.0
+    assert _radius(line_points, [1, 4]) == 2.0
+    assert _radius(line_points, [0, 1, 2, 3, 4]) == 0.0
     with pytest.raises(EmptyCenters):
-        _radius(line_points, "euclidean", [])
+        _radius(line_points, [])
 
 
 def test_evaluated_radius_center_order_irrelevant(rng):
-    emb = EmbeddingSet(rng.normal(size=(30, 3)))
-    a = _radius(emb, "euclidean", [3, 11, 27])
-    b = _radius(emb, "euclidean", [27, 3, 11])
+    emb = EmbeddingSet(rng.normal(size=(30, 3)), "euclidean")
+    a = _radius(emb, [3, 11, 27])
+    b = _radius(emb, [27, 3, 11])
     assert a == b
 
 
@@ -64,9 +64,9 @@ def test_evaluated_radius_checks_cosine_zero_row_once_before_any_distance(
     calls = {"check": 0}
     check = dataset._check_rows
 
-    def counted_check(emb_, metric):
+    def counted_check(emb_):
         calls["check"] += 1
-        return check(emb_, metric)
+        return check(emb_)
 
     monkeypatch.setattr(dataset, "_check_rows", counted_check)
     reads = _count_reads(monkeypatch)
@@ -74,30 +74,32 @@ def test_evaluated_radius_checks_cosine_zero_row_once_before_any_distance(
     pts = rng.normal(size=(30, 3)) + 2.0
     zero = pts.copy()
     zero[17] = 0.0
-    # the first center's row is one read of all 30 points; every block is
-    # screened for the other centers, and only the one pair of the farthest
-    # point and the center that can be nearest to it is read exactly
+    # the rows are checked once, when the set is made; the first center's
+    # row is one read of all 30 points; every block is screened for the
+    # other centers, and only the one pair of the farthest point and the
+    # center that can be nearest to it is read exactly
     for centers in ([1, 9, 20], [1, 9, 20, 3, 5, 12, 27, 29, 0]):
         calls.update(check=0)
         reads.clear()
-        got = _radius(EmbeddingSet(pts), "cosine-distance", centers)
+        emb = EmbeddingSet(pts, "cosine-distance")
+        got = _radius(emb, centers)
         assert got > 0.0 and calls == {"check": 1}
         assert [len(r) for _, r in reads] == [30, 1]
         assert reads[0] == (centers[0], list(range(30)))
         farthest = np.flatnonzero(
-            np.min([metric_row(EmbeddingSet(pts), "cosine-distance", c)
-                    for c in centers], axis=0) == got)
+            np.min([metric_row(emb, c) for c in centers], axis=0) == got)
         assert reads[1][1][0] in farthest
         calls.update(check=0)
         reads.clear()
-        with pytest.raises(ZeroVectorCosine):
-            _radius(EmbeddingSet(zero), "cosine-distance", centers)
+        with pytest.raises(ZeroVectorCosine) as exc:
+            EmbeddingSet(zero, "cosine-distance")
+        assert exc.value.details == {"index": 17}
         assert calls == {"check": 1} and reads == []
 
 
 def test_weighted_objective_identity(line_points):
     w = wv(0.1, 0.2, 0.3, 0.4, 0.5)
-    sol = evaluate_solution(line_points, "euclidean", w, 2.0, [4, 0], "t",
+    sol = evaluate_solution(line_points, w, 2.0, [4, 0], "t",
                             gamma_used=1.5, extra={"x": 1})
     assert sol.radius_term == 3.0
     assert sol.weight_term == 0.1 + 0.5
@@ -105,43 +107,43 @@ def test_weighted_objective_identity(line_points):
     assert (sol.indices, sol.algorithm, sol.gamma_used, sol.extra) == \
         ([4, 0], "t", 1.5, {"x": 1})
     # lambda zero reduces to the plain cover radius
-    sol0 = evaluate_solution(line_points, "euclidean", w, 0.0, [0, 4], "t")
+    sol0 = evaluate_solution(line_points, w, 0.0, [0, 4], "t")
     assert sol0.objective == sol0.radius_term == 3.0
     with pytest.raises(InvalidArgument):
-        evaluate_solution(line_points, "euclidean", w, -1.0, [0, 4], "t")
+        evaluate_solution(line_points, w, -1.0, [0, 4], "t")
     with pytest.raises(SizeMismatch):
-        evaluate_solution(line_points, "euclidean", wv(0.1, 0.2), 1.0, [0], "t")
+        evaluate_solution(line_points, wv(0.1, 0.2), 1.0, [0], "t")
 
 
 def test_weight_sum_order_canonical():
     # summation happens in ascending index order regardless of how the
     # subset is handed in, so reports never depend on selection history
     vals = np.array([0.1, 0.7, 0.3, 0.9, 0.2], dtype=float)
-    emb = EmbeddingSet(np.arange(5.0)[:, None])
+    emb = EmbeddingSet(np.arange(5.0)[:, None], "euclidean")
     w = WeightVector(vals)
-    a = evaluate_solution(emb, "euclidean", w, 1.0, [4, 0, 2], "t")
-    b = evaluate_solution(emb, "euclidean", w, 1.0, [2, 4, 0], "t")
+    a = evaluate_solution(emb, w, 1.0, [4, 0, 2], "t")
+    b = evaluate_solution(emb, w, 1.0, [2, 4, 0], "t")
     assert a.weight_term == b.weight_term == float(vals[[0, 2, 4]].sum())
 
 
 def test_greedy_line(line_points):
     w = wv(0.1, 0.2, 0.3, 0.4, 0.5)
-    sol = greedy_kcenter(line_points, "euclidean", w, 2)
+    sol = greedy_kcenter(line_points, w, 2)
     assert sol.indices == [0, 4]
     assert sol.radius_term == 3.0
     assert sol.algorithm == "greedy-kcenter"
     # the picks ignore the weights; the score uses them
     assert sol.objective == 3.0
-    scored = greedy_kcenter(line_points, "euclidean", w, 2, 2.0)
+    scored = greedy_kcenter(line_points, w, 2, 2.0)
     assert scored.indices == [0, 4]
     assert scored.objective == 3.0 + 2.0 * (0.1 + 0.5)
-    three = greedy_kcenter(line_points, "euclidean", w, 3)
+    three = greedy_kcenter(line_points, w, 3)
     assert three.indices == [0, 4, 3]
 
 
 def test_greedy_farthest_tie_lowest_index():
-    emb = EmbeddingSet(np.array([[0.0], [1.0], [-1.0]]))
-    sol = greedy_kcenter(emb, "euclidean", wv(0.5, 0.0, 0.5), 2)
+    emb = EmbeddingSet(np.array([[0.0], [1.0], [-1.0]]), "euclidean")
+    sol = greedy_kcenter(emb, wv(0.5, 0.0, 0.5), 2)
     assert sol.indices == [0, 1]
 
 
@@ -175,15 +177,15 @@ def _traversal_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_greedy_equals_the_full_row_traversal(case):
     metric, pts, k, rows_per_block, head = case
-    emb = EmbeddingSet(pts)
+    if refused(pts, metric):
+        return
+    emb = EmbeddingSet(pts, metric)
     w = WeightVector(np.zeros(emb.n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "BLOCK_BYTES", 8 * emb.dim * rows_per_block)
         mp.setattr(wkcenter, "_HEAD", head)
-        if refused(emb, metric, lambda: greedy_kcenter(emb, metric, w, k)):
-            return
-        sol = greedy_kcenter(emb, metric, w, k)
-        indices, radius = farthest_point_traversal(emb, metric, k)
+        sol = greedy_kcenter(emb, w, k)
+        indices, radius = farthest_point_traversal(emb, k)
     assert sol.indices == indices
     assert _bits(sol.radius_term) == _bits(radius)
 
@@ -232,15 +234,15 @@ def _screened_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_screened_traversal_equals_the_full_row_traversal(case):
     metric, pts, k, _, knobs = case
-    emb = EmbeddingSet(pts)
+    if refused(pts, metric):
+        return
+    emb = EmbeddingSet(pts, metric)
     w = WeightVector(np.zeros(emb.n))
     with pytest.MonkeyPatch.context() as mp:
         for (module, name), value in knobs.items():
             mp.setattr(module, name, value)
-        if refused(emb, metric, lambda: greedy_kcenter(emb, metric, w, k)):
-            return
-        sol = greedy_kcenter(emb, metric, w, k)
-        indices, radius = farthest_point_traversal(emb, metric, k)
+        sol = greedy_kcenter(emb, w, k)
+        indices, radius = farthest_point_traversal(emb, k)
     assert sol.indices == indices
     assert _bits(sol.radius_term) == _bits(radius)
 
@@ -249,14 +251,14 @@ def test_screened_traversal_equals_the_full_row_traversal(case):
 @settings(max_examples=150, deadline=None)
 def test_screened_covering_radius_equals_the_row_fold(case):
     metric, pts, _, centers, knobs = case
-    emb = EmbeddingSet(pts)
+    if refused(pts, metric):
+        return
+    emb = EmbeddingSet(pts, metric)
     with pytest.MonkeyPatch.context() as mp:
         for (module, name), value in knobs.items():
             mp.setattr(module, name, value)
-        if refused(emb, metric, lambda: dataset.Cover(emb, metric, centers)):
-            return
-        got = dataset.Cover(emb, metric, centers).radius()
-        rows = [metric_row(emb, metric, c) for c in centers]
+        got = dataset.Cover(emb, centers).radius()
+        rows = [metric_row(emb, c) for c in centers]
         want = np.minimum.reduce(rows).max()
     assert _bits(got) == _bits(want)
 
@@ -267,10 +269,10 @@ def _count_reads(monkeypatch):
     reads = []
     raw = dataset._raw_block
 
-    def counted(emb_, metric, i, lo, hi, points=None):
+    def counted(emb_, i, lo, hi, points=None):
         read = range(lo, hi) if points is None else points[lo:hi]
         reads.append((int(i), [int(p) for p in read]))
-        return raw(emb_, metric, i, lo, hi, points)
+        return raw(emb_, i, lo, hi, points)
 
     monkeypatch.setattr(dataset, "_raw_block", counted)
     return reads
@@ -286,12 +288,12 @@ def test_greedy_reads_one_row_per_pick_on_separated_clusters(monkeypatch):
     dim, per = 4, 8
     pts = (np.repeat(100.0 * rng.normal(size=(24, dim)), per, axis=0)
            + rng.normal(size=(24 * per, dim)))
-    emb = EmbeddingSet(pts)
+    emb = EmbeddingSet(pts, "euclidean")
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * dim * per)
-    indices, radius = farthest_point_traversal(emb, "euclidean", 12)
-    dmin = np.min([metric_row(emb, "euclidean", c) for c in indices], axis=0)
+    indices, radius = farthest_point_traversal(emb, 12)
+    dmin = np.min([metric_row(emb, c) for c in indices], axis=0)
     reads = _count_reads(monkeypatch)
-    sol = greedy_kcenter(emb, "euclidean", WeightVector(np.zeros(emb.n)), 12)
+    sol = greedy_kcenter(emb, WeightVector(np.zeros(emb.n)), 12)
     assert sol.indices == indices and _bits(sol.radius_term) == _bits(radius)
     assert reads[0] == (0, list(range(emb.n))) and len(reads) == 13
     # round i reads its farthest point's distance to one of its centers
@@ -307,23 +309,23 @@ def test_heads_spare_whole_block_screens_on_a_uniform_cube(monkeypatch):
     # none, where every visit reads its block whole, and the picks and
     # radius stay those of the full-row traversal
     rng = np.random.default_rng(7)
-    emb = EmbeddingSet(rng.random((12000, 16)))
+    emb = EmbeddingSet(rng.random((12000, 16)), "cosine-distance")
     w = WeightVector(np.zeros(emb.n))
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 16 * 500)
-    indices, radius = farthest_point_traversal(emb, "cosine-distance", 60)
+    indices, radius = farthest_point_traversal(emb, 60)
     whole = []
     screen = dataset._screen_rows
 
-    def counted(emb_, metric_, lo, hi, cols, shift, out, points=None):
+    def counted(emb_, lo, hi, cols, shift, out, points=None):
         whole.append(points is None)
-        screen(emb_, metric_, lo, hi, cols, shift, out, points)
+        screen(emb_, lo, hi, cols, shift, out, points)
 
     monkeypatch.setattr(dataset, "_screen_rows", counted)
     screens = []
     for head in (0, wkcenter._HEAD):
         monkeypatch.setattr(wkcenter, "_HEAD", head)
         whole.clear()
-        sol = greedy_kcenter(emb, "cosine-distance", w, 60)
+        sol = greedy_kcenter(emb, w, 60)
         assert sol.indices == indices
         assert _bits(sol.radius_term) == _bits(radius)
         screens.append(sum(whole))
@@ -341,32 +343,33 @@ def test_each_center_is_screened_and_folded_into_a_block_at_most_once(
     # points are neither, and may read a center again.
     rng = np.random.default_rng(8)
     emb = EmbeddingSet(rng.normal(size=(300, 4))
-                       + 8.0 * rng.integers(0, 3, size=(300, 1)))
+                       + 8.0 * rng.integers(0, 3, size=(300, 1)), metric)
     w = WeightVector(rng.uniform(size=300))
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 4 * 16)
     folds, screens = [], []
     fold, screen = dataset.fold_block, dataset._screen_rows
 
-    def counted_fold(emb_, metric_, centers, lo, hi, out):
-        folds.extend((lo, int(c)) for c in centers)
-        fold(emb_, metric_, centers, lo, hi, out)
+    def counted_fold(emb_, centers, lo, hi, out, points=None):
+        if points is None:
+            folds.extend((lo, int(c)) for c in centers)
+        fold(emb_, centers, lo, hi, out, points)
 
-    def counted_screen(emb_, metric_, lo, hi, cols, shift, out, points=None):
+    def counted_screen(emb_, lo, hi, cols, shift, out, points=None):
         if points is None:
             screens.extend((lo, tuple(c)) for c in cols)
-        screen(emb_, metric_, lo, hi, cols, shift, out, points)
+        screen(emb_, lo, hi, cols, shift, out, points)
 
     monkeypatch.setattr(dataset, "fold_block", counted_fold)
     monkeypatch.setattr(dataset, "_screen_rows", counted_screen)
-    for run in (lambda: greedy_kcenter(emb, metric, w, 40),
-                lambda: weighted_kcenter(emb, metric, w, 40, 0.1, 0.3)):
+    for run in (lambda: greedy_kcenter(emb, w, 40),
+                lambda: weighted_kcenter(emb, w, 40, 0.1, 0.3)):
         folds.clear()
         screens.clear()
         sol = run()
         assert len(folds) == len(set(folds))
         assert sol.indices[0] not in {c for _, c in folds}
         assert len(screens) == len(set(screens))
-        first = tuple(dataset._product_form(emb, metric, sol.indices[:1])[0][0])
+        first = tuple(dataset._product_form(emb, sol.indices[:1])[0][0])
         assert first not in {c for _, c in screens}
         assert (len(screens) > 0) == (metric != "manhattan")
         assert len(folds) > 0 or metric != "manhattan"
@@ -374,13 +377,13 @@ def test_each_center_is_screened_and_folded_into_a_block_at_most_once(
 
 def test_selector_seeds_global_min_weight(line_points):
     w = wv(0.5, 0.4, 0.3, 0.2, 0.1)
-    sol = weighted_kcenter(line_points, "euclidean", w, 1, 1.0, 100.0)
+    sol = weighted_kcenter(line_points, w, 1, 1.0, 100.0)
     assert sol.indices == [4]
 
 
 def test_selector_min_weight_tie_lowest_index(line_points):
     w = wv(0.3, 0.3, 0.3, 0.3, 0.3)
-    sol = weighted_kcenter(line_points, "euclidean", w, 2, 1.0, 100.0)
+    sol = weighted_kcenter(line_points, w, 2, 1.0, 100.0)
     assert sol.indices == [0, 1]
 
 
@@ -388,20 +391,21 @@ def test_selector_big_gamma_collects_lightest(line_points):
     # with an enormous gamma nothing is ever far, so after the seed the
     # selector keeps taking the lightest unselected point
     w = wv(0.1, 0.1, 1.0, 1.0, 1.0)
-    sol = weighted_kcenter(line_points, "euclidean", w, 2, 1.0, 100.0)
+    sol = weighted_kcenter(line_points, w, 2, 1.0, 100.0)
     assert sol.indices == [0, 1]
     assert sol.radius_term == 9.0
     assert sol.weight_term == pytest.approx(0.2)
     # one tight cluster: every round after the seed fills with the lightest
     # unselected point, in ascending weight
-    pts = EmbeddingSet(np.array([[0.0], [0.01], [0.02], [0.03], [0.04]]))
-    sol = weighted_kcenter(pts, "euclidean", wv(0.5, 0.1, 0.4, 0.2, 0.3), 4, 1.0, 100.0)
+    pts = EmbeddingSet(np.array([[0.0], [0.01], [0.02], [0.03], [0.04]]),
+                       "euclidean")
+    sol = weighted_kcenter(pts, wv(0.5, 0.1, 0.4, 0.2, 0.3), 4, 1.0, 100.0)
     assert sol.indices == [1, 3, 4, 2]
 
 
 def test_selector_small_gamma_chases_far_points(line_points):
     w = wv(0.1, 0.1, 1.0, 1.0, 1.0)
-    sol = weighted_kcenter(line_points, "euclidean", w, 2, 1.0, 2.0)
+    sol = weighted_kcenter(line_points, w, 2, 1.0, 2.0)
     # the outlier at 10 is beyond 3*gamma from the seed, so its ball is
     # searched for the lightest representative
     assert sol.indices == [0, 4]
@@ -410,9 +414,9 @@ def test_selector_small_gamma_chases_far_points(line_points):
 
 
 def test_selector_ball_pick_is_lightest_within_gamma():
-    pts = EmbeddingSet(np.array([[0.0], [5.5], [7.0]]))
+    pts = EmbeddingSet(np.array([[0.0], [5.5], [7.0]]), "euclidean")
     w = wv(0.1, 0.2, 0.5)
-    sol = weighted_kcenter(pts, "euclidean", w, 2, 1.0, 2.0)
+    sol = weighted_kcenter(pts, w, 2, 1.0, 2.0)
     # index 2 is the only far point (7 > 3*gamma from the seed) and so
     # anchors the round, but index 1 sits inside its gamma ball and is
     # lighter, so the selector substitutes it
@@ -425,9 +429,9 @@ def _count_rows(monkeypatch):
     rows = []
     row = dataset.metric_row
 
-    def counted(emb, metric, i):
+    def counted(emb, i):
         rows.append(int(i))
-        return row(emb, metric, i)
+        return row(emb, i)
 
     monkeypatch.setattr(dataset, "metric_row", counted)
     monkeypatch.setattr(wkcenter, "metric_row", counted)
@@ -440,11 +444,11 @@ def test_far_round_reuses_the_anchor_row_when_it_is_the_pick(monkeypatch):
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 2)
 
     def run(pts, w, k, gamma):
-        emb = EmbeddingSet(np.array(pts)[:, None])
+        emb = EmbeddingSet(np.array(pts)[:, None], "euclidean")
         rows.clear()
-        sol = weighted_kcenter(emb, "euclidean", wv(*w), k, 1.0, gamma)
+        sol = weighted_kcenter(emb, wv(*w), k, 1.0, gamma)
         computed = len(rows)
-        want, radius, far_rounds = per_round_selection(emb, "euclidean", w,
+        want, radius, far_rounds = per_round_selection(emb, w,
                                                        k, gamma)
         del rows[computed:]         # the definition's own rows
         assert (sol.indices, sol.radius_term, sol.far_rounds) == \
@@ -472,30 +476,30 @@ def test_an_anchor_whose_row_was_folded_is_never_screened(monkeypatch):
     # included, takes its product column, and each of the two blocks takes
     # only the fill pick 0.5's
     monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 2)
-    emb = EmbeddingSet(np.array([[0.0], [0.5], [1.0], [10.0]]))
+    emb = EmbeddingSet(np.array([[0.0], [0.5], [1.0], [10.0]]), "euclidean")
     screens = []
     screen = dataset._screen_rows
 
-    def counted_screen(emb_, metric_, lo, hi, cols, shift, out, points=None):
+    def counted_screen(emb_, lo, hi, cols, shift, out, points=None):
         if points is None:
             screens.extend((lo, tuple(c)) for c in cols)
-        screen(emb_, metric_, lo, hi, cols, shift, out, points)
+        screen(emb_, lo, hi, cols, shift, out, points)
 
     monkeypatch.setattr(dataset, "_screen_rows", counted_screen)
-    sol = weighted_kcenter(emb, "euclidean", wv(0.0, 0.1, 0.2, 0.3), 3, 1.0,
+    sol = weighted_kcenter(emb, wv(0.0, 0.1, 0.2, 0.3), 3, 1.0,
                            1.0)
     assert sol.indices == [0, 3, 1]
-    column = {i: tuple(dataset._product_form(emb, "euclidean", [i])[0][0])
+    column = {i: tuple(dataset._product_form(emb, [i])[0][0])
               for i in (1, 3)}
     assert screens == [(0, column[1]), (2, column[1])]
 
 
 def test_selector_deterministic(rng):
-    emb = EmbeddingSet(rng.normal(size=(40, 3)))
+    emb = EmbeddingSet(rng.normal(size=(40, 3)), "euclidean")
     w = WeightVector(rng.random(40))
     cfg = (6, 0.5, 1.3)
-    a = weighted_kcenter(emb, "euclidean", w, *cfg)
-    b = weighted_kcenter(emb, "euclidean", w, *cfg)
+    a = weighted_kcenter(emb, w, *cfg)
+    b = weighted_kcenter(emb, w, *cfg)
     assert a.indices == b.indices
     assert a.objective == b.objective
     assert a.radius_term == b.radius_term
@@ -504,28 +508,31 @@ def test_selector_deterministic(rng):
 def test_selector_input_validation(line_points):
     w = wv(0.1, 0.2, 0.3, 0.4, 0.5)
     with pytest.raises(BudgetExceedsGroundSet):
-        weighted_kcenter(line_points, "euclidean", w, 6, 1.0, 1.0)
+        weighted_kcenter(line_points, w, 6, 1.0, 1.0)
     with pytest.raises(BudgetExceedsGroundSet):
-        check_selection(5, 0, 1.0, 1.0)
+        check_selection(line_points, w, 0, 1.0, 1.0)
     with pytest.raises(InvalidArgument):
-        check_selection(5, 2, -1.0, 1.0)
+        check_selection(line_points, w, 2, -1.0, 1.0)
     with pytest.raises(InvalidArgument):
-        check_selection(5, 2, 1.0, -0.5)
+        check_selection(line_points, w, 2, 1.0, -0.5)
     with pytest.raises(InvalidArgument):
-        check_selection(5, 2, 1.0, float("nan"))
-    check_selection(5, 5, 0.0, float("inf"))
+        check_selection(line_points, w, 2, 1.0, float("nan"))
+    check_selection(line_points, w, 5, 0.0, float("inf"))
+    # weights of another length are refused first
     with pytest.raises(SizeMismatch):
-        weighted_kcenter(line_points, "euclidean", wv(0.1, 0.2), 2, 1.0, 1.0)
+        check_selection(line_points, wv(0.1, 0.2), 6, -1.0, float("nan"))
     with pytest.raises(SizeMismatch):
-        greedy_kcenter(line_points, "euclidean", wv(0.1, 0.2), 2)
+        weighted_kcenter(line_points, wv(0.1, 0.2), 2, 1.0, 1.0)
+    with pytest.raises(SizeMismatch):
+        greedy_kcenter(line_points, wv(0.1, 0.2), 2)
 
 
 def test_stored_terms_match_recomputation(rng):
-    emb = EmbeddingSet(rng.normal(size=(25, 2)))
+    emb = EmbeddingSet(rng.normal(size=(25, 2)), "euclidean")
     w = WeightVector(rng.random(25))
-    for sol in (weighted_kcenter(emb, "euclidean", w, 5, 0.7, 0.9),
-                greedy_kcenter(emb, "euclidean", w, 5, 0.7)):
-        again = evaluate_solution(emb, "euclidean", w, 0.7, sol.indices,
+    for sol in (weighted_kcenter(emb, w, 5, 0.7, 0.9),
+                greedy_kcenter(emb, w, 5, 0.7)):
+        again = evaluate_solution(emb, w, 0.7, sol.indices,
                                   sol.algorithm)
         assert sol.radius_term == again.radius_term
         assert sol.weight_term == again.weight_term
@@ -534,7 +541,7 @@ def test_stored_terms_match_recomputation(rng):
 
 def test_gamma_bounds_line(line_points):
     w = wv(0.1, 0.2, 0.3, 0.4, 0.5)
-    lo, hi, t0, order, row = gamma_bounds(line_points, "euclidean", w, 2)
+    lo, hi, t0, order, row = gamma_bounds(line_points, w, 2)
     # upper bound: cover radius of the two lightest points {0,1}
     assert hi == 9.0
     # lower bound: half the greedy radius
@@ -548,7 +555,7 @@ def test_gamma_bounds_line(line_points):
 
 def test_gamma_bounds_k_equals_n(line_points):
     w = wv(0.1, 0.2, 0.3, 0.4, 0.5)
-    lo, hi = gamma_bounds(line_points, "euclidean", w, 5)[:2]
+    lo, hi = gamma_bounds(line_points, w, 5)[:2]
     assert hi == 0.0
     assert lo == 0.0
 
@@ -558,11 +565,11 @@ def test_gamma_bounds_bracket_optimum(rng):
     for trial in range(25):
         n = int(rng.integers(5, 11))
         k = int(rng.integers(2, min(5, n)))
-        emb = EmbeddingSet(rng.normal(size=(n, 2)))
+        emb = EmbeddingSet(rng.normal(size=(n, 2)), "euclidean")
         w = WeightVector(rng.random(n))
         lam = float(rng.choice([0.0, 0.1, 1.0]))
-        lo, hi = gamma_bounds(emb, "euclidean", w, k)[:2]
-        star = brute_force_weighted(emb, "euclidean", w, k, lam).radius_term
+        lo, hi = gamma_bounds(emb, w, k)[:2]
+        star = brute_force_weighted(emb, w, k, lam).radius_term
         assert lo <= star <= hi
 
 
@@ -582,9 +589,9 @@ def test_make_gamma_grid():
 
 
 def test_gamma_search_trace_and_best(rng):
-    emb = EmbeddingSet(rng.normal(size=(16, 2)))
+    emb = EmbeddingSet(rng.normal(size=(16, 2)), "euclidean")
     w = WeightVector(rng.random(16))
-    sol, trace = gamma_search(emb, "euclidean", w, 4, 0.5, grid_size=8)
+    sol, trace = gamma_search(emb, w, 4, 0.5, grid_size=8)
     assert len(trace) == 8
     objectives = [obj for _, obj in trace]
     assert sol.objective == min(objectives)
@@ -640,12 +647,12 @@ def _blocks(mp, pts, rows_per_block):
 @settings(max_examples=300, deadline=None)
 def test_selector_matches_per_round_definition(inst, rows_per_block):
     pts, w, metric, gamma, k = inst
-    emb = EmbeddingSet(pts)
+    emb = EmbeddingSet(pts, metric)
     with pytest.MonkeyPatch.context() as mp:
         _blocks(mp, pts, rows_per_block)
-        sol = weighted_kcenter(emb, metric, WeightVector(np.array(w)), k, 0.5,
+        sol = weighted_kcenter(emb, WeightVector(np.array(w)), k, 0.5,
                                gamma)
-    want, radius, far_rounds = per_round_selection(emb, metric, w, k, gamma)
+    want, radius, far_rounds = per_round_selection(emb, w, k, gamma)
     assert sol.indices == want
     assert _bits(sol.radius_term) == _bits(radius)
     assert sol.far_rounds == far_rounds
@@ -671,7 +678,7 @@ def _threshold_instances(draw):
     w = rng.integers(0, 4, size=n) / 4.0
     i, j = rng.integers(0, n, size=2)
     try:
-        d = float(dataset.metric_row(EmbeddingSet(pts), metric, int(i))[j])
+        d = float(dataset.metric_row(EmbeddingSet(pts, metric), int(i))[j])
     except NormOutOfRange:
         d = 1.0
     gamma = draw(st.sampled_from([d, d / 3.0]))
@@ -684,18 +691,14 @@ def _threshold_instances(draw):
 @settings(max_examples=300, deadline=None)
 def test_selector_on_thresholds_matches_per_round_definition(inst):
     pts, w, metric, gamma, k, share, rows_per_block = inst
-    emb = EmbeddingSet(pts)
-
-    def run():
-        return weighted_kcenter(emb, metric, WeightVector(w), k, 0.5, gamma)
-
+    if refused(pts, metric):
+        return
+    emb = EmbeddingSet(pts, metric)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wkcenter, "_BALL_SHARE", share)
         _blocks(mp, pts, rows_per_block)
-        if refused(emb, metric, run):
-            return
-        sol = run()
-    want, radius, far_rounds = per_round_selection(emb, metric, w, k, gamma)
+        sol = weighted_kcenter(emb, WeightVector(w), k, 0.5, gamma)
+    want, radius, far_rounds = per_round_selection(emb, w, k, gamma)
     assert sol.indices == want
     assert _bits(sol.radius_term) == _bits(radius)
     assert sol.far_rounds == far_rounds
@@ -728,14 +731,14 @@ def test_band_decisions_go_to_the_row_kernel(monkeypatch):
     for mod, name, label in hooks:
         def counted(*args, _f=getattr(mod, name), _label=label):
             # metric_row's own call of the kernel reads no gathered points
-            if _label != "gathered" or len(args) > 5:
+            if _label != "gathered" or len(args) > 4:
                 calls.append(_label)
             return _f(*args)
         monkeypatch.setattr(mod, name, counted)
     for metric, far_band in (("euclidean", "gathered"),
                              ("manhattan", "fold_block")):
         calls.clear()
-        sol = weighted_kcenter(EmbeddingSet(pts), metric, w, 3, 1.0, 5.0)
+        sol = weighted_kcenter(EmbeddingSet(pts, metric), w, 3, 1.0, 5.0)
         assert sol.indices == [0, 1, 2]
         assert calls.count("metric_row") == 1
         assert far_band in calls[:calls.index("radius")]
@@ -752,13 +755,12 @@ def test_clustered_far_rounds_compute_only_the_seed_row(monkeypatch):
     rng = np.random.default_rng([3, 0])
     centers = rng.normal(0.0, 10.0, size=(20, 32))
     emb = EmbeddingSet(centers[np.arange(4000) % 20]
-                       + rng.normal(0.0, 1.0, size=(4000, 32)))
+                       + rng.normal(0.0, 1.0, size=(4000, 32)), "euclidean")
     w = rng.uniform(0.0, 1.0, size=4000)
     rows = _count_rows(monkeypatch)
-    sol = weighted_kcenter(emb, "euclidean", WeightVector(w), 100, 0.001, 1.0)
+    sol = weighted_kcenter(emb, WeightVector(w), 100, 0.001, 1.0)
     assert rows == [int(np.argmin(w))]
-    want, radius, far_rounds = per_round_selection(emb, "euclidean", w, 100,
-                                                   1.0)
+    want, radius, far_rounds = per_round_selection(emb, w, 100, 1.0)
     assert sol.indices == want and far_rounds == sol.far_rounds == 99
     assert _bits(sol.radius_term) == _bits(radius)
 
@@ -781,7 +783,7 @@ def _permuted_instances(draw):
         pts[~pts.any(axis=1)] = 1.0
     w = rng.permutation(n) / n
     i, j = rng.integers(0, n, size=2)
-    d = float(metric_row(EmbeddingSet(pts), metric, int(i))[j])
+    d = float(metric_row(EmbeddingSet(pts, metric), int(i))[j])
     gamma = draw(st.sampled_from([d, d / 3.0, float(rng.uniform(0.0, 2.0))]))
     k = draw(st.integers(1, n))
     rows_per_block = draw(st.integers(1, 8))
@@ -801,9 +803,9 @@ def test_selection_follows_a_permutation_of_the_input(inst):
     cfg = (k, 0.5, gamma)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "BLOCK_BYTES", 8 * pts.shape[1] * rows_per_block)
-        sol = weighted_kcenter(EmbeddingSet(pts), metric, WeightVector(w),
+        sol = weighted_kcenter(EmbeddingSet(pts, metric), WeightVector(w),
                                *cfg)
-        moved = weighted_kcenter(EmbeddingSet(pts[perm]), metric,
+        moved = weighted_kcenter(EmbeddingSet(pts[perm], metric),
                                  WeightVector(w[perm]), *cfg)
     assert [int(perm[i]) for i in moved.indices] == sol.indices
     assert _bits(moved.radius_term) == _bits(sol.radius_term)
@@ -823,17 +825,17 @@ _LINE = ([[-2.0], [1.5], [3.0]], [0.0, 0.25, 0.5], "euclidean")
 @settings(max_examples=200, deadline=None)
 def test_selection_repeats_at_every_gamma_in_its_span(inst):
     pts, w, metric, gamma, k = inst
-    emb, w = EmbeddingSet(np.array(pts)), WeightVector(np.array(w))
+    emb, w = EmbeddingSet(np.array(pts), metric), WeightVector(np.array(w))
 
     def run(g):
-        return weighted_kcenter(emb, metric, w, k, 0.5, g)
+        return weighted_kcenter(emb, w, k, 0.5, g)
 
     sol = run(gamma)
     assert gamma in sol.span
     # the selector compares gamma and 3.0*gamma with distances, so the
     # selection can only change at a distance d or near d/3: probe both,
     # one ulp to either side, and the ends of the range
-    d = np.unique(distance_matrix(emb, metric))
+    d = np.unique(distance_matrix(emb))
     probes = np.concatenate([d, d / 3.0, [0.0, gamma, 1e9]])
     probes = np.concatenate([probes, np.nextafter(probes, -np.inf),
                              np.nextafter(probes, np.inf)])
@@ -851,7 +853,8 @@ def test_clustered_search_runs_the_selector_once(monkeypatch):
     rng = np.random.default_rng([1, 0])
     centers = rng.normal(0.0, 10.0, size=(20, 32))
     pts = centers[np.arange(2000) % 20] + rng.normal(0.0, 1.0, size=(2000, 32))
-    emb, w = EmbeddingSet(pts), WeightVector(rng.uniform(0.0, 1.0, size=2000))
+    emb = EmbeddingSet(pts, "euclidean")
+    w = WeightVector(rng.uniform(0.0, 1.0, size=2000))
     runs = []
     selector = wkcenter.weighted_kcenter
 
@@ -860,11 +863,11 @@ def test_clustered_search_runs_the_selector_once(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(wkcenter, "weighted_kcenter", counted)
-    sol, trace = gamma_search(emb, "euclidean", w, 100, 0.001, grid_size=8)
+    sol, trace = gamma_search(emb, w, 100, 0.001, grid_size=8)
     assert len(runs) == 1 and runs[0].far_rounds > 0
-    grid = make_gamma_grid(*gamma_bounds(emb, "euclidean", w, 100)[:2], 8)
+    grid = make_gamma_grid(*gamma_bounds(emb, w, 100)[:2], 8)
     for g, (traced_g, objective) in zip(grid, trace):
-        full = selector(emb, "euclidean", w, 100, 0.001, float(g))
+        full = selector(emb, w, 100, 0.001, float(g))
         assert full.indices == sol.indices
         assert (traced_g, objective) == (float(g), full.objective)
 
@@ -876,21 +879,22 @@ def test_search_computes_the_seed_row_once(monkeypatch):
     rng = np.random.default_rng([1, 0])
     centers = rng.normal(0.0, 10.0, size=(20, 32))
     pts = centers[np.arange(2000) % 20] + rng.normal(0.0, 1.0, size=(2000, 32))
-    emb, w = EmbeddingSet(pts), WeightVector(rng.uniform(0.0, 1.0, size=2000))
+    emb = EmbeddingSet(pts, "euclidean")
+    w = WeightVector(rng.uniform(0.0, 1.0, size=2000))
     runs = []
     selector = wkcenter.weighted_kcenter
 
     def counted(*args):
-        runs.append(args[6:])
+        runs.append(args[5:])
         return selector(*args)
 
     monkeypatch.setattr(wkcenter, "weighted_kcenter", counted)
     rows = _count_rows(monkeypatch)
-    sol, _ = gamma_search(emb, "euclidean", w, 100, 0.001)
+    sol, _ = gamma_search(emb, w, 100, 0.001)
     seed = int(np.argmin(w.values))
     assert len(runs) == 1 and len(runs[0]) == 1 and sol.far_rounds > 0
     assert rows.count(seed) == 1
-    alone = selector(emb, "euclidean", w, 100, 0.001, sol.gamma_used)
+    alone = selector(emb, w, 100, 0.001, sol.gamma_used)
     assert (sol.indices, sol.far_rounds, _bits(sol.objective)) == \
         (alone.indices, alone.far_rounds, _bits(alone.objective))
     assert rows.count(seed) == 2
@@ -910,24 +914,24 @@ def test_gamma_search_equals_selector_at_every_grid_gamma(rng, monkeypatch):
         n = int(rng.integers(3, 30))
         k = int(rng.integers(1, n))
         metric = ("euclidean", "cosine-distance")[trial % 2]
-        emb = EmbeddingSet(rng.normal(size=(n, 2)))
+        emb = EmbeddingSet(rng.normal(size=(n, 2)), metric)
         w = WeightVector(np.round(rng.random(n), 1))
         parts = make_partition(n, 2, seed=trial,
                                strategy=("round-robin", "random")[trial % 2])
 
         def duke(g):
-            return selector(emb, metric, w, k, 0.5, g)
+            return selector(emb, w, k, 0.5, g)
 
         def parallel(g):
             runs.append(1)
-            return parallel_weighted_kcenter(emb, metric, w, k, 0.5, g, parts)
+            return parallel_weighted_kcenter(emb, w, k, 0.5, g, parts)
 
-        grid = make_gamma_grid(*gamma_bounds(emb, metric, w, k)[:2], 8)
+        grid = make_gamma_grid(*gamma_bounds(emb, w, k)[:2], 8)
         # the default runner is duke's; parallel runs are passed in
         for name, run, runner in (("duke", duke, None),
                                   ("parallel", parallel, parallel)):
             runs.clear()
-            sol, trace = gamma_search(emb, metric, w, k, 0.5, grid_size=8,
+            sol, trace = gamma_search(emb, w, k, 0.5, grid_size=8,
                                       runner=runner)
             stopped[name] += len(runs) < 8
             full = [run(float(g)) for g in grid]
@@ -960,10 +964,10 @@ def _search_instances(draw):
 @settings(max_examples=200, deadline=None)
 def test_gamma_search_equals_a_selector_run_at_every_grid_gamma(inst, size):
     pts, w, metric, k = inst
-    emb, w = EmbeddingSet(pts), WeightVector(w)
-    sol, trace = gamma_search(emb, metric, w, k, 0.5, grid_size=size)
-    grid = make_gamma_grid(*gamma_bounds(emb, metric, w, k)[:2], size)
-    full = [weighted_kcenter(emb, metric, w, k, 0.5, float(g)) for g in grid]
+    emb, w = EmbeddingSet(pts, metric), WeightVector(w)
+    sol, trace = gamma_search(emb, w, k, 0.5, grid_size=size)
+    grid = make_gamma_grid(*gamma_bounds(emb, w, k)[:2], size)
+    full = [weighted_kcenter(emb, w, k, 0.5, float(g)) for g in grid]
     assert trace == [(float(g), r.objective) for g, r in zip(grid, full)]
     best = min(full, key=lambda r: r.objective)    # first of equals
     assert (sol.indices, sol.gamma_used, sol.far_rounds) == \
@@ -972,7 +976,7 @@ def test_gamma_search_equals_a_selector_run_at_every_grid_gamma(inst, size):
         [_bits(x) for x in (best.radius_term, best.weight_term, best.objective)]
     # a grid the bracket's top answers whole runs no selector to check lambda
     with pytest.raises(InvalidArgument):
-        gamma_search(emb, metric, w, k, -1.0, grid_size=size)
+        gamma_search(emb, w, k, -1.0, grid_size=size)
 
 
 def test_gamma_search_beats_three_x_on_euclidean(rng):
@@ -981,11 +985,11 @@ def test_gamma_search_beats_three_x_on_euclidean(rng):
     for trial in range(15):
         n = int(rng.integers(6, 12))
         k = int(rng.integers(2, 5))
-        emb = EmbeddingSet(rng.normal(size=(n, 2)))
+        emb = EmbeddingSet(rng.normal(size=(n, 2)), "euclidean")
         w = WeightVector(rng.random(n))
         lam = float(rng.choice([0.1, 1.0]))
-        sol, _ = gamma_search(emb, "euclidean", w, k, lam, grid_size=12)
-        opt = brute_force_weighted(emb, "euclidean", w, k, lam)
+        sol, _ = gamma_search(emb, w, k, lam, grid_size=12)
+        opt = brute_force_weighted(emb, w, k, lam)
         assert sol.objective <= 3.0 * opt.objective + 1e-9
 
 
@@ -1019,11 +1023,11 @@ _COSINE_3G_WEIGHTS = np.array([
 
 
 def test_cosine_radius_can_exceed_three_gamma_star():
-    emb = EmbeddingSet(_COSINE_3G_POINTS)
+    emb = EmbeddingSet(_COSINE_3G_POINTS, "cosine-distance")
     w = WeightVector(_COSINE_3G_WEIGHTS)
-    star = brute_force_weighted(emb, "cosine-distance", w, 3, 0.1).radius_term
+    star = brute_force_weighted(emb, w, 3, 0.1).radius_term
     assert star == pytest.approx(0.2811590464474556)
-    sol = weighted_kcenter(emb, "cosine-distance", w, 3, 0.1, star)
+    sol = weighted_kcenter(emb, w, 3, 0.1, star)
     assert sol.radius_term > 3.0 * star
     assert sol.radius_term == pytest.approx(0.8524732345133944)
 
@@ -1045,10 +1049,9 @@ _COSINE_GREEDY_POINTS = np.array([
 def test_cosine_greedy_can_exceed_two_x_but_not_four():
     from duke.oracle import brute_force_kcenter
 
-    emb = EmbeddingSet(_COSINE_GREEDY_POINTS)
-    sol = greedy_kcenter(emb, "cosine-distance",
-                         WeightVector(np.zeros(emb.n)), 4)
-    opt = brute_force_kcenter(emb, "cosine-distance", 4)
+    emb = EmbeddingSet(_COSINE_GREEDY_POINTS, "cosine-distance")
+    sol = greedy_kcenter(emb, WeightVector(np.zeros(emb.n)), 4)
+    opt = brute_force_kcenter(emb, 4)
     ratio = sol.radius_term / opt.radius_term
     assert ratio == pytest.approx(2.178943889069998)
     assert ratio > 2.0
