@@ -42,6 +42,7 @@ import functools
 import io
 import os
 import stat
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -170,14 +171,15 @@ class ProbabilityMatrix:
         if vals.shape[1] < 2:
             raise TooFewClasses(classes=vals.shape[1])
         _check_finite_rows(vals)
-        out = (vals < 0.0) | (vals > 1.0)
-        if out.any():
-            bad = int(np.argwhere(out.any(axis=1))[0, 0])
-            raise ProbabilityOutOfRange(row=bad)
+        # no n x L temporary unless a row is bad
+        if vals.min() < 0.0 or vals.max() > 1.0:
+            out = ((vals < 0.0) | (vals > 1.0)).any(axis=1)
+            raise ProbabilityOutOfRange(row=int(np.argmax(out)))
         sums = vals.sum(axis=1)
-        off = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if off.any():
-            bad = int(np.argmax(off))
+        off = np.subtract(sums, 1.0)
+        np.abs(off, out=off)
+        if off.max() > ROW_SUM_TOL:
+            bad = int(np.argmax(off > ROW_SUM_TOL))
             raise RowSumError(row=bad, sum=float(sums[bad]))
         self.values = vals
 
@@ -760,11 +762,65 @@ def _parse_csv_reference(path: Path, header: bool) -> np.ndarray:
 # select on a 50k x 32 CSV at %.17g peaked 4.3 MiB above the np.loadtxt
 # read with 1 MiB chunks, 0.4 MiB with 256 KiB and 0.25 MiB with 64 KiB,
 # where the fixed cost of each chunk (about 0.4 ms) is paid four times as
-# often.
-CSV_CHUNK_BYTES = 1 << 18
+# often. A 128 KiB chunk of %.17g values peaks at about 0.65 MiB of
+# temporaries (tracemalloc), so two in flight hold less than one 256 KiB
+# chunk did (1.5 MiB) before exponents took this path.
+CSV_CHUNK_BYTES = 1 << 17
 
-# With the dots deleted, newlines turned to commas: a chunk's mantissas.
-_MANTISSAS = bytes.maketrans(b"\n", b",")
+# At most this many workers read a CSV file, the calling thread among them;
+# it bounds the chunks in flight.
+CSV_WORKERS = 4
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_workers(tasks: int, work) -> bool:
+    """Call ``work(i)`` for each i in ``range(tasks)``; False if a call
+    returned False.
+
+    The calls run on ``min(CPUs, CSV_WORKERS, tasks)`` workers, the calling
+    thread and one ``threading.Thread`` per further worker, which take the
+    next task from one shared iterator. ``os.pread`` and numpy's array
+    loops release the GIL, so the workers read on as many cores. Once a
+    call returns False or raises, each worker stops before its next task.
+    Every thread is joined before this returns or raises, and the first
+    exception a call raised is re-raised here.
+    """
+    todo = iter(range(tasks))
+    refused, errors = [], []
+
+    def worker():
+        try:
+            while not (refused or errors):
+                i = next(todo, None)
+                if i is None:
+                    return
+                if not work(i):
+                    refused.append(i)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(min(_cpus(), CSV_WORKERS, tasks) - 1):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            threads.append(thread)
+        worker()
+    except BaseException as exc:    # raised while the threads were started
+        errors.append(exc)
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return not refused
 
 
 @functools.cache
@@ -780,21 +836,118 @@ def _pow10() -> np.ndarray | None:
     return np.cumprod(np.r_[1, np.full(27, 10)].astype(ld))
 
 
+def _field_integers(a: np.ndarray, sep: np.ndarray, heads: np.ndarray,
+                    dots: np.ndarray) -> np.ndarray:
+    """The int64 of each field of the chunk bytes ``a``, the fields ending
+    at ``sep``; the one starting at each of ``heads`` holds the dot at the
+    matching one of ``dots``, which is dropped.
+
+    Every field end becomes a comma, and the bytes before a dot in its
+    field move one place on, over it, into a leading space, which
+    ``np.fromstring`` skips.
+    """
+    b = a.copy()
+    b[sep] = 44
+    span = dots - heads
+    moved = np.repeat(heads - np.cumsum(span) + span, span)
+    moved += np.arange(moved.size)
+    held = a[moved]
+    moved += 1
+    b[moved] = held
+    b[heads] = 32
+    return np.fromstring(b[:-1], dtype=np.int64, sep=",")
+
+
+def _plain_tokens(a: np.ndarray, shape: tuple[int, int]):
+    """The tokens of the chunk bytes ``a``, which end in a newline, in the
+    grammar of :func:`_decimal_chunk`: ``(M, p, start, end, long)``, or
+    None where ``a`` is not ``shape`` (rows by columns) plain decimals.
+
+    Token i is the bytes ``start[i]:end[i]``, its mantissa digits read as
+    the int64 ``M[i]`` and ``p[i]`` its power of ten. ``long`` lists the
+    tokens whose mantissa may overflow int64; their ``M`` is unspecified.
+    """
+    # every byte that is not a digit (one below "0" wraps to above 9):
+    # separators, signs, dots, exponent marks and any other
+    at = np.flatnonzero(np.subtract(a, 48, dtype=np.uint8) > 9)
+    kind = a[at]
+    # a field ends at a separator or an exponent mark (e or E): a token is
+    # its mantissa field and, after a mark, its exponent field
+    mark = (kind | 32) == 101
+    ends = np.flatnonzero((kind == 44) | (kind == 10) | mark)
+    sep = at[ends]
+    start = np.empty_like(sep)
+    start[0] = 0
+    np.add(sep[:-1], 1, out=start[1:])
+    first = np.empty_like(ends)
+    first[0] = 0
+    np.add(ends[:-1], 1, out=first[1:])
+    # below "0" a field may hold only a sign as its first byte and a dot as
+    # the last of them (kind[-1] is the closing newline)
+    dot = kind[ends - 1] == 46
+    lead = a[start]
+    signed = (lead == 45) | (lead == 43)
+    allowed = np.add(dot, signed, dtype=np.int64)
+    if (ends - first != allowed).any():
+        return None
+    digits = sep - start - allowed
+    if digits.min() < 1:
+        return None
+    end, expo = sep, None
+    if mark.any():
+        marked = mark[ends]
+        expo = np.zeros_like(marked)    # the fields after a mark
+        expo[1:] = marked[:-1]
+        # an exponent holds no dot and no mark of its own
+        if (expo & (dot | marked)).any():
+            return None
+        end = sep[~marked]
+    # as many tokens as the shape holds, each line's last ending it
+    rows, cols = shape
+    if end.size != rows * cols or (a[end[cols - 1::cols]] != 10).any():
+        return None
+    dots = at[ends[dot] - 1]
+    # a worker holds less while it reads the integers
+    del at, kind, mark, ends, first
+    m = _field_integers(a, sep, start[dot], dots)
+    if m.size != sep.size:
+        return None
+    p = np.zeros_like(m)
+    p[dot] = dots - sep[dot] + 1    # less the fraction digits
+    if expo is not None:
+        after = np.flatnonzero(expo)
+        p[after - 1] += m[after]
+        mant = ~expo
+        m, p, start, signed, digits = (m[mant], p[mant], start[mant],
+                                       signed[mant], digits[mant])
+    # more than 18 digits may overflow int64 (10**18 < 2**63), unless there
+    # are 19 and the first is a 0
+    long = np.flatnonzero(digits > 18)
+    if long.size:
+        top = start[long] + signed[long]
+        top += a[top] == 46
+        long = long[(digits[long] > 19) | (a[top] != 48)]
+    return m, p, start, end, long
+
+
 def _decimal_chunk(buf: bytes, out: np.ndarray) -> bool:
     """Read the lines ``buf`` into ``out`` (rows by columns), each token as
     ``float`` reads it; False, with ``out`` unspecified, where the chunk is
     not plain decimals.
 
-    Plain decimals are ``[+-]digits[.digits]`` (either run of digits may be
-    empty, not both), ``out.shape[1]`` to a line, and no other byte. A
-    token is the int64 mantissa ``M`` of its digits and its count ``f`` of
-    fraction digits. ``M`` and ``10**f`` are exact in np.longdouble, so
-    ``M / 10**f`` is the decimal rounded once to a 64-bit significand, and
-    rounding that to double gives the decimal's correctly rounded double
-    unless the first rounding landed on a midpoint of two doubles (low 11
-    significand bits 0x400). Those tokens, and those whose mantissa may
-    overflow int64, are read again with ``float``; the sign of a ``-0`` is
-    put back by hand.
+    Plain decimals are ``[+-]digits[.digits][(e|E)[+-]digits]`` (either
+    run of mantissa digits may be empty, not both), ``out.shape[1]`` to a
+    line, and no other byte. A token is the int64 mantissa ``M`` of its
+    digits and the power ``p = e - f``: its exponent (0 if it has none)
+    less its count of fraction digits (:func:`_plain_tokens`). While
+    ``|p| <= 27``, ``M`` and ``10**|p|`` are exact in np.longdouble, so
+    ``M * 10**p`` (or ``M / 10**-p``) is the decimal rounded once to a
+    64-bit significand, and rounding that to double gives the decimal's
+    correctly rounded double unless the first rounding landed on a midpoint
+    of two doubles (low 11 significand bits 0x400). Those tokens, those
+    with a larger ``|p|`` and those whose mantissa may overflow int64 are
+    read again with ``float``; the sign of a ``-0`` is put back by hand.
+    Most of the work is numpy's array loops, which release the GIL.
     """
     # whitespace and CR, a file's format more often than a rare token, are
     # refused before any array is built
@@ -803,56 +956,33 @@ def _decimal_chunk(buf: bytes, out: np.ndarray) -> bool:
     if not buf.endswith(b"\n"):
         buf += b"\n"
     a = np.frombuffer(buf, dtype=np.uint8)
-    if a.max() > 57:                    # a byte above "9"
+    tokens = _plain_tokens(a, out.shape)
+    if tokens is None:
         return False
-    # every byte below "0": separators, signs, dots and any other
-    at = np.flatnonzero(a < 48)
-    kind = a[at]
-    ends = np.flatnonzero((kind == 44) | (kind == 10))
-    cols = out.shape[1]
-    # as many tokens as the shape holds, each line's last ending it
-    if ends.size != out.size or (kind[ends[cols - 1::cols]] != 10).any():
-        return False
-    sep = at[ends]
-    start = np.empty_like(sep)
-    start[0] = 0
-    np.add(sep[:-1], 1, out=start[1:])
-    first = np.empty_like(ends)
-    first[0] = 0
-    np.add(ends[:-1], 1, out=first[1:])
-    # below "0" a token may hold only a sign as its first byte and a dot as
-    # the last of them (kind[-1] is the closing newline)
-    dot = kind[ends - 1] == 46
-    lead = kind[first]
-    signed = ((lead == 45) | (lead == 43)) & (at[first] == start)
-    if (ends - first - dot - signed).any():
-        return False
-    digits = sep - start - dot - signed
-    if digits.min() < 1:
-        return False
-    f = np.where(dot, sep - at[ends - 1] - 1, 0)
-    # more than 18 digits may overflow int64 (10**18 < 2**63), unless there
-    # are 19 and the first is a 0
-    redo = np.flatnonzero(digits > 18)
-    if redo.size:
-        top = start[redo] + signed[redo]
-        top += a[top] == 46
-        redo = redo[(digits[redo] > 19) | (a[top] != 48)]
-        f[redo] = 0
-    m = np.fromstring(buf.translate(_MANTISSAS, b".")[:-1], dtype=np.int64,
-                      sep=",")
-    if m.size != out.size:
-        return False
+    m, p, start, end, redo = tokens
+    # the common chunk takes no branch: the fewer numpy calls a worker
+    # makes, the less it waits for the GIL
+    lo, hi = p.min(), p.max()
+    if lo < -27 or hi > 27:     # a power of ten beyond 10**27 is not exact
+        far = (p > 27) | (p < -27)
+        p[far] = 0
+        redo = np.concatenate([redo, np.flatnonzero(far)])
+        hi = p.max()
+    ten = _pow10()
     y = m.astype(np.longdouble)
-    y /= _pow10()[f]
+    if hi > 0:
+        y *= ten[np.maximum(p, 0)]
+        np.minimum(p, 0, out=p)
+    y /= ten[-p]
     flat = out.reshape(-1)
     flat[:] = y
     zero = np.flatnonzero(m == 0)
-    flat[zero[a[start[zero]] == 45]] = -0.0
+    if zero.size:
+        flat[zero[a[start[zero]] == 45]] = -0.0
     mid = np.flatnonzero((y.view(np.uint64)[::2] & 0x7FF) == 0x400)
     redo = np.concatenate([redo, mid])
     flat[redo] = [float(buf[s:e]) for s, e in zip(start[redo].tolist(),
-                                                  sep[redo].tolist())]
+                                                  end[redo].tolist())]
     return True
 
 
@@ -877,48 +1007,71 @@ def _parse_csv_chunked(path: Path, header: bool) -> np.ndarray | None:
     or else ``np.loadtxt``; None where a chunk fails both or holds another
     number of rows than of lines.
 
-    A first pass counts each chunk's newlines, so the result is allocated
-    once; a file that is not a regular file (a pipe, say) gives None before
-    anything is read. A header holding a CR, which the reference splits,
-    gives None, as does a blank line, which neither chunk reader counts as
-    a row.
+    Both passes run on :func:`_run_workers`, each worker reading its bytes
+    with ``os.pread``. The first counts the newlines of each
+    :data:`CSV_CHUNK_BYTES` region of the file after the header: a chunk is
+    the lines whose newline falls in one region (a region with none joins
+    the next), so the result is allocated once. The second parses each
+    chunk into its own rows of that one matrix. A value comes from its own
+    chunk's bytes alone, so the matrix has the same bits for any number of
+    workers. A file that is not a regular file (a pipe, say) gives None
+    before anything is read. A header holding a CR, which the reference
+    splits, gives None, as does a blank line, which neither chunk reader
+    counts as a row.
     """
     if not stat.S_ISREG(os.stat(path).st_mode):
         return None
     with open(path, "rb") as fh:
         if header and b"\r" in fh.readline():
             return None
-        begin = pos = cut = fh.tell()
-        chunks = []                     # (bytes, lines) of each chunk
-        while raw := fh.read(CSV_CHUNK_BYTES):
-            lines = raw.count(b"\n")
-            if lines:
-                end = pos + raw.rfind(b"\n") + 1
-                chunks.append((end - cut, lines))
-                cut = end
-            pos += len(raw)
-        if pos > cut:                   # a last line with no newline
-            chunks.append((pos - cut, 1))
-        rows = sum(lines for _, lines in chunks)
-        if not rows:
+        begin = fh.tell()
+        # as many columns as the first line
+        cols = fh.readline().partition(b"\n")[0].count(b",") + 1
+        fd, step = fh.fileno(), CSV_CHUNK_BYTES
+        size = os.fstat(fd).st_size - begin
+        regions = max(0, -(-size // step))
+        lines = np.zeros(regions, dtype=np.int64)
+        last = np.zeros(regions, dtype=np.int64)    # just past its last "\n"
+
+        def count(i):
+            raw = os.pread(fd, step, begin + i * step)
+            if len(raw) != min(step, size - i * step):
+                return False
+            lines[i] = np.count_nonzero(np.frombuffer(raw, np.uint8) == 10)
+            last[i] = begin + i * step + raw.rfind(b"\n") + 1
+            return True
+
+        if not _run_workers(regions, count):
             return None
-        fh.seek(begin)
-        arr, row = None, 0
-        for size, lines in chunks:
-            buf = fh.read(size)
-            if len(buf) != size:
-                return None
-            if arr is None:         # as many columns as the first line
-                cols = buf.partition(b"\n")[0].count(b",") + 1
-                arr = np.empty((rows, cols))
-            part = arr[row:row + lines]
-            if not _decimal_chunk(buf, part):
+        cuts = np.r_[begin, last[lines > 0]]
+        lines = lines[lines > 0]
+        if cuts[-1] < begin + size:     # a last line with no newline
+            cuts, lines = np.r_[cuts, begin + size], np.r_[lines, 1]
+        rows = np.r_[0, np.cumsum(lines)]
+        if not rows[-1]:
+            return None
+        arr = np.empty((int(rows[-1]), cols))
+        # _loadtxt swaps the process's warning filters: one call at a time
+        lock = threading.Lock()
+
+        def parse(j):
+            off, length = int(cuts[j]), int(cuts[j + 1] - cuts[j])
+            buf = os.pread(fd, length, off)
+            if len(buf) != length:
+                return False
+            part = arr[rows[j]:rows[j + 1]]
+            if _decimal_chunk(buf, part):
+                return True
+            with lock:
                 # universal newlines, as np.loadtxt opens a path
                 rest = _loadtxt(io.TextIOWrapper(io.BytesIO(buf), "utf-8"))
-                if rest is None or rest.shape != part.shape:
-                    return None
-                part[...] = rest
-            row += lines
+            if rest is None or rest.shape != part.shape:
+                return False
+            part[...] = rest
+            return True
+
+        if not _run_workers(lines.size, parse):
+            return None
         return arr
 
 
@@ -926,15 +1079,18 @@ def _parse_csv(path: Path, header: bool) -> np.ndarray:
     """Parse a CSV file in three tiers, each giving the reference's floats.
 
     1. Where np.longdouble has a 64-bit significand, the file is read in
-       line-aligned chunks (:func:`_parse_csv_chunked`). A chunk of plain
-       decimals (no exponent, whitespace, CR or ``nan``) is read as int64
-       mantissas over powers of ten (:func:`_decimal_chunk`). Both are exact
-       in the 64-bit significand, so their quotient is rounded once, and
-       its rounding to double is the decimal's correctly rounded double,
-       which is what ``float`` gives, unless the quotient sits exactly on a
-       midpoint between two doubles: only there can the second rounding go
-       the other way, and those tokens are read with ``float``. Any other
-       chunk is read by ``np.loadtxt`` alone.
+       line-aligned chunks on up to :data:`CSV_WORKERS` threads
+       (:func:`_parse_csv_chunked`), with the same bits for any number. A
+       chunk of plain decimals (exponents included; no whitespace, CR or
+       ``nan``) is read as int64 mantissas times or over powers of ten up
+       to 10**27 (:func:`_decimal_chunk`). Both are exact in the 64-bit
+       significand, so their product or quotient is rounded once, and its
+       rounding to double is the decimal's correctly rounded double, which
+       is what ``float`` gives, unless it sits exactly on a midpoint
+       between two doubles: only there can the second rounding go the
+       other way, and those tokens, like those with a larger power, are
+       read with ``float``. Any other chunk is read by ``np.loadtxt``
+       alone.
     2. Wherever a chunk fails both or its rows do not match its lines,
        ``np.loadtxt`` reads the whole file. It accepts a subset of
        :func:`_parse_csv_reference`'s grammar (no whitespace-only lines, no

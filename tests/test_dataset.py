@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import types
 from decimal import Decimal
 from fractions import Fraction
@@ -89,6 +90,22 @@ def test_probability_validation():
         ProbabilityMatrix(np.array([[0.7, 0.1]]))
     # tolerance: row sums within 1e-6 of one are accepted
     ProbabilityMatrix(np.array([[0.5 + 4e-7, 0.5]]))
+
+
+def test_probability_errors_name_the_first_bad_row():
+    vals = np.full((8, 3), 1 / 3)
+    vals[2] = [0.5, 0.5, 0.25]
+    vals[5] = [1.25, -0.25, 0.0]
+    vals[6] = [0.5, 0.75, -0.25]
+    # a range error anywhere comes before a row sum error
+    with pytest.raises(ProbabilityOutOfRange) as exc:
+        ProbabilityMatrix(vals)
+    assert exc.value.details == {"row": 5}
+    vals[5] = vals[6] = 1 / 3
+    vals[4] = [0.5, 0.5, 1e-5]
+    with pytest.raises(RowSumError) as exc:
+        ProbabilityMatrix(vals)
+    assert exc.value.details == {"row": 2, "sum": vals[2].sum()}
 
 
 def test_weight_vector_range():
@@ -540,6 +557,7 @@ _MA_PROBE = """
 import os
 import sys
 import tempfile
+import threading
 import numpy as np
 from duke import dataset
 from duke.dataset import EmbeddingSet, WeightVector
@@ -555,22 +573,28 @@ for metric in ("euclidean", "manhattan"):
     assert weighted_kcenter(pts, w, 3, 1.0, 5.0).indices == [0, 1, 2]
     gamma_search(pts, w, 4, 0.1)
     evaluate_solution(pts, w, 0.1, [0, 4, 13], "t")
-# a CSV read in chunks: decimal ones, one with a re-read midpoint, and one
-# that only np.loadtxt reads
+# a CSV read in chunks by three workers: decimal ones, one with a re-read
+# midpoint, one with an exponent, and one that only np.loadtxt reads
 dataset.CSV_CHUNK_BYTES = 8
+dataset._cpus = lambda: 3
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "e.csv")
     with open(path, "w") as fh:
-        fh.write("0.5,-0\\n9007199254740993,1\\n1e-7,2\\n")
-    dataset.load_matrix(path)
+        fh.write("0.5,-0\\n9007199254740993,1\\n1e-7,2\\nnan,3\\n")
+    assert dataset.load_matrix(path)[2].tolist() == [1e-7, 2.0]
 assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+# the workers are plain threads, and none outlives the read
+for name in ("concurrent.futures", "multiprocessing"):
+    assert name not in sys.modules, name + " imported"
+assert threading.active_count() == 1, threading.enumerate()
 """
 
 
 def test_select_paths_do_not_import_numpy_ma():
     # np.unique's first call in a process imports numpy.ma (10-17 ms); the
     # exact reads group points by block without it, and the CSV reader
-    # gathers its re-reads without it
+    # gathers its re-reads without it. Its workers are threads, which site
+    # has already imported: concurrent.futures takes 11 ms to import
     src = os.path.dirname(os.path.dirname(duke.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _MA_PROBE], env=env,
@@ -783,14 +807,21 @@ _NUMBER_TOKENS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10 ** 20, 10 ** 20).map(str),
     st.floats(-1e6, 1e6).map(lambda x: "%.17g" % x),
+    st.floats(-1e-3, 1e-3).map(lambda x: "%.17g" % x),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.16e" % x),
+    st.floats(-1e9, 1e9).map(lambda x: "%.5E" % x),
     _long_decimals(),
     st.sampled_from(["+1.5", ".5", "5.", "-0", "-0.0", "+0", "-.5", "+.25",
-                     "0.", "-0."]),
+                     "0.", "-0.", "1e5", "1E+05", "-.5e-3", "5.E2", "+0e0",
+                     "-0e-7", "1e27", "1e-27", "1e28", "7e-28", "1e500",
+                     "-1e500", "1e-500", "1e99999999999999999999",
+                     "1e-99999999999999999999", "12345678901234567890e-30"]),
 )
 _ODD_TOKENS = st.sampled_from([
-    "nan", "-nan", "inf", "-inf", "Infinity", "1e500", "-1e500", "1e-500",
-    "1_0", "", " ", "#", "1 # c", "x", "\u0661", "\u00a01", "0x10", '"1"',
-    ".", "-", "+", "-.", "+-1", "1-", "1.2.3", "1\r2",
+    "nan", "-nan", "inf", "-inf", "Infinity", "1_0", "", " ", "#", "1 # c",
+    "x", "\u0661", "\u00a01", "0x10", '"1"', ".", "-", "+", "-.", "+-1",
+    "1-", "1.2.3", "1\r2", "1e", "e5", "1e+", "1e5.5", "1ee5", "1e5e5",
+    ".e1", "1e-+5", "1e.5", "1e5.", "E", "-e1", "1e_5", "1e 5",
 ])
 
 
@@ -824,15 +855,18 @@ def _csv_texts(draw):
 @given(case=_csv_texts(), chunk=st.sampled_from([None, 8, 24, 48]))
 @settings(max_examples=400, deadline=None)
 def test_csv_fast_path_matches_the_reference(tmp_path_factory, case, chunk):
-    # every tier must give the reference parser's bits, or its error; small
-    # chunks make a file span many, decimal and refused ones mixed
+    # every tier must give the reference parser's bits, or its error, on one
+    # worker and on three; small chunks make a file span many, decimal and
+    # refused ones mixed
     text, header = case
     path = tmp_path_factory.mktemp("csv") / "e.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(dataset, "CSV_CHUNK_BYTES",
-                           chunk or dataset.CSV_CHUNK_BYTES):
-        got = _csv_outcome(dataset._parse_csv, path, header)
-    assert got == _csv_outcome(dataset._parse_csv_reference, path, header)
+    want = _csv_outcome(dataset._parse_csv_reference, path, header)
+    for cpus in (1, 3):
+        with mock.patch.object(dataset, "CSV_CHUNK_BYTES",
+                               chunk or dataset.CSV_CHUNK_BYTES), \
+                mock.patch.object(dataset, "_cpus", lambda: cpus):
+            assert _csv_outcome(dataset._parse_csv, path, header) == want
 
 
 _PLAIN_DECIMALS = [
@@ -841,12 +875,18 @@ _PLAIN_DECIMALS = [
     "99999999999999999999", "0.1234567890123456789",
     "-0.0123456789012345678", "1234567890123456789", "12345678901234567890.5",
     "0.00000000000000000000000000123", "1." + "0" * 28 + "1",
-    "9007199254740993", "0.30000000000000004",
+    "9007199254740993", "0.30000000000000004", "1e5", "1E5", "-1.5e-07",
+    "+.5E+3", "5.e-2", "1e05", "0e0", "-0e-5", "-0.0E300",
+    "9007199254740993e-10", "1e27", "1e-27", "1e28", "1e-28", "1e300",
+    "2.5e-320", "123456789012345678e-45", "12345678901234567890e-5",
+    "1e500", "-1e500", "1e-500", "1e99999999999999999999",
+    "1e-99999999999999999999", "1e+0000000000000000000000005",
 ]
 _NOT_PLAIN = [
     ".", "-", "+", "-.", "+.", "", "1.2.3", "+-1", "--1", "1-", "1+2", "1.-2",
-    "1e5", "1E5", " 1", "1 ", "1\r", "\t1", "nan", "inf", "1_0", "0x1", "1,2",
-    "\u0661",
+    " 1", "1 ", "1\r", "\t1", "nan", "inf", "1_0", "0x1", "1,2", "\u0661",
+    "1e", "e5", "1e+", "1e5.5", "1ee5", "1e5e5", ".e1", "1e-+5", "1e.5",
+    "1e5.", "-e1", "1e-", "1E5E",
 ]
 
 
@@ -875,9 +915,19 @@ def test_decimal_chunk_refuses_blank_and_ragged_lines(text):
     assert not dataset._decimal_chunk(text.encode(), np.empty((rows, 2)))
 
 
+def _spellings(value: Decimal) -> list[str]:
+    """``value`` as a plain decimal and with an exponent, each spelling
+    keeping its digits and so its power of ten less fraction digits."""
+    digits, places = value.as_tuple().digits, -value.as_tuple().exponent
+    shifted = [format(value.scaleb(-k), "f") + "E%+d" % k for k in (1, 3)]
+    return [format(value, "f"), format(value, "e"),
+            "".join(map(str, digits)) + "e-%d" % places] + shifted
+
+
 @st.composite
 def _near_midpoints(draw):
-    """A plain decimal at or next to the midpoint m of two adjacent doubles.
+    """A plain decimal at or next to the midpoint m of two adjacent doubles,
+    written with or without an exponent.
 
     Near ones are N / 10**f with at most 18 digits, a distance r / (5**f
     2**p) from m = q / 2**p (q odd, 2**53 <= q < 2**54) for a small odd r.
@@ -888,7 +938,7 @@ def _near_midpoints(draw):
     q = draw(st.integers(2 ** 52, 2 ** 53 - 1)) * 2 + 1
     sign = draw(st.sampled_from(["", "-"]))
     if draw(st.integers(0, 4)) == 0:
-        return sign + str(q)
+        return sign + draw(st.sampled_from(_spellings(Decimal(q))))
     f = draw(st.integers(6, 17))
     r = draw(st.sampled_from([-3, -1, 1, 3]))
     # N = (q 5**f + r) / 2**s must be an integer below 10**18
@@ -899,7 +949,7 @@ def _near_midpoints(draw):
     q += (want - q) % 2 ** s
     q -= 2 ** s if q >= 2 ** 54 else 0
     n = (q * five + r) >> s
-    text = format(Decimal(n).scaleb(-f), "f")
+    text = draw(st.sampled_from(_spellings(Decimal(n).scaleb(-f))))
     assert Fraction(text) - Fraction(q, 2 ** (f + s)) == Fraction(
         r, five * 2 ** (f + s))
     return sign + text
@@ -916,13 +966,9 @@ def test_csv_decimals_near_double_midpoints_read_as_float(tmp_path_factory,
     assert dataset._parse_csv(path, False).tobytes() == want.tobytes()
 
 
-def test_csv_exponent_chunk_alone_goes_to_loadtxt(tmp_path, monkeypatch):
-    values = np.random.default_rng(3).normal(size=(40, 3))
-    lines = [",".join("%.17g" % v for v in row) for row in values]
-    lines[25] = "1.5e-07,2,3"
-    p = tmp_path / "e.csv"
-    p.write_text("\n".join(lines) + "\n")
-    monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 256)
+def _spy_loadtxt(monkeypatch):
+    """The text of every np.loadtxt call, which the reference must not
+    follow."""
     chunks = []
     loadtxt = np.loadtxt
 
@@ -935,12 +981,125 @@ def test_csv_exponent_chunk_alone_goes_to_loadtxt(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", spy)
     monkeypatch.setattr(dataset, "_parse_csv_reference", no_reference)
+    return chunks
+
+
+def test_csv_refused_chunk_alone_goes_to_loadtxt(tmp_path, monkeypatch):
+    values = np.random.default_rng(3).normal(size=(40, 3))
+    lines = [",".join("%.17g" % v for v in row) for row in values]
+    lines[25] = "nan,2,3"
+    p = tmp_path / "e.csv"
+    p.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 256)
+    chunks = _spy_loadtxt(monkeypatch)
     arr = dataset._parse_csv(p, False)
     want = values.copy()
-    want[25] = [1.5e-07, 2, 3]
+    want[25] = [np.nan, 2, 3]
     assert arr.tobytes() == want.tobytes()
-    assert len(chunks) == 1 and "1.5e-07" in chunks[0]
+    assert len(chunks) == 1 and "nan" in chunks[0]
     assert chunks[0].count("\n") < 25
+
+
+def test_csv_with_exponents_makes_no_loadtxt_call(tmp_path, monkeypatch):
+    # %.17g writes values below 1e-4 with an exponent
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(50, 32)) * 10.0 ** rng.integers(-9, 9, (50, 32))
+    p = tmp_path / "e.csv"
+    np.savetxt(p, values, delimiter=",", fmt="%.17g")
+    assert p.read_text().count("e-") > 100
+    monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 1024)
+    chunks = _spy_loadtxt(monkeypatch)
+    assert dataset._parse_csv(p, False).tobytes() == values.tobytes()
+    assert chunks == []
+
+
+def test_csv_worker_exception_reaches_the_caller(tmp_path, monkeypatch):
+    p = tmp_path / "e.csv"
+    np.savetxt(p, np.arange(400.0).reshape(100, 4) / 7, delimiter=",",
+               fmt="%.17g")
+    monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 256)
+    monkeypatch.setattr(dataset, "_cpus", lambda: 3)
+    decimal_chunk, boom = dataset._decimal_chunk, KeyError("boom")
+    raising = threading.Event()
+
+    def fail_in_a_thread(buf, out):
+        # the caller's own chunk waits until a started thread is about to
+        # raise, and that thread raises only after the caller has run out
+        # of chunks: the caller must wait for it
+        if threading.current_thread() is threading.main_thread():
+            assert raising.wait(10)
+        elif not raising.is_set():
+            raising.set()
+            time.sleep(0.3)
+            raise boom
+        return decimal_chunk(buf, out)
+
+    monkeypatch.setattr(dataset, "_decimal_chunk", fail_in_a_thread)
+    before = threading.active_count()
+    with pytest.raises(KeyError) as exc:
+        dataset._parse_csv(p, False)
+    assert exc.value is boom
+    assert threading.active_count() == before
+
+
+def test_csv_workers_read_every_chunk_once(tmp_path, monkeypatch):
+    # more workers than cores, switching threads as often as the
+    # interpreter allows: each chunk is read once and the bits are those of
+    # one worker
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(3000, 3)) * 10.0 ** rng.integers(-6, 6, (3000, 3))
+    p = tmp_path / "e.csv"
+    np.savetxt(p, values, delimiter=",", fmt="%.17g")
+    monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 200)
+    monkeypatch.setattr(dataset, "_cpus", lambda: 4)
+    seen, decimal_chunk = [], dataset._decimal_chunk
+
+    def count(buf, out):
+        seen.append(buf)
+        return decimal_chunk(buf, out)
+
+    monkeypatch.setattr(dataset, "_decimal_chunk", count)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        arr = dataset._parse_csv(p, False)
+    finally:
+        sys.setswitchinterval(interval)
+    assert arr.tobytes() == values.tobytes()
+    assert len(set(seen)) == len(seen) > 100
+    assert sum(map(len, seen)) == p.stat().st_size
+
+
+def test_csv_read_stops_at_the_first_refused_chunk(tmp_path, monkeypatch):
+    p = tmp_path / "e.csv"
+    # the third line has two columns of three: its chunk fails both readers
+    p.write_text("1,2,3\n4,5,6\n7,8\n" + "1.5,2,3\n" * 200)
+    monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 64)
+    monkeypatch.setattr(dataset, "_cpus", lambda: 1)
+    calls = []
+    decimal_chunk = dataset._decimal_chunk
+
+    def count(buf, out):
+        calls.append(buf)
+        return decimal_chunk(buf, out)
+
+    monkeypatch.setattr(dataset, "_decimal_chunk", count)
+    assert dataset._parse_csv_chunked(p, False) is None
+    assert len(calls) == 1
+
+
+def test_csv_on_one_cpu_starts_no_thread(tmp_path, monkeypatch):
+    p = tmp_path / "e.csv"
+    values = np.arange(400.0).reshape(100, 4) / 7
+    np.savetxt(p, values, delimiter=",", fmt="%.17g")
+    monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 256)
+    monkeypatch.setattr(dataset, "_cpus", lambda: 1)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was made")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert dataset._parse_csv(p, False).tobytes() == values.tobytes()
 
 
 def test_csv_decimal_reader_is_checked_on_first_use_only(tmp_path):
