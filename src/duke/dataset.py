@@ -42,7 +42,6 @@ import functools
 import io
 import os
 import stat
-import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -762,65 +761,12 @@ def _parse_csv_reference(path: Path, header: bool) -> np.ndarray:
 # select on a 50k x 32 CSV at %.17g peaked 4.3 MiB above the np.loadtxt
 # read with 1 MiB chunks, 0.4 MiB with 256 KiB and 0.25 MiB with 64 KiB,
 # where the fixed cost of each chunk (about 0.4 ms) is paid four times as
-# often. A 128 KiB chunk of %.17g values peaks at about 0.65 MiB of
-# temporaries (tracemalloc), so two in flight hold less than one 256 KiB
-# chunk did (1.5 MiB) before exponents took this path.
-CSV_CHUNK_BYTES = 1 << 17
-
-# At most this many workers read a CSV file, the calling thread among them;
-# it bounds the chunks in flight.
-CSV_WORKERS = 4
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_workers(tasks: int, work) -> bool:
-    """Call ``work(i)`` for each i in ``range(tasks)``; False if a call
-    returned False.
-
-    The calls run on ``min(CPUs, CSV_WORKERS, tasks)`` workers, the calling
-    thread and one ``threading.Thread`` per further worker, which take the
-    next task from one shared iterator. ``os.pread`` and numpy's array
-    loops release the GIL, so the workers read on as many cores. Once a
-    call returns False or raises, each worker stops before its next task.
-    Every thread is joined before this returns or raises, and the first
-    exception a call raised is re-raised here.
-    """
-    todo = iter(range(tasks))
-    refused, errors = [], []
-
-    def worker():
-        try:
-            while not (refused or errors):
-                i = next(todo, None)
-                if i is None:
-                    return
-                if not work(i):
-                    refused.append(i)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = []
-    try:
-        for _ in range(min(_cpus(), CSV_WORKERS, tasks) - 1):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            threads.append(thread)
-        worker()
-    except BaseException as exc:    # raised while the threads were started
-        errors.append(exc)
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return not refused
+# often. Since exponents take this path, a 256 KiB chunk of %.17g values
+# holds about 1.5 MiB of temporaries and a 128 KiB one about 0.65 MiB
+# (tracemalloc). In fresh processes on a 2-core x86 VM, a 50k x 32 file
+# parsed in about 216 ms with 80-112 KiB chunks, against 240 ms with 128 KiB
+# and 269 ms with 256 KiB.
+CSV_CHUNK_BYTES = 96 << 10
 
 
 @functools.cache
@@ -836,37 +782,21 @@ def _pow10() -> np.ndarray | None:
     return np.cumprod(np.r_[1, np.full(27, 10)].astype(ld))
 
 
-def _field_integers(a: np.ndarray, sep: np.ndarray, heads: np.ndarray,
-                    dots: np.ndarray) -> np.ndarray:
-    """The int64 of each field of the chunk bytes ``a``, the fields ending
-    at ``sep``; the one starting at each of ``heads`` holds the dot at the
-    matching one of ``dots``, which is dropped.
-
-    Every field end becomes a comma, and the bytes before a dot in its
-    field move one place on, over it, into a leading space, which
-    ``np.fromstring`` skips.
-    """
-    b = a.copy()
-    b[sep] = 44
-    span = dots - heads
-    moved = np.repeat(heads - np.cumsum(span) + span, span)
-    moved += np.arange(moved.size)
-    held = a[moved]
-    moved += 1
-    b[moved] = held
-    b[heads] = 32
-    return np.fromstring(b[:-1], dtype=np.int64, sep=",")
+# With the dots deleted, newlines and exponent marks turned to commas: a
+# chunk's mantissas and exponents, one field each.
+_FIELDS = bytes.maketrans(b"\neE", b",,,")
 
 
-def _plain_tokens(a: np.ndarray, shape: tuple[int, int]):
-    """The tokens of the chunk bytes ``a``, which end in a newline, in the
+def _plain_tokens(buf: bytes, shape: tuple[int, int]):
+    """The tokens of the chunk ``buf``, which ends in a newline, in the
     grammar of :func:`_decimal_chunk`: ``(M, p, start, end, long)``, or
-    None where ``a`` is not ``shape`` (rows by columns) plain decimals.
+    None where ``buf`` is not ``shape`` (rows by columns) plain decimals.
 
     Token i is the bytes ``start[i]:end[i]``, its mantissa digits read as
     the int64 ``M[i]`` and ``p[i]`` its power of ten. ``long`` lists the
     tokens whose mantissa may overflow int64; their ``M`` is unspecified.
     """
+    a = np.frombuffer(buf, dtype=np.uint8)
     # every byte that is not a digit (one below "0" wraps to above 9):
     # separators, signs, dots, exponent marks and any other
     at = np.flatnonzero(np.subtract(a, 48, dtype=np.uint8) > 9)
@@ -906,14 +836,12 @@ def _plain_tokens(a: np.ndarray, shape: tuple[int, int]):
     rows, cols = shape
     if end.size != rows * cols or (a[end[cols - 1::cols]] != 10).any():
         return None
-    dots = at[ends[dot] - 1]
-    # a worker holds less while it reads the integers
-    del at, kind, mark, ends, first
-    m = _field_integers(a, sep, start[dot], dots)
+    m = np.fromstring(buf.translate(_FIELDS, b".")[:-1], dtype=np.int64,
+                      sep=",")
     if m.size != sep.size:
         return None
     p = np.zeros_like(m)
-    p[dot] = dots - sep[dot] + 1    # less the fraction digits
+    p[dot] = at[ends[dot] - 1] - sep[dot] + 1   # less the fraction digits
     if expo is not None:
         after = np.flatnonzero(expo)
         p[after - 1] += m[after]
@@ -947,7 +875,6 @@ def _decimal_chunk(buf: bytes, out: np.ndarray) -> bool:
     of two doubles (low 11 significand bits 0x400). Those tokens, those
     with a larger ``|p|`` and those whose mantissa may overflow int64 are
     read again with ``float``; the sign of a ``-0`` is put back by hand.
-    Most of the work is numpy's array loops, which release the GIL.
     """
     # whitespace and CR, a file's format more often than a rare token, are
     # refused before any array is built
@@ -955,13 +882,10 @@ def _decimal_chunk(buf: bytes, out: np.ndarray) -> bool:
         return False
     if not buf.endswith(b"\n"):
         buf += b"\n"
-    a = np.frombuffer(buf, dtype=np.uint8)
-    tokens = _plain_tokens(a, out.shape)
+    tokens = _plain_tokens(buf, out.shape)
     if tokens is None:
         return False
     m, p, start, end, redo = tokens
-    # the common chunk takes no branch: the fewer numpy calls a worker
-    # makes, the less it waits for the GIL
     lo, hi = p.min(), p.max()
     if lo < -27 or hi > 27:     # a power of ten beyond 10**27 is not exact
         far = (p > 27) | (p < -27)
@@ -978,7 +902,8 @@ def _decimal_chunk(buf: bytes, out: np.ndarray) -> bool:
     flat[:] = y
     zero = np.flatnonzero(m == 0)
     if zero.size:
-        flat[zero[a[start[zero]] == 45]] = -0.0
+        lead = np.frombuffer(buf, dtype=np.uint8)[start[zero]]
+        flat[zero[lead == 45]] = -0.0
     mid = np.flatnonzero((y.view(np.uint64)[::2] & 0x7FF) == 0x400)
     redo = np.concatenate([redo, mid])
     flat[redo] = [float(buf[s:e]) for s, e in zip(start[redo].tolist(),
@@ -1007,71 +932,48 @@ def _parse_csv_chunked(path: Path, header: bool) -> np.ndarray | None:
     or else ``np.loadtxt``; None where a chunk fails both or holds another
     number of rows than of lines.
 
-    Both passes run on :func:`_run_workers`, each worker reading its bytes
-    with ``os.pread``. The first counts the newlines of each
-    :data:`CSV_CHUNK_BYTES` region of the file after the header: a chunk is
-    the lines whose newline falls in one region (a region with none joins
-    the next), so the result is allocated once. The second parses each
-    chunk into its own rows of that one matrix. A value comes from its own
-    chunk's bytes alone, so the matrix has the same bits for any number of
-    workers. A file that is not a regular file (a pipe, say) gives None
-    before anything is read. A header holding a CR, which the reference
-    splits, gives None, as does a blank line, which neither chunk reader
-    counts as a row.
+    A first pass counts each chunk's newlines, so the result is allocated
+    once; a file that is not a regular file (a pipe, say) gives None before
+    anything is read. A header holding a CR, which the reference splits,
+    gives None, as does a blank line, which neither chunk reader counts as
+    a row.
     """
     if not stat.S_ISREG(os.stat(path).st_mode):
         return None
     with open(path, "rb") as fh:
         if header and b"\r" in fh.readline():
             return None
-        begin = fh.tell()
-        # as many columns as the first line
-        cols = fh.readline().partition(b"\n")[0].count(b",") + 1
-        fd, step = fh.fileno(), CSV_CHUNK_BYTES
-        size = os.fstat(fd).st_size - begin
-        regions = max(0, -(-size // step))
-        lines = np.zeros(regions, dtype=np.int64)
-        last = np.zeros(regions, dtype=np.int64)    # just past its last "\n"
-
-        def count(i):
-            raw = os.pread(fd, step, begin + i * step)
-            if len(raw) != min(step, size - i * step):
-                return False
-            lines[i] = np.count_nonzero(np.frombuffer(raw, np.uint8) == 10)
-            last[i] = begin + i * step + raw.rfind(b"\n") + 1
-            return True
-
-        if not _run_workers(regions, count):
+        begin = pos = cut = fh.tell()
+        chunks = []                     # (bytes, lines) of each chunk
+        while raw := fh.read(CSV_CHUNK_BYTES):
+            lines = raw.count(b"\n")
+            if lines:
+                end = pos + raw.rfind(b"\n") + 1
+                chunks.append((end - cut, lines))
+                cut = end
+            pos += len(raw)
+        if pos > cut:                   # a last line with no newline
+            chunks.append((pos - cut, 1))
+        rows = sum(lines for _, lines in chunks)
+        if not rows:
             return None
-        cuts = np.r_[begin, last[lines > 0]]
-        lines = lines[lines > 0]
-        if cuts[-1] < begin + size:     # a last line with no newline
-            cuts, lines = np.r_[cuts, begin + size], np.r_[lines, 1]
-        rows = np.r_[0, np.cumsum(lines)]
-        if not rows[-1]:
-            return None
-        arr = np.empty((int(rows[-1]), cols))
-        # _loadtxt swaps the process's warning filters: one call at a time
-        lock = threading.Lock()
-
-        def parse(j):
-            off, length = int(cuts[j]), int(cuts[j + 1] - cuts[j])
-            buf = os.pread(fd, length, off)
-            if len(buf) != length:
-                return False
-            part = arr[rows[j]:rows[j + 1]]
-            if _decimal_chunk(buf, part):
-                return True
-            with lock:
+        fh.seek(begin)
+        arr, row = None, 0
+        for size, lines in chunks:
+            buf = fh.read(size)
+            if len(buf) != size:
+                return None
+            if arr is None:         # as many columns as the first line
+                cols = buf.partition(b"\n")[0].count(b",") + 1
+                arr = np.empty((rows, cols))
+            part = arr[row:row + lines]
+            if not _decimal_chunk(buf, part):
                 # universal newlines, as np.loadtxt opens a path
                 rest = _loadtxt(io.TextIOWrapper(io.BytesIO(buf), "utf-8"))
-            if rest is None or rest.shape != part.shape:
-                return False
-            part[...] = rest
-            return True
-
-        if not _run_workers(lines.size, parse):
-            return None
+                if rest is None or rest.shape != part.shape:
+                    return None
+                part[...] = rest
+            row += lines
         return arr
 
 
@@ -1079,11 +981,10 @@ def _parse_csv(path: Path, header: bool) -> np.ndarray:
     """Parse a CSV file in three tiers, each giving the reference's floats.
 
     1. Where np.longdouble has a 64-bit significand, the file is read in
-       line-aligned chunks on up to :data:`CSV_WORKERS` threads
-       (:func:`_parse_csv_chunked`), with the same bits for any number. A
-       chunk of plain decimals (exponents included; no whitespace, CR or
-       ``nan``) is read as int64 mantissas times or over powers of ten up
-       to 10**27 (:func:`_decimal_chunk`). Both are exact in the 64-bit
+       line-aligned chunks (:func:`_parse_csv_chunked`). A chunk of plain
+       decimals (exponents included; no whitespace, CR or ``nan``) is read
+       as int64 mantissas times or over powers of ten up to 10**27
+       (:func:`_decimal_chunk`). Both are exact in the 64-bit
        significand, so their product or quotient is rounded once, and its
        rounding to double is the decimal's correctly rounded double, which
        is what ``float`` gives, unless it sits exactly on a midpoint

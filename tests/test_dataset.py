@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import types
 from decimal import Decimal
 from fractions import Fraction
@@ -557,7 +556,6 @@ _MA_PROBE = """
 import os
 import sys
 import tempfile
-import threading
 import numpy as np
 from duke import dataset
 from duke.dataset import EmbeddingSet, WeightVector
@@ -573,28 +571,22 @@ for metric in ("euclidean", "manhattan"):
     assert weighted_kcenter(pts, w, 3, 1.0, 5.0).indices == [0, 1, 2]
     gamma_search(pts, w, 4, 0.1)
     evaluate_solution(pts, w, 0.1, [0, 4, 13], "t")
-# a CSV read in chunks by three workers: decimal ones, one with a re-read
-# midpoint, one with an exponent, and one that only np.loadtxt reads
+# a CSV read in chunks: decimal ones, one with a re-read midpoint, one
+# with an exponent, and one that only np.loadtxt reads
 dataset.CSV_CHUNK_BYTES = 8
-dataset._cpus = lambda: 3
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "e.csv")
     with open(path, "w") as fh:
         fh.write("0.5,-0\\n9007199254740993,1\\n1e-7,2\\nnan,3\\n")
     assert dataset.load_matrix(path)[2].tolist() == [1e-7, 2.0]
 assert "numpy.ma" not in sys.modules, "numpy.ma imported"
-# the workers are plain threads, and none outlives the read
-for name in ("concurrent.futures", "multiprocessing"):
-    assert name not in sys.modules, name + " imported"
-assert threading.active_count() == 1, threading.enumerate()
 """
 
 
 def test_select_paths_do_not_import_numpy_ma():
     # np.unique's first call in a process imports numpy.ma (10-17 ms); the
     # exact reads group points by block without it, and the CSV reader
-    # gathers its re-reads without it. Its workers are threads, which site
-    # has already imported: concurrent.futures takes 11 ms to import
+    # gathers its re-reads without it
     src = os.path.dirname(os.path.dirname(duke.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _MA_PROBE], env=env,
@@ -855,18 +847,15 @@ def _csv_texts(draw):
 @given(case=_csv_texts(), chunk=st.sampled_from([None, 8, 24, 48]))
 @settings(max_examples=400, deadline=None)
 def test_csv_fast_path_matches_the_reference(tmp_path_factory, case, chunk):
-    # every tier must give the reference parser's bits, or its error, on one
-    # worker and on three; small chunks make a file span many, decimal and
-    # refused ones mixed
+    # every tier must give the reference parser's bits, or its error; small
+    # chunks make a file span many, decimal and refused ones mixed
     text, header = case
     path = tmp_path_factory.mktemp("csv") / "e.csv"
     path.write_bytes(text.encode("utf-8"))
-    want = _csv_outcome(dataset._parse_csv_reference, path, header)
-    for cpus in (1, 3):
-        with mock.patch.object(dataset, "CSV_CHUNK_BYTES",
-                               chunk or dataset.CSV_CHUNK_BYTES), \
-                mock.patch.object(dataset, "_cpus", lambda: cpus):
-            assert _csv_outcome(dataset._parse_csv, path, header) == want
+    with mock.patch.object(dataset, "CSV_CHUNK_BYTES",
+                           chunk or dataset.CSV_CHUNK_BYTES):
+        got = _csv_outcome(dataset._parse_csv, path, header)
+    assert got == _csv_outcome(dataset._parse_csv_reference, path, header)
 
 
 _PLAIN_DECIMALS = [
@@ -1013,69 +1002,11 @@ def test_csv_with_exponents_makes_no_loadtxt_call(tmp_path, monkeypatch):
     assert chunks == []
 
 
-def test_csv_worker_exception_reaches_the_caller(tmp_path, monkeypatch):
-    p = tmp_path / "e.csv"
-    np.savetxt(p, np.arange(400.0).reshape(100, 4) / 7, delimiter=",",
-               fmt="%.17g")
-    monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 256)
-    monkeypatch.setattr(dataset, "_cpus", lambda: 3)
-    decimal_chunk, boom = dataset._decimal_chunk, KeyError("boom")
-    raising = threading.Event()
-
-    def fail_in_a_thread(buf, out):
-        # the caller's own chunk waits until a started thread is about to
-        # raise, and that thread raises only after the caller has run out
-        # of chunks: the caller must wait for it
-        if threading.current_thread() is threading.main_thread():
-            assert raising.wait(10)
-        elif not raising.is_set():
-            raising.set()
-            time.sleep(0.3)
-            raise boom
-        return decimal_chunk(buf, out)
-
-    monkeypatch.setattr(dataset, "_decimal_chunk", fail_in_a_thread)
-    before = threading.active_count()
-    with pytest.raises(KeyError) as exc:
-        dataset._parse_csv(p, False)
-    assert exc.value is boom
-    assert threading.active_count() == before
-
-
-def test_csv_workers_read_every_chunk_once(tmp_path, monkeypatch):
-    # more workers than cores, switching threads as often as the
-    # interpreter allows: each chunk is read once and the bits are those of
-    # one worker
-    rng = np.random.default_rng(8)
-    values = rng.normal(size=(3000, 3)) * 10.0 ** rng.integers(-6, 6, (3000, 3))
-    p = tmp_path / "e.csv"
-    np.savetxt(p, values, delimiter=",", fmt="%.17g")
-    monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 200)
-    monkeypatch.setattr(dataset, "_cpus", lambda: 4)
-    seen, decimal_chunk = [], dataset._decimal_chunk
-
-    def count(buf, out):
-        seen.append(buf)
-        return decimal_chunk(buf, out)
-
-    monkeypatch.setattr(dataset, "_decimal_chunk", count)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        arr = dataset._parse_csv(p, False)
-    finally:
-        sys.setswitchinterval(interval)
-    assert arr.tobytes() == values.tobytes()
-    assert len(set(seen)) == len(seen) > 100
-    assert sum(map(len, seen)) == p.stat().st_size
-
-
 def test_csv_read_stops_at_the_first_refused_chunk(tmp_path, monkeypatch):
     p = tmp_path / "e.csv"
     # the third line has two columns of three: its chunk fails both readers
     p.write_text("1,2,3\n4,5,6\n7,8\n" + "1.5,2,3\n" * 200)
     monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 64)
-    monkeypatch.setattr(dataset, "_cpus", lambda: 1)
     calls = []
     decimal_chunk = dataset._decimal_chunk
 
@@ -1086,20 +1017,6 @@ def test_csv_read_stops_at_the_first_refused_chunk(tmp_path, monkeypatch):
     monkeypatch.setattr(dataset, "_decimal_chunk", count)
     assert dataset._parse_csv_chunked(p, False) is None
     assert len(calls) == 1
-
-
-def test_csv_on_one_cpu_starts_no_thread(tmp_path, monkeypatch):
-    p = tmp_path / "e.csv"
-    values = np.arange(400.0).reshape(100, 4) / 7
-    np.savetxt(p, values, delimiter=",", fmt="%.17g")
-    monkeypatch.setattr(dataset, "CSV_CHUNK_BYTES", 256)
-    monkeypatch.setattr(dataset, "_cpus", lambda: 1)
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was made")
-
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    assert dataset._parse_csv(p, False).tobytes() == values.tobytes()
 
 
 def test_csv_decimal_reader_is_checked_on_first_use_only(tmp_path):
