@@ -3,19 +3,20 @@
 Subcommands: select, oracle, verify, gen, graph. Reports go to the
 --out file or stdout; diagnostics go to stderr as a single machine-parsable
 line. Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
-failure.
+failure. A process runs :func:`run`; callers in a process call :func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import time
 
 # these compile before .dataset loads numpy; numpy first adds 0.5 MiB of RSS
-from .errors import (DukeError, InvalidArgument, MissingFile, SizeMismatch,
-                     TooManyWorkers, UsageError)
+from .errors import (DukeError, InstanceTooLarge, InvalidArgument,
+                     MissingFile, SizeMismatch, TooManyWorkers, UsageError)
 from .report import Report, fmt_float
 from .dataset import (
     EmbeddingSet,
@@ -361,9 +362,33 @@ def main(argv=None) -> int:
         _emit(report, args.out)
         return code
     except DukeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        error = exc
+    except MemoryError:
+        # a backstop for an input that outgrows memory where no budget
+        # refused it first
+        error = InstanceTooLarge(memory="exhausted")
+    print(f"error: {error}", file=sys.stderr)
+    return error.exit_code
+
+
+def run() -> None:
+    """The process entry: the ``duke`` script, ``python -m duke`` and
+    ``python -m duke.cli`` all start here.
+
+    The imports leave about 21,000 objects (numpy's among them) tracked by
+    the collector, and CPython's shutdown runs full collections over all
+    of them, at 5-9 ms a pass on a 2-core x86_64 VM. None of them is
+    garbage, so they are frozen once the imports are done and collections
+    skip them. A ``select`` on 50k x 32 raw float32 inputs then ends about
+    17 ms sooner (198 -> 181 ms), about as soon as with ``os._exit`` after
+    :func:`main`. The collector stays on during the imports: turning it
+    off there as well saves about 5 ms more, but the import garbage then
+    frozen with them adds about 0.2 MiB of peak RSS. :func:`main` freezes
+    nothing, so a caller in a process keeps its collector as it was.
+    """
+    gc.freeze()
+    sys.exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -95,7 +95,13 @@ class TooManyWorkers(DukeError):
 
 class InstanceTooLarge(DukeError):
     """C(n, k) exceeds the enumeration cap, the oracle's distance matrix
-    exceeds its memory budget, or a kNN graph exceeds its work budget."""
+    exceeds its memory budget, or a kNN graph exceeds its work budget.
+
+    The CLI also reports a ``MemoryError`` as this error
+    (``memory=exhausted``), so an input whose arrays the process cannot
+    allocate exits 2 with one line rather than a traceback. That is a
+    backstop: it is raised only once an allocation has failed, not from a
+    budget checked before anything is allocated."""
 
 
 class InvalidArgument(DukeError):

@@ -1,4 +1,6 @@
+import gc
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -483,16 +485,17 @@ def test_out_flag_writes_report(capsys, tmp_path, example_files):
     assert rep.get("solution", "objective") == "6"
 
 
-def _run_python(*argv):
+def _run_python(*argv, env=(), preexec_fn=None):
     # the child imports the same duke as this process, installed or not, and
     # prints warnings as an interpreter does by default
     src = str(Path(duke.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = {**os.environ, **dict(env)}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-W", "default", *argv],
         capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -507,6 +510,83 @@ def test_module_entrypoint_subprocess(example_files):
         "euclidean", "--k", "8", "--lambda", "1", "--gamma", "2")
     assert proc.returncode == 0
     assert "objective = 6" in proc.stdout
+
+
+def _outside_timing(text: str) -> str:
+    return "\n\n".join(block for block in text.split("\n\n")
+                       if not block.startswith("[timing]"))
+
+
+@pytest.mark.parametrize("module", ["duke", "duke.cli"])
+def test_module_entries_write_the_in_process_report(tmp_path, example_files,
+                                                    module):
+    # python -m duke and python -m duke.cli both start at cli.run, which
+    # freezes the collector; the report is main's, byte for byte
+    pts, w = example_files
+    argv = ["select", "--embeddings", pts, "--weights", w, "--metric",
+            "euclidean", "--k", "8", "--lambda", "1"]
+    assert main([*argv, "--out", str(tmp_path / "main.txt")]) == 0
+    proc = _run_python("-m", module, *argv,
+                       "--out", str(tmp_path / "child.txt"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    expected = (tmp_path / "main.txt").read_text()
+    assert "[trace]" in expected and "[timing]" in expected
+    assert (_outside_timing((tmp_path / "child.txt").read_text())
+            == _outside_timing(expected))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--trials", "0", "--parallel-trials", "0"], 0),
+    (["nosuch"], 1),
+], ids=["verify", "usage-error"])
+def test_run_freezes_once_then_exits_with_mains_code(capsys, monkeypatch,
+                                                     argv, code):
+    events = []
+    real_main = cli.main
+
+    def spy_main():
+        events.append("main")
+        return real_main()
+
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli, "main", spy_main)
+    monkeypatch.setattr(sys, "argv", ["duke", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == code
+    assert events == ["freeze", "main"]
+
+
+def test_main_and_import_leave_the_collector_alone(capsys, example_files):
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    pts, w = example_files
+    code, _, _ = run_cli(capsys, "select", "--embeddings", pts, "--weights",
+                         w, "--metric", "euclidean", "--k", "8")
+    assert code == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    proc = _run_python("-c", "import gc, duke.cli; "
+                             "print(gc.isenabled(), gc.get_freeze_count())")
+    assert (proc.returncode, proc.stdout) == (0, "True 0\n"), proc.stderr
+
+
+def test_exhausted_memory_is_a_typed_error(tmp_path):
+    # a sparse 2 GiB raw-float32 file (no page of it written) widens to a
+    # 4 GiB matrix, which a 1 GiB address-space limit on the child refuses
+    pts = tmp_path / "big.f32"
+    pts.touch()
+    os.truncate(pts, 2 << 30)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = _run_python("-m", "duke", "select", "--embeddings", str(pts),
+                       "--format", "raw-float32", "--dim", "64", "--metric",
+                       "euclidean", "--k", "1",
+                       env={"OPENBLAS_NUM_THREADS": "1"},
+                       preexec_fn=limit_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: InstanceTooLarge{memory=exhausted}")
 
 
 @pytest.mark.parametrize("method", ["duke", "margin", "random"])

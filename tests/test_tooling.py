@@ -115,3 +115,22 @@ def test_only_wkcenter_imports_private_names_of_dataset():
                     and any(a.name.startswith("_") for a in node.names)):
                 importers.add(path.stem)
     assert importers == {"wkcenter"}
+
+
+def test_every_process_entry_is_run():
+    # the console script, python -m duke and python -m duke.cli all start
+    # at cli.run, so each process freezes the collector the same way
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"duke": "duke.cli:run"}
+    package = Path(cli.__file__).resolve().parent
+    dunder_main = ast.parse((package / "__main__.py").read_text())
+    assert [ast.unparse(n) for n in dunder_main.body] == [
+        "from .cli import run", "run()"]
+    guards = [node for node in ast.parse(inspect.getsource(cli)).body
+              if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(stmt) for stmt in g.body] for g in guards] == [
+        ["run()"]]
