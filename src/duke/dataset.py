@@ -5,9 +5,10 @@ distances from one point to a range of points or to gathered ones. Each
 entry comes from its own row alone, so every part of the package (graph
 construction, selection, oracle, cost evaluation) sees bitwise-identical
 values for the same point pair, wherever its rows sit. :func:`metric_row`
-is the kernel's full-range call. :func:`fold_block` folds many centers'
-rows over one block while it sits in cache, applying the kernel's monotone
-finish once, and gives the ``np.minimum`` fold of those rows bit for bit.
+is the kernel's full-range call. The kernel takes every center it is given
+over a block of rows while the block sits in cache, so :func:`fold_block`
+reads each row once for many centers, applies the kernel's monotone finish
+once, and gives the ``np.minimum`` fold of their rows bit for bit.
 
 :class:`Cover` is the one nearest-center state: each point's distance to
 its nearest center, screened within a proven bound delta
@@ -19,8 +20,9 @@ where a pick or the radius is decided, at the gathered points in question
 and from the centers the screen leaves able to be nearest to each, so they
 are the full fold's floats. The farthest-point traversal, the fixed-gamma
 selector and the scoring of any selection all keep their distances there.
-Where delta cannot separate distances (manhattan, one block, points far
-from the origin) the screen is the exact fold.
+Every read folds through one method, :meth:`Cover._fold`: a screen, or
+where delta cannot separate distances (manhattan, points far from the
+origin) the exact fold, whose reads are then exact values.
 
 Cosine and euclidean distances both rest on one row product
 (``np.einsum``) per point pair. Euclidean takes
@@ -251,53 +253,59 @@ def block_rows(emb: EmbeddingSet) -> int:
 NEAR = 2.0 ** -10
 
 
-def _raw_block(emb: EmbeddingSet, i: int, lo: int, hi: int,
+def _raw_block(emb: EmbeddingSet, centers: list[int], lo: int, hi: int,
                points: np.ndarray | None = None) -> np.ndarray:
-    """Point i's distances to points lo..hi-1 (or ``points[lo:hi]``)
-    before their monotone finish.
+    """The extreme over ``centers`` of their distances to points lo..hi-1
+    (or ``points[lo:hi]``) before their monotone finish: the largest value
+    for cosine, the smallest for the other metrics.
 
     Every entry comes from its own row alone, and its product
     (``np.einsum``, unlike a BLAS matrix-vector product, rounds a row the
     same at any place and alignment) in one fixed order, so a pair gets the
     same bits at any row position and in a gathered read. Rows are read a
-    kernel block at a time. Cosine gives the scaled product
-    ``y.x / (|y| |x|)``, which :func:`_finish` turns into
-    ``1 - clip(...)``, a non-increasing map. Euclidean forms the squared
-    distance ``(|y|^2 + |x|^2) - 2 y.x`` and recomputes every entry in the
-    :data:`NEAR` band as the exact sum of squared differences;
+    kernel block at a time, and every center is taken over a block while
+    it is in cache, so a gathered read indexes its rows once. Cosine gives
+    the scaled product ``y.x / (|y| |x|)``, which :func:`_finish` turns
+    into ``1 - clip(...)``, a non-increasing map. Euclidean forms the
+    squared distance ``(|y|^2 + |x|^2) - 2 y.x`` and recomputes every entry
+    in the :data:`NEAR` band as the exact sum of squared differences;
     :func:`_finish` takes its square root, a non-decreasing map. Manhattan
     needs no finish.
     """
     f, metric = emb.features, emb.metric
-    x = f[i]
     d = np.empty(hi - lo, dtype=np.float64)
     step = block_rows(emb)
-    sq = emb.sq_norms() if metric == "euclidean" else None
-    # manhattan's |y - x| terms, one block at a time
-    buf = (np.empty((min(step, hi - lo), emb.dim)) if metric == "manhattan"
-           else None)
+    cosine = metric == "cosine-distance"
+    extreme = np.maximum if cosine else np.minimum
+    scale = emb.norms() if cosine else emb.sq_norms()
+    # a block's entries of each later center, and manhattan's |y - x| terms
+    other = np.empty(min(step, hi - lo))
+    buf = np.empty((other.size, emb.dim)) if metric == "manhattan" else None
     for a in range(lo, hi, step):
         b = min(a + step, hi)
         rows = slice(a, b) if points is None else points[a:b]
-        part, block = d[a - lo:b - lo], f[rows]
-        if metric == "manhattan":
-            terms = buf[:b - a]
-            np.subtract(block, x, out=terms)
-            np.abs(terms, out=terms)
-            terms.sum(axis=1, out=part)
-            continue
-        np.einsum("ij,j->i", block, x, out=part)
-        if metric == "euclidean":
-            s = sq[rows] + sq[i]
-            part *= -2.0
-            part += s
-            near = np.flatnonzero(part <= NEAR * s)
-            if near.size:
-                diff = block[near] - x
-                part[near] = np.einsum("ij,ij->i", diff, diff)
-        else:
-            norms = emb.norms()
-            part /= norms[rows] * norms[i]
+        acc, block, at = d[a - lo:b - lo], f[rows], scale[rows]
+        for j, c in enumerate(centers):
+            x, part = f[c], other[:b - a] if j else acc
+            if metric == "manhattan":
+                terms = buf[:b - a]
+                np.subtract(block, x, out=terms)
+                np.abs(terms, out=terms)
+                terms.sum(axis=1, out=part)
+            elif cosine:
+                np.einsum("ij,j->i", block, x, out=part)
+                part /= at * scale[c]
+            else:
+                np.einsum("ij,j->i", block, x, out=part)
+                s = at + scale[c]
+                part *= -2.0
+                part += s
+                near = np.flatnonzero(part <= NEAR * s)
+                if near.size:
+                    diff = block[near] - x
+                    part[near] = np.einsum("ij,ij->i", diff, diff)
+            if j:
+                extreme(acc, part, out=acc)
     return d
 
 
@@ -316,10 +324,11 @@ def _row_block(emb: EmbeddingSet, i: int, lo: int, hi: int,
     """Distances from point i to points lo..hi-1 (or ``points[lo:hi]``),
     d(i, i) forced to exactly 0.
 
-    The shared row kernel: :func:`_raw_block` and its finish. Identical rows
-    come out at exactly 0 for euclidean, since the difference form is exact.
+    The shared row kernel: :func:`_raw_block` of one center and its finish.
+    Identical rows come out at exactly 0 for euclidean, since the
+    difference form is exact.
     """
-    d = _raw_block(emb, i, lo, hi, points)
+    d = _raw_block(emb, [i], lo, hi, points)
     _finish(emb.metric, d)
     if points is not None:
         d[points[lo:hi] == i] = 0.0
@@ -337,15 +346,13 @@ def fold_block(emb: EmbeddingSet, centers, lo: int, hi: int,
     rows of ``centers``. Rounding is monotone and the finish of
     :func:`_raw_block` is monotone, so the minimum of finished rows is the
     finish of the extreme raw value (the largest scaled product for cosine,
-    the smallest squared distance for euclidean): the fold applies the
-    finish and the ``d(c, c) = 0`` of each center among its points once,
-    not once per center.
+    the smallest squared distance for euclidean), which one
+    :func:`_raw_block` call takes over every center: the fold reads each
+    row once, and applies the finish and the ``d(c, c) = 0`` of each center
+    among its points once, not once per center.
     """
     idx = np.asarray(centers, dtype=np.int64).reshape(-1)
-    extreme = np.maximum if emb.metric == "cosine-distance" else np.minimum
-    acc = _raw_block(emb, int(idx[0]), lo, hi, points)
-    for c in idx[1:]:
-        extreme(acc, _raw_block(emb, int(c), lo, hi, points), out=acc)
+    acc = _raw_block(emb, idx.tolist(), lo, hi, points)
     _finish(emb.metric, acc)
     if points is None:
         acc[idx[(lo <= idx) & (idx < hi)] - lo] = 0.0
@@ -410,11 +417,15 @@ SCREEN_BYTES = 1 << 18
 # A screen whose delta is more than this fraction of the first center's
 # farthest distance is off (delta 0): it cannot tell the distances near the
 # top apart, and the points and centers it leaves open cost more exact reads
-# than the blocks' folds. On 50k x 32 unit gaussians shifted by s (farthest
-# distance 11), the traversal with k = 100 took 0.39 against 0.70 s with the
-# screen at s = 5e3 (ratio 555), the same at 7e3 (ratio 396) and 0.88
-# against 0.60 s at 1e4 (ratio 277).
-SCREEN_SPREAD = 512
+# than the exact folds. On 50k x 32 unit gaussians shifted by s (farthest
+# distance 11; fresh processes, one BLAS thread), the traversal with k = 100
+# took 0.05-0.07 s screened against 0.32-0.33 s unscreened at s = 5e3, 7e3
+# and 1e4 (ratios 555, 396 and 277), 0.15 against 0.30 s at 4.33e4 (ratio
+# 64) and 0.72 against 0.33 s at 1e5 (ratio 28). A fixed-gamma run with
+# k = 400 took 0.04-0.05 s screened against 1.2-1.3 s at every one of those
+# shifts, and 1.8 against 1.3 s at 3e5 (ratio 9). Picks and radius bits are
+# the same either way.
+SCREEN_SPREAD = 64
 
 # Centers per screen pass of the covering radius, after each of which the
 # points that cannot hold the radius drop out: 16 took 25 ms on the cube's
@@ -550,14 +561,14 @@ class Cover:
     to grow), and each value of ``near`` is then within ``delta``
     (:func:`_screen_delta`) of ``np.minimum`` folded over every center's
     :func:`metric_row`; :meth:`exact` gives that fold's floats at any
-    points.
+    points. A set of one block is screened like any other.
 
     Where the screen cannot tell distances apart (a ``delta`` of more than
-    1/:data:`SCREEN_SPREAD` of the first center's farthest distance, a
-    single block, or manhattan, which has no screen), ``delta`` is 0 and
-    the reads fold exactly (:func:`fold_block`, over a block or gathered
-    points): a point brought up to date then holds the fold bit for bit,
-    whatever reads came between the adds.
+    1/:data:`SCREEN_SPREAD` of the first center's farthest distance, or
+    manhattan, which has no screen), ``delta`` is 0 and the reads fold
+    exactly (:func:`fold_block`, over a block or gathered points): a point
+    brought up to date then holds the fold bit for bit, whatever reads
+    came between the adds. :meth:`_fold` alone chooses between the two.
     """
 
     def __init__(self, emb: EmbeddingSet, centers,
@@ -570,8 +581,7 @@ class Cover:
         self.held = np.ones(emb.n, dtype=np.int32)
         self.step = block_rows(emb)
         self.blocks = -(-emb.n // self.step)
-        # one block holds every maximum, so a screen cannot spare its reads
-        delta = _screen_delta(emb) if self.blocks > 1 else np.inf
+        delta = _screen_delta(emb)
         on = SCREEN_SPREAD * delta <= self.near.max()
         self.delta = delta if on else 0.0
         if on:
@@ -594,39 +604,37 @@ class Cover:
         col, shift = _product_form(self.emb, [c])
         self.cols[m - 1], self.shift[m - 1] = col[0], shift[0]
 
+    def _fold(self, first: int, last: int, lo: int, hi: int, out: np.ndarray,
+              points: np.ndarray | None = None) -> None:
+        """Fold centers ``first..last-1`` into ``out``, the values of points
+        lo..hi-1 (or ``points[lo:hi]``): one :func:`_screen_rows` product
+        where ``delta`` is set, and otherwise :func:`fold_block`, which
+        gives the row fold's floats wherever its points sit."""
+        if self.delta:
+            _screen_rows(self.emb, lo, hi, self.cols[first:last],
+                         self.shift[first:last], out, points)
+        else:
+            fold_block(self.emb, self.centers[first:last], lo, hi, out,
+                       points)
+
     def screen(self, b: int) -> np.ndarray:
         """Kernel block b of ``near``, brought up to date, as a view."""
         m, lo = len(self.centers), b * self.step
         s, held = self.near[lo:lo + self.step], self.held[lo:lo + self.step]
         first = held.min()
         if first < m:
-            if self.delta:
-                _screen_rows(self.emb, lo, lo + s.size, self.cols[first:m],
-                             self.shift[first:m], s)
-            else:
-                fold_block(self.emb, self.centers[first:], lo, lo + s.size, s)
+            self._fold(first, m, lo, lo + s.size, s)
             held[:] = m
         return s
 
     def gather(self, points: np.ndarray) -> np.ndarray:
         """``near`` at ``points``, brought up to date and returned as a
-        copy.
-
-        The same fold as :meth:`screen`, over the gathered points: one
-        :func:`_screen_rows` product where ``delta`` is set, and otherwise
-        :func:`fold_block`. Each entry comes from its own row alone, so the
-        latter gives the floats of a block's fold bit for bit.
-        """
+        copy: the same fold as :meth:`screen`, over the gathered points."""
         s = self.near[points]
         m = len(self.centers)
         first = self.held[points].min(initial=m)
         if first < m:
-            if self.delta:
-                _screen_rows(self.emb, 0, points.size, self.cols[first:m],
-                             self.shift[first:m], s, points)
-            else:
-                fold_block(self.emb, self.centers[first:], 0, points.size, s,
-                           points)
+            self._fold(first, m, 0, points.size, s, points)
             self.near[points] = s
             self.held[points] = m
         return s
@@ -636,20 +644,16 @@ class Cover:
         """The nearest-center distances of ``points``, bit for bit
         ``np.minimum`` folded over every center's :func:`metric_row` there.
 
-        With ``delta`` 0 the points' blocks are brought up to date. Otherwise
-        ``near`` holds the points' screened distances to every center, and
-        of each point's centers only those screened within ``2 delta`` of its
-        ``near`` are read, from the gathered rows: the nearest center's is
-        within ``delta`` of the exact distance, which is within ``delta`` of
+        With ``delta`` 0 that is :meth:`gather`. Otherwise ``near`` holds
+        the points' screened distances to every center, and of each point's
+        centers only those screened within ``2 delta`` of its ``near`` are
+        read, from the gathered rows: the nearest center's is within
+        ``delta`` of the exact distance, which is within ``delta`` of
         ``near``. Every other center is farther, so the minimum is the same
         float.
         """
         if not self.delta:
-            read = np.zeros(self.blocks, dtype=bool)
-            read[points // self.step] = True
-            for b in np.flatnonzero(read):
-                self.screen(b)
-            return self.near[points]
+            return self.gather(points)
         emb, m = self.emb, len(self.centers)
         cols, limit = self.cols[:m], near + 2.0 * self.delta
         d = np.full(points.size, np.inf)
@@ -672,33 +676,28 @@ class Cover:
         bit ``np.minimum`` folded over every center's :func:`metric_row`
         followed by ``.max()``.
 
-        With ``delta`` 0 every block is brought up to date. Otherwise blocks
-        go in order, each screened with the centers its least current point
-        lacks, :data:`_RADIUS_GROUP` at a time, and after each group a point
-        whose screened distance plus ``delta`` falls below ``lower``, the
-        largest distance some point is known to reach, is dropped: it cannot
-        hold the maximum. The points left, from every block, are dropped the
-        same way as ``lower`` rises, and the exact distances of the survivors
-        (:meth:`exact`) give the maximum.
+        Blocks go in order, each folded (:meth:`_fold`) with the centers
+        its least current point lacks, :data:`_RADIUS_GROUP` at a time, and
+        after each group a point whose value plus ``delta`` falls below
+        ``lower``, the largest distance some point is known to reach, is
+        dropped: it cannot hold the maximum. The points left, from every
+        block, are dropped the same way as ``lower`` rises. With ``delta``
+        0 the values are exact and the largest survivor's is the radius;
+        otherwise the exact distances of the survivors (:meth:`exact`) give
+        the maximum.
         """
         m, step, n, delta = len(self.centers), self.step, self.emb.n, self.delta
-        if not delta:
-            return float(np.max([self.screen(b).max()
-                                 for b in range(self.blocks)]))
         lower = -np.inf
         kept_points, kept_near = np.empty(0, dtype=np.int64), np.empty(0)
         for b in range(self.blocks):
             lo, hi = b * step, min(b * step + step, n)
             points, near = np.arange(lo, hi), self.near[lo:hi].copy()
-            first = self.held[lo:hi].min()
-            cols, shift = self.cols[first:m], self.shift[first:m]
-            for g in range(0, len(cols), _RADIUS_GROUP):
-                group = cols[g:g + _RADIUS_GROUP], shift[g:g + _RADIUS_GROUP]
+            for g in range(self.held[lo:hi].min(), m, _RADIUS_GROUP):
+                last = min(g + _RADIUS_GROUP, m)
                 if points.size == hi - lo:  # none dropped: read in place
-                    _screen_rows(self.emb, lo, hi, *group, near)
+                    self._fold(g, last, lo, hi, near)
                 else:
-                    _screen_rows(self.emb, 0, points.size, *group, near,
-                                 points)
+                    self._fold(g, last, 0, points.size, near, points)
                 keep = near + delta >= lower
                 points, near = points[keep], near[keep]
             lower = max(lower, float(near.max(initial=-np.inf)) - delta)
@@ -706,7 +705,9 @@ class Cover:
             kept_near = np.concatenate([kept_near, near])
             keep = kept_near + delta >= lower
             kept_points, kept_near = kept_points[keep], kept_near[keep]
-        return float(self.exact(kept_points, kept_near).max())
+        if delta:
+            kept_near = self.exact(kept_points, kept_near)
+        return float(kept_near.max())
 
 
 def distance_matrix(emb: EmbeddingSet) -> np.ndarray:

@@ -383,22 +383,17 @@ class _Nearest:
         while lo < n:
             hi = min(lo + width, n)
             width = min(2 * width, _SCAN)
-            if delta:
-                s = self.cover.gather(self.order[lo:hi])
-                far = np.flatnonzero(s - delta > t)
-                end = int(far[0]) if far.size else hi - lo
-                # a value within delta of t is open
-                band = np.flatnonzero(s[:end] + delta > t)
-                near = s[band]
-            else:
-                far, end = (), hi - lo
-                band, near = np.arange(end), None
+            s = self.cover.gather(self.order[lo:hi])
+            far = np.flatnonzero(s - delta > t)
+            end = int(far[0]) if far.size else hi - lo
+            # a value within delta of t is open; with delta 0 none is
+            band = np.flatnonzero(s[:end] + delta > t)
             if band.size:
-                e = self.cover.exact(self.order[lo + band], near)
+                e = self.cover.exact(self.order[lo + band], s[band])
                 j = np.flatnonzero(e > t)
                 if j.size:
                     return lo + int(band[j[0]]), float(e[j[0]])
-            if len(far):
+            if far.size:
                 return lo + end, float(s[end] - delta)
             lo = hi
         return n, np.inf

@@ -13,6 +13,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES, per_round_selection
 
 from duke.dataset import (
+    Cover,
     EmbeddingSet,
     ProbabilityMatrix,
     WeightVector,
@@ -192,9 +193,12 @@ def _selector_instances(count, seed):
 
 def test_criterion_07_selector_matches_definition():
     t0 = time.perf_counter()
-    checks = violations = 0
+    checks = violations = screened = 0
     for emb, w, k, lam, gamma in _selector_instances(500, seed=1):
         sol = weighted_kcenter(emb, w, k, lam, gamma)
+        # the run's Cover starts from the lightest point, the lowest index
+        # on ties
+        screened += Cover(emb, [int(np.argmin(w.values))]).delta > 0
         want, radius, far_rounds = per_round_selection(emb, w.values, k, gamma)
         checks += 1
         violations += (sol.indices != want or sol.far_rounds != far_rounds
@@ -203,7 +207,8 @@ def test_criterion_07_selector_matches_definition():
     ok = checks >= 500 and violations == 0
     _verdict(7, ok, f"selector equal to the per-round definition (indices, "
                     f"far rounds, radius bits) on {checks} instances up to "
-                    f"n=2000, {violations} violations ({elapsed:.1f}s)")
+                    f"n=2000, {violations} violations, {screened} run "
+                    f"screened ({elapsed:.1f}s)")
 
 
 def test_criterion_08_near_linear_scaling():

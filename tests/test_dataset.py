@@ -207,10 +207,14 @@ def test_cover_radius_bitwise_equals_row_minimum(rng, monkeypatch, metric,
     emb = EmbeddingSet(pts, metric)
     step = dataset.block_rows(emb)
     assert n % step != 0 and n > 2 * step
-    # six and twelve centers, the first of them from its row; with delta 0
-    # (manhattan) every block is folded, otherwise screened
+    # six, twelve and forty centers, the first of them from its row; with
+    # delta 0 (manhattan) every block is folded, otherwise screened, and the
+    # forty take the radius's grouped drop through several groups
+    spread = [int(c) for c in np.linspace(0, n - 1, 40)]
+    assert len(set(spread)) == 40 and dataset._RADIUS_GROUP < 20
     for centers in ([0, 3, step + 1, n - 1, n - 4, 2],
-                    [0, 3, step + 1, n - 1, n - 4, 2, 7, 8, 9, 30, 31, n - 2]):
+                    [0, 3, step + 1, n - 1, n - 4, 2, 7, 8, 9, 30, 31, n - 2],
+                    spread):
         ref = metric_row(emb, centers[0]).copy()
         for c in centers[1:]:
             np.minimum(ref, metric_row(emb, c), out=ref)
@@ -224,6 +228,22 @@ def test_cover_radius_bitwise_equals_row_minimum(rng, monkeypatch, metric,
 
 def _cover_radius(emb, centers):
     return Cover(emb, centers).radius()
+
+
+@pytest.mark.parametrize("n", [14, 2000])
+def test_a_set_of_one_block_is_screened(rng, n):
+    # a single kernel block is screened like any other set where the
+    # metric has a product form; manhattan has none and folds exactly
+    pts = rng.normal(size=(n, 3))
+    for metric in METRICS:
+        emb = EmbeddingSet(pts, metric)
+        cover = Cover(emb, [0])
+        assert cover.blocks == 1
+        assert (cover.delta > 0) == (metric != "manhattan"), metric
+        centers = [0, n // 3, n - 1]
+        for c in centers[1:]:
+            cover.add(c)
+        assert _bits(cover.radius()) == _bits(_fold_radius(emb, centers))
 
 
 def _bits(x):
@@ -413,9 +433,10 @@ def test_covering_radius_reads_one_row_when_separated(monkeypatch):
     reads = []
     rows = dataset._raw_block
 
-    def counted(emb_, i, lo, hi, points=None):
-        reads.append((i, range(lo, hi) if points is None else points[lo:hi]))
-        return rows(emb_, i, lo, hi, points)
+    def counted(emb_, centers, lo, hi, points=None):
+        read = range(lo, hi) if points is None else points[lo:hi]
+        reads.extend((c, read) for c in centers)
+        return rows(emb_, centers, lo, hi, points)
 
     monkeypatch.setattr(dataset, "_raw_block", counted)
     for metric in ("euclidean", "cosine-distance"):
@@ -650,10 +671,10 @@ def test_manhattan_kernel_bits_equal_the_plain_form(monkeypatch):
         f = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(11, dim))
         emb = EmbeddingSet(f, "manhattan")
         i = int(rng.integers(11))
-        got = dataset._raw_block(emb, i, 1, 11)
+        got = dataset._raw_block(emb, [i], 1, 11)
         assert got.tobytes() == np.abs(f[1:11] - f[i]).sum(axis=1).tobytes()
         points = rng.permutation(11)
-        got = dataset._raw_block(emb, i, 2, 9, points)
+        got = dataset._raw_block(emb, [i], 2, 9, points)
         want = np.abs(f[points[2:9]] - f[i]).sum(axis=1)
         assert got.tobytes() == want.tobytes()
 

@@ -134,3 +134,37 @@ def test_every_process_entry_is_run():
               and ast.unparse(node.test) == "__name__ == '__main__'"]
     assert [[ast.unparse(stmt) for stmt in g.body] for g in guards] == [
         ["run()"]]
+
+
+def _callers(name):
+    """The qualified name of each function in src/duke that calls ``name``,
+    by module, as plain ``name(...)`` or as an attribute."""
+    src = Path(__file__).resolve().parent.parent / "src" / "duke"
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                called = (func.id if isinstance(func, ast.Name) else
+                          func.attr if isinstance(func, ast.Attribute)
+                          else None)
+                if called == name:
+                    found.add(scope)
+            walk(child, inner)
+
+    for path in sorted(src.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_one_method_chooses_between_the_screen_and_the_exact_fold():
+    # Cover._fold is the one place that picks the screen or the exact fold
+    # for a read; only the ball test screens apart from it
+    assert _callers("fold_block") == {"dataset.Cover._fold"}
+    assert _callers("_screen_rows") == {"dataset.Cover._fold",
+                                        "wkcenter._Nearest.ball"}

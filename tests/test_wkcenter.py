@@ -265,14 +265,14 @@ def test_screened_covering_radius_equals_the_row_fold(case):
 
 def _count_reads(monkeypatch):
     """Each exact row-kernel read, as a list of (point, the points it reads
-    the distances to)."""
+    the distances to), one entry per center of a call."""
     reads = []
     raw = dataset._raw_block
 
-    def counted(emb_, i, lo, hi, points=None):
+    def counted(emb_, centers, lo, hi, points=None):
         read = range(lo, hi) if points is None else points[lo:hi]
-        reads.append((int(i), [int(p) for p in read]))
-        return raw(emb_, i, lo, hi, points)
+        reads.extend((int(c), [int(p) for p in read]) for c in centers)
+        return raw(emb_, centers, lo, hi, points)
 
     monkeypatch.setattr(dataset, "_raw_block", counted)
     return reads
